@@ -5,6 +5,7 @@ same seed reproduces the report byte for byte."""
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import logging
 from concurrent.futures import ProcessPoolExecutor
@@ -182,6 +183,19 @@ def _cells(cfg: ExperimentConfig) -> list[tuple[int, int]]:
     return [(ratio, fold) for ratio in cfg.ratios for fold in range(cfg.fold_count)]
 
 
+def _single_blas_thread() -> None:
+    """Pool-worker initializer: pin NumPy's bundled OpenBLAS to one thread.
+
+    Each worker otherwise starts a full OpenBLAS thread set, and with several
+    workers those threads compete for the same cores. Does nothing when NumPy
+    does not bundle scipy-openblas.
+    """
+    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so"))
+    if not libs:
+        return
+    ctypes.CDLL(str(libs[0])).scipy_openblas_set_num_threads64_(1)
+
+
 def _map_cells(cfg: ExperimentConfig, fn, cells):
     """Run fn over cells, optionally on a process pool; order of results is fixed."""
     if cfg.workers <= 1 or len(cells) <= 1:
@@ -190,7 +204,9 @@ def _map_cells(cfg: ExperimentConfig, fn, cells):
         context = get_context("fork")
     except ValueError:
         context = None
-    with ProcessPoolExecutor(max_workers=cfg.workers, mp_context=context) as pool:
+    with ProcessPoolExecutor(
+        max_workers=cfg.workers, mp_context=context, initializer=_single_blas_thread
+    ) as pool:
         return list(pool.map(fn, cells))
 
 

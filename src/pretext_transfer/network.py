@@ -2,12 +2,15 @@
 
 Layers carry a group tag so the earlier "representation" part and the deeper
 "classification" part of the model can be trained, frozen and swapped
-independently. States are value objects: every update returns a new
-NetworkState and never mutates parameter arrays in place.
+independently. States are value objects: the public functions return new
+NetworkState and Gradients objects and leave their arguments unchanged.
+`train` copies the parameters into one private flat buffer, updates that copy
+in place batch after batch, and never changes the caller's arrays.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 import time
 from dataclasses import dataclass
@@ -153,19 +156,6 @@ def apply_layer(layer: Layer, x: np.ndarray) -> np.ndarray:
     return z
 
 
-def _trace(state: NetworkState, x: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Forward pass keeping activations and pre-activations for backprop."""
-    activations = [x]
-    preacts = []
-    out = x
-    for layer in state.layers:
-        z = out @ layer.weights.T + layer.bias
-        preacts.append(z)
-        out = np.maximum(z, 0.0) if layer.activation == "relu" else z
-        activations.append(out)
-    return activations, preacts
-
-
 def logits(state: NetworkState, inputs) -> np.ndarray:
     x = as_batch(state, inputs)
     out = x
@@ -198,6 +188,61 @@ def _check_labels(labels, label_count: int, n: int) -> np.ndarray:
     return y.astype(np.int64)
 
 
+def _flat_views(buffer: np.ndarray, specs: list[LayerSpec]) -> tuple[list, list]:
+    """Per-layer weight and bias views over a buffer laid out weights-then-bias, layer by layer."""
+    weights, biases = [], []
+    offset = 0
+    for spec in specs:
+        w_size = spec.output_dim * spec.input_dim
+        weights.append(buffer[offset:offset + w_size].reshape(spec.output_dim, spec.input_dim))
+        offset += w_size
+        biases.append(buffer[offset:offset + spec.output_dim])
+        offset += spec.output_dim
+    return weights, biases
+
+
+def _flatten(weights, biases) -> np.ndarray:
+    return np.concatenate([a.ravel() for pair in zip(weights, biases) for a in pair], dtype=np.float64)
+
+
+def _backprop(weights, biases, activations, x, y, grad_w, grad_b, needs_grad) -> float:
+    """Mean softmax cross-entropy of (x, y); writes the gradient of every layer k
+    with needs_grad[k] into grad_w[k]/grad_b[k] and leaves the others alone.
+
+    Backprop stops at the lowest layer that needs a gradient. Inputs are
+    trusted: callers validate them.
+    """
+    n = x.shape[0]
+    outputs = [x]
+    out = x
+    for w, b, activation in zip(weights, biases, activations):
+        out = out @ w.T
+        out += b
+        if activation == "relu":
+            np.maximum(out, 0.0, out=out)
+        outputs.append(out)
+    z = out
+    z_max = z.max(axis=1, keepdims=True)
+    delta = np.exp(z - z_max)
+    total = delta.sum(axis=1)
+    rows = np.arange(n)
+    loss = float(np.mean(np.log(total) + z_max[:, 0] - z[rows, y]))
+
+    delta /= total[:, None]
+    delta[rows, y] -= 1.0
+    delta /= n
+    lowest = needs_grad.index(True) if True in needs_grad else len(weights)
+    for k in range(len(weights) - 1, lowest - 1, -1):
+        if needs_grad[k]:
+            np.matmul(delta.T, outputs[k], out=grad_w[k])
+            np.sum(delta, axis=0, out=grad_b[k])
+        if k > lowest:
+            delta = delta @ weights[k]
+            if activations[k - 1] == "relu":
+                delta *= outputs[k] > 0.0
+    return loss
+
+
 def loss_and_grad(state: NetworkState, inputs, labels) -> tuple[float, Gradients]:
     """Mean softmax cross-entropy and its gradient for every parameter.
 
@@ -205,28 +250,18 @@ def loss_and_grad(state: NetworkState, inputs, labels) -> tuple[float, Gradients
     update time.
     """
     x = as_batch(state, inputs)
-    n = x.shape[0]
-    y = _check_labels(labels, state.label_count, n)
-    activations, preacts = _trace(state, x)
-    z = preacts[-1]
-    shifted = z - z.max(axis=1, keepdims=True)
-    logsumexp = np.log(np.exp(shifted).sum(axis=1)) + z.max(axis=1)
-    loss = float(np.mean(logsumexp - z[np.arange(n), y]))
-
-    delta = _softmax(z)
-    delta[np.arange(n), y] -= 1.0
-    delta /= n
-    grad_w: list[np.ndarray] = [None] * len(state.layers)
-    grad_b: list[np.ndarray] = [None] * len(state.layers)
-    for k in range(len(state.layers) - 1, -1, -1):
-        grad_w[k] = delta.T @ activations[k]
-        grad_b[k] = delta.sum(axis=0)
-        if k:
-            upstream = delta @ state.layers[k].weights
-            if state.layers[k - 1].activation == "relu":
-                upstream = upstream * (preacts[k - 1] > 0.0)
-            delta = upstream
-    return loss, Gradients(grad_w, grad_b)
+    y = _check_labels(labels, state.label_count, x.shape[0])
+    grads = Gradients(
+        [np.empty(layer.weights.shape) for layer in state.layers],
+        [np.empty(layer.bias.shape) for layer in state.layers],
+    )
+    loss = _backprop(
+        [layer.weights for layer in state.layers],
+        [layer.bias for layer in state.layers],
+        [layer.activation for layer in state.layers],
+        x, y, grads.weights, grads.biases, [True] * len(state.layers),
+    )
+    return loss, grads
 
 
 def zero_velocity(state: NetworkState) -> Gradients:
@@ -244,6 +279,42 @@ def _check_same_shapes(state: NetworkState, grads: Gradients, name: str) -> None
             raise ShapeError(f"{name} shapes do not match the network parameters")
 
 
+def _step_layout(specs: list[LayerSpec], config: TrainConfig) -> tuple[np.ndarray, slice]:
+    """Per-element learning rates of the flat layout, zero for frozen groups,
+    and the span of the trainable parameters.
+
+    The span is contiguous because validate_layer_specs puts every
+    representation layer before every classification layer.
+    """
+    validate_layer_specs(specs)
+    rates, sizes = [], []
+    for spec in specs:
+        if spec.group in config.frozen_groups:
+            rates.append(0.0)
+        elif spec.group == CLASSIFICATION:
+            rates.append(config.base_lr * config.classifier_lr_multiplier)
+        else:
+            rates.append(config.base_lr)
+        sizes.append(spec.output_dim * (spec.input_dim + 1))
+    offsets = [0, *itertools.accumulate(sizes)]
+    trainable = [i for i, spec in enumerate(specs) if spec.group not in config.frozen_groups]
+    span = slice(offsets[trainable[0]], offsets[trainable[-1] + 1]) if trainable else slice(0, 0)
+    return np.repeat(rates, sizes), span
+
+
+def _velocity_step(velocity: np.ndarray, grads: np.ndarray, lr: np.ndarray, momentum: float) -> None:
+    """velocity <- momentum * velocity - lr * grads, in place; grads is overwritten."""
+    grads *= lr
+    velocity *= momentum
+    velocity -= grads
+
+
+def _apply_step(params: np.ndarray, velocity: np.ndarray) -> None:
+    params += velocity
+    if not np.isfinite(params).all():
+        raise TrainingDiverged("parameter update produced non-finite values")
+
+
 def sgd_update(
     state: NetworkState, grads: Gradients, velocity: Gradients, config: TrainConfig
 ) -> tuple[NetworkState, Gradients]:
@@ -254,30 +325,20 @@ def sgd_update(
     """
     _check_same_shapes(state, grads, "gradients")
     _check_same_shapes(state, velocity, "velocity")
-    new_layers, new_vw, new_vb = [], [], []
-    for layer, gw, gb, vw, vb in zip(
-        state.layers, grads.weights, grads.biases, velocity.weights, velocity.biases
-    ):
-        frozen = layer.group in config.frozen_groups
-        if frozen:
-            lr = 0.0
-        elif layer.group == CLASSIFICATION:
-            lr = config.base_lr * config.classifier_lr_multiplier
-        else:
-            lr = config.base_lr
-        nvw = config.momentum * vw - lr * gw
-        nvb = config.momentum * vb - lr * gb
-        if frozen:
-            new_layers.append(layer)
-        else:
-            weights = layer.weights + nvw
-            bias = layer.bias + nvb
-            if not (np.isfinite(weights).all() and np.isfinite(bias).all()):
-                raise TrainingDiverged("parameter update produced non-finite values")
-            new_layers.append(Layer(weights, bias, layer.activation, layer.group))
-        new_vw.append(nvw)
-        new_vb.append(nvb)
-    return NetworkState(new_layers, state.label_count, state.seed), Gradients(new_vw, new_vb)
+    specs = layer_specs(state)
+    lr, trainable = _step_layout(specs, config)
+    params = _flatten([l.weights for l in state.layers], [l.bias for l in state.layers])
+    new_velocity = _flatten(velocity.weights, velocity.biases)
+    _velocity_step(new_velocity, _flatten(grads.weights, grads.biases), lr, config.momentum)
+    _apply_step(params[trainable], new_velocity[trainable])
+    weights, biases = _flat_views(params, specs)
+    new_layers = [
+        layer if layer.group in config.frozen_groups
+        else Layer(w, b, layer.activation, layer.group)
+        for layer, w, b in zip(state.layers, weights, biases)
+    ]
+    new_state = NetworkState(new_layers, state.label_count, state.seed)
+    return new_state, Gradients(*_flat_views(new_velocity, specs))
 
 
 def replace_head(state: NetworkState, new_label_count: int, init_seed: int) -> NetworkState:
@@ -311,27 +372,48 @@ class EpochStats:
 def train(
     state: NetworkState, features, labels, config: TrainConfig
 ) -> tuple[NetworkState, list[EpochStats]]:
-    """Epoch loop: seeded shuffling, mini-batches, last partial batch kept."""
+    """Epoch loop: seeded shuffling, mini-batches, last partial batch kept.
+
+    Inputs are validated once. Training runs on a private flat copy of the
+    parameters, so the caller's state is never modified; frozen layers get
+    no weight gradients and their parameters come back bit-identical.
+    """
     x = as_batch(state, features)
     n = x.shape[0]
     y = _check_labels(labels, state.label_count, n)
+    specs = layer_specs(state)
+    lr, trainable = _step_layout(specs, config)
+    params = _flatten([l.weights for l in state.layers], [l.bias for l in state.layers])
+    grads = np.zeros_like(params)
+    velocity = np.zeros_like(params)
+    weights, biases = _flat_views(params, specs)
+    grad_w, grad_b = _flat_views(grads, specs)
+    activations = [spec.activation for spec in specs]
+    needs_grad = [spec.group not in config.frozen_groups for spec in specs]
+    params_t, velocity_t, grads_t, lr_t = (a[trainable] for a in (params, velocity, grads, lr))
+
     rng = np.random.default_rng(config.seed)
-    velocity = zero_velocity(state)
     history = []
     for epoch in range(config.epochs):
         start_time = time.perf_counter()
         order = rng.permutation(n)
+        x_epoch, y_epoch = x[order], y[order]
         total = 0.0
         for start in range(0, n, config.batch_size):
-            idx = order[start:start + config.batch_size]
-            loss, grads = loss_and_grad(state, x[idx], y[idx])
+            xb = x_epoch[start:start + config.batch_size]
+            yb = y_epoch[start:start + config.batch_size]
+            loss = _backprop(weights, biases, activations, xb, yb, grad_w, grad_b, needs_grad)
             if not np.isfinite(loss):
                 raise TrainingDiverged(f"training diverged at epoch {epoch} (loss={loss})")
-            state, velocity = sgd_update(state, grads, velocity, config)
-            total += loss * len(idx)
+            _velocity_step(velocity_t, grads_t, lr_t, config.momentum)
+            _apply_step(params_t, velocity_t)
+            total += loss * len(xb)
         elapsed_ms = (time.perf_counter() - start_time) * 1e3
         history.append(EpochStats(epoch, total / n, elapsed_ms))
-    return state, history
+    layers = [
+        Layer(w, b, spec.activation, spec.group) for w, b, spec in zip(weights, biases, specs)
+    ]
+    return NetworkState(layers, state.label_count, state.seed), history
 
 
 def predict(state: NetworkState, inputs) -> np.ndarray:
@@ -372,15 +454,8 @@ def load_checkpoint(path) -> NetworkState:
     data = np.frombuffer(blob, dtype="<f8")
     if data.size != total or total != sum(s.input_dim * s.output_dim + s.output_dim for s in specs):
         raise ValidationError(f"{path}: parameter blob size does not match the manifest")
-    layers = []
-    offset = 0
-    for spec in specs:
-        w_size = spec.output_dim * spec.input_dim
-        weights = data[offset:offset + w_size].reshape(spec.output_dim, spec.input_dim).copy()
-        offset += w_size
-        bias = data[offset:offset + spec.output_dim].copy()
-        offset += spec.output_dim
-        layers.append(Layer(weights, bias, spec.activation, spec.group))
+    weights, biases = _flat_views(data.copy(), specs)
+    layers = [Layer(w, b, spec.activation, spec.group) for w, b, spec in zip(weights, biases, specs)]
     if label_count != specs[-1].output_dim:
         raise ValidationError(f"{path}: label_count does not match the final layer width")
     return NetworkState(layers, label_count, seed)

@@ -1,4 +1,8 @@
+import ctypes
 import dataclasses
+from concurrent.futures import ProcessPoolExecutor
+from multiprocessing import get_context
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -205,3 +209,20 @@ class TestMissingPrerequisites:
         with pytest.raises(FileNotFoundError) as err:
             run_prt(cfg)
         assert "clusters.ckpt" in str(err.value)
+
+
+def bundled_blas_threads():
+    """Live thread count of NumPy's bundled OpenBLAS, or None when it is not bundled."""
+    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so"))
+    if not libs:
+        return None
+    return ctypes.CDLL(str(libs[0])).scipy_openblas_get_num_threads64_()
+
+
+def test_pool_workers_run_one_blas_thread():
+    parent_threads = bundled_blas_threads()
+    if parent_threads is None:
+        pytest.skip("NumPy does not bundle scipy-openblas")
+    with ProcessPoolExecutor(1, mp_context=get_context("fork"), initializer=harness._single_blas_thread) as pool:
+        assert pool.submit(bundled_blas_threads).result() == 1
+    assert bundled_blas_threads() == parent_threads

@@ -29,6 +29,19 @@ TWO_LAYER_SPECS = [
     LayerSpec(6, 3, "identity", CLASSIFICATION),
 ]
 
+THREE_LAYER_SPECS = [
+    LayerSpec(4, 8, "relu", REPRESENTATION),
+    LayerSpec(8, 5, "identity", REPRESENTATION),
+    LayerSpec(5, 3, "identity", CLASSIFICATION),
+]
+TWO_HIDDEN_SPECS = [
+    LayerSpec(4, 8, "relu", REPRESENTATION),
+    LayerSpec(8, 6, "relu", REPRESENTATION),
+    LayerSpec(6, 5, "identity", REPRESENTATION),
+    LayerSpec(5, 4, "relu", CLASSIFICATION),
+    LayerSpec(4, 3, "identity", CLASSIFICATION),
+]
+
 
 def small_state(seed=0, specs=None):
     return init_network(specs or TWO_LAYER_SPECS, seed=seed)
@@ -206,6 +219,18 @@ class TestSgdUpdate:
             else:
                 assert a != b
 
+    @pytest.mark.parametrize("frozen", [CLASSIFICATION, REPRESENTATION])
+    def test_every_trainable_element_moves(self, frozen):
+        state = init_network(THREE_LAYER_SPECS, seed=0)
+        cfg = TrainConfig(epochs=1, base_lr=0.1, momentum=0.0, frozen_groups=frozenset({frozen}))
+        new, _ = sgd_update(state, self.grad_of_one(state), zero_velocity(state), cfg)
+        for old_layer, new_layer in zip(state.layers, new.layers):
+            for old, updated in [(old_layer.weights, new_layer.weights), (old_layer.bias, new_layer.bias)]:
+                if old_layer.group == frozen:
+                    assert (updated == old).all()
+                else:
+                    assert (updated != old).all()
+
     def test_classifier_multiplier_wiring(self):
         state = self.one_param_state()
         cfg = TrainConfig(epochs=1, base_lr=0.25, momentum=0.0, classifier_lr_multiplier=10.0)
@@ -293,6 +318,86 @@ class TestTrain:
         cfg = TrainConfig(epochs=50, batch_size=4, base_lr=1e6, momentum=0.9, seed=0)
         with pytest.raises(TrainingDiverged):
             train(small_state(seed=0), x, y, cfg)
+
+
+def step_by_step_train(state, x, y, cfg):
+    """Reference loop over the public per-batch functions: the oracle for train()."""
+    rng = np.random.default_rng(cfg.seed)
+    velocity = zero_velocity(state)
+    mean_losses = []
+    for _ in range(cfg.epochs):
+        order = rng.permutation(len(y))
+        total = 0.0
+        for start in range(0, len(y), cfg.batch_size):
+            idx = order[start:start + cfg.batch_size]
+            loss, grads = loss_and_grad(state, x[idx], y[idx])
+            state, velocity = sgd_update(state, grads, velocity, cfg)
+            total += loss * len(idx)
+        mean_losses.append(total / len(y))
+    return state, mean_losses
+
+
+def three_class_data(n, seed=4):
+    rng = np.random.default_rng(seed)
+    y = rng.integers(0, 3, n)
+    x = rng.normal(size=(n, 4)) + y[:, None]
+    return x, y
+
+
+ORACLE_CASES = {
+    "prt": (THREE_LAYER_SPECS, 32, dict(frozen_groups=frozenset({CLASSIFICATION}))),
+    "tl": (THREE_LAYER_SPECS, 32, dict(classifier_lr_multiplier=10.0)),
+    "representation-frozen": (THREE_LAYER_SPECS, 32, dict(frozen_groups=frozenset({REPRESENTATION}))),
+    "both-frozen": (THREE_LAYER_SPECS, 32, dict(frozen_groups=frozenset({REPRESENTATION, CLASSIFICATION}))),
+    "two-hidden-layers": (TWO_HIDDEN_SPECS, 32, dict(classifier_lr_multiplier=10.0)),
+    "partial-last-batch": (THREE_LAYER_SPECS, 29, dict(frozen_groups=frozenset({CLASSIFICATION}))),
+}
+
+
+class TestTrainMatchesStepByStep:
+    @pytest.mark.parametrize("case", list(ORACLE_CASES))
+    def test_bit_identical_to_public_step_functions(self, case):
+        specs, n, overrides = ORACLE_CASES[case]
+        x, y = three_class_data(n)
+        cfg = TrainConfig(epochs=4, batch_size=8, base_lr=0.05, momentum=0.9, seed=6, **overrides)
+        state = init_network(specs, seed=2)
+        trained, history = train(state, x, y, cfg)
+        expected, mean_losses = step_by_step_train(state, x, y, cfg)
+        assert state_bytes(trained) == state_bytes(expected)
+        assert [s.mean_loss for s in history] == mean_losses
+        if case == "both-frozen":
+            assert state_bytes(trained) == state_bytes(state)
+        else:
+            assert state_bytes(trained) != state_bytes(state)
+
+
+class TestTrainLeavesInputAlone:
+    def setup_method(self):
+        self.x, self.y = three_class_data(30)
+        self.cfg = TrainConfig(
+            epochs=2, batch_size=8, base_lr=0.05, seed=1, frozen_groups=frozenset({CLASSIFICATION})
+        )
+        self.state = init_network(THREE_LAYER_SPECS, seed=3)
+
+    def test_input_arrays_unchanged(self):
+        before = state_bytes(self.state)
+        train(self.state, self.x, self.y, self.cfg)
+        assert state_bytes(self.state) == before
+
+    def test_frozen_layers_bit_identical_to_input(self):
+        trained, _ = train(self.state, self.x, self.y, self.cfg)
+        for old, new in zip(self.state.layers, trained.layers):
+            same = old.weights.tobytes() + old.bias.tobytes() == new.weights.tobytes() + new.bias.tobytes()
+            assert same == (old.group == CLASSIFICATION)
+
+    def test_mutating_result_does_not_leak_into_next_call(self):
+        first, _ = train(self.state, self.x, self.y, self.cfg)
+        first_bytes = state_bytes(first)
+        for layer in first.layers:
+            layer.weights[...] = 7.0
+            layer.bias[...] = -7.0
+        second, _ = train(self.state, self.x, self.y, self.cfg)
+        assert state_bytes(second) == first_bytes
 
 
 class TestSpecsValidation:
