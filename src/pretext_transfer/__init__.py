@@ -26,8 +26,6 @@ from .dictionary import (
     FeatureDictionary,
     build_dictionary,
     class_probabilities,
-    crc_code,
-    crc_probability,
 )
 from .errors import ConfigError, ShapeError, TrainingDiverged, ValidationError
 from .harness import ExperimentConfig, derive_seed, run_experiment
@@ -55,4 +53,4 @@ from .network import (
     sgd_update,
     train,
 )
-from .pipeline import StageConfig, default_stage_config, pretrain_source, prt_train, tl_train
+from .pipeline import pretrain_source, prt_train, tl_train

@@ -7,7 +7,7 @@ import logging
 import sys
 from pathlib import Path
 
-from .config import build_experiment_config
+from .config import build_experiment_config, int_list
 from .errors import ValidationError
 from .harness import (
     run_cluster,
@@ -44,7 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--config", type=Path, default=None, help="experiment config file (key = value lines)")
         sub.add_argument("--seed", type=int, default=None, help="master seed override")
         sub.add_argument("--out", type=Path, default=None, help="output directory override")
-        sub.add_argument("--ratios", type=str, default=None, help="comma-separated imbalance ratios override")
+        sub.add_argument("--ratios", type=int_list, default=None, help="comma-separated imbalance ratios override")
         sub.add_argument("--folds", type=int, default=None, help="fold count override")
     return parser
 
@@ -69,12 +69,9 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse: 0 for --help, 2 for usage errors
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        ratios = None
-        if args.ratios is not None:
-            ratios = tuple(int(part) for part in args.ratios.split(",") if part.strip())
         cfg = build_experiment_config(
             config_path=args.config, seed=args.seed, out=args.out,
-            ratios=ratios, folds=args.folds,
+            ratios=args.ratios, folds=args.folds,
         )
         result = _DISPATCH[args.command](cfg)
     except (ValidationError, FileNotFoundError) as exc:

@@ -2,23 +2,53 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from pathlib import Path
 
-from .data import SynthConfig
-from .dictionary import CRCConfig
 from .errors import ConfigError
 from .harness import ExperimentConfig
 
-_INT_KEYS = {
-    "seed", "folds", "workers",
-    "source_classes", "dim", "samples_per_class", "unlabeled_size",
-    "positives", "negatives", "projection_dim",
-    "source_epochs", "prt_epochs", "tl_epochs", "batch",
+
+def str_list(raw: str) -> tuple[str, ...]:
+    """Comma-separated items, blanks dropped."""
+    return tuple(part.strip() for part in raw.split(",") if part.strip())
+
+
+def int_list(raw: str) -> tuple[int, ...]:
+    """Comma-separated integers, blanks dropped; raises ValueError on a bad item."""
+    return tuple(int(part) for part in str_list(raw))
+
+
+# file key -> (ExperimentConfig field, or "<nested config>.<field>", parser).
+# Every default comes from the dataclasses; only the output directory has a
+# default here, because ExperimentConfig requires one.
+FIELDS = {
+    "out": ("out_dir", Path),
+    "seed": ("master_seed", int),
+    "folds": ("fold_count", int),
+    "workers": ("workers", int),
+    "source_classes": ("synth.source_class_count", int),
+    "dim": ("synth.dim", int),
+    "samples_per_class": ("synth.samples_per_class", int),
+    "unlabeled_size": ("synth.unlabeled_size", int),
+    "positives": ("synth.positives", int),
+    "negatives": ("synth.negatives", int),
+    "shift": ("synth.shift", float),
+    "noise": ("synth.noise", float),
+    "hidden": ("hidden", int_list),
+    "projection_dim": ("projection_dim", int),
+    "source_epochs": ("source_epochs", int),
+    "source_lr": ("source_lr", float),
+    "prt_epochs": ("prt_epochs", int),
+    "tl_epochs": ("tl_epochs", int),
+    "lr": ("base_lr", float),
+    "batch": ("batch_size", int),
+    "momentum": ("momentum", float),
+    "ridge": ("crc.ridge", float),
+    "epsilon": ("crc.epsilon", float),
+    "ratios": ("ratios", int_list),
+    "methods": ("methods", str_list),
 }
-_FLOAT_KEYS = {"shift", "noise", "source_lr", "lr", "momentum", "ridge", "epsilon"}
-_LIST_KEYS = {"ratios", "methods", "hidden"}
-_STR_KEYS = {"out"}
-KNOWN_KEYS = _INT_KEYS | _FLOAT_KEYS | _LIST_KEYS | _STR_KEYS
 
 
 def parse_config_file(path: str | Path) -> dict[str, tuple[str, int]]:
@@ -38,27 +68,10 @@ def parse_config_file(path: str | Path) -> dict[str, tuple[str, int]]:
         value = value.strip()
         if not sep or not key:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-        if key not in KNOWN_KEYS:
+        if key not in FIELDS:
             raise ConfigError(f"{path}:{lineno}: unknown key '{key}'")
         values[key] = (value, lineno)
     return values
-
-
-def _convert(path, key: str, raw: str, lineno: int):
-    try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key == "ratios":
-            return tuple(int(part.strip()) for part in raw.split(",") if part.strip())
-        if key == "hidden":
-            return tuple(int(part.strip()) for part in raw.split(",") if part.strip())
-        if key == "methods":
-            return tuple(part.strip() for part in raw.split(",") if part.strip())
-        return raw
-    except ValueError as exc:
-        raise ConfigError(f"{path}:{lineno}: bad value for '{key}': {raw!r}") from exc
 
 
 def build_experiment_config(
@@ -69,61 +82,30 @@ def build_experiment_config(
     folds: int | None = None,
 ) -> ExperimentConfig:
     """Merge config-file values and flag overrides over the package defaults."""
-    values: dict[str, object] = {}
+    values: dict[str, object] = {"out_dir": Path("out")}
     if config_path is not None:
         for key, (raw, lineno) in parse_config_file(config_path).items():
-            values[key] = _convert(config_path, key, raw, lineno)
-    if seed is not None:
-        values["seed"] = seed
-    if out is not None:
-        values["out"] = str(out)
-    if ratios is not None:
-        values["ratios"] = tuple(ratios)
-    if folds is not None:
-        values["folds"] = folds
-
-    synth_defaults = SynthConfig()
-    synth = SynthConfig(
-        source_class_count=values.get("source_classes", synth_defaults.source_class_count),
-        dim=values.get("dim", synth_defaults.dim),
-        samples_per_class=values.get("samples_per_class", synth_defaults.samples_per_class),
-        unlabeled_size=values.get("unlabeled_size", synth_defaults.unlabeled_size),
-        positives=values.get("positives", synth_defaults.positives),
-        negatives=values.get("negatives", synth_defaults.negatives),
-        shift=values.get("shift", synth_defaults.shift),
-        noise=values.get("noise", synth_defaults.noise),
-    )
-    crc_defaults = CRCConfig()
-    crc = CRCConfig(
-        ridge=values.get("ridge", crc_defaults.ridge),
-        epsilon=values.get("epsilon", crc_defaults.epsilon),
-    )
-    defaults = {
-        "out": "out", "seed": 0, "folds": 5, "workers": 1,
-        "hidden": ExperimentConfig.hidden, "projection_dim": ExperimentConfig.projection_dim,
-        "source_epochs": ExperimentConfig.source_epochs, "source_lr": ExperimentConfig.source_lr,
-        "prt_epochs": ExperimentConfig.prt_epochs, "tl_epochs": ExperimentConfig.tl_epochs,
-        "lr": ExperimentConfig.base_lr, "batch": ExperimentConfig.batch_size,
-        "momentum": ExperimentConfig.momentum, "ratios": ExperimentConfig.ratios,
-        "methods": ExperimentConfig.methods,
+            field, parse = FIELDS[key]
+            try:
+                values[field] = parse(raw)
+            except ValueError as exc:
+                raise ConfigError(f"{config_path}:{lineno}: bad value for '{key}': {raw!r}") from exc
+    overrides = {
+        "master_seed": seed,
+        "out_dir": out,
+        "ratios": None if ratios is None else tuple(ratios),
+        "fold_count": folds,
     }
-    merged = {**defaults, **values}
-    return ExperimentConfig(
-        out_dir=Path(merged["out"]),
-        master_seed=merged["seed"],
-        synth=synth,
-        hidden=tuple(merged["hidden"]),
-        projection_dim=merged["projection_dim"],
-        source_epochs=merged["source_epochs"],
-        source_lr=merged["source_lr"],
-        prt_epochs=merged["prt_epochs"],
-        tl_epochs=merged["tl_epochs"],
-        base_lr=merged["lr"],
-        batch_size=merged["batch"],
-        momentum=merged["momentum"],
-        crc=crc,
-        ratios=tuple(merged["ratios"]),
-        fold_count=merged["folds"],
-        methods=tuple(merged["methods"]),
-        workers=merged["workers"],
-    )
+    values.update((field, value) for field, value in overrides.items() if value is not None)
+
+    top: dict[str, object] = {}
+    nested: dict[str, dict[str, object]] = {}
+    for field, value in values.items():
+        group, _, leaf = field.partition(".")
+        if leaf:
+            nested.setdefault(group, {})[leaf] = value
+        else:
+            top[field] = value
+    for group, group_values in nested.items():
+        top[group] = replace(getattr(ExperimentConfig, group), **group_values)
+    return ExperimentConfig(**top)

@@ -68,54 +68,13 @@ def build_dictionary(m1: NetworkState, train: LabeledSet) -> FeatureDictionary:
     return FeatureDictionary(np.concatenate(columns_blocks, axis=1), class_offsets)
 
 
-def _check_vector(fdict: FeatureDictionary, y) -> np.ndarray:
-    v = np.asarray(y, dtype=np.float64)
-    if v.ndim != 1 or v.shape[0] != fdict.feature_dim:
-        raise ShapeError(f"test vector must have dimension {fdict.feature_dim}")
-    if not np.isfinite(v).all():
-        raise ValidationError("test vector contains non-finite values")
-    return v
-
-
-def _normalize(v: np.ndarray) -> np.ndarray:
-    norm = np.linalg.norm(v)
-    if norm <= _ZERO_NORM:
-        raise ValidationError("cannot normalize a zero test vector")
-    return v / norm
-
-
-def _solve_codes(fdict: FeatureDictionary, rhs: np.ndarray, cfg: CRCConfig) -> np.ndarray:
-    d = fdict.columns
-    gram = d.T @ d + cfg.ridge * np.eye(d.shape[1])
-    codes = np.linalg.solve(gram, rhs)
-    residual = np.linalg.norm(gram @ codes - rhs)
-    if residual > _SOLVE_TOL * max(1.0, np.linalg.norm(rhs)):
-        raise ArithmeticError("normal-equation solve exceeded the residual tolerance")
-    return codes
-
-
-def crc_code(fdict: FeatureDictionary, y, cfg: CRCConfig) -> np.ndarray:
-    """Ridge coding of a (normalized) test vector over the full dictionary."""
-    y_unit = _normalize(_check_vector(fdict, y))
-    return _solve_codes(fdict, fdict.columns.T @ y_unit, cfg)
-
-
-def crc_probability(fdict: FeatureDictionary, alpha, y, cfg: CRCConfig) -> np.ndarray:
-    """Per-class residuals of the coded vector, normalized to sum to 1."""
-    y_unit = _normalize(_check_vector(fdict, y))
-    alpha = np.asarray(alpha, dtype=np.float64)
-    if alpha.shape != (fdict.columns.shape[1],):
-        raise ShapeError(f"alpha must have length {fdict.columns.shape[1]}")
-    weights = np.empty(fdict.class_count)
-    for c, start, count in fdict.class_offsets:
-        recon = fdict.columns[:, start:start + count] @ alpha[start:start + count]
-        residual = np.linalg.norm(y_unit - recon)
-        weights[c] = (residual + cfg.epsilon) ** -2
-    return weights / weights.sum()
-
-
 def class_probabilities(fdict: FeatureDictionary, features, cfg: CRCConfig) -> np.ndarray:
-    """crc_code + crc_probability for a feature batch, one Gram solve for all rows."""
+    """Class probabilities for each row of a feature batch.
+
+    Each row is normalized and ridge-coded over the whole dictionary (one Gram
+    solve for all rows); each class's reconstruction residual r_c then weighs
+    in as (r_c + epsilon)^-2, and the weights of a row are normalized to sum to 1.
+    """
     y = np.asarray(features, dtype=np.float64)
     if y.ndim != 2 or y.shape[1] != fdict.feature_dim:
         raise ShapeError(f"features must be a matrix with {fdict.feature_dim} columns")
@@ -125,10 +84,15 @@ def class_probabilities(fdict: FeatureDictionary, features, cfg: CRCConfig) -> n
     if (norms <= _ZERO_NORM).any():
         raise ValidationError("cannot normalize a zero test vector")
     y_unit = (y / norms[:, None]).T  # [p, n]
-    codes = _solve_codes(fdict, fdict.columns.T @ y_unit, cfg)  # [N, n]
+    d = fdict.columns
+    gram = d.T @ d + cfg.ridge * np.eye(d.shape[1])
+    rhs = d.T @ y_unit
+    codes = np.linalg.solve(gram, rhs)  # [N, n]
+    if np.linalg.norm(gram @ codes - rhs) > _SOLVE_TOL * max(1.0, np.linalg.norm(rhs)):
+        raise ArithmeticError("normal-equation solve exceeded the residual tolerance")
     weights = np.empty((y.shape[0], fdict.class_count))
     for c, start, count in fdict.class_offsets:
-        recon = fdict.columns[:, start:start + count] @ codes[start:start + count]
+        recon = d[:, start:start + count] @ codes[start:start + count]
         weights[:, c] = (np.linalg.norm(y_unit - recon, axis=0) + cfg.epsilon) ** -2
     return weights / weights.sum(axis=1, keepdims=True)
 

@@ -9,7 +9,8 @@ import ctypes
 import hashlib
 import logging
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from functools import partial
 from multiprocessing import get_context
 from pathlib import Path
 
@@ -62,19 +63,12 @@ from .network import (
     REPRESENTATION,
     LayerSpec,
     NetworkState,
+    TrainConfig,
     forward,
     load_checkpoint,
     save_checkpoint,
 )
-from .pipeline import (
-    STAGE_PRT,
-    STAGE_SOURCE,
-    STAGE_TL,
-    default_stage_config,
-    pretrain_source,
-    prt_train,
-    tl_train,
-)
+from .pipeline import pretrain_source, prt_train, tl_train
 
 logger = logging.getLogger(__name__)
 
@@ -143,6 +137,20 @@ def build_layer_specs(
     return specs
 
 
+def _train_config(
+    cfg: ExperimentConfig, epochs: int, seed: int, base_lr: float | None = None
+) -> TrainConfig:
+    """The hyperparameters every training stage shares; each stage sets its
+    own frozen groups and head learning rate."""
+    return TrainConfig(
+        epochs=epochs,
+        batch_size=cfg.batch_size,
+        base_lr=cfg.base_lr if base_lr is None else base_lr,
+        momentum=cfg.momentum,
+        seed=seed,
+    )
+
+
 def _needs_prt_route(cfg: ExperimentConfig) -> bool:
     return METHOD_PRT_TL in cfg.methods or METHOD_ALL in cfg.methods
 
@@ -196,10 +204,13 @@ def _single_blas_thread() -> None:
     ctypes.CDLL(str(libs[0])).scipy_openblas_set_num_threads64_(1)
 
 
-def _map_cells(cfg: ExperimentConfig, fn, cells):
-    """Run fn over cells, optionally on a process pool; order of results is fixed."""
+def _map_cells(cfg: ExperimentConfig, fn):
+    """Run fn(cfg, ratio, fold) over every grid cell, optionally on a process
+    pool; results come back in cell order."""
+    cells = _cells(cfg)
+    task = partial(fn, cfg)
     if cfg.workers <= 1 or len(cells) <= 1:
-        return [fn(cell) for cell in cells]
+        return [task(ratio, fold) for ratio, fold in cells]
     try:
         context = get_context("fork")
     except ValueError:
@@ -207,19 +218,7 @@ def _map_cells(cfg: ExperimentConfig, fn, cells):
     with ProcessPoolExecutor(
         max_workers=cfg.workers, mp_context=context, initializer=_single_blas_thread
     ) as pool:
-        return list(pool.map(fn, cells))
-
-
-class _CellTask:
-    """Picklable wrapper so pool workers can run a stage step for one cell."""
-
-    def __init__(self, fn, cfg: ExperimentConfig):
-        self.fn = fn
-        self.cfg = cfg
-
-    def __call__(self, cell):
-        ratio, fold = cell
-        return self.fn(self.cfg, ratio, fold)
+        return list(pool.map(task, *zip(*cells)))
 
 
 # ---- stages -----------------------------------------------------------------
@@ -233,11 +232,8 @@ def run_generate(cfg: ExperimentConfig) -> tuple[LabeledSet, UnlabeledSet, Label
     save_dataset(unlabeled, data_path(cfg, "unlabeled"))
     save_dataset(target, data_path(cfg, "target"))
     manifest_lines = [f"master_seed = {cfg.master_seed}"]
-    for name in (
-        "source_class_count", "dim", "samples_per_class", "unlabeled_size",
-        "positives", "negatives", "shift", "noise", "seed",
-    ):
-        manifest_lines.append(f"{name} = {getattr(synth, name)}")
+    for field in fields(synth):
+        manifest_lines.append(f"{field.name} = {getattr(synth, field.name)}")
     (cfg.out_dir / "manifest.txt").write_text("\n".join(manifest_lines) + "\n")
     return source, unlabeled, target
 
@@ -247,15 +243,10 @@ def run_pretrain(cfg: ExperimentConfig) -> NetworkState:
     specs = build_layer_specs(
         source.features.shape[1], source.class_count, cfg.hidden, cfg.projection_dim
     )
-    stage = default_stage_config(
-        STAGE_SOURCE,
-        seed=derive_seed(cfg.master_seed, "source"),
-        epochs=cfg.source_epochs,
-        base_lr=cfg.source_lr,
-        batch_size=cfg.batch_size,
-        momentum=cfg.momentum,
+    train_cfg = _train_config(
+        cfg, cfg.source_epochs, derive_seed(cfg.master_seed, "source"), base_lr=cfg.source_lr
     )
-    model = pretrain_source(specs, source, stage, log_path=cfg.out_dir / "logs" / "source.log")
+    model = pretrain_source(specs, source, train_cfg, log_path=cfg.out_dir / "logs" / "source.log")
     save_checkpoint(model, source_ckpt_path(cfg))
     return model
 
@@ -284,15 +275,10 @@ def _load_pseudo(cfg: ExperimentConfig) -> PseudoLabeledSet:
 def _prt_cell(cfg: ExperimentConfig, ratio: int, fold: int) -> None:
     source_model = load_checkpoint(_require(source_ckpt_path(cfg)))
     pseudo = _load_pseudo(cfg)
-    stage = default_stage_config(
-        STAGE_PRT,
-        seed=derive_seed(cfg.master_seed, ratio, fold, METHOD_PRT_TL, "prt"),
-        epochs=cfg.prt_epochs,
-        base_lr=cfg.base_lr,
-        batch_size=cfg.batch_size,
-        momentum=cfg.momentum,
+    train_cfg = _train_config(
+        cfg, cfg.prt_epochs, derive_seed(cfg.master_seed, ratio, fold, METHOD_PRT_TL, "prt")
     )
-    model = prt_train(source_model, pseudo, stage, log_path=cell_log(cfg, ratio, fold, "prt"))
+    model = prt_train(source_model, pseudo, train_cfg, log_path=cell_log(cfg, ratio, fold, "prt"))
     save_checkpoint(model, cell_path(cfg, ratio, fold, "prt"))
 
 
@@ -303,7 +289,7 @@ def run_prt(cfg: ExperimentConfig) -> None:
         return
     _require(source_ckpt_path(cfg))
     _require(clusters_ckpt_path(cfg))
-    _map_cells(cfg, _CellTask(_prt_cell, cfg), _cells(cfg))
+    _map_cells(cfg, _prt_cell)
 
 
 def _cell_train_set(cfg: ExperimentConfig, target: LabeledSet, folds: FoldPlan,
@@ -312,42 +298,24 @@ def _cell_train_set(cfg: ExperimentConfig, target: LabeledSet, folds: FoldPlan,
     return apply_imbalance(train_set, POSITIVE_CLASS, ratio)
 
 
-def _tl_stage(cfg: ExperimentConfig, seed: int) -> object:
-    return default_stage_config(
-        STAGE_TL,
-        seed=seed,
-        epochs=cfg.tl_epochs,
-        base_lr=cfg.base_lr,
-        batch_size=cfg.batch_size,
-        momentum=cfg.momentum,
-    )
-
-
 def _tl_cell(cfg: ExperimentConfig, ratio: int, fold: int) -> None:
     target = load_dataset(_require(data_path(cfg, "target")))
     folds = make_folds(target, cfg.fold_count)
     imbalanced = _cell_train_set(cfg, target, folds, ratio, fold)
+    routes = []  # (method, starting checkpoint, output name)
     if METHOD_TL in cfg.methods:
-        stage = _tl_stage(cfg, derive_seed(cfg.master_seed, ratio, fold, METHOD_TL, "tl"))
-        model = tl_train(
-            load_checkpoint(_require(source_ckpt_path(cfg))),
-            imbalanced,
-            stage,
-            head_seed=derive_seed(cfg.master_seed, ratio, fold, METHOD_TL, "head"),
-            log_path=cell_log(cfg, ratio, fold, "tl"),
-        )
-        save_checkpoint(model, cell_path(cfg, ratio, fold, "tl"))
+        routes.append((METHOD_TL, source_ckpt_path(cfg), "tl"))
     if _needs_prt_route(cfg):
-        m1 = load_checkpoint(_require(cell_path(cfg, ratio, fold, "prt")))
-        stage = _tl_stage(cfg, derive_seed(cfg.master_seed, ratio, fold, METHOD_PRT_TL, "tl"))
+        routes.append((METHOD_PRT_TL, cell_path(cfg, ratio, fold, "prt"), "prt_tl"))
+    for method, start, name in routes:
         model = tl_train(
-            m1,
+            load_checkpoint(_require(start)),
             imbalanced,
-            stage,
-            head_seed=derive_seed(cfg.master_seed, ratio, fold, METHOD_PRT_TL, "head"),
-            log_path=cell_log(cfg, ratio, fold, "prt_tl"),
+            _train_config(cfg, cfg.tl_epochs, derive_seed(cfg.master_seed, ratio, fold, method, "tl")),
+            head_seed=derive_seed(cfg.master_seed, ratio, fold, method, "head"),
+            log_path=cell_log(cfg, ratio, fold, name),
         )
-        save_checkpoint(model, cell_path(cfg, ratio, fold, "prt_tl"))
+        save_checkpoint(model, cell_path(cfg, ratio, fold, name))
 
 
 def run_tl(cfg: ExperimentConfig) -> None:
@@ -355,7 +323,7 @@ def run_tl(cfg: ExperimentConfig) -> None:
     baseline, and from the cell's representation-transferred model otherwise."""
     _require(data_path(cfg, "target"))
     _require(source_ckpt_path(cfg))
-    _map_cells(cfg, _CellTask(_tl_cell, cfg), _cells(cfg))
+    _map_cells(cfg, _tl_cell)
 
 
 def _dict_cell(cfg: ExperimentConfig, ratio: int, fold: int) -> None:
@@ -373,7 +341,7 @@ def run_dict(cfg: ExperimentConfig) -> None:
         logger.info("dict stage skipped: method 'All' not configured")
         return
     _require(data_path(cfg, "target"))
-    _map_cells(cfg, _CellTask(_dict_cell, cfg), _cells(cfg))
+    _map_cells(cfg, _dict_cell)
 
 
 def _evaluate_cell(cfg: ExperimentConfig, ratio: int, fold: int) -> list[FoldMetrics]:
@@ -407,7 +375,7 @@ def _evaluate_cell(cfg: ExperimentConfig, ratio: int, fold: int) -> list[FoldMet
 def run_evaluate(cfg: ExperimentConfig) -> MetricsReport:
     """Score every configured (method, ratio, fold) cell and write the reports."""
     _require(data_path(cfg, "target"))
-    per_cell = _map_cells(cfg, _CellTask(_evaluate_cell, cfg), _cells(cfg))
+    per_cell = _map_cells(cfg, _evaluate_cell)
     rows = [row for cell_rows in per_cell for row in cell_rows]
     report = aggregate_folds(rows)
     (cfg.out_dir / "report.csv").write_text(render_report_csv(report))

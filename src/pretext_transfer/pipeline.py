@@ -4,7 +4,7 @@ conventional transfer with an aggressive classifier learning rate."""
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -26,83 +26,8 @@ from .network import (
 
 logger = logging.getLogger(__name__)
 
-STAGE_SOURCE = "source"
-STAGE_PRT = "prt"
-STAGE_TL = "tl"
-STAGES = (STAGE_SOURCE, STAGE_PRT, STAGE_TL)
-
-SOURCE_EPOCHS_DEFAULT = 30
-SOURCE_LR_DEFAULT = 1e-2
-PRT_EPOCHS_DEFAULT = 15
-TL_EPOCHS_DEFAULT = 7
-BASE_LR_DEFAULT = 3e-4
 TL_HEAD_MULTIPLIER = 10.0
 SOURCE_ACCURACY_GATE = 0.9
-
-
-@dataclass(frozen=True)
-class StageConfig:
-    stage: str
-    train: TrainConfig
-
-    def __post_init__(self):
-        if self.stage not in STAGES:
-            raise ConfigError(f"unknown stage '{self.stage}'")
-        t = self.train
-        if self.stage == STAGE_PRT:
-            if t.frozen_groups != frozenset({CLASSIFICATION}):
-                raise ConfigError("prt stage must freeze exactly the classification group")
-            if t.classifier_lr_multiplier != 1.0:
-                raise ConfigError("prt stage must use classifier_lr_multiplier 1")
-        elif self.stage == STAGE_TL:
-            if t.frozen_groups:
-                raise ConfigError("tl stage must not freeze any group")
-            if t.classifier_lr_multiplier != TL_HEAD_MULTIPLIER:
-                raise ConfigError(f"tl stage must use classifier_lr_multiplier {TL_HEAD_MULTIPLIER}")
-        else:
-            if t.frozen_groups:
-                raise ConfigError("source stage must not freeze any group")
-            if t.classifier_lr_multiplier != 1.0:
-                raise ConfigError("source stage must use classifier_lr_multiplier 1")
-
-
-def default_stage_config(
-    stage: str,
-    seed: int = 0,
-    epochs: int | None = None,
-    base_lr: float | None = None,
-    batch_size: int = 16,
-    momentum: float = 0.9,
-) -> StageConfig:
-    if stage == STAGE_SOURCE:
-        cfg = TrainConfig(
-            epochs=epochs if epochs is not None else SOURCE_EPOCHS_DEFAULT,
-            batch_size=batch_size,
-            base_lr=base_lr if base_lr is not None else SOURCE_LR_DEFAULT,
-            momentum=momentum,
-            seed=seed,
-        )
-    elif stage == STAGE_PRT:
-        cfg = TrainConfig(
-            epochs=epochs if epochs is not None else PRT_EPOCHS_DEFAULT,
-            batch_size=batch_size,
-            base_lr=base_lr if base_lr is not None else BASE_LR_DEFAULT,
-            momentum=momentum,
-            frozen_groups=frozenset({CLASSIFICATION}),
-            seed=seed,
-        )
-    elif stage == STAGE_TL:
-        cfg = TrainConfig(
-            epochs=epochs if epochs is not None else TL_EPOCHS_DEFAULT,
-            batch_size=batch_size,
-            base_lr=base_lr if base_lr is not None else BASE_LR_DEFAULT,
-            classifier_lr_multiplier=TL_HEAD_MULTIPLIER,
-            momentum=momentum,
-            seed=seed,
-        )
-    else:
-        raise ConfigError(f"unknown stage '{stage}'")
-    return StageConfig(stage, cfg)
 
 
 def write_run_log(path, history: list[EpochStats], warnings: tuple[str, ...] = ()) -> None:
@@ -116,28 +41,30 @@ def write_run_log(path, history: list[EpochStats], warnings: tuple[str, ...] = (
     path.write_text("\n".join(lines) + "\n")
 
 
-def _run_stage_training(
-    state: NetworkState, features, labels, cfg: StageConfig
+def _train_stage(
+    stage: str, state: NetworkState, features, labels, cfg: TrainConfig
 ) -> tuple[NetworkState, list[EpochStats]]:
     try:
-        return train(state, features, labels, cfg.train)
+        return train(state, features, labels, cfg)
     except TrainingDiverged as exc:
-        raise TrainingDiverged(f"{cfg.stage} stage: {exc}") from exc
+        raise TrainingDiverged(f"{stage} stage: {exc}") from exc
 
 
 def pretrain_source(
-    specs: list[LayerSpec], source_data: LabeledSet, cfg: StageConfig, log_path=None
+    specs: list[LayerSpec], source_data: LabeledSet, cfg: TrainConfig, log_path=None
 ) -> NetworkState:
-    """Supervised training of a fresh network, the stand-in for an off-the-shelf source model."""
-    if cfg.stage != STAGE_SOURCE:
-        raise ConfigError(f"expected a source stage config, got '{cfg.stage}'")
-    state = init_network(specs, cfg.train.seed)
+    """Supervised training of a fresh network, the stand-in for an off-the-shelf source model.
+
+    Every group trains at the base learning rate, whatever ``cfg`` says.
+    """
+    cfg = replace(cfg, frozen_groups=frozenset(), classifier_lr_multiplier=1.0)
+    state = init_network(specs, cfg.seed)
     if source_data.class_count != state.label_count:
         raise ValidationError(
             f"source data has {source_data.class_count} classes but the network "
             f"outputs {state.label_count}"
         )
-    state, history = _run_stage_training(state, source_data.features, source_data.labels, cfg)
+    state, history = _train_stage("source", state, source_data.features, source_data.labels, cfg)
     train_accuracy = accuracy(state, source_data.features, source_data.labels)
     if train_accuracy < SOURCE_ACCURACY_GATE:
         logger.warning(
@@ -150,21 +77,22 @@ def pretrain_source(
 
 
 def prt_train(
-    source_model: NetworkState, pseudo: PseudoLabeledSet, cfg: StageConfig, log_path=None
+    source_model: NetworkState, pseudo: PseudoLabeledSet, cfg: TrainConfig, log_path=None
 ) -> NetworkState:
     """Train the representation on pseudo-labels with the classifier frozen.
 
-    The pseudo-label cluster count must equal the source model's label count so
-    the fixed classifier head can be reused as-is.
+    The classification group is frozen and the rest trains at the base
+    learning rate, whatever ``cfg`` says. The pseudo-label cluster count must
+    equal the source model's label count so the fixed classifier head can be
+    reused as-is.
     """
-    if cfg.stage != STAGE_PRT:
-        raise ConfigError(f"expected a prt stage config, got '{cfg.stage}'")
+    cfg = replace(cfg, frozen_groups=frozenset({CLASSIFICATION}), classifier_lr_multiplier=1.0)
     if pseudo.cluster_count != source_model.label_count:
         raise ConfigError(
             f"pseudo-label cluster count {pseudo.cluster_count} must equal the "
             f"source model label count {source_model.label_count}"
         )
-    state, history = _run_stage_training(source_model, pseudo.features, pseudo.labels, cfg)
+    state, history = _train_stage("prt", source_model, pseudo.features, pseudo.labels, cfg)
     write_run_log(log_path, history)
     return state
 
@@ -184,13 +112,16 @@ def _group_displacement(before: NetworkState, after: NetworkState) -> dict[str, 
 def tl_train(
     m1: NetworkState,
     target_train: LabeledSet,
-    cfg: StageConfig,
+    cfg: TrainConfig,
     head_seed: int | None = None,
     log_path=None,
 ) -> NetworkState:
-    """Replace the head for the target label set and fine-tune everything."""
-    if cfg.stage != STAGE_TL:
-        raise ConfigError(f"expected a tl stage config, got '{cfg.stage}'")
+    """Replace the head for the target label set and fine-tune everything.
+
+    No group is frozen, and the new head trains at ``TL_HEAD_MULTIPLIER``
+    times the base learning rate, whatever ``cfg`` says.
+    """
+    cfg = replace(cfg, frozen_groups=frozenset(), classifier_lr_multiplier=TL_HEAD_MULTIPLIER)
     if len(target_train) < 1:
         raise ValidationError("target training set is empty")
     warnings = []
@@ -200,10 +131,10 @@ def tl_train(
         warnings.append(message)
         logger.warning("tl stage: class %d has no training samples", c)
     if head_seed is None:
-        head_seed = cfg.train.seed + 1
+        head_seed = cfg.seed + 1
     state = replace_head(m1, target_train.class_count, head_seed)
     started = state
-    state, history = _run_stage_training(state, target_train.features, target_train.labels, cfg)
+    state, history = _train_stage("tl", state, target_train.features, target_train.labels, cfg)
     displacement = _group_displacement(started, state)
     logger.debug("tl stage mean per-parameter displacement: %s", displacement)
     write_run_log(log_path, history, tuple(warnings))

@@ -1,9 +1,13 @@
+import functools
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from pretext_transfer.cli import main
-from pretext_transfer.config import build_experiment_config, parse_config_file
+from pretext_transfer.config import FIELDS, build_experiment_config, parse_config_file
 from pretext_transfer.errors import ConfigError
+from pretext_transfer.harness import ExperimentConfig
 
 MINI_CFG = """
 # mini experiment
@@ -24,6 +28,41 @@ ratios = 10,100
 folds = 2
 methods = TL,PRT+TL,All
 """
+
+
+# every config-file key: (file value, the field it sets, the parsed value); no
+# value is a default, so a key that lands on the wrong field or is dropped shows
+EVERY_KEY = {
+    "out": ("elsewhere", "out_dir", Path("elsewhere")),
+    "seed": ("4", "master_seed", 4),
+    "folds": ("3", "fold_count", 3),
+    "workers": ("2", "workers", 2),
+    "source_classes": ("5", "synth.source_class_count", 5),
+    "dim": ("9", "synth.dim", 9),
+    "samples_per_class": ("11", "synth.samples_per_class", 11),
+    "unlabeled_size": ("77", "synth.unlabeled_size", 77),
+    "positives": ("21", "synth.positives", 21),
+    "negatives": ("22", "synth.negatives", 22),
+    "shift": ("1.25", "synth.shift", 1.25),
+    "noise": ("0.5", "synth.noise", 0.5),
+    "hidden": ("8, 4", "hidden", (8, 4)),
+    "projection_dim": ("5", "projection_dim", 5),
+    "source_epochs": ("3", "source_epochs", 3),
+    "source_lr": ("0.02", "source_lr", 0.02),
+    "prt_epochs": ("4", "prt_epochs", 4),
+    "tl_epochs": ("2", "tl_epochs", 2),
+    "lr": ("0.001", "base_lr", 0.001),
+    "batch": ("8", "batch_size", 8),
+    "momentum": ("0.5", "momentum", 0.5),
+    "ridge": ("0.01", "crc.ridge", 0.01),
+    "epsilon": ("1e-9", "crc.epsilon", 1e-9),
+    "ratios": ("25,75", "ratios", (25, 75)),
+    "methods": ("TL, All", "methods", ("TL", "All")),
+}
+
+
+def field_value(cfg, path):
+    return functools.reduce(getattr, path.split("."), cfg)
 
 
 @pytest.fixture()
@@ -62,10 +101,21 @@ class TestConfigParsing:
 
     def test_defaults_without_file(self):
         cfg = build_experiment_config()
+        assert cfg == ExperimentConfig(out_dir=Path("out"))
         assert cfg.ratios == (10, 25, 50, 75, 100)
         assert cfg.fold_count == 5
         assert cfg.methods == ("TL", "PRT+TL", "All")
         assert cfg.synth.positives == 349
+
+    def test_every_key_lands_on_its_field(self, tmp_path):
+        assert set(EVERY_KEY) == set(FIELDS)
+        path = tmp_path / "every.cfg"
+        path.write_text("".join(f"{key} = {raw}\n" for key, (raw, _, _) in EVERY_KEY.items()))
+        cfg = build_experiment_config(path)
+        defaults = ExperimentConfig(out_dir=Path("out"))
+        for key, (_, field, expected) in EVERY_KEY.items():
+            assert field_value(defaults, field) != expected, key
+            assert field_value(cfg, field) == expected, key
 
 
 class TestCliDispatch:
@@ -84,6 +134,12 @@ class TestCliDispatch:
 
     def test_unknown_flag_exits_2(self, capsys):
         assert main(["generate", "--frobnicate"]) == 2
+
+    @pytest.mark.parametrize("flag", [["--folds", "abc"], ["--ratios", "10,x"]])
+    def test_malformed_flag_value_exits_2(self, flag, tmp_path, capsys):
+        assert main(["generate", *flag, "--out", str(tmp_path / "o")]) == 2
+        assert f"argument {flag[0]}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_help_exits_0(self, capsys):
         assert main(["--help"]) == 0

@@ -9,8 +9,6 @@ from pretext_transfer.dictionary import (
     FeatureDictionary,
     build_dictionary,
     class_probabilities,
-    crc_code,
-    crc_probability,
     load_dictionary,
     save_dictionary,
 )
@@ -101,36 +99,52 @@ class TestBuildDictionary:
             build_dictionary(identity_projection_state(2), train)
 
 
+def q_one(fdict, y, cfg=CFG):
+    """class_probabilities of a one-row batch."""
+    return class_probabilities(fdict, np.asarray(y, dtype=np.float64)[None, :], cfg)[0]
+
+
+def oracle_q(fdict, y, cfg=CFG):
+    return oracle_probability(fdict, oracle_code(fdict, y, cfg), y, cfg)
+
+
 class TestCrcCode:
     def test_self_representation(self):
+        # y is class 0's only column, at any scale: class 0 reconstructs it exactly
         u = np.array([0.6, 0.8, 0.0])
-        fdict = FeatureDictionary(u[:, None], [(0, 0, 1)])
-        alpha = crc_code(fdict, u, CRCConfig(ridge=1e-10))
-        assert alpha.shape == (1,)
-        assert alpha[0] == pytest.approx(1.0, abs=1e-6)
+        fdict = FeatureDictionary(np.array([u, [0.0, 0.0, 1.0]]).T, [(0, 0, 1), (1, 1, 1)])
+        cfg = CRCConfig(ridge=1e-10)
+        q = q_one(fdict, u, cfg)
+        assert q[0] > 1 - 1e-9
+        assert np.array_equal(q_one(fdict, 5 * u, cfg), q)
 
     def test_matches_inversion_oracle(self):
         rng = np.random.default_rng(2)
         fdict = random_dictionary(rng, p=8, counts=[3, 2])
         y = rng.normal(size=8)
         cfg = CRCConfig(ridge=0.001)
-        assert np.allclose(crc_code(fdict, y, cfg), oracle_code(fdict, y, cfg), atol=1e-8)
+        assert np.allclose(q_one(fdict, y, cfg), oracle_q(fdict, y, cfg), atol=1e-8)
 
     def test_large_ridge_shrinks_codes(self):
+        # codes near zero leave every class the whole unit vector as residual
         rng = np.random.default_rng(3)
         fdict = random_dictionary(rng, p=10, counts=[4, 4])
-        alpha = crc_code(fdict, rng.normal(size=10), CRCConfig(ridge=1e6))
-        assert np.linalg.norm(alpha) < 1e-3
+        q = q_one(fdict, rng.normal(size=10), CRCConfig(ridge=1e6))
+        assert np.allclose(q, [0.5, 0.5], atol=1e-4)
 
     def test_dimension_mismatch(self):
         fdict = random_dictionary(np.random.default_rng(0), p=5, counts=[2, 2])
         with pytest.raises(ShapeError):
-            crc_code(fdict, np.zeros(4), CFG)
+            class_probabilities(fdict, np.ones((1, 4)), CFG)
+        with pytest.raises(ShapeError):
+            class_probabilities(fdict, np.ones(5), CFG)
 
     def test_zero_vector_rejected(self):
         fdict = random_dictionary(np.random.default_rng(0), p=5, counts=[2, 2])
         with pytest.raises(ValidationError):
-            crc_code(fdict, np.zeros(5), CFG)
+            q_one(fdict, np.zeros(5))
+        with pytest.raises(ValidationError):
+            class_probabilities(fdict, np.array([np.ones(5), np.zeros(5)]), CFG)
 
 
 class TestCrcProbability:
@@ -145,9 +159,7 @@ class TestCrcProbability:
         )
         fdict = FeatureDictionary(columns, [(0, 0, 2), (1, 2, 1)])
         y = np.array([0.6, 0.8, 0.0])
-        cfg = CRCConfig(ridge=1e-9, epsilon=1e-12)
-        alpha = crc_code(fdict, y, cfg)
-        q = crc_probability(fdict, alpha, y, cfg)
+        q = q_one(fdict, y, CRCConfig(ridge=1e-9, epsilon=1e-12))
         assert q[0] > 0.999999
         assert q.sum() == pytest.approx(1.0, abs=1e-9)
 
@@ -160,9 +172,7 @@ class TestCrcProbability:
             ]
         )
         fdict = FeatureDictionary(columns, [(0, 0, 1), (1, 1, 1)])
-        y = np.array([1.0, 1.0, 0.0])
-        alpha = crc_code(fdict, y, CFG)
-        q = crc_probability(fdict, alpha, y, CFG)
+        q = q_one(fdict, np.array([1.0, 1.0, 0.0]))
         assert np.allclose(q, [0.5, 0.5], atol=1e-12)
 
     def test_matches_residual_oracle(self):
@@ -171,9 +181,8 @@ class TestCrcProbability:
             counts = rng.integers(1, 6, size=int(rng.integers(2, 5))).tolist()
             fdict = random_dictionary(rng, p=int(rng.integers(4, 12)), counts=counts)
             y = rng.normal(size=fdict.feature_dim)
-            alpha = crc_code(fdict, y, CFG)
-            q = crc_probability(fdict, alpha, y, CFG)
-            assert np.allclose(q, oracle_probability(fdict, alpha, y, CFG), atol=1e-12)
+            q = q_one(fdict, y)
+            assert np.allclose(q, oracle_q(fdict, y), atol=1e-9)
             assert q.sum() == pytest.approx(1.0, abs=1e-9)
 
     @settings(max_examples=40, deadline=None)
@@ -182,8 +191,7 @@ class TestCrcProbability:
         rng = np.random.default_rng(seed)
         counts = rng.integers(1, 5, size=3).tolist()
         fdict = random_dictionary(rng, p=6, counts=counts)
-        y = rng.normal(size=6)
-        q = crc_probability(fdict, crc_code(fdict, y, CFG), y, CFG)
+        q = q_one(fdict, rng.normal(size=6))
         assert q.sum() == pytest.approx(1.0, abs=1e-9)
         assert (q > 0).all() and (q < 1).all()
 
@@ -191,12 +199,11 @@ class TestCrcProbability:
         rng = np.random.default_rng(5)
         fdict = random_dictionary(rng, p=7, counts=[4, 3])
         y = rng.normal(size=7)
-        q = crc_probability(fdict, crc_code(fdict, y, CFG), y, CFG)
+        q = q_one(fdict, y)
         permuted_columns = fdict.columns.copy()
         permuted_columns[:, 0:4] = permuted_columns[:, [2, 0, 3, 1]]
         permuted = FeatureDictionary(permuted_columns, fdict.class_offsets)
-        q_permuted = crc_probability(permuted, crc_code(permuted, y, CFG), y, CFG)
-        assert np.allclose(q, q_permuted, atol=1e-9)
+        assert np.allclose(q, q_one(permuted, y), atol=1e-9)
 
     def test_duplicating_one_class_keeps_q_valid_and_other_blocks_unchanged(self):
         rng = np.random.default_rng(6)
@@ -208,21 +215,21 @@ class TestCrcProbability:
             duplicated_columns, [(0, 0, 3), (1, 3, 4)]
         )
         assert np.array_equal(duplicated.columns[:, :3], fdict.columns[:, :3])
-        y = rng.normal(size=6)
-        q = crc_probability(duplicated, crc_code(duplicated, y, CFG), y, CFG)
+        q = q_one(duplicated, rng.normal(size=6))
         assert q.sum() == pytest.approx(1.0, abs=1e-9)
         assert (q > 0).all() and (q < 1).all()
 
 
 class TestBatchProbabilities:
     def test_matches_single_vector_path(self):
+        # each row of a batch scores as it would alone, and as the oracle scores it
         rng = np.random.default_rng(7)
         fdict = random_dictionary(rng, p=9, counts=[5, 4, 2])
         batch = rng.normal(size=(12, 9))
         q_batch = class_probabilities(fdict, batch, CFG)
         for i in range(12):
-            alpha = crc_code(fdict, batch[i], CFG)
-            assert np.allclose(q_batch[i], crc_probability(fdict, alpha, batch[i], CFG), atol=1e-10)
+            assert np.allclose(q_batch[i], q_one(fdict, batch[i]), atol=1e-10)
+            assert np.allclose(q_batch[i], oracle_q(fdict, batch[i]), atol=1e-9)
 
 
 class TestDictionarySerialization:

@@ -6,23 +6,18 @@ import pytest
 from pretext_transfer.clustering import PseudoLabeledSet, pseudo_label
 from pretext_transfer.data import LabeledSet, SynthConfig, generate_domains
 from pretext_transfer.errors import ConfigError, ValidationError
+from pretext_transfer.harness import ExperimentConfig, _train_config
 from pretext_transfer.network import (
     CLASSIFICATION,
     REPRESENTATION,
     LayerSpec,
     TrainConfig,
     forward,
+    init_network,
+    replace_head,
+    train,
 )
-from pretext_transfer.pipeline import (
-    STAGE_PRT,
-    STAGE_SOURCE,
-    STAGE_TL,
-    StageConfig,
-    default_stage_config,
-    pretrain_source,
-    prt_train,
-    tl_train,
-)
+from pretext_transfer.pipeline import TL_HEAD_MULTIPLIER, pretrain_source, prt_train, tl_train
 
 SPECS = [
     LayerSpec(5, 16, "relu", REPRESENTATION),
@@ -51,8 +46,7 @@ def domains():
 @pytest.fixture(scope="module")
 def source_model(domains):
     source, _, _ = domains
-    cfg = default_stage_config(STAGE_SOURCE, seed=1, epochs=20)
-    return pretrain_source(SPECS, source, cfg)
+    return pretrain_source(SPECS, source, TrainConfig(epochs=20, base_lr=1e-2, seed=1))
 
 
 @pytest.fixture(scope="module")
@@ -68,48 +62,65 @@ def group_bytes(state, group):
     )
 
 
-class TestStageConfig:
-    def test_prt_must_freeze_classifier(self):
-        with pytest.raises(ConfigError):
-            StageConfig(STAGE_PRT, TrainConfig(epochs=1))
-        ok = StageConfig(STAGE_PRT, TrainConfig(epochs=1, frozen_groups=frozenset({CLASSIFICATION})))
-        assert ok.train.classifier_lr_multiplier == 1.0
+def state_bytes(state):
+    return group_bytes(state, REPRESENTATION) + group_bytes(state, CLASSIFICATION)
 
-    def test_tl_requires_ten_times_head_lr_and_no_freezing(self):
-        with pytest.raises(ConfigError):
-            StageConfig(STAGE_TL, TrainConfig(epochs=1))
-        with pytest.raises(ConfigError):
-            StageConfig(
-                STAGE_TL,
-                TrainConfig(
-                    epochs=1,
-                    classifier_lr_multiplier=10.0,
-                    frozen_groups=frozenset({REPRESENTATION}),
-                ),
-            )
-        StageConfig(STAGE_TL, TrainConfig(epochs=1, classifier_lr_multiplier=10.0))
 
-    def test_source_is_plain(self):
-        with pytest.raises(ConfigError):
-            StageConfig(STAGE_SOURCE, TrainConfig(epochs=1, classifier_lr_multiplier=2.0))
+# a config that breaks every stage's rule: each stage must override both fields
+MISCONFIGURED = dict(frozen_groups=frozenset({REPRESENTATION}), classifier_lr_multiplier=2.0)
 
-    def test_spec_defaults(self):
-        assert default_stage_config(STAGE_PRT).train.epochs == 15
-        assert default_stage_config(STAGE_PRT).train.base_lr == pytest.approx(3e-4)
-        assert default_stage_config(STAGE_PRT).train.batch_size == 16
-        assert default_stage_config(STAGE_TL).train.epochs == 7
-        assert default_stage_config(STAGE_TL).train.classifier_lr_multiplier == 10.0
-        assert default_stage_config(STAGE_SOURCE).train.epochs == 30
 
-    def test_unknown_stage(self):
-        with pytest.raises(ConfigError):
-            default_stage_config("warmup")
+class TestStageRules:
+    """Each stage sets its own frozen groups and head rate, whatever it is given."""
+
+    def test_prt_must_freeze_classifier(self, source_model, pseudo):
+        given = TrainConfig(epochs=2, seed=3, **MISCONFIGURED)
+        m1 = prt_train(source_model, pseudo, given)
+        assert group_bytes(m1, CLASSIFICATION) == group_bytes(source_model, CLASSIFICATION)
+        assert group_bytes(m1, REPRESENTATION) != group_bytes(source_model, REPRESENTATION)
+        expected, _ = train(
+            source_model, pseudo.features, pseudo.labels,
+            TrainConfig(epochs=2, seed=3, frozen_groups=frozenset({CLASSIFICATION})),
+        )
+        assert state_bytes(m1) == state_bytes(expected)
+
+    def test_tl_requires_ten_times_head_lr_and_no_freezing(self, source_model, domains):
+        _, _, target = domains
+        m2 = tl_train(source_model, target, TrainConfig(epochs=2, seed=4, **MISCONFIGURED), head_seed=11)
+        start = replace_head(source_model, 2, 11)
+        expected, _ = train(
+            start, target.features, target.labels,
+            TrainConfig(epochs=2, seed=4, classifier_lr_multiplier=10.0),
+        )
+        plain, _ = train(start, target.features, target.labels, TrainConfig(epochs=2, seed=4))
+        assert TL_HEAD_MULTIPLIER == 10.0
+        assert state_bytes(m2) == state_bytes(expected)
+        assert group_bytes(m2, CLASSIFICATION) != group_bytes(plain, CLASSIFICATION)
+
+    def test_source_is_plain(self, domains):
+        source, _, _ = domains
+        model = pretrain_source(SPECS, source, TrainConfig(epochs=2, base_lr=1e-2, seed=5, **MISCONFIGURED))
+        expected, _ = train(
+            init_network(SPECS, 5), source.features, source.labels,
+            TrainConfig(epochs=2, base_lr=1e-2, seed=5),
+        )
+        assert state_bytes(model) == state_bytes(expected)
+
+    def test_spec_defaults(self, tmp_path):
+        cfg = ExperimentConfig(out_dir=tmp_path)
+        source = _train_config(cfg, cfg.source_epochs, seed=0, base_lr=cfg.source_lr)
+        prt = _train_config(cfg, cfg.prt_epochs, seed=0)
+        tl = _train_config(cfg, cfg.tl_epochs, seed=0)
+        assert (source.epochs, source.base_lr) == (30, pytest.approx(1e-2))
+        assert (prt.epochs, prt.base_lr, prt.batch_size) == (15, pytest.approx(3e-4), 16)
+        assert tl.epochs == 7
+        assert {source.momentum, prt.momentum, tl.momentum} == {0.9}
 
 
 class TestPretrainSource:
     def test_label_count_and_determinism(self, domains):
         source, _, _ = domains
-        cfg = default_stage_config(STAGE_SOURCE, seed=3, epochs=5)
+        cfg = TrainConfig(epochs=5, base_lr=1e-2, seed=3)
         first = pretrain_source(SPECS, source, cfg)
         second = pretrain_source(SPECS, source, cfg)
         assert first.label_count == 4
@@ -136,33 +147,31 @@ class TestPretrainSource:
             LayerSpec(8, 3, "identity", CLASSIFICATION),
         ]
         with pytest.raises(ValidationError):
-            pretrain_source(specs, bad, default_stage_config(STAGE_SOURCE, epochs=1))
+            pretrain_source(specs, bad, TrainConfig(epochs=1, base_lr=1e-2))
 
 
 class TestPrtTrain:
     def test_classifier_bit_identical_across_seeds(self, source_model, pseudo):
         for seed in range(5):
-            cfg = default_stage_config(STAGE_PRT, seed=seed, epochs=3)
+            cfg = TrainConfig(epochs=3, seed=seed)
             m1 = prt_train(source_model, pseudo, cfg)
             assert group_bytes(m1, CLASSIFICATION) == group_bytes(source_model, CLASSIFICATION)
             assert group_bytes(m1, REPRESENTATION) != group_bytes(source_model, REPRESENTATION)
             assert m1.label_count == source_model.label_count
 
     def test_loss_decreases_on_pseudo_task(self, source_model, pseudo):
-        from pretext_transfer.network import train
-
-        cfg = default_stage_config(STAGE_PRT, seed=0, epochs=15)
-        _, history = train(source_model, pseudo.features, pseudo.labels, cfg.train)
+        cfg = TrainConfig(epochs=15, frozen_groups=frozenset({CLASSIFICATION}))
+        _, history = train(source_model, pseudo.features, pseudo.labels, cfg)
         assert history[-1].mean_loss < history[0].mean_loss
 
     def test_cluster_count_mismatch_is_config_error(self, source_model, pseudo):
         bad = PseudoLabeledSet(pseudo.features, pseudo.labels, cluster_count=5)
         with pytest.raises(ConfigError):
-            prt_train(source_model, bad, default_stage_config(STAGE_PRT, epochs=1))
+            prt_train(source_model, bad, TrainConfig(epochs=1))
 
     def test_run_log_lines(self, source_model, pseudo, tmp_path):
         log = tmp_path / "prt.log"
-        prt_train(source_model, pseudo, default_stage_config(STAGE_PRT, epochs=3), log_path=log)
+        prt_train(source_model, pseudo, TrainConfig(epochs=3), log_path=log)
         lines = log.read_text().splitlines()
         assert len(lines) == 3
         for i, line in enumerate(lines):
@@ -174,7 +183,7 @@ class TestPrtTrain:
 class TestTlTrain:
     def test_head_replaced_to_two_classes(self, source_model, domains):
         _, _, target = domains
-        cfg = default_stage_config(STAGE_TL, seed=4, epochs=2)
+        cfg = TrainConfig(epochs=2, seed=4)
         m2 = tl_train(source_model, target, cfg)
         assert m2.label_count == 2
         assert forward(m2, target.features).shape == (len(target), 2)
@@ -185,7 +194,7 @@ class TestTlTrain:
             target.features[target.labels == 0], target.labels[target.labels == 0], 2
         )
         log = tmp_path / "tl.log"
-        cfg = default_stage_config(STAGE_TL, seed=0, epochs=1)
+        cfg = TrainConfig(epochs=1)
         with caplog.at_level("WARNING"):
             tl_train(source_model, only_negative, cfg, log_path=log)
         assert "no training samples" in caplog.text
@@ -196,7 +205,6 @@ class TestTlTrain:
         from pretext_transfer.network import Gradients, sgd_update, zero_velocity
 
         cfg = TrainConfig(epochs=1, base_lr=0.25, classifier_lr_multiplier=10.0, momentum=0.0)
-        StageConfig(STAGE_TL, cfg)  # the wiring under test is the tl stage contract
         grads = Gradients(
             [np.ones_like(l.weights) for l in source_model.layers],
             [np.ones_like(l.bias) for l in source_model.layers],
@@ -212,10 +220,8 @@ class TestTlTrain:
 
     def test_representation_moves_less_than_classifier(self, source_model, domains):
         _, _, target = domains
-        cfg = default_stage_config(STAGE_TL, seed=6)
+        cfg = TrainConfig(epochs=7, seed=6)
         m2 = tl_train(source_model, target, cfg, head_seed=11)
-        from pretext_transfer.network import replace_head
-
         start = replace_head(source_model, 2, init_seed=11)
         per_group = {}
         for group in (REPRESENTATION, CLASSIFICATION):
@@ -244,9 +250,9 @@ class TestTlTrain:
                 prev = width
             specs.append(LayerSpec(prev, 4, "identity", CLASSIFICATION))
             base = pretrain_source(
-                specs, generate_domains(SYNTH)[0], default_stage_config(STAGE_SOURCE, epochs=2)
+                specs, generate_domains(SYNTH)[0], TrainConfig(epochs=2, base_lr=1e-2)
             )
             _, pseudo_set = pseudo_label(base, generate_domains(SYNTH)[1].features, k=4, seed=0)
-            m1 = prt_train(base, pseudo_set, default_stage_config(STAGE_PRT, epochs=1))
-            m2 = tl_train(m1, target, default_stage_config(STAGE_TL, epochs=1))
+            m1 = prt_train(base, pseudo_set, TrainConfig(epochs=1))
+            m2 = tl_train(m1, target, TrainConfig(epochs=1))
             assert m2.label_count == 2
