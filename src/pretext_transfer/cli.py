@@ -25,7 +25,7 @@ _SUBCOMMANDS = {
     "generate": "generate the synthetic source/unlabeled/target datasets",
     "pretrain": "train the source model on the source dataset",
     "cluster": "cluster unlabeled projections into pseudo-classes",
-    "prt": "representation-only transfer per grid cell (classifier frozen)",
+    "prt": "representation-only transfer, once per master seed (classifier frozen)",
     "tl": "conventional transfer per grid cell",
     "dict": "build per-cell feature dictionaries for the fused method",
     "evaluate": "score every configured cell and write the reports",

@@ -1,7 +1,8 @@
-"""Experiment grid orchestration: data generation, staged training over every
-(fold, ratio) cell, evaluation of the TL / PRT+TL / All methods, and report
-writing. Every random stream derives from the master seed, so a rerun with the
-same seed reproduces the report byte for byte."""
+"""Experiment grid orchestration: data generation, one pre-text representation
+transfer (PRT) per master seed, staged training over every (fold, ratio) cell,
+evaluation of the TL / PRT+TL / All methods, and report writing. Every random
+stream derives from the master seed, so a rerun with the same seed reproduces
+the report byte for byte."""
 
 from __future__ import annotations
 
@@ -86,9 +87,9 @@ class ExperimentConfig:
     source_lr: float = 1e-2
     prt_epochs: int = 15
     tl_epochs: int = 7
-    base_lr: float = 3e-4
-    batch_size: int = 16
-    momentum: float = 0.9
+    base_lr: float = TrainConfig.base_lr
+    batch_size: int = TrainConfig.batch_size
+    momentum: float = TrainConfig.momentum
     crc: CRCConfig = CRCConfig()
     ratios: tuple[int, ...] = ALLOWED_RATIOS
     fold_count: int = 5
@@ -169,6 +170,10 @@ def clusters_ckpt_path(cfg: ExperimentConfig) -> Path:
     return cfg.out_dir / "clusters.ckpt"
 
 
+def prt_ckpt_path(cfg: ExperimentConfig) -> Path:
+    return cfg.out_dir / "prt.ckpt"
+
+
 def cell_dir(cfg: ExperimentConfig, ratio: int, fold: int) -> Path:
     return cfg.out_dir / str(ratio) / str(fold)
 
@@ -204,11 +209,11 @@ def _single_blas_thread() -> None:
     ctypes.CDLL(str(libs[0])).scipy_openblas_set_num_threads64_(1)
 
 
-def _map_cells(cfg: ExperimentConfig, fn):
-    """Run fn(cfg, ratio, fold) over every grid cell, optionally on a process
-    pool; results come back in cell order."""
+def _map_cells(cfg: ExperimentConfig, fn, *shared):
+    """Run fn(cfg, *shared, ratio, fold) over every grid cell, optionally on a
+    process pool; results come back in cell order."""
     cells = _cells(cfg)
-    task = partial(fn, cfg)
+    task = partial(fn, cfg, *shared)
     if cfg.workers <= 1 or len(cells) <= 1:
         return [task(ratio, fold) for ratio, fold in cells]
     try:
@@ -272,44 +277,39 @@ def _load_pseudo(cfg: ExperimentConfig) -> PseudoLabeledSet:
     return PseudoLabeledSet(unlabeled.features, cluster_model.labels, cluster_model.k)
 
 
-def _prt_cell(cfg: ExperimentConfig, ratio: int, fold: int) -> None:
-    source_model = load_checkpoint(_require(source_ckpt_path(cfg)))
-    pseudo = _load_pseudo(cfg)
-    train_cfg = _train_config(
-        cfg, cfg.prt_epochs, derive_seed(cfg.master_seed, ratio, fold, METHOD_PRT_TL, "prt")
-    )
-    model = prt_train(source_model, pseudo, train_cfg, log_path=cell_log(cfg, ratio, fold, "prt"))
-    save_checkpoint(model, cell_path(cfg, ratio, fold, "prt"))
-
-
 def run_prt(cfg: ExperimentConfig) -> None:
-    """Representation-only transfer, one independent session per grid cell."""
+    """Representation-only transfer, one session per master seed.
+
+    PRT reads only the source model and the pseudo-labelled unlabeled set, no
+    fold or target data, so every grid cell starts its PRT+TL route and its
+    dictionary from the same ``prt.ckpt``.
+    """
     if not _needs_prt_route(cfg):
         logger.info("prt stage skipped: no configured method needs it")
         return
-    _require(source_ckpt_path(cfg))
-    _require(clusters_ckpt_path(cfg))
-    _map_cells(cfg, _prt_cell)
+    source_model = load_checkpoint(_require(source_ckpt_path(cfg)))
+    pseudo = _load_pseudo(cfg)
+    train_cfg = _train_config(cfg, cfg.prt_epochs, derive_seed(cfg.master_seed, "prt"))
+    model = prt_train(source_model, pseudo, train_cfg, log_path=cfg.out_dir / "logs" / "prt.log")
+    save_checkpoint(model, prt_ckpt_path(cfg))
 
 
-def _cell_train_set(cfg: ExperimentConfig, target: LabeledSet, folds: FoldPlan,
-                    ratio: int, fold: int) -> LabeledSet:
+def _load_target(cfg: ExperimentConfig) -> tuple[LabeledSet, FoldPlan]:
+    target = load_dataset(_require(data_path(cfg, "target")))
+    return target, make_folds(target, cfg.fold_count)
+
+
+def _cell_train_set(target: LabeledSet, folds: FoldPlan, ratio: int, fold: int) -> LabeledSet:
     train_set = subset(target, folds.train_indices[fold])
     return apply_imbalance(train_set, POSITIVE_CLASS, ratio)
 
 
-def _tl_cell(cfg: ExperimentConfig, ratio: int, fold: int) -> None:
-    target = load_dataset(_require(data_path(cfg, "target")))
-    folds = make_folds(target, cfg.fold_count)
-    imbalanced = _cell_train_set(cfg, target, folds, ratio, fold)
-    routes = []  # (method, starting checkpoint, output name)
-    if METHOD_TL in cfg.methods:
-        routes.append((METHOD_TL, source_ckpt_path(cfg), "tl"))
-    if _needs_prt_route(cfg):
-        routes.append((METHOD_PRT_TL, cell_path(cfg, ratio, fold, "prt"), "prt_tl"))
+def _tl_cell(cfg: ExperimentConfig, target: LabeledSet, folds: FoldPlan,
+             routes: list[tuple[str, NetworkState, str]], ratio: int, fold: int) -> None:
+    imbalanced = _cell_train_set(target, folds, ratio, fold)
     for method, start, name in routes:
         model = tl_train(
-            load_checkpoint(_require(start)),
+            start,
             imbalanced,
             _train_config(cfg, cfg.tl_epochs, derive_seed(cfg.master_seed, ratio, fold, method, "tl")),
             head_seed=derive_seed(cfg.master_seed, ratio, fold, method, "head"),
@@ -320,18 +320,20 @@ def _tl_cell(cfg: ExperimentConfig, ratio: int, fold: int) -> None:
 
 def run_tl(cfg: ExperimentConfig) -> None:
     """Conventional transfer per cell: from the source model for the TL
-    baseline, and from the cell's representation-transferred model otherwise."""
-    _require(data_path(cfg, "target"))
-    _require(source_ckpt_path(cfg))
-    _map_cells(cfg, _tl_cell)
+    baseline, and from the representation-transferred model otherwise."""
+    target, folds = _load_target(cfg)
+    source_ckpt = _require(source_ckpt_path(cfg))
+    routes = []  # (method, starting model, output name)
+    if METHOD_TL in cfg.methods:
+        routes.append((METHOD_TL, load_checkpoint(source_ckpt), "tl"))
+    if _needs_prt_route(cfg):
+        routes.append((METHOD_PRT_TL, load_checkpoint(_require(prt_ckpt_path(cfg))), "prt_tl"))
+    _map_cells(cfg, _tl_cell, target, folds, routes)
 
 
-def _dict_cell(cfg: ExperimentConfig, ratio: int, fold: int) -> None:
-    target = load_dataset(_require(data_path(cfg, "target")))
-    folds = make_folds(target, cfg.fold_count)
-    imbalanced = _cell_train_set(cfg, target, folds, ratio, fold)
-    m1 = load_checkpoint(_require(cell_path(cfg, ratio, fold, "prt")))
-    fdict = build_dictionary(m1, imbalanced)
+def _dict_cell(cfg: ExperimentConfig, target: LabeledSet, folds: FoldPlan, m1: NetworkState,
+               ratio: int, fold: int) -> None:
+    fdict = build_dictionary(m1, _cell_train_set(target, folds, ratio, fold))
     save_dictionary(fdict, cell_path(cfg, ratio, fold, "dict"))
 
 
@@ -340,13 +342,13 @@ def run_dict(cfg: ExperimentConfig) -> None:
     if METHOD_ALL not in cfg.methods:
         logger.info("dict stage skipped: method 'All' not configured")
         return
-    _require(data_path(cfg, "target"))
-    _map_cells(cfg, _dict_cell)
+    target, folds = _load_target(cfg)
+    m1 = load_checkpoint(_require(prt_ckpt_path(cfg)))
+    _map_cells(cfg, _dict_cell, target, folds, m1)
 
 
-def _evaluate_cell(cfg: ExperimentConfig, ratio: int, fold: int) -> list[FoldMetrics]:
-    target = load_dataset(_require(data_path(cfg, "target")))
-    folds = make_folds(target, cfg.fold_count)
+def _evaluate_cell(cfg: ExperimentConfig, target: LabeledSet, folds: FoldPlan,
+                   m1: NetworkState | None, ratio: int, fold: int) -> list[FoldMetrics]:
     test = subset(target, folds.test_indices[fold])
     rows = []
 
@@ -364,7 +366,6 @@ def _evaluate_cell(cfg: ExperimentConfig, ratio: int, fold: int) -> list[FoldMet
         if METHOD_PRT_TL in cfg.methods:
             rows.append(row(METHOD_PRT_TL, rho.argmax(axis=1)))
         if METHOD_ALL in cfg.methods:
-            m1 = load_checkpoint(_require(cell_path(cfg, ratio, fold, "prt")))
             fdict = load_dictionary(_require(cell_path(cfg, ratio, fold, "dict")))
             q = class_probabilities(fdict, extract_projection(m1, test.features), cfg.crc)
             fused = np.array([fuse_predict(rho[i], q[i])[0] for i in range(len(test))])
@@ -374,8 +375,12 @@ def _evaluate_cell(cfg: ExperimentConfig, ratio: int, fold: int) -> list[FoldMet
 
 def run_evaluate(cfg: ExperimentConfig) -> MetricsReport:
     """Score every configured (method, ratio, fold) cell and write the reports."""
-    _require(data_path(cfg, "target"))
-    per_cell = _map_cells(cfg, _evaluate_cell)
+    target, folds = _load_target(cfg)
+    if METHOD_TL in cfg.methods:  # a missing TL stage is named before the shared PRT model
+        for ratio, fold in _cells(cfg):
+            _require(cell_path(cfg, ratio, fold, "tl"))
+    m1 = load_checkpoint(_require(prt_ckpt_path(cfg))) if METHOD_ALL in cfg.methods else None
+    per_cell = _map_cells(cfg, _evaluate_cell, target, folds, m1)
     rows = [row for cell_rows in per_cell for row in cell_rows]
     report = aggregate_folds(rows)
     (cfg.out_dir / "report.csv").write_text(render_report_csv(report))
@@ -385,7 +390,7 @@ def run_evaluate(cfg: ExperimentConfig) -> MetricsReport:
 
 
 def run_experiment(cfg: ExperimentConfig) -> MetricsReport:
-    """The full grid: generate, pretrain, cluster, per-cell training, evaluate."""
+    """The full grid: generate, pretrain, cluster, PRT, per-cell training, evaluate."""
     run_generate(cfg)
     run_pretrain(cfg)
     if _needs_prt_route(cfg):

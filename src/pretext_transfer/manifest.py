@@ -8,6 +8,7 @@ raw little-endian data, float64 unless the owning format says otherwise.
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 import numpy as np
@@ -24,17 +25,27 @@ def write_artifact(
     float_arrays: list[np.ndarray] = (),
     int_arrays: list[np.ndarray] = (),
 ) -> None:
-    """Write a manifest+blob file; floats first, int32 blocks after."""
+    """Write a manifest+blob file; floats first, int32 blocks after.
+
+    The bytes go to a sibling temp file that is renamed over ``path`` only once
+    complete, so a crash mid-write leaves any previous file intact.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     lines = [f"{kind} v1"]
     lines.extend(f"{key} = {value}" for key, value in fields)
-    with open(path, "wb") as fh:
-        fh.write("\n".join(lines).encode("utf-8") + _SEPARATOR)
-        for arr in float_arrays:
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-        for arr in int_arrays:
-            fh.write(np.ascontiguousarray(arr, dtype="<i4").tobytes())
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write("\n".join(lines).encode("utf-8") + _SEPARATOR)
+            for arr in float_arrays:
+                fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+            for arr in int_arrays:
+                fh.write(np.ascontiguousarray(arr, dtype="<i4").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_artifact(path: str | Path, kind: str) -> tuple[list[tuple[str, str]], bytes]:

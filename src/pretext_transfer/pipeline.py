@@ -135,7 +135,7 @@ def tl_train(
     state = replace_head(m1, target_train.class_count, head_seed)
     started = state
     state, history = _train_stage("tl", state, target_train.features, target_train.labels, cfg)
-    displacement = _group_displacement(started, state)
-    logger.debug("tl stage mean per-parameter displacement: %s", displacement)
+    if logger.isEnabledFor(logging.DEBUG):
+        logger.debug("tl stage mean per-parameter displacement: %s", _group_displacement(started, state))
     write_run_log(log_path, history, tuple(warnings))
     return state

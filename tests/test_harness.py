@@ -15,6 +15,7 @@ from pretext_transfer.harness import (
     build_layer_specs,
     cell_path,
     derive_seed,
+    prt_ckpt_path,
     run_cluster,
     run_dict,
     run_evaluate,
@@ -108,11 +109,15 @@ class TestGridRun:
         assert (cfg.out_dir / "report.txt").exists()
         assert (cfg.out_dir / "folds.csv").exists()
         assert (cfg.out_dir / "manifest.txt").exists()
+        assert prt_ckpt_path(cfg) == cfg.out_dir / "prt.ckpt"
+        assert prt_ckpt_path(cfg).exists()
+        assert (cfg.out_dir / "logs" / "prt.log").exists()
         for ratio in cfg.ratios:
             for fold in range(cfg.fold_count):
-                for stage in ("tl", "prt", "prt_tl", "dict"):
+                for stage in ("tl", "prt_tl", "dict"):
                     assert cell_path(cfg, ratio, fold, stage).exists()
-                assert (cfg.out_dir / str(ratio) / str(fold) / "prt.log").exists()
+                assert not cell_path(cfg, ratio, fold, "prt").exists()
+                assert not (cfg.out_dir / str(ratio) / str(fold) / "prt.log").exists()
 
     def test_rerun_is_byte_identical(self, mini_run, tmp_path):
         cfg, _ = mini_run
@@ -155,11 +160,39 @@ class TestGridRun:
         ).read_bytes()
 
 
+class TestPrtOncePerSeed:
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("ratios, fold_count", [((10,), 2), ((10, 25, 100), 3)])
+    def test_prt_runs_once(self, tmp_path, monkeypatch, workers, ratios, fold_count):
+        # each call appends a line to a file, so calls made in forked pool
+        # workers are counted too
+        calls = tmp_path / "prt_calls"
+        real_prt_train = harness.prt_train
+
+        def counting_prt_train(*args, **kwargs):
+            with open(calls, "a") as fh:
+                fh.write("call\n")
+            return real_prt_train(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "prt_train", counting_prt_train)
+        cfg = mini_config(tmp_path / "run", ratios=ratios, fold_count=fold_count, workers=workers)
+        run_experiment(cfg)
+        assert calls.read_text().splitlines() == ["call"]
+
+    def test_prt_artifact_ignores_grid_shape(self, tmp_path):
+        small = mini_config(tmp_path / "small", ratios=(10,), fold_count=2)
+        large = mini_config(tmp_path / "large", ratios=(10, 100), fold_count=2)
+        run_experiment(small)
+        run_experiment(large)
+        assert prt_ckpt_path(small).read_bytes() == prt_ckpt_path(large).read_bytes()
+
+
 class TestBaselineIsolation:
     def test_tl_only_run_creates_no_prt_artifacts(self, tmp_path):
         cfg = mini_config(tmp_path, methods=("TL",))
         run_experiment(cfg)
         assert not (cfg.out_dir / "clusters.ckpt").exists()
+        assert not prt_ckpt_path(cfg).exists()
         for ratio in cfg.ratios:
             for fold in range(cfg.fold_count):
                 assert not cell_path(cfg, ratio, fold, "prt").exists()

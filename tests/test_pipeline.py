@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import pretext_transfer.pipeline as pipeline
 from pretext_transfer.clustering import PseudoLabeledSet, pseudo_label
 from pretext_transfer.data import LabeledSet, SynthConfig, generate_domains
 from pretext_transfer.errors import ConfigError, ValidationError
@@ -235,6 +236,26 @@ class TestTlTrain:
             )
             per_group[group] = sum(deltas) / sizes
         assert per_group[REPRESENTATION] < per_group[CLASSIFICATION]
+
+    def test_displacement_computed_only_for_debug(self, source_model, domains, caplog, monkeypatch):
+        _, _, target = domains
+        calls = []
+        real = pipeline._group_displacement
+
+        def recording(before, after):
+            calls.append(1)
+            return real(before, after)
+
+        monkeypatch.setattr(pipeline, "_group_displacement", recording)
+        cfg = TrainConfig(epochs=1, seed=4)
+        with caplog.at_level("INFO", logger=pipeline.logger.name):
+            tl_train(source_model, target, cfg)
+        assert calls == []
+        assert "displacement" not in caplog.text
+        with caplog.at_level("DEBUG", logger=pipeline.logger.name):
+            tl_train(source_model, target, cfg)
+        assert calls == [1]
+        assert "tl stage mean per-parameter displacement" in caplog.text
 
     def test_empty_training_set_rejected(self, source_model):
         with pytest.raises(Exception):
