@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 
 from .clustering import (
     ClusterModel,
-    PseudoLabeledSet,
     extract_projection,
     kmeans_assign,
     kmeans_fit,

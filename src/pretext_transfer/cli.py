@@ -21,15 +21,15 @@ from .harness import (
 )
 from .metrics import render_report_text
 
-_SUBCOMMANDS = {
-    "generate": "generate the synthetic source/unlabeled/target datasets",
-    "pretrain": "train the source model on the source dataset",
-    "cluster": "cluster unlabeled projections into pseudo-classes",
-    "prt": "representation-only transfer, once per master seed (classifier frozen)",
-    "tl": "conventional transfer per grid cell",
-    "dict": "build per-cell feature dictionaries for the fused method",
-    "evaluate": "score every configured cell and write the reports",
-    "run-all": "run the whole pipeline end to end",
+_STAGES = {
+    "generate": (run_generate, "generate the synthetic source/unlabeled/target datasets"),
+    "pretrain": (run_pretrain, "train the source model on the source dataset"),
+    "cluster": (run_cluster, "cluster unlabeled projections into pseudo-classes"),
+    "prt": (run_prt, "representation-only transfer, once per master seed (classifier frozen)"),
+    "tl": (run_tl, "conventional transfer per grid cell"),
+    "dict": (run_dict, "build per-cell feature dictionaries for the fused method"),
+    "evaluate": (run_evaluate, "score every configured cell and write the reports"),
+    "run-all": (run_experiment, "run the whole pipeline end to end"),
 }
 
 
@@ -39,7 +39,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Representation transfer experiments on synthetic two-domain data.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in _SUBCOMMANDS.items():
+    for name, (_, help_text) in _STAGES.items():
         sub = subparsers.add_parser(name, help=help_text)
         sub.add_argument("--config", type=Path, default=None, help="experiment config file (key = value lines)")
         sub.add_argument("--seed", type=int, default=None, help="master seed override")
@@ -47,18 +47,6 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--ratios", type=int_list, default=None, help="comma-separated imbalance ratios override")
         sub.add_argument("--folds", type=int, default=None, help="fold count override")
     return parser
-
-
-_DISPATCH = {
-    "generate": run_generate,
-    "pretrain": run_pretrain,
-    "cluster": run_cluster,
-    "prt": run_prt,
-    "tl": run_tl,
-    "dict": run_dict,
-    "evaluate": run_evaluate,
-    "run-all": run_experiment,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -73,7 +61,7 @@ def main(argv: list[str] | None = None) -> int:
             config_path=args.config, seed=args.seed, out=args.out,
             ratios=args.ratios, folds=args.folds,
         )
-        result = _DISPATCH[args.command](cfg)
+        result = _STAGES[args.command][0](cfg)
     except (ValidationError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -7,8 +7,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import LabeledSet
 from .errors import ShapeError, ValidationError
-from .manifest import manifest_value, read_artifact, write_artifact
+from .manifest import manifest_value, read_artifact, unpack_blob, write_artifact
 from .network import REPRESENTATION, NetworkState, apply_layer, as_batch
 
 logger = logging.getLogger(__name__)
@@ -26,15 +27,6 @@ class ClusterModel:
     inertia: float
     inertia_history: list[float]
     labels: np.ndarray  # assignment of the fitted sample set, [m]
-
-
-@dataclass
-class PseudoLabeledSet:
-    """Original samples paired with their cluster indices."""
-
-    features: np.ndarray  # [m, d]
-    labels: np.ndarray  # [m], values in [0, cluster_count)
-    cluster_count: int
 
 
 def extract_projection(model: NetworkState, samples) -> np.ndarray:
@@ -153,12 +145,11 @@ def pseudo_label(
     seed: int = 0,
     max_iters: int = 200,
     tol: float = 1e-7,
-) -> tuple[ClusterModel, PseudoLabeledSet]:
-    """Cluster projected samples and tag each original sample with its cluster."""
+) -> tuple[ClusterModel, LabeledSet]:
+    """Cluster projected samples and label each original sample with its cluster."""
     projections = extract_projection(source_model, samples)
     model = kmeans_fit(projections, k, seed=seed, max_iters=max_iters, tol=tol)
-    features = np.asarray(samples, dtype=np.float64)
-    return model, PseudoLabeledSet(features, model.labels, k)
+    return model, LabeledSet(samples, model.labels, k)
 
 
 def save_cluster_model(model: ClusterModel, path) -> None:
@@ -181,9 +172,5 @@ def load_cluster_model(path) -> ClusterModel:
     seed = int(manifest_value(pairs, "seed", path))
     inertia = float(manifest_value(pairs, "inertia", path))
     history = [float(v) for v in manifest_value(pairs, "inertia_history", path).split(",") if v]
-    float_bytes = k * p * 8
-    if len(blob) != float_bytes + m * 4:
-        raise ValidationError(f"{path}: blob size does not match the manifest")
-    centroids = np.frombuffer(blob[:float_bytes], dtype="<f8").reshape(k, p).copy()
-    labels = np.frombuffer(blob[float_bytes:], dtype="<i4").astype(np.int64)
+    (centroids,), (labels,) = unpack_blob(blob, path, [(k, p)], [m])
     return ClusterModel(centroids, k, seed, inertia, history, labels)

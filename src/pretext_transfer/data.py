@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ValidationError
-from .manifest import manifest_value, read_artifact, write_artifact
+from .manifest import manifest_value, read_artifact, unpack_blob, write_artifact
 
 POSITIVE_CLASS = 1
 ALLOWED_RATIOS = (10, 25, 50, 75, 100)
@@ -197,12 +197,7 @@ def load_dataset(path) -> LabeledSet | UnlabeledSet:
     d = int(manifest_value(pairs, "d", path))
     class_count = int(manifest_value(pairs, "class_count", path))
     labeled = bool(int(manifest_value(pairs, "labeled", path)))
-    float_bytes = n * d * 8
-    expected = float_bytes + (n * 4 if labeled else 0)
-    if len(blob) != expected:
-        raise ValidationError(f"{path}: blob size does not match the manifest")
-    features = np.frombuffer(blob[:float_bytes], dtype="<f8").reshape(n, d).copy()
+    (features,), labels = unpack_blob(blob, path, [(n, d)], [n] if labeled else [])
     if not labeled:
         return UnlabeledSet(features)
-    labels = np.frombuffer(blob[float_bytes:], dtype="<i4").astype(np.int64)
-    return LabeledSet(features, labels, class_count)
+    return LabeledSet(features, labels[0], class_count)

@@ -15,7 +15,7 @@ import numpy as np
 from .clustering import extract_projection
 from .data import LabeledSet
 from .errors import ConfigError, ShapeError, ValidationError
-from .manifest import manifest_value, read_artifact, write_artifact
+from .manifest import manifest_value, read_artifact, unpack_blob, write_artifact
 from .network import NetworkState
 
 _ZERO_NORM = 1e-12
@@ -115,7 +115,5 @@ def load_dictionary(path) -> FeatureDictionary:
     for part in manifest_value(pairs, "class_offsets", path).split(","):
         c, start, count = part.split(":")
         offsets.append((int(c), int(start), int(count)))
-    if len(blob) != p * n * 8:
-        raise ValidationError(f"{path}: blob size does not match the manifest")
-    columns = np.frombuffer(blob, dtype="<f8").reshape(p, n).copy()
+    (columns,), _ = unpack_blob(blob, path, [(p, n)])
     return FeatureDictionary(columns, offsets)

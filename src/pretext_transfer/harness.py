@@ -19,10 +19,9 @@ import numpy as np
 
 from .clustering import (
     ClusterModel,
-    PseudoLabeledSet,
     extract_projection,
-    kmeans_fit,
     load_cluster_model,
+    pseudo_label,
     save_cluster_model,
 )
 from .data import (
@@ -47,6 +46,7 @@ from .dictionary import (
     save_dictionary,
 )
 from .errors import ConfigError
+from .manifest import write_text_file
 from .metrics import (
     METHOD_ORDER,
     FoldMetrics,
@@ -232,14 +232,13 @@ def run_generate(cfg: ExperimentConfig) -> tuple[LabeledSet, UnlabeledSet, Label
     """Generate the two-domain data and persist it with a provenance manifest."""
     synth = replace(cfg.synth, seed=derive_seed(cfg.master_seed, "data"))
     source, unlabeled, target = generate_domains(synth)
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
     save_dataset(source, data_path(cfg, "source"))
     save_dataset(unlabeled, data_path(cfg, "unlabeled"))
     save_dataset(target, data_path(cfg, "target"))
     manifest_lines = [f"master_seed = {cfg.master_seed}"]
     for field in fields(synth):
         manifest_lines.append(f"{field.name} = {getattr(synth, field.name)}")
-    (cfg.out_dir / "manifest.txt").write_text("\n".join(manifest_lines) + "\n")
+    write_text_file(cfg.out_dir / "manifest.txt", "\n".join(manifest_lines) + "\n")
     return source, unlabeled, target
 
 
@@ -259,9 +258,9 @@ def run_pretrain(cfg: ExperimentConfig) -> NetworkState:
 def run_cluster(cfg: ExperimentConfig) -> ClusterModel:
     source_model = load_checkpoint(_require(source_ckpt_path(cfg)))
     unlabeled = load_dataset(_require(data_path(cfg, "unlabeled")))
-    projections = extract_projection(source_model, unlabeled.features)
-    model = kmeans_fit(
-        projections,
+    model, _ = pseudo_label(
+        source_model,
+        unlabeled.features,
         source_model.label_count,
         seed=derive_seed(cfg.master_seed, "cluster"),
         max_iters=cfg.kmeans_max_iters,
@@ -271,10 +270,10 @@ def run_cluster(cfg: ExperimentConfig) -> ClusterModel:
     return model
 
 
-def _load_pseudo(cfg: ExperimentConfig) -> PseudoLabeledSet:
+def _load_pseudo(cfg: ExperimentConfig) -> LabeledSet:
     cluster_model = load_cluster_model(_require(clusters_ckpt_path(cfg)))
     unlabeled = load_dataset(_require(data_path(cfg, "unlabeled")))
-    return PseudoLabeledSet(unlabeled.features, cluster_model.labels, cluster_model.k)
+    return LabeledSet(unlabeled.features, cluster_model.labels, cluster_model.k)
 
 
 def run_prt(cfg: ExperimentConfig) -> None:
@@ -383,9 +382,9 @@ def run_evaluate(cfg: ExperimentConfig) -> MetricsReport:
     per_cell = _map_cells(cfg, _evaluate_cell, target, folds, m1)
     rows = [row for cell_rows in per_cell for row in cell_rows]
     report = aggregate_folds(rows)
-    (cfg.out_dir / "report.csv").write_text(render_report_csv(report))
-    (cfg.out_dir / "folds.csv").write_text(render_folds_csv(report))
-    (cfg.out_dir / "report.txt").write_text(render_report_text(report))
+    write_text_file(cfg.out_dir / "report.csv", render_report_csv(report))
+    write_text_file(cfg.out_dir / "folds.csv", render_folds_csv(report))
+    write_text_file(cfg.out_dir / "report.txt", render_report_text(report))
     return report
 
 

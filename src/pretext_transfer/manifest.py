@@ -1,13 +1,16 @@
-"""Single-file artifact format: a text manifest followed by a binary blob.
+"""Every file the package writes, and the layout of every artifact blob.
 
-All persisted artifacts (checkpoints, cluster models, dictionaries, datasets)
-share this layout. The manifest is UTF-8 ``key = value`` lines, key order
-preserved and repeated keys allowed; a blank line terminates it. The blob is
-raw little-endian data, float64 unless the owning format says otherwise.
+An artifact (checkpoint, cluster model, dictionary, dataset) is UTF-8
+``key = value`` manifest lines, key order kept and repeats allowed, ended by a
+blank line, then a blob of little-endian float64 blocks followed by int32
+blocks; ``unpack_blob`` is the blob's only reader. Artifacts and text outputs
+(reports, the run manifest, logs) land through a sibling temp file and a
+rename, so a crash mid-write leaves any previous file intact.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from pathlib import Path
 
@@ -16,6 +19,28 @@ import numpy as np
 from .errors import ValidationError
 
 _SEPARATOR = b"\n\n"
+_FLOAT = np.dtype("<f8")
+_INT = np.dtype("<i4")
+
+
+def _write_atomic(path: str | Path, chunks) -> None:
+    """Write the byte chunks to a sibling temp file, then rename it over ``path``."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_text_file(path: str | Path, text: str) -> None:
+    """Write a UTF-8 text file crash-safely."""
+    _write_atomic(path, [text.encode("utf-8")])
 
 
 def write_artifact(
@@ -25,27 +50,18 @@ def write_artifact(
     float_arrays: list[np.ndarray] = (),
     int_arrays: list[np.ndarray] = (),
 ) -> None:
-    """Write a manifest+blob file; floats first, int32 blocks after.
-
-    The bytes go to a sibling temp file that is renamed over ``path`` only once
-    complete, so a crash mid-write leaves any previous file intact.
-    """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    """Write a manifest+blob file crash-safely; floats first, int32 blocks after."""
     lines = [f"{kind} v1"]
     lines.extend(f"{key} = {value}" for key, value in fields)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write("\n".join(lines).encode("utf-8") + _SEPARATOR)
-            for arr in float_arrays:
-                fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-            for arr in int_arrays:
-                fh.write(np.ascontiguousarray(arr, dtype="<i4").tobytes())
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+
+    def chunks():
+        yield "\n".join(lines).encode("utf-8") + _SEPARATOR
+        for arr in float_arrays:
+            yield np.ascontiguousarray(arr, dtype=_FLOAT).tobytes()
+        for arr in int_arrays:
+            yield np.ascontiguousarray(arr, dtype=_INT).tobytes()
+
+    _write_atomic(path, chunks())
 
 
 def read_artifact(path: str | Path, kind: str) -> tuple[list[tuple[str, str]], bytes]:
@@ -65,6 +81,25 @@ def read_artifact(path: str | Path, kind: str) -> tuple[list[tuple[str, str]], b
             raise ValidationError(f"{path}:{lineno}: malformed manifest line {line!r}")
         pairs.append((key, value))
     return pairs, raw[split + len(_SEPARATOR):]
+
+
+def unpack_blob(
+    blob: bytes, path, float_shapes: list[tuple[int, ...]], int_lengths: list[int] = ()
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Split a blob into copied float64 arrays and int64 vectors, in the order
+    written; their shapes and lengths must account for every byte."""
+    blocks = [(_FLOAT, np.float64, tuple(shape)) for shape in float_shapes]
+    blocks += [(_INT, np.int64, (length,)) for length in int_lengths]
+    if any(dim < 0 for *_, shape in blocks for dim in shape) or len(blob) != sum(
+        dtype.itemsize * math.prod(shape) for dtype, _, shape in blocks
+    ):
+        raise ValidationError(f"{path}: blob size does not match the manifest")
+    arrays, offset = [], 0
+    for dtype, kind, shape in blocks:
+        count = math.prod(shape)
+        arrays.append(np.frombuffer(blob, dtype, count, offset).reshape(shape).astype(kind))
+        offset += count * dtype.itemsize
+    return arrays[:len(float_shapes)], arrays[len(float_shapes):]
 
 
 def manifest_value(pairs: list[tuple[str, str]], key: str, path: str | Path) -> str:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ShapeError, TrainingDiverged, ValidationError
-from .manifest import manifest_value, manifest_values, read_artifact, write_artifact
+from .manifest import manifest_value, manifest_values, read_artifact, unpack_blob, write_artifact
 
 logger = logging.getLogger(__name__)
 
@@ -451,11 +451,11 @@ def load_checkpoint(path) -> NetworkState:
         specs.append(LayerSpec(int(in_dim), int(out_dim), activation, group))
     validate_layer_specs(specs)
     total = int(manifest_value(pairs, "params", path))
-    data = np.frombuffer(blob, dtype="<f8")
-    if data.size != total or total != sum(s.input_dim * s.output_dim + s.output_dim for s in specs):
-        raise ValidationError(f"{path}: parameter blob size does not match the manifest")
-    weights, biases = _flat_views(data.copy(), specs)
-    layers = [Layer(w, b, spec.activation, spec.group) for w, b, spec in zip(weights, biases, specs)]
+    if total != sum(s.input_dim * s.output_dim + s.output_dim for s in specs):
+        raise ValidationError(f"{path}: params count does not match the layers")
+    shapes = [shape for s in specs for shape in ((s.output_dim, s.input_dim), (s.output_dim,))]
+    arrays, _ = unpack_blob(blob, path, shapes)
+    layers = [Layer(w, b, s.activation, s.group) for w, b, s in zip(arrays[::2], arrays[1::2], specs)]
     if label_count != specs[-1].output_dim:
         raise ValidationError(f"{path}: label_count does not match the final layer width")
     return NetworkState(layers, label_count, seed)

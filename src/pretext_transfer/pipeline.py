@@ -5,13 +5,12 @@ from __future__ import annotations
 
 import logging
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 
-from .clustering import PseudoLabeledSet
 from .data import LabeledSet
 from .errors import ConfigError, TrainingDiverged, ValidationError
+from .manifest import write_text_file
 from .network import (
     CLASSIFICATION,
     EpochStats,
@@ -34,11 +33,9 @@ def write_run_log(path, history: list[EpochStats], warnings: tuple[str, ...] = (
     """One line per epoch: epoch index, mean loss, elapsed ms."""
     if path is None:
         return
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     lines = list(warnings)
     lines.extend(f"{s.epoch} {s.mean_loss:.12g} {s.elapsed_ms:.3f}" for s in history)
-    path.write_text("\n".join(lines) + "\n")
+    write_text_file(path, "\n".join(lines) + "\n")
 
 
 def _train_stage(
@@ -77,7 +74,7 @@ def pretrain_source(
 
 
 def prt_train(
-    source_model: NetworkState, pseudo: PseudoLabeledSet, cfg: TrainConfig, log_path=None
+    source_model: NetworkState, pseudo: LabeledSet, cfg: TrainConfig, log_path=None
 ) -> NetworkState:
     """Train the representation on pseudo-labels with the classifier frozen.
 
@@ -87,9 +84,9 @@ def prt_train(
     reused as-is.
     """
     cfg = replace(cfg, frozen_groups=frozenset({CLASSIFICATION}), classifier_lr_multiplier=1.0)
-    if pseudo.cluster_count != source_model.label_count:
+    if pseudo.class_count != source_model.label_count:
         raise ConfigError(
-            f"pseudo-label cluster count {pseudo.cluster_count} must equal the "
+            f"pseudo-label cluster count {pseudo.class_count} must equal the "
             f"source model label count {source_model.label_count}"
         )
     state, history = _train_stage("prt", source_model, pseudo.features, pseudo.labels, cfg)

@@ -171,7 +171,7 @@ class TestPseudoLabel:
         state = identity_rep_state(dim=2)
         points, _ = two_blobs(30)
         model, pseudo = pseudo_label(state, points, k=2, seed=0)
-        assert pseudo.cluster_count == 2
+        assert pseudo.class_count == 2
         assert pseudo.features.shape == points.shape
         assert np.array_equal(pseudo.labels, model.labels)
         assert set(pseudo.labels.tolist()) == {0, 1}

@@ -199,14 +199,6 @@ class TestDatasetFiles:
         assert isinstance(loaded, UnlabeledSet)
         assert np.array_equal(loaded.features, unlabeled.features)
 
-    def test_corrupt_blob_rejected(self, tmp_path):
-        _, _, target = generate_domains(SMALL)
-        path = tmp_path / "target.bin"
-        save_dataset(target, path)
-        path.write_bytes(path.read_bytes()[:-4])
-        with pytest.raises(ValidationError):
-            load_dataset(path)
-
 
 class TestSubset:
     def test_subset_preserves_rows(self):

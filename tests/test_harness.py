@@ -1,5 +1,7 @@
 import ctypes
 import dataclasses
+import os
+import shutil
 from concurrent.futures import ProcessPoolExecutor
 from multiprocessing import get_context
 from pathlib import Path
@@ -242,6 +244,34 @@ class TestMissingPrerequisites:
         with pytest.raises(FileNotFoundError) as err:
             run_prt(cfg)
         assert "clusters.ckpt" in str(err.value)
+
+
+class TestCrashSafeOutputs:
+    @pytest.mark.parametrize("stage,name", [
+        (run_generate, "manifest.txt"),
+        (run_pretrain, "logs/source.log"),
+        (run_evaluate, "report.csv"),
+        (run_evaluate, "folds.csv"),
+        (run_evaluate, "report.txt"),
+    ])
+    def test_crash_before_rename_keeps_previous_output(self, mini_run, tmp_path, monkeypatch, stage, name):
+        base, _ = mini_run
+        cfg = dataclasses.replace(base, out_dir=tmp_path / "run")
+        shutil.copytree(base.out_dir, cfg.out_dir)
+        target = cfg.out_dir / name
+        target.write_bytes(b"previous\n")
+        real_replace = os.replace
+
+        def crash_on_target(src, dst):
+            if Path(dst) == target:
+                raise OSError("simulated crash before the rename")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", crash_on_target)
+        with pytest.raises(OSError, match="simulated crash"):
+            stage(cfg)
+        assert target.read_bytes() == b"previous\n"
+        assert list(cfg.out_dir.rglob(".*.tmp")) == []
 
 
 def bundled_blas_threads():

@@ -450,12 +450,3 @@ class TestCheckpoint:
         assert loaded.label_count == state.label_count
         assert loaded.seed == state.seed
         assert [l.spec for l in loaded.layers] == [l.spec for l in state.layers]
-
-    def test_truncated_blob_rejected(self, tmp_path):
-        state = small_state()
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(state, path)
-        raw = path.read_bytes()
-        path.write_bytes(raw[:-8])
-        with pytest.raises(ValidationError):
-            load_checkpoint(path)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import pretext_transfer.pipeline as pipeline
-from pretext_transfer.clustering import PseudoLabeledSet, pseudo_label
+from pretext_transfer.clustering import pseudo_label
 from pretext_transfer.data import LabeledSet, SynthConfig, generate_domains
 from pretext_transfer.errors import ConfigError, ValidationError
 from pretext_transfer.harness import ExperimentConfig, _train_config
@@ -166,7 +166,7 @@ class TestPrtTrain:
         assert history[-1].mean_loss < history[0].mean_loss
 
     def test_cluster_count_mismatch_is_config_error(self, source_model, pseudo):
-        bad = PseudoLabeledSet(pseudo.features, pseudo.labels, cluster_count=5)
+        bad = LabeledSet(pseudo.features, pseudo.labels, class_count=5)
         with pytest.raises(ConfigError):
             prt_train(source_model, bad, TrainConfig(epochs=1))
 
