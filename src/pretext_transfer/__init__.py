@@ -42,6 +42,7 @@ from .network import (
     Gradients,
     LayerSpec,
     NetworkState,
+    Session,
     TrainConfig,
     forward,
     init_network,
@@ -52,4 +53,4 @@ from .network import (
     sgd_update,
     train,
 )
-from .pipeline import pretrain_source, prt_train, tl_train
+from .pipeline import TlSession, pretrain_source, prt_train, tl_train

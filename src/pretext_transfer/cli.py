@@ -26,7 +26,7 @@ _STAGES = {
     "pretrain": (run_pretrain, "train the source model on the source dataset"),
     "cluster": (run_cluster, "cluster unlabeled projections into pseudo-classes"),
     "prt": (run_prt, "representation-only transfer, once per master seed (classifier frozen)"),
-    "tl": (run_tl, "conventional transfer per grid cell"),
+    "tl": (run_tl, "conventional transfer, every session of a ratio in lockstep"),
     "dict": (run_dict, "build per-cell feature dictionaries for the fused method"),
     "evaluate": (run_evaluate, "score every configured cell and write the reports"),
     "run-all": (run_experiment, "run the whole pipeline end to end"),

@@ -82,8 +82,10 @@ def _update_means(
     x: np.ndarray, labels: np.ndarray, k: int, centroids: np.ndarray, sq_dists: np.ndarray
 ) -> np.ndarray:
     counts = np.bincount(labels, minlength=k)
-    sums = np.zeros((k, x.shape[1]))
-    np.add.at(sums, labels, x)
+    p = x.shape[1]
+    # bin (label, column) of every element of x, summed in sample order as np.add.at would
+    bins = (labels[:, None] * p + np.arange(p)).ravel()
+    sums = np.bincount(bins, weights=x.ravel(), minlength=k * p).reshape(k, p)
     new_centroids = centroids.copy()
     nonempty = counts > 0
     new_centroids[nonempty] = sums[nonempty] / counts[nonempty, None]

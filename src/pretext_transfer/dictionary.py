@@ -1,8 +1,9 @@
 """Class-structured feature dictionary and collaborative-representation scoring.
 
 Test features are coded over the whole dictionary with ridge-regularized least
-squares; per-class reconstruction residuals are mapped to a probability vector
-with inverse-squared-residual normalization, so an exact class reconstruction
+squares, solved through the push-through identity in the feature dimension;
+per-class reconstruction residuals are mapped to a probability vector with
+inverse-squared-residual normalization, so an exact class reconstruction
 dominates. Classes may contribute unequal column counts.
 """
 
@@ -71,9 +72,11 @@ def build_dictionary(m1: NetworkState, train: LabeledSet) -> FeatureDictionary:
 def class_probabilities(fdict: FeatureDictionary, features, cfg: CRCConfig) -> np.ndarray:
     """Class probabilities for each row of a feature batch.
 
-    Each row is normalized and ridge-coded over the whole dictionary (one Gram
-    solve for all rows); each class's reconstruction residual r_c then weighs
-    in as (r_c + epsilon)^-2, and the weights of a row are normalized to sum to 1.
+    Each row y is normalized and ridge-coded over the whole dictionary D
+    [p, N]: alpha = (D^T D + ridge I)^-1 D^T y, computed as the equal
+    D^T (D D^T + ridge I)^-1 y, one p x p solve for all rows. Each class's
+    reconstruction residual r_c then weighs in as (r_c + epsilon)^-2, and the
+    weights of a row are normalized to sum to 1.
     """
     y = np.asarray(features, dtype=np.float64)
     if y.ndim != 2 or y.shape[1] != fdict.feature_dim:
@@ -85,11 +88,11 @@ def class_probabilities(fdict: FeatureDictionary, features, cfg: CRCConfig) -> n
         raise ValidationError("cannot normalize a zero test vector")
     y_unit = (y / norms[:, None]).T  # [p, n]
     d = fdict.columns
-    gram = d.T @ d + cfg.ridge * np.eye(d.shape[1])
-    rhs = d.T @ y_unit
-    codes = np.linalg.solve(gram, rhs)  # [N, n]
-    if np.linalg.norm(gram @ codes - rhs) > _SOLVE_TOL * max(1.0, np.linalg.norm(rhs)):
-        raise ArithmeticError("normal-equation solve exceeded the residual tolerance")
+    gram = d @ d.T + cfg.ridge * np.eye(d.shape[0])  # [p, p]
+    solved = np.linalg.solve(gram, y_unit)
+    if np.linalg.norm(gram @ solved - y_unit) > _SOLVE_TOL * max(1.0, np.linalg.norm(y_unit)):
+        raise ArithmeticError("push-through solve exceeded the residual tolerance")
+    codes = d.T @ solved  # [N, n]
     weights = np.empty((y.shape[0], fdict.class_count))
     for c, start, count in fdict.class_offsets:
         recon = d[:, start:start + count] @ codes[start:start + count]

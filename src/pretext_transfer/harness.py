@@ -1,8 +1,9 @@
 """Experiment grid orchestration: data generation, one pre-text representation
-transfer (PRT) per master seed, staged training over every (fold, ratio) cell,
-evaluation of the TL / PRT+TL / All methods, and report writing. Every random
-stream derives from the master seed, so a rerun with the same seed reproduces
-the report byte for byte."""
+transfer (PRT) per master seed, conventional transfer (TL) with every session
+of a ratio (each fold, both routes) trained in lockstep, per-cell dictionaries,
+evaluation of the TL / PRT+TL / All methods with each cell scored in one pass,
+and report writing. Every random stream derives from the master seed, so a
+rerun with the same seed reproduces the report byte for byte."""
 
 from __future__ import annotations
 
@@ -69,7 +70,7 @@ from .network import (
     load_checkpoint,
     save_checkpoint,
 )
-from .pipeline import pretrain_source, prt_train, tl_train
+from .pipeline import TlSession, pretrain_source, prt_train, tl_train
 
 logger = logging.getLogger(__name__)
 
@@ -209,13 +210,12 @@ def _single_blas_thread() -> None:
     ctypes.CDLL(str(libs[0])).scipy_openblas_set_num_threads64_(1)
 
 
-def _map_cells(cfg: ExperimentConfig, fn, *shared):
-    """Run fn(cfg, *shared, ratio, fold) over every grid cell, optionally on a
-    process pool; results come back in cell order."""
-    cells = _cells(cfg)
+def _map_cells(cfg: ExperimentConfig, fn, tasks: list[tuple], *shared):
+    """Run fn(cfg, *shared, *task) for every task (a grid cell or a ratio),
+    optionally on a process pool; results come back in task order."""
     task = partial(fn, cfg, *shared)
-    if cfg.workers <= 1 or len(cells) <= 1:
-        return [task(ratio, fold) for ratio, fold in cells]
+    if cfg.workers <= 1 or len(tasks) <= 1:
+        return [task(*args) for args in tasks]
     try:
         context = get_context("fork")
     except ValueError:
@@ -223,7 +223,7 @@ def _map_cells(cfg: ExperimentConfig, fn, *shared):
     with ProcessPoolExecutor(
         max_workers=cfg.workers, mp_context=context, initializer=_single_blas_thread
     ) as pool:
-        return list(pool.map(task, *zip(*cells)))
+        return list(pool.map(task, *zip(*tasks)))
 
 
 # ---- stages -----------------------------------------------------------------
@@ -303,23 +303,28 @@ def _cell_train_set(target: LabeledSet, folds: FoldPlan, ratio: int, fold: int) 
     return apply_imbalance(train_set, POSITIVE_CLASS, ratio)
 
 
-def _tl_cell(cfg: ExperimentConfig, target: LabeledSet, folds: FoldPlan,
-             routes: list[tuple[str, NetworkState, str]], ratio: int, fold: int) -> None:
-    imbalanced = _cell_train_set(target, folds, ratio, fold)
-    for method, start, name in routes:
-        model = tl_train(
-            start,
-            imbalanced,
-            _train_config(cfg, cfg.tl_epochs, derive_seed(cfg.master_seed, ratio, fold, method, "tl")),
-            head_seed=derive_seed(cfg.master_seed, ratio, fold, method, "head"),
-            log_path=cell_log(cfg, ratio, fold, name),
-        )
-        save_checkpoint(model, cell_path(cfg, ratio, fold, name))
+def _tl_ratio(cfg: ExperimentConfig, target: LabeledSet, folds: FoldPlan,
+              routes: list[tuple[str, NetworkState, str]], ratio: int) -> None:
+    sessions, paths = [], []
+    for fold in range(cfg.fold_count):
+        imbalanced = _cell_train_set(target, folds, ratio, fold)
+        for method, start, name in routes:
+            sessions.append(TlSession(
+                start,
+                imbalanced,
+                _train_config(cfg, cfg.tl_epochs, derive_seed(cfg.master_seed, ratio, fold, method, "tl")),
+                head_seed=derive_seed(cfg.master_seed, ratio, fold, method, "head"),
+                log_path=cell_log(cfg, ratio, fold, name),
+            ))
+            paths.append(cell_path(cfg, ratio, fold, name))
+    for model, path in zip(tl_train(sessions), paths):
+        save_checkpoint(model, path)
 
 
 def run_tl(cfg: ExperimentConfig) -> None:
     """Conventional transfer per cell: from the source model for the TL
-    baseline, and from the representation-transferred model otherwise."""
+    baseline, and from the representation-transferred model otherwise. The
+    sessions of one ratio train together; the pool, if any, maps over ratios."""
     target, folds = _load_target(cfg)
     source_ckpt = _require(source_ckpt_path(cfg))
     routes = []  # (method, starting model, output name)
@@ -327,7 +332,7 @@ def run_tl(cfg: ExperimentConfig) -> None:
         routes.append((METHOD_TL, load_checkpoint(source_ckpt), "tl"))
     if _needs_prt_route(cfg):
         routes.append((METHOD_PRT_TL, load_checkpoint(_require(prt_ckpt_path(cfg))), "prt_tl"))
-    _map_cells(cfg, _tl_cell, target, folds, routes)
+    _map_cells(cfg, _tl_ratio, [(ratio,) for ratio in cfg.ratios], target, folds, routes)
 
 
 def _dict_cell(cfg: ExperimentConfig, target: LabeledSet, folds: FoldPlan, m1: NetworkState,
@@ -343,7 +348,7 @@ def run_dict(cfg: ExperimentConfig) -> None:
         return
     target, folds = _load_target(cfg)
     m1 = load_checkpoint(_require(prt_ckpt_path(cfg)))
-    _map_cells(cfg, _dict_cell, target, folds, m1)
+    _map_cells(cfg, _dict_cell, _cells(cfg), target, folds, m1)
 
 
 def _evaluate_cell(cfg: ExperimentConfig, target: LabeledSet, folds: FoldPlan,
@@ -367,8 +372,7 @@ def _evaluate_cell(cfg: ExperimentConfig, target: LabeledSet, folds: FoldPlan,
         if METHOD_ALL in cfg.methods:
             fdict = load_dictionary(_require(cell_path(cfg, ratio, fold, "dict")))
             q = class_probabilities(fdict, extract_projection(m1, test.features), cfg.crc)
-            fused = np.array([fuse_predict(rho[i], q[i])[0] for i in range(len(test))])
-            rows.append(row(METHOD_ALL, fused))
+            rows.append(row(METHOD_ALL, fuse_predict(rho, q)[0]))
     return rows
 
 
@@ -379,7 +383,7 @@ def run_evaluate(cfg: ExperimentConfig) -> MetricsReport:
         for ratio, fold in _cells(cfg):
             _require(cell_path(cfg, ratio, fold, "tl"))
     m1 = load_checkpoint(_require(prt_ckpt_path(cfg))) if METHOD_ALL in cfg.methods else None
-    per_cell = _map_cells(cfg, _evaluate_cell, target, folds, m1)
+    per_cell = _map_cells(cfg, _evaluate_cell, _cells(cfg), target, folds, m1)
     rows = [row for cell_rows in per_cell for row in cell_rows]
     report = aggregate_folds(rows)
     write_text_file(cfg.out_dir / "report.csv", render_report_csv(report))

@@ -71,7 +71,10 @@ def read_artifact(path: str | Path, kind: str) -> tuple[list[tuple[str, str]], b
     split = raw.find(_SEPARATOR)
     if split < 0:
         raise ValidationError(f"{path}: missing manifest/blob separator")
-    header = raw[:split].decode("utf-8").splitlines()
+    try:
+        header = raw[:split].decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: manifest is not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     if not header or header[0] != f"{kind} v1":
         raise ValidationError(f"{path}: expected a '{kind} v1' manifest")
     pairs: list[tuple[str, str]] = []

@@ -62,27 +62,33 @@ class MetricsReport:
     aggregated: dict[tuple[int, str, str], AggregateCell]  # (ratio, method, metric)
 
 
-def validate_probability_vector(values, name: str = "probability vector") -> np.ndarray:
+def validate_probability_rows(values, name: str = "probabilities") -> np.ndarray:
+    """A non-empty [n, C] batch whose every row is a probability vector."""
     v = np.asarray(values, dtype=np.float64)
-    if v.ndim != 1 or v.size < 1:
-        raise ShapeError(f"{name} must be a non-empty vector")
-    if not np.isfinite(v).all():
-        raise ValidationError(f"{name} contains non-finite values")
-    if v.min() < -_ENTRY_TOL or v.max() > 1.0 + _ENTRY_TOL:
-        raise ValidationError(f"{name} entries must lie in [0, 1]")
-    if abs(v.sum() - 1.0) > _SUM_TOL:
-        raise ValidationError(f"{name} must sum to 1, got {v.sum()!r}")
+    if v.ndim != 2 or v.size < 1:
+        raise ShapeError(f"{name} must be a non-empty [rows, classes] matrix")
+    bad = np.flatnonzero(~np.isfinite(v).all(axis=1))
+    if bad.size:
+        raise ValidationError(f"{name} row {bad[0]} contains non-finite values")
+    bad = np.flatnonzero((v.min(axis=1) < -_ENTRY_TOL) | (v.max(axis=1) > 1.0 + _ENTRY_TOL))
+    if bad.size:
+        raise ValidationError(f"{name} row {bad[0]} has entries outside [0, 1]")
+    sums = v.sum(axis=1)
+    bad = np.flatnonzero(np.abs(sums - 1.0) > _SUM_TOL)
+    if bad.size:
+        raise ValidationError(f"{name} row {bad[0]} must sum to 1, got {sums[bad[0]]!r}")
     return v
 
 
-def fuse_predict(rho, q) -> tuple[int, np.ndarray]:
-    """Coordinate-wise mean of the two probability vectors; argmax wins, lowest index on ties."""
-    rho = validate_probability_vector(rho, "rho")
-    q = validate_probability_vector(q, "q")
+def fuse_predict(rho, q) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise mean of two [n, C] batches of probability rows, and each row's
+    argmax, lowest index on ties."""
+    rho = validate_probability_rows(rho, "rho")
+    q = validate_probability_rows(q, "q")
     if rho.shape != q.shape:
-        raise ShapeError(f"length mismatch: {rho.shape[0]} vs {q.shape[0]}")
+        raise ShapeError(f"shape mismatch: {rho.shape} vs {q.shape}")
     fused = (rho + q) / 2.0
-    return int(fused.argmax()), fused
+    return fused.argmax(axis=1), fused
 
 
 def confusion_counts(predictions, truth, positive_class: int) -> ConfusionCounts:

@@ -4,8 +4,10 @@ Layers carry a group tag so the earlier "representation" part and the deeper
 "classification" part of the model can be trained, frozen and swapped
 independently. States are value objects: the public functions return new
 NetworkState and Gradients objects and leave their arguments unchanged.
-`train` copies the parameters into one private flat buffer, updates that copy
-in place batch after batch, and never changes the caller's arrays.
+`train` runs several sessions of one architecture in lockstep: it copies their
+parameters into one private [sessions, parameters] buffer, runs each layer as
+one stacked matmul over the sessions, updates the buffer in place batch after
+batch, and never changes the caller's arrays.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ from __future__ import annotations
 import itertools
 import logging
 import time
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -189,14 +192,16 @@ def _check_labels(labels, label_count: int, n: int) -> np.ndarray:
 
 
 def _flat_views(buffer: np.ndarray, specs: list[LayerSpec]) -> tuple[list, list]:
-    """Per-layer weight and bias views over a buffer laid out weights-then-bias, layer by layer."""
+    """Per-layer weight and bias views over the last axis of a buffer laid out
+    weights-then-bias, layer by layer; leading axes (sessions) are kept."""
+    lead = buffer.shape[:-1]
     weights, biases = [], []
     offset = 0
     for spec in specs:
         w_size = spec.output_dim * spec.input_dim
-        weights.append(buffer[offset:offset + w_size].reshape(spec.output_dim, spec.input_dim))
+        weights.append(buffer[..., offset:offset + w_size].reshape(*lead, spec.output_dim, spec.input_dim))
         offset += w_size
-        biases.append(buffer[offset:offset + spec.output_dim])
+        biases.append(buffer[..., offset:offset + spec.output_dim])
         offset += spec.output_dim
     return weights, biases
 
@@ -205,42 +210,46 @@ def _flatten(weights, biases) -> np.ndarray:
     return np.concatenate([a.ravel() for pair in zip(weights, biases) for a in pair], dtype=np.float64)
 
 
-def _backprop(weights, biases, activations, x, y, grad_w, grad_b, needs_grad) -> float:
-    """Mean softmax cross-entropy of (x, y); writes the gradient of every layer k
-    with needs_grad[k] into grad_w[k]/grad_b[k] and leaves the others alone.
+def _backprop(weights, biases, activations, x, y, grad_w, grad_b, needs_grad) -> np.ndarray:
+    """Mean softmax cross-entropy of each batch in a stack: session s has the
+    batch (x[s], y[s]) and the parameters weights[k][s], biases[k][s]. Writes
+    the gradient of every layer k with needs_grad[k] into grad_w[k]/grad_b[k],
+    leaves the others alone, and returns the per-session losses.
 
-    Backprop stops at the lowest layer that needs a gradient. Inputs are
-    trusted: callers validate them.
+    Every batch of the stack has the same row count. Each session's slice goes
+    through the same BLAS calls, with the same shapes, as it would alone, so
+    its figures do not depend on the other sessions. Backprop stops at the
+    lowest layer that needs a gradient. Inputs are trusted: callers validate them.
     """
-    n = x.shape[0]
+    sessions, n = y.shape
     outputs = [x]
     out = x
     for w, b, activation in zip(weights, biases, activations):
-        out = out @ w.T
-        out += b
+        out = np.matmul(out, w.transpose(0, 2, 1))
+        out += b[:, None, :]
         if activation == "relu":
             np.maximum(out, 0.0, out=out)
         outputs.append(out)
     z = out
-    z_max = z.max(axis=1, keepdims=True)
+    z_max = z.max(axis=2, keepdims=True)
     delta = np.exp(z - z_max)
-    total = delta.sum(axis=1)
-    rows = np.arange(n)
-    loss = float(np.mean(np.log(total) + z_max[:, 0] - z[rows, y]))
+    total = delta.sum(axis=2)
+    index = (np.arange(sessions)[:, None], np.arange(n), y)
+    losses = np.add.reduce(np.log(total) + z_max[:, :, 0] - z[index], axis=1) / n
 
-    delta /= total[:, None]
-    delta[rows, y] -= 1.0
+    delta /= total[:, :, None]
+    delta[index] -= 1.0
     delta /= n
     lowest = needs_grad.index(True) if True in needs_grad else len(weights)
     for k in range(len(weights) - 1, lowest - 1, -1):
         if needs_grad[k]:
-            np.matmul(delta.T, outputs[k], out=grad_w[k])
-            np.sum(delta, axis=0, out=grad_b[k])
+            np.matmul(delta.transpose(0, 2, 1), outputs[k], out=grad_w[k])
+            np.add.reduce(delta, axis=1, out=grad_b[k])
         if k > lowest:
-            delta = delta @ weights[k]
+            delta = np.matmul(delta, weights[k])
             if activations[k - 1] == "relu":
                 delta *= outputs[k] > 0.0
-    return loss
+    return losses
 
 
 def loss_and_grad(state: NetworkState, inputs, labels) -> tuple[float, Gradients]:
@@ -255,13 +264,15 @@ def loss_and_grad(state: NetworkState, inputs, labels) -> tuple[float, Gradients
         [np.empty(layer.weights.shape) for layer in state.layers],
         [np.empty(layer.bias.shape) for layer in state.layers],
     )
-    loss = _backprop(
-        [layer.weights for layer in state.layers],
-        [layer.bias for layer in state.layers],
+    (loss,) = _backprop(
+        [layer.weights[None] for layer in state.layers],
+        [layer.bias[None] for layer in state.layers],
         [layer.activation for layer in state.layers],
-        x, y, grads.weights, grads.biases, [True] * len(state.layers),
+        x[None], y[None],
+        [g[None] for g in grads.weights], [g[None] for g in grads.biases],
+        [True] * len(state.layers),
     )
-    return loss, grads
+    return float(loss), grads
 
 
 def zero_velocity(state: NetworkState) -> Gradients:
@@ -369,51 +380,122 @@ class EpochStats:
     elapsed_ms: float
 
 
-def train(
-    state: NetworkState, features, labels, config: TrainConfig
-) -> tuple[NetworkState, list[EpochStats]]:
-    """Epoch loop: seeded shuffling, mini-batches, last partial batch kept.
+@dataclass(frozen=True)
+class Session:
+    """One run of ``train``: a starting state, its samples and labels, and its config."""
 
-    Inputs are validated once. Training runs on a private flat copy of the
-    parameters, so the caller's state is never modified; frozen layers get
-    no weight gradients and their parameters come back bit-identical.
+    state: NetworkState
+    features: np.ndarray
+    labels: np.ndarray
+    config: TrainConfig
+
+
+def _step_groups(sizes: list[int], batch_size: int) -> list[tuple[int, list]]:
+    """The batches of one epoch, step by step: (first row, [(batch size, session
+    indices)]), with None for "every session". A session with fewer rows sits
+    out the steps past its last batch."""
+    steps = []
+    for start in range(0, max(sizes), batch_size):
+        groups: dict[int, list[int]] = {}
+        for i, n in enumerate(sizes):
+            if n > start:
+                groups.setdefault(min(n - start, batch_size), []).append(i)
+        steps.append((start, [
+            (size, None if len(members) == len(sizes) else np.array(members))
+            for size, members in sorted(groups.items())
+        ]))
+    return steps
+
+
+def train(sessions: Sequence[Session]) -> list[tuple[NetworkState, list[EpochStats]]]:
+    """Epoch loop over sessions in lockstep: per-session seeded shuffling,
+    mini-batches, last partial batch kept; one (state, history) per session.
+
+    The sessions must share their layer specs and every config field but the
+    seed. Inputs are validated once. Training runs on a private [sessions,
+    parameters] copy, so the callers' states are never modified; frozen layers
+    get no weight gradients and their parameters come back bit-identical. The
+    sessions that have a batch of the same size at a step take that step
+    together; a session with fewer batches sits out the extra steps, its
+    velocity untouched. Each session's result is bit-identical to training it
+    alone.
     """
-    x = as_batch(state, features)
-    n = x.shape[0]
-    y = _check_labels(labels, state.label_count, n)
-    specs = layer_specs(state)
+    sessions = list(sessions)
+    if not sessions:
+        raise ConfigError("train needs at least one session")
+    config = sessions[0].config
+    specs = layer_specs(sessions[0].state)
+    label_count = sessions[0].state.label_count
+    for session in sessions[1:]:
+        if layer_specs(session.state) != specs or session.state.label_count != label_count:
+            raise ConfigError("lockstep sessions must share their layer specs")
+        if replace(session.config, seed=config.seed) != config:
+            raise ConfigError("lockstep sessions may differ only in their seed")
+    xs = [as_batch(session.state, session.features) for session in sessions]
+    ys = [_check_labels(session.labels, label_count, x.shape[0]) for session, x in zip(sessions, xs)]
+    sizes = [x.shape[0] for x in xs]
     lr, trainable = _step_layout(specs, config)
-    params = _flatten([l.weights for l in state.layers], [l.bias for l in state.layers])
+    params = np.stack([
+        _flatten([l.weights for l in session.state.layers], [l.bias for l in session.state.layers])
+        for session in sessions
+    ])
     grads = np.zeros_like(params)
     velocity = np.zeros_like(params)
-    weights, biases = _flat_views(params, specs)
-    grad_w, grad_b = _flat_views(grads, specs)
+    views = (*_flat_views(params, specs), *_flat_views(grads, specs))
     activations = [spec.activation for spec in specs]
     needs_grad = [spec.group not in config.frozen_groups for spec in specs]
-    params_t, velocity_t, grads_t, lr_t = (a[trainable] for a in (params, velocity, grads, lr))
+    params_t, velocity_t, grads_t, lr_t = (a[..., trainable] for a in (params, velocity, grads, lr))
 
-    rng = np.random.default_rng(config.seed)
-    history = []
+    def step(epoch, members, x, y) -> np.ndarray:
+        """One batch for every session in members (None: all of them); returns their losses."""
+        if members is None:
+            weights, biases, grad_w, grad_b = views
+            part_p, part_v, part_g = params_t, velocity_t, grads_t
+        else:
+            part, part_velocity, part_grads = params[members], velocity[members], grads[:members.size]
+            weights, biases = _flat_views(part, specs)
+            grad_w, grad_b = _flat_views(part_grads, specs)
+            part_p, part_v, part_g = (a[:, trainable] for a in (part, part_velocity, part_grads))
+        losses = _backprop(weights, biases, activations, x, y, grad_w, grad_b, needs_grad)
+        if not np.isfinite(losses).all():
+            bad = int(np.flatnonzero(~np.isfinite(losses))[0])
+            failed = bad if members is None else members[bad]
+            raise TrainingDiverged(f"training diverged at epoch {epoch} in session {failed} (loss={losses[bad]})")
+        _velocity_step(part_v, part_g, lr_t, config.momentum)
+        _apply_step(part_p, part_v)
+        if members is not None:
+            params[members], velocity[members] = part, part_velocity
+        return losses
+
+    schedule = _step_groups(sizes, config.batch_size)
+    width = schedule[-1][0] + config.batch_size
+    x_epoch = np.zeros((len(sessions), width, xs[0].shape[1]))
+    y_epoch = np.zeros((len(sessions), width), dtype=np.int64)
+    rngs = [np.random.default_rng(session.config.seed) for session in sessions]
+    histories = [[] for _ in sessions]
     for epoch in range(config.epochs):
         start_time = time.perf_counter()
-        order = rng.permutation(n)
-        x_epoch, y_epoch = x[order], y[order]
-        total = 0.0
-        for start in range(0, n, config.batch_size):
-            xb = x_epoch[start:start + config.batch_size]
-            yb = y_epoch[start:start + config.batch_size]
-            loss = _backprop(weights, biases, activations, xb, yb, grad_w, grad_b, needs_grad)
-            if not np.isfinite(loss):
-                raise TrainingDiverged(f"training diverged at epoch {epoch} (loss={loss})")
-            _velocity_step(velocity_t, grads_t, lr_t, config.momentum)
-            _apply_step(params_t, velocity_t)
-            total += loss * len(xb)
+        for i, (rng, x, y) in enumerate(zip(rngs, xs, ys)):
+            order = rng.permutation(y.shape[0])
+            x_epoch[i, :y.shape[0]] = x[order]
+            y_epoch[i, :y.shape[0]] = y[order]
+        totals = np.zeros(len(sessions))
+        for start, groups in schedule:
+            for size, members in groups:
+                rows = slice(start, start + size)
+                if members is None:
+                    totals += step(epoch, None, x_epoch[:, rows], y_epoch[:, rows]) * size
+                else:
+                    totals[members] += step(epoch, members, x_epoch[members, rows], y_epoch[members, rows]) * size
         elapsed_ms = (time.perf_counter() - start_time) * 1e3
-        history.append(EpochStats(epoch, total / n, elapsed_ms))
-    layers = [
-        Layer(w, b, spec.activation, spec.group) for w, b, spec in zip(weights, biases, specs)
-    ]
-    return NetworkState(layers, state.label_count, state.seed), history
+        for history, total, n in zip(histories, totals, sizes):
+            history.append(EpochStats(epoch, float(total / n), elapsed_ms))
+    results = []
+    for session, row, history in zip(sessions, params, histories):
+        weights, biases = _flat_views(row, specs)
+        layers = [Layer(w, b, spec.activation, spec.group) for w, b, spec in zip(weights, biases, specs)]
+        results.append((NetworkState(layers, label_count, session.state.seed), history))
+    return results
 
 
 def predict(state: NetworkState, inputs) -> np.ndarray:

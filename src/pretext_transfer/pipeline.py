@@ -4,7 +4,9 @@ conventional transfer with an aggressive classifier learning rate."""
 from __future__ import annotations
 
 import logging
-from dataclasses import replace
+from collections.abc import Sequence
+from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -16,6 +18,7 @@ from .network import (
     EpochStats,
     LayerSpec,
     NetworkState,
+    Session,
     TrainConfig,
     accuracy,
     init_network,
@@ -38,11 +41,9 @@ def write_run_log(path, history: list[EpochStats], warnings: tuple[str, ...] = (
     write_text_file(path, "\n".join(lines) + "\n")
 
 
-def _train_stage(
-    stage: str, state: NetworkState, features, labels, cfg: TrainConfig
-) -> tuple[NetworkState, list[EpochStats]]:
+def _train_stage(stage: str, sessions: list[Session]) -> list[tuple[NetworkState, list[EpochStats]]]:
     try:
-        return train(state, features, labels, cfg)
+        return train(sessions)
     except TrainingDiverged as exc:
         raise TrainingDiverged(f"{stage} stage: {exc}") from exc
 
@@ -61,7 +62,9 @@ def pretrain_source(
             f"source data has {source_data.class_count} classes but the network "
             f"outputs {state.label_count}"
         )
-    state, history = _train_stage("source", state, source_data.features, source_data.labels, cfg)
+    [(state, history)] = _train_stage(
+        "source", [Session(state, source_data.features, source_data.labels, cfg)]
+    )
     train_accuracy = accuracy(state, source_data.features, source_data.labels)
     if train_accuracy < SOURCE_ACCURACY_GATE:
         logger.warning(
@@ -89,7 +92,7 @@ def prt_train(
             f"pseudo-label cluster count {pseudo.class_count} must equal the "
             f"source model label count {source_model.label_count}"
         )
-    state, history = _train_stage("prt", source_model, pseudo.features, pseudo.labels, cfg)
+    [(state, history)] = _train_stage("prt", [Session(source_model, pseudo.features, pseudo.labels, cfg)])
     write_run_log(log_path, history)
     return state
 
@@ -106,33 +109,43 @@ def _group_displacement(before: NetworkState, after: NetworkState) -> dict[str, 
     return {group: sum(deltas) / sizes[group] for group, deltas in totals.items()}
 
 
-def tl_train(
-    m1: NetworkState,
-    target_train: LabeledSet,
-    cfg: TrainConfig,
-    head_seed: int | None = None,
-    log_path=None,
-) -> NetworkState:
-    """Replace the head for the target label set and fine-tune everything.
+@dataclass(frozen=True)
+class TlSession:
+    """One conventional-transfer session: the model it starts from, its target
+    training set and config, the seed of its new head (default: the config
+    seed + 1) and its run log."""
+
+    m1: NetworkState
+    target_train: LabeledSet
+    cfg: TrainConfig
+    head_seed: int | None = None
+    log_path: str | Path | None = None
+
+
+def tl_train(sessions: Sequence[TlSession]) -> list[NetworkState]:
+    """Replace each session's head for its target label set and fine-tune
+    everything, all sessions in one lockstep ``train`` call.
 
     No group is frozen, and the new head trains at ``TL_HEAD_MULTIPLIER``
-    times the base learning rate, whatever ``cfg`` says.
+    times the base learning rate, whatever a session's ``cfg`` says. The
+    sessions must share every config field but the seed.
     """
-    cfg = replace(cfg, frozen_groups=frozenset(), classifier_lr_multiplier=TL_HEAD_MULTIPLIER)
-    if len(target_train) < 1:
-        raise ValidationError("target training set is empty")
-    warnings = []
-    counts = np.bincount(target_train.labels, minlength=target_train.class_count)
-    for c in np.flatnonzero(counts == 0):
-        message = f"warning: class {c} has no training samples"
-        warnings.append(message)
-        logger.warning("tl stage: class %d has no training samples", c)
-    if head_seed is None:
-        head_seed = cfg.seed + 1
-    state = replace_head(m1, target_train.class_count, head_seed)
-    started = state
-    state, history = _train_stage("tl", state, target_train.features, target_train.labels, cfg)
-    if logger.isEnabledFor(logging.DEBUG):
-        logger.debug("tl stage mean per-parameter displacement: %s", _group_displacement(started, state))
-    write_run_log(log_path, history, tuple(warnings))
-    return state
+    runs, warnings = [], []
+    for session in sessions:
+        cfg = replace(session.cfg, frozen_groups=frozenset(), classifier_lr_multiplier=TL_HEAD_MULTIPLIER)
+        target_train = session.target_train
+        if len(target_train) < 1:
+            raise ValidationError("target training set is empty")
+        empty = np.flatnonzero(np.bincount(target_train.labels, minlength=target_train.class_count) == 0)
+        for c in empty:
+            logger.warning("tl stage: class %d has no training samples", c)
+        warnings.append(tuple(f"warning: class {c} has no training samples" for c in empty))
+        head_seed = cfg.seed + 1 if session.head_seed is None else session.head_seed
+        start = replace_head(session.m1, target_train.class_count, head_seed)
+        runs.append(Session(start, target_train.features, target_train.labels, cfg))
+    results = _train_stage("tl", runs)
+    for session, run, (state, history), notes in zip(sessions, runs, results, warnings):
+        if logger.isEnabledFor(logging.DEBUG):
+            logger.debug("tl stage mean per-parameter displacement: %s", _group_displacement(run.state, state))
+        write_run_log(session.log_path, history, notes)
+    return [state for state, _ in results]

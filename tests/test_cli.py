@@ -159,6 +159,14 @@ class TestCliDispatch:
         err = capsys.readouterr().err
         assert "tl.ckpt" in err
 
+    def test_non_utf8_artifact_exits_1(self, config_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["generate", "--config", str(config_file), "--out", str(out)]) == 0
+        source = out / "source.bin"
+        source.write_bytes(b"\xff" + source.read_bytes()[1:])
+        assert main(["pretrain", "--config", str(config_file), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {source}: manifest is not UTF-8")
+
     def test_staged_subcommands_produce_report(self, config_file, tmp_path):
         out = tmp_path / "staged"
         base = ["--config", str(config_file), "--seed", "3", "--out", str(out)]

@@ -232,6 +232,29 @@ class TestBatchProbabilities:
             assert np.allclose(q_batch[i], oracle_q(fdict, batch[i]), atol=1e-9)
 
 
+class TestSolveResidualCheck:
+    def test_bad_solve_trips_residual_check(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        fdict = random_dictionary(rng, p=6, counts=[4, 3])
+        batch = rng.normal(size=(5, 6))
+        real_solve = np.linalg.solve
+        systems = []
+
+        def recording(a, b):
+            systems.append(a.shape)
+            return real_solve(a, b)
+
+        def off_by_a_little(a, b):
+            return real_solve(a, b) + 1e-6
+
+        monkeypatch.setattr(np.linalg, "solve", recording)
+        class_probabilities(fdict, batch, CFG)
+        assert systems == [(6, 6)]  # one p x p system, not N x N (N = 7)
+        monkeypatch.setattr(np.linalg, "solve", off_by_a_little)
+        with pytest.raises(ArithmeticError, match="residual"):
+            class_probabilities(fdict, batch, CFG)
+
+
 class TestDictionarySerialization:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(8)

@@ -189,6 +189,26 @@ class TestPrtOncePerSeed:
         assert prt_ckpt_path(small).read_bytes() == prt_ckpt_path(large).read_bytes()
 
 
+class TestTlOncePerRatio:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_lockstep_call_per_ratio(self, tmp_path, monkeypatch, workers):
+        # each call appends a line to a file, so calls made in forked pool
+        # workers are counted too
+        calls = tmp_path / "tl_calls"
+        real_tl_train = harness.tl_train
+
+        def counting_tl_train(sessions):
+            with open(calls, "a") as fh:
+                fh.write(f"{len(sessions)}\n")
+            return real_tl_train(sessions)
+
+        monkeypatch.setattr(harness, "tl_train", counting_tl_train)
+        cfg = mini_config(tmp_path / "run", ratios=(10, 25, 100), fold_count=3, workers=workers)
+        run_experiment(cfg)
+        # every fold of the ratio, on both routes
+        assert calls.read_text().splitlines() == ["6", "6", "6"]
+
+
 class TestBaselineIsolation:
     def test_tl_only_run_creates_no_prt_artifacts(self, tmp_path):
         cfg = mini_config(tmp_path, methods=("TL",))

@@ -111,6 +111,15 @@ class TestBlobLayout:
         with pytest.raises(ValidationError, match="blob size"):
             load(path)
 
+    @pytest.mark.parametrize("codec", CODECS)
+    def test_non_utf8_header_rejected(self, tmp_path, codec):
+        artifact, save, load, _ = CODECS[codec]
+        path = tmp_path / "artifact"
+        save(artifact, path)
+        path.write_bytes(b"\xff" + path.read_bytes()[1:])
+        with pytest.raises(ValidationError, match=f"{path}: manifest is not UTF-8"):
+            load(path)
+
     def test_negative_dimension_rejected(self):
         # (-2, -3) and (-1, 0) multiply out to sizes a blob could match
         for shape, blob in [((-2, -3), bytes(48)), ((-1, 0), b"")]:

@@ -17,7 +17,7 @@ from pretext_transfer.metrics import (
     render_folds_csv,
     render_report_csv,
     render_report_text,
-    validate_probability_vector,
+    validate_probability_rows,
 )
 
 
@@ -32,50 +32,89 @@ def oracle_metrics(tp, tn, fp, fn):
     return sen, spe, ppv, f1, acc
 
 
+def oracle_fuse(rho_row, q_row):
+    """Fusion of one row in plain Python: coordinate means, first maximum wins."""
+    fused = [(a + b) / 2.0 for a, b in zip(rho_row, q_row)]
+    return fused.index(max(fused)), fused
+
+
 class TestFusePredict:
     def test_identical_vectors(self):
-        label, fused = fuse_predict([0.7, 0.3], [0.7, 0.3])
-        assert label == 0
-        assert np.allclose(fused, [0.7, 0.3])
+        labels, fused = fuse_predict([[0.7, 0.3], [0.1, 0.9]], [[0.7, 0.3], [0.1, 0.9]])
+        assert labels.tolist() == [0, 1]
+        assert np.allclose(fused, [[0.7, 0.3], [0.1, 0.9]])
 
     def test_hand_computed_mean(self):
-        label, fused = fuse_predict([0.7, 0.3], [0.2, 0.8])
-        assert np.allclose(fused, [0.45, 0.55], atol=1e-12)
-        assert label == 1
+        labels, fused = fuse_predict([[0.7, 0.3], [0.6, 0.4]], [[0.2, 0.8], [0.6, 0.4]])
+        assert np.allclose(fused, [[0.45, 0.55], [0.6, 0.4]], atol=1e-12)
+        assert labels.tolist() == [1, 0]
 
     def test_tie_breaks_to_lowest_index(self):
-        label, fused = fuse_predict([0.5, 0.5], [0.5, 0.5])
-        assert label == 0
+        labels, fused = fuse_predict([[0.5, 0.5]], [[0.5, 0.5]])
+        assert labels.tolist() == [0]
         assert fused.sum() == pytest.approx(1.0, abs=1e-9)
+        labels, _ = fuse_predict([[0.2, 0.4, 0.4]], [[0.2, 0.4, 0.4]])
+        assert labels.tolist() == [1]
 
     def test_symmetry(self):
         rng = np.random.default_rng(0)
-        for _ in range(25):
-            rho = rng.dirichlet(np.ones(4))
-            q = rng.dirichlet(np.ones(4))
-            label_a, fused_a = fuse_predict(rho, q)
-            label_b, fused_b = fuse_predict(q, rho)
-            assert label_a == label_b
-            assert np.array_equal(fused_a, fused_b)
+        rho = rng.dirichlet(np.ones(4), size=25)
+        q = rng.dirichlet(np.ones(4), size=25)
+        labels_a, fused_a = fuse_predict(rho, q)
+        labels_b, fused_b = fuse_predict(q, rho)
+        assert np.array_equal(labels_a, labels_b)
+        assert np.array_equal(fused_a, fused_b)
 
     def test_argmax_dominance(self):
         rng = np.random.default_rng(1)
-        for _ in range(50):
-            rho = rng.dirichlet(np.ones(3))
-            q = rng.dirichlet(np.ones(3))
-            if rho.argmax() == q.argmax():
-                label, _ = fuse_predict(rho, q)
-                assert label == rho.argmax()
+        rho = rng.dirichlet(np.ones(3), size=50)
+        q = rng.dirichlet(np.ones(3), size=50)
+        labels, _ = fuse_predict(rho, q)
+        agree = rho.argmax(axis=1) == q.argmax(axis=1)
+        assert agree.any()
+        assert np.array_equal(labels[agree], rho.argmax(axis=1)[agree])
+
+    def test_matches_row_by_row_oracle(self):
+        rng = np.random.default_rng(2)
+        rho = rng.dirichlet(np.ones(3), size=40)
+        q = rng.dirichlet(np.ones(3), size=40)
+        rho[:5] = q[:5][:, ::-1]  # exact ties between two classes
+        labels, fused = fuse_predict(rho, q)
+        for i in range(40):
+            label, row = oracle_fuse(rho[i].tolist(), q[i].tolist())
+            assert labels[i] == label
+            assert fused[i].tolist() == row
 
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):
-            fuse_predict([0.5, 0.5], [0.3, 0.3, 0.4])
+            fuse_predict([[0.5, 0.5]], [[0.3, 0.3, 0.4]])
+        with pytest.raises(ShapeError):
+            fuse_predict([[0.5, 0.5], [0.5, 0.5]], [[0.5, 0.5]])
+        with pytest.raises(ShapeError):
+            fuse_predict([0.5, 0.5], [0.5, 0.5])
 
     def test_rejects_non_probability_vectors(self):
         with pytest.raises(ValidationError):
-            fuse_predict([0.9, 0.3], [0.5, 0.5])
+            fuse_predict([[0.9, 0.3]], [[0.5, 0.5]])
         with pytest.raises(ValidationError):
-            validate_probability_vector([1.2, -0.2])
+            validate_probability_rows([[1.2, -0.2]])
+        with pytest.raises(ShapeError):
+            validate_probability_rows(np.zeros((0, 2)))
+
+    @pytest.mark.parametrize("bad_row, message", [
+        ([np.nan, 0.5], "non-finite"),
+        ([np.inf, 0.0], "non-finite"),
+        ([1.5, -0.5], "outside"),
+        ([0.7, 0.7], "sum to 1"),
+    ])
+    @pytest.mark.parametrize("operand", ["rho", "q"])
+    def test_one_bad_row_in_a_batch_is_rejected(self, bad_row, message, operand):
+        rows = np.full((6, 2), 0.5)
+        rows[4] = bad_row
+        good = np.full((6, 2), 0.5)
+        args = (rows, good) if operand == "rho" else (good, rows)
+        with pytest.raises(ValidationError, match=f"{operand} row 4 .*{message}"):
+            fuse_predict(*args)
 
 
 class TestConfusionCounts:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from pretext_transfer.network import (
     Layer,
     LayerSpec,
     NetworkState,
+    Session,
     TrainConfig,
     accuracy,
     forward,
@@ -41,6 +43,12 @@ TWO_HIDDEN_SPECS = [
     LayerSpec(5, 4, "relu", CLASSIFICATION),
     LayerSpec(4, 3, "identity", CLASSIFICATION),
 ]
+
+
+def train_one(state, x, y, cfg):
+    """train() of a single session."""
+    [result] = train([Session(state, x, y, cfg)])
+    return result
 
 
 def small_state(seed=0, specs=None):
@@ -294,21 +302,21 @@ class TestTrain:
         ]
         x, y = self.separable_data()
         cfg = TrainConfig(epochs=15, batch_size=16, base_lr=0.05, momentum=0.9, seed=1)
-        state, history = train(init_network(specs, seed=1), x, y, cfg)
+        state, history = train_one(init_network(specs, seed=1), x, y, cfg)
         assert history[-1].mean_loss < history[0].mean_loss
         assert accuracy(state, x, y) > 0.9
 
     def test_training_is_deterministic(self):
         x, y = self.separable_data(20)
         cfg = TrainConfig(epochs=3, batch_size=8, base_lr=0.01, momentum=0.9, seed=5)
-        first, _ = train(small_state(seed=5), x, y, cfg)
-        second, _ = train(small_state(seed=5), x, y, cfg)
+        first, _ = train_one(small_state(seed=5), x, y, cfg)
+        second, _ = train_one(small_state(seed=5), x, y, cfg)
         assert state_bytes(first) == state_bytes(second)
 
     def test_partial_last_batch_used(self):
         x, y = self.separable_data(11)  # 22 samples, batch 16 -> partial batch of 6
         cfg = TrainConfig(epochs=1, batch_size=16, base_lr=0.01, seed=0)
-        state, history = train(small_state(seed=0), x, y, cfg)
+        state, history = train_one(small_state(seed=0), x, y, cfg)
         assert len(history) == 1
         assert state_bytes(state) != state_bytes(small_state(seed=0))
 
@@ -317,7 +325,7 @@ class TestTrain:
         x, y = self.separable_data(10)
         cfg = TrainConfig(epochs=50, batch_size=4, base_lr=1e6, momentum=0.9, seed=0)
         with pytest.raises(TrainingDiverged):
-            train(small_state(seed=0), x, y, cfg)
+            train_one(small_state(seed=0), x, y, cfg)
 
 
 def step_by_step_train(state, x, y, cfg):
@@ -361,7 +369,7 @@ class TestTrainMatchesStepByStep:
         x, y = three_class_data(n)
         cfg = TrainConfig(epochs=4, batch_size=8, base_lr=0.05, momentum=0.9, seed=6, **overrides)
         state = init_network(specs, seed=2)
-        trained, history = train(state, x, y, cfg)
+        trained, history = train_one(state, x, y, cfg)
         expected, mean_losses = step_by_step_train(state, x, y, cfg)
         assert state_bytes(trained) == state_bytes(expected)
         assert [s.mean_loss for s in history] == mean_losses
@@ -369,6 +377,132 @@ class TestTrainMatchesStepByStep:
             assert state_bytes(trained) == state_bytes(state)
         else:
             assert state_bytes(trained) != state_bytes(state)
+
+
+def reference_train(state, x, y, cfg):
+    """One session trained alone with 2-d arithmetic, batch by batch: the
+    single-session loop that train() generalises, kept as the reference for
+    its results."""
+    layers = [(l.weights.copy(), l.bias.copy(), l.activation, l.group) for l in state.layers]
+    velocity = [(np.zeros_like(w), np.zeros_like(b)) for w, b, _, _ in layers]
+    rates = {REPRESENTATION: cfg.base_lr, CLASSIFICATION: cfg.base_lr * cfg.classifier_lr_multiplier}
+    rng = np.random.default_rng(cfg.seed)
+    mean_losses = []
+    for _ in range(cfg.epochs):
+        order = rng.permutation(len(y))
+        x_epoch, y_epoch = x[order], y[order]
+        total = 0.0
+        for start in range(0, len(y), cfg.batch_size):
+            xb, yb = x_epoch[start:start + cfg.batch_size], y_epoch[start:start + cfg.batch_size]
+            outputs = [xb]
+            for w, b, activation, _ in layers:
+                out = outputs[-1] @ w.T
+                out += b
+                if activation == "relu":
+                    np.maximum(out, 0.0, out=out)
+                outputs.append(out)
+            z = outputs[-1]
+            z_max = z.max(axis=1, keepdims=True)
+            delta = np.exp(z - z_max)
+            row_total = delta.sum(axis=1)
+            rows = np.arange(len(yb))
+            loss = float(np.mean(np.log(row_total) + z_max[:, 0] - z[rows, yb]))
+            delta /= row_total[:, None]
+            delta[rows, yb] -= 1.0
+            delta /= len(yb)
+            for k in reversed(range(len(layers))):
+                w, b, _, group = layers[k]
+                grad_w, grad_b = delta.T @ outputs[k], np.sum(delta, axis=0)
+                if k:
+                    delta = delta @ w
+                    if layers[k - 1][2] == "relu":
+                        delta *= outputs[k] > 0.0
+                if group in cfg.frozen_groups:
+                    continue
+                for param, vel, grad in zip((w, b), velocity[k], (grad_w, grad_b)):
+                    grad *= rates[group]
+                    vel *= cfg.momentum
+                    vel -= grad
+                    param += vel
+            total += loss * len(yb)
+        mean_losses.append(total / len(y))
+    trained = NetworkState([Layer(w, b, a, g) for w, b, a, g in layers], state.label_count, state.seed)
+    return trained, mean_losses
+
+
+class TestTrainMatchesReference:
+    @pytest.mark.parametrize("case", list(ORACLE_CASES))
+    def test_single_session_bit_identical_to_reference(self, case):
+        specs, n, overrides = ORACLE_CASES[case]
+        x, y = three_class_data(n)
+        cfg = TrainConfig(epochs=4, batch_size=8, base_lr=0.05, momentum=0.9, seed=6, **overrides)
+        state = init_network(specs, seed=2)
+        trained, history = train_one(state, x, y, cfg)
+        expected, mean_losses = reference_train(state, x, y, cfg)
+        assert state_bytes(trained) == state_bytes(expected)
+        assert [s.mean_loss for s in history] == mean_losses
+
+
+# (rows of each session, batch size)
+LOCKSTEP_CASES = {
+    "ragged-last-batches": ([29, 22, 27, 19, 24], 8),
+    "batch-counts-differ": ([32, 33], 16),
+    "one-row-batches": ([17, 1, 16, 33], 16),
+}
+STAGE_RULES = {
+    "tl": dict(classifier_lr_multiplier=10.0),
+    "prt": dict(frozen_groups=frozenset({CLASSIFICATION})),
+}
+
+
+def lockstep_sessions(sizes, batch_size, rule, specs=THREE_LAYER_SPECS):
+    sessions = []
+    for i, n in enumerate(sizes):
+        x, y = three_class_data(n, seed=10 + i)
+        cfg = TrainConfig(epochs=3, batch_size=batch_size, base_lr=0.05, momentum=0.9, seed=20 + i,
+                          **STAGE_RULES[rule])
+        sessions.append(Session(init_network(specs, seed=i), x, y, cfg))
+    return sessions
+
+
+class TestLockstepTrain:
+    @pytest.mark.parametrize("rule", list(STAGE_RULES))
+    @pytest.mark.parametrize("case", list(LOCKSTEP_CASES))
+    def test_each_session_matches_training_alone(self, case, rule):
+        sessions = lockstep_sessions(*LOCKSTEP_CASES[case], rule)
+        results = train(sessions)
+        assert len(results) == len(sessions)
+        for session, (trained, history) in zip(sessions, results):
+            alone, alone_history = train_one(session.state, session.features, session.labels, session.config)
+            expected, mean_losses = reference_train(session.state, session.features, session.labels, session.config)
+            oracle, oracle_losses = step_by_step_train(session.state, session.features, session.labels, session.config)
+            assert state_bytes(trained) == state_bytes(alone) == state_bytes(expected) == state_bytes(oracle)
+            losses = [s.mean_loss for s in history]
+            assert losses == [s.mean_loss for s in alone_history] == mean_losses == oracle_losses
+            assert trained.seed == session.state.seed
+
+    def test_two_hidden_layers(self):
+        sessions = lockstep_sessions([21, 16, 9], 8, "tl", specs=TWO_HIDDEN_SPECS)
+        for session, (trained, _) in zip(sessions, train(sessions)):
+            expected, _ = reference_train(session.state, session.features, session.labels, session.config)
+            assert state_bytes(trained) == state_bytes(expected)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_one_diverging_session_raises(self):
+        healthy, diverging = lockstep_sessions([24, 24], 8, "tl")
+        diverging = replace(diverging, features=diverging.features * 1e300)
+        with pytest.raises(TrainingDiverged, match="session 1"):
+            train([healthy, diverging])
+
+    def test_sessions_share_specs_and_hyperparameters(self):
+        first, second = lockstep_sessions([16, 16], 8, "tl")
+        train([first, second])  # seeds, data and starting parameters may differ
+        with pytest.raises(ConfigError):
+            train([first, replace(second, config=replace(second.config, epochs=2))])
+        with pytest.raises(ConfigError):
+            train([first, replace(second, state=init_network(TWO_HIDDEN_SPECS, seed=0))])
+        with pytest.raises(ConfigError):
+            train([])
 
 
 class TestTrainLeavesInputAlone:
@@ -381,22 +515,22 @@ class TestTrainLeavesInputAlone:
 
     def test_input_arrays_unchanged(self):
         before = state_bytes(self.state)
-        train(self.state, self.x, self.y, self.cfg)
+        train_one(self.state, self.x, self.y, self.cfg)
         assert state_bytes(self.state) == before
 
     def test_frozen_layers_bit_identical_to_input(self):
-        trained, _ = train(self.state, self.x, self.y, self.cfg)
+        trained, _ = train_one(self.state, self.x, self.y, self.cfg)
         for old, new in zip(self.state.layers, trained.layers):
             same = old.weights.tobytes() + old.bias.tobytes() == new.weights.tobytes() + new.bias.tobytes()
             assert same == (old.group == CLASSIFICATION)
 
     def test_mutating_result_does_not_leak_into_next_call(self):
-        first, _ = train(self.state, self.x, self.y, self.cfg)
+        first, _ = train_one(self.state, self.x, self.y, self.cfg)
         first_bytes = state_bytes(first)
         for layer in first.layers:
             layer.weights[...] = 7.0
             layer.bias[...] = -7.0
-        second, _ = train(self.state, self.x, self.y, self.cfg)
+        second, _ = train_one(self.state, self.x, self.y, self.cfg)
         assert state_bytes(second) == first_bytes
 
 
@@ -442,7 +576,7 @@ class TestCheckpoint:
         x = np.random.default_rng(2).normal(size=(6, 4))
         y = np.random.default_rng(3).integers(0, 3, 6)
         cfg = TrainConfig(epochs=2, batch_size=4, base_lr=0.01, seed=2)
-        state, _ = train(state, x, y, cfg)
+        state, _ = train_one(state, x, y, cfg)
         path = tmp_path / "model.ckpt"
         save_checkpoint(state, path)
         loaded = load_checkpoint(path)

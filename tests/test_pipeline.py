@@ -12,13 +12,14 @@ from pretext_transfer.network import (
     CLASSIFICATION,
     REPRESENTATION,
     LayerSpec,
+    Session,
     TrainConfig,
     forward,
     init_network,
     replace_head,
     train,
 )
-from pretext_transfer.pipeline import TL_HEAD_MULTIPLIER, pretrain_source, prt_train, tl_train
+from pretext_transfer.pipeline import TL_HEAD_MULTIPLIER, TlSession, pretrain_source, prt_train, tl_train
 
 SPECS = [
     LayerSpec(5, 16, "relu", REPRESENTATION),
@@ -57,6 +58,18 @@ def pseudo(source_model, domains):
     return pseudo_set
 
 
+def train_one(state, x, y, cfg):
+    """train() of a single session."""
+    [result] = train([Session(state, x, y, cfg)])
+    return result
+
+
+def tl_one(m1, target_train, cfg, head_seed=None, log_path=None):
+    """tl_train() of a single session."""
+    [model] = tl_train([TlSession(m1, target_train, cfg, head_seed, log_path)])
+    return model
+
+
 def group_bytes(state, group):
     return b"".join(
         l.weights.tobytes() + l.bias.tobytes() for l in state.layers if l.group == group
@@ -79,7 +92,7 @@ class TestStageRules:
         m1 = prt_train(source_model, pseudo, given)
         assert group_bytes(m1, CLASSIFICATION) == group_bytes(source_model, CLASSIFICATION)
         assert group_bytes(m1, REPRESENTATION) != group_bytes(source_model, REPRESENTATION)
-        expected, _ = train(
+        expected, _ = train_one(
             source_model, pseudo.features, pseudo.labels,
             TrainConfig(epochs=2, seed=3, frozen_groups=frozenset({CLASSIFICATION})),
         )
@@ -87,13 +100,13 @@ class TestStageRules:
 
     def test_tl_requires_ten_times_head_lr_and_no_freezing(self, source_model, domains):
         _, _, target = domains
-        m2 = tl_train(source_model, target, TrainConfig(epochs=2, seed=4, **MISCONFIGURED), head_seed=11)
+        m2 = tl_one(source_model, target, TrainConfig(epochs=2, seed=4, **MISCONFIGURED), head_seed=11)
         start = replace_head(source_model, 2, 11)
-        expected, _ = train(
+        expected, _ = train_one(
             start, target.features, target.labels,
             TrainConfig(epochs=2, seed=4, classifier_lr_multiplier=10.0),
         )
-        plain, _ = train(start, target.features, target.labels, TrainConfig(epochs=2, seed=4))
+        plain, _ = train_one(start, target.features, target.labels, TrainConfig(epochs=2, seed=4))
         assert TL_HEAD_MULTIPLIER == 10.0
         assert state_bytes(m2) == state_bytes(expected)
         assert group_bytes(m2, CLASSIFICATION) != group_bytes(plain, CLASSIFICATION)
@@ -101,7 +114,7 @@ class TestStageRules:
     def test_source_is_plain(self, domains):
         source, _, _ = domains
         model = pretrain_source(SPECS, source, TrainConfig(epochs=2, base_lr=1e-2, seed=5, **MISCONFIGURED))
-        expected, _ = train(
+        expected, _ = train_one(
             init_network(SPECS, 5), source.features, source.labels,
             TrainConfig(epochs=2, base_lr=1e-2, seed=5),
         )
@@ -162,7 +175,7 @@ class TestPrtTrain:
 
     def test_loss_decreases_on_pseudo_task(self, source_model, pseudo):
         cfg = TrainConfig(epochs=15, frozen_groups=frozenset({CLASSIFICATION}))
-        _, history = train(source_model, pseudo.features, pseudo.labels, cfg)
+        _, history = train_one(source_model, pseudo.features, pseudo.labels, cfg)
         assert history[-1].mean_loss < history[0].mean_loss
 
     def test_cluster_count_mismatch_is_config_error(self, source_model, pseudo):
@@ -185,7 +198,7 @@ class TestTlTrain:
     def test_head_replaced_to_two_classes(self, source_model, domains):
         _, _, target = domains
         cfg = TrainConfig(epochs=2, seed=4)
-        m2 = tl_train(source_model, target, cfg)
+        m2 = tl_one(source_model, target, cfg)
         assert m2.label_count == 2
         assert forward(m2, target.features).shape == (len(target), 2)
 
@@ -197,7 +210,7 @@ class TestTlTrain:
         log = tmp_path / "tl.log"
         cfg = TrainConfig(epochs=1)
         with caplog.at_level("WARNING"):
-            tl_train(source_model, only_negative, cfg, log_path=log)
+            tl_one(source_model, only_negative, cfg, log_path=log)
         assert "no training samples" in caplog.text
         assert log.read_text().splitlines()[0].startswith("warning: class 1")
 
@@ -222,7 +235,7 @@ class TestTlTrain:
     def test_representation_moves_less_than_classifier(self, source_model, domains):
         _, _, target = domains
         cfg = TrainConfig(epochs=7, seed=6)
-        m2 = tl_train(source_model, target, cfg, head_seed=11)
+        m2 = tl_one(source_model, target, cfg, head_seed=11)
         start = replace_head(source_model, 2, init_seed=11)
         per_group = {}
         for group in (REPRESENTATION, CLASSIFICATION):
@@ -249,13 +262,43 @@ class TestTlTrain:
         monkeypatch.setattr(pipeline, "_group_displacement", recording)
         cfg = TrainConfig(epochs=1, seed=4)
         with caplog.at_level("INFO", logger=pipeline.logger.name):
-            tl_train(source_model, target, cfg)
+            tl_one(source_model, target, cfg)
         assert calls == []
         assert "displacement" not in caplog.text
         with caplog.at_level("DEBUG", logger=pipeline.logger.name):
-            tl_train(source_model, target, cfg)
+            tl_one(source_model, target, cfg)
         assert calls == [1]
         assert "tl stage mean per-parameter displacement" in caplog.text
+
+    def test_lockstep_sessions_match_sessions_alone(self, source_model, pseudo, domains, tmp_path, caplog):
+        # each session keeps its own start, data, seeds, warnings and log
+        _, _, target = domains
+        m1 = prt_train(source_model, pseudo, TrainConfig(epochs=1, seed=2))
+        negatives = target.labels == 0
+        only_negative = LabeledSet(target.features[negatives], target.labels[negatives], 2)
+        every_third = LabeledSet(target.features[::3], target.labels[::3], 2)
+        sessions = [
+            TlSession(source_model, target, TrainConfig(epochs=2, seed=4), head_seed=11, log_path=tmp_path / "a.log"),
+            TlSession(m1, only_negative, TrainConfig(epochs=2, seed=5), log_path=tmp_path / "b.log"),
+            TlSession(m1, every_third, TrainConfig(epochs=2, seed=6), head_seed=3, log_path=tmp_path / "c.log"),
+        ]
+        with caplog.at_level("WARNING"):
+            models = tl_train(sessions)
+        assert caplog.text.count("no training samples") == 1
+        assert (tmp_path / "b.log").read_text().startswith("warning: class 1")
+        for i, (session, model) in enumerate(zip(sessions, models)):
+            alone_log = tmp_path / f"alone{i}.log"
+            alone = tl_one(session.m1, session.target_train, session.cfg, session.head_seed, alone_log)
+            assert state_bytes(model) == state_bytes(alone)
+            lockstep_lines = session.log_path.read_text().splitlines()
+            alone_lines = alone_log.read_text().splitlines()
+            assert [line.split()[:2] for line in lockstep_lines] == [line.split()[:2] for line in alone_lines]
+
+    def test_lockstep_sessions_share_hyperparameters(self, source_model, domains):
+        _, _, target = domains
+        with pytest.raises(ConfigError):
+            tl_train([TlSession(source_model, target, TrainConfig(epochs=1)),
+                      TlSession(source_model, target, TrainConfig(epochs=2))])
 
     def test_empty_training_set_rejected(self, source_model):
         with pytest.raises(Exception):
@@ -275,5 +318,5 @@ class TestTlTrain:
             )
             _, pseudo_set = pseudo_label(base, generate_domains(SYNTH)[1].features, k=4, seed=0)
             m1 = prt_train(base, pseudo_set, TrainConfig(epochs=1))
-            m2 = tl_train(m1, target, TrainConfig(epochs=1))
+            m2 = tl_one(m1, target, TrainConfig(epochs=1))
             assert m2.label_count == 2
