@@ -32,9 +32,11 @@ class LabeledSet:
             raise ValidationError("features must be a non-empty 2-d matrix")
         if self.labels.shape != (self.features.shape[0],):
             raise ValidationError("labels must align with features")
+        if not np.issubdtype(self.labels.dtype, np.integer):
+            raise ValidationError("labels must be integers")
         if self.class_count < 1:
             raise ValidationError("class_count must be positive")
-        if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= self.class_count):
+        if self.labels.min() < 0 or self.labels.max() >= self.class_count:
             raise ValidationError(f"labels must lie in [0, {self.class_count})")
 
     def __len__(self) -> int:

@@ -4,10 +4,11 @@ Layers carry a group tag so the earlier "representation" part and the deeper
 "classification" part of the model can be trained, frozen and swapped
 independently. States are value objects: the public functions return new
 NetworkState and Gradients objects and leave their arguments unchanged.
-`train` runs several sessions of one architecture in lockstep: it copies their
-parameters into one private [sessions, parameters] buffer, runs each layer as
-one stacked matmul over the sessions, updates the buffer in place batch after
-batch, and never changes the caller's arrays.
+`train` runs several sessions of one architecture in lockstep: it orders them
+by row count, largest first, copies their parameters into one private
+[sessions, parameters] buffer, and at every step trains each run of adjacent
+sessions that share a batch size on a slice of that buffer: one stacked matmul
+per layer, updated in place. It never changes the caller's arrays.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .data import LabeledSet
 from .errors import ConfigError, ShapeError, TrainingDiverged, ValidationError
 from .manifest import manifest_value, manifest_values, read_artifact, unpack_blob, write_artifact
 
@@ -159,36 +161,13 @@ def apply_layer(layer: Layer, x: np.ndarray) -> np.ndarray:
     return z
 
 
-def logits(state: NetworkState, inputs) -> np.ndarray:
-    x = as_batch(state, inputs)
-    out = x
-    for layer in state.layers:
-        out = apply_layer(layer, out)
-    return out
-
-
-def _softmax(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def forward(state: NetworkState, inputs) -> np.ndarray:
     """Class probabilities, one row per sample, rows summing to 1."""
-    return _softmax(logits(state, inputs))
-
-
-def _check_labels(labels, label_count: int, n: int) -> np.ndarray:
-    y = np.asarray(labels)
-    if y.ndim != 1 or y.shape[0] != n:
-        raise ShapeError(f"labels must be a vector of length {n}")
-    if not np.issubdtype(y.dtype, np.integer):
-        raise ValidationError("labels must be integers")
-    if n == 0:
-        raise ValidationError("need at least one sample")
-    if y.min() < 0 or y.max() >= label_count:
-        raise ValidationError(f"labels must lie in [0, {label_count})")
-    return y.astype(np.int64)
+    z = as_batch(state, inputs)
+    for layer in state.layers:
+        z = apply_layer(layer, z)
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
 
 
 def _flat_views(buffer: np.ndarray, specs: list[LayerSpec]) -> tuple[list, list]:
@@ -259,7 +238,7 @@ def loss_and_grad(state: NetworkState, inputs, labels) -> tuple[float, Gradients
     update time.
     """
     x = as_batch(state, inputs)
-    y = _check_labels(labels, state.label_count, x.shape[0])
+    y = LabeledSet(x, labels, state.label_count).labels
     grads = Gradients(
         [np.empty(layer.weights.shape) for layer in state.layers],
         [np.empty(layer.bias.shape) for layer in state.layers],
@@ -390,35 +369,37 @@ class Session:
     config: TrainConfig
 
 
-def _step_groups(sizes: list[int], batch_size: int) -> list[tuple[int, list]]:
-    """The batches of one epoch, step by step: (first row, [(batch size, session
-    indices)]), with None for "every session". A session with fewer rows sits
-    out the steps past its last batch."""
+def _step_groups(sizes: list[int], batch_size: int) -> list[tuple[int, list[tuple[int, slice]]]]:
+    """The batches of one epoch, step by step: (first row, [(batch size,
+    sessions)]). The sizes come largest first, so the sessions that share a
+    batch size at a step are adjacent and each group is a slice. A session
+    with fewer rows sits out the steps past its last batch."""
     steps = []
-    for start in range(0, max(sizes), batch_size):
-        groups: dict[int, list[int]] = {}
-        for i, n in enumerate(sizes):
-            if n > start:
-                groups.setdefault(min(n - start, batch_size), []).append(i)
-        steps.append((start, [
-            (size, None if len(members) == len(sizes) else np.array(members))
-            for size, members in sorted(groups.items())
-        ]))
+    for start in range(0, sizes[0], batch_size):
+        batches = [min(n - start, batch_size) for n in sizes if n > start]
+        groups, first = [], 0
+        for size, members in itertools.groupby(batches):
+            end = first + len(list(members))
+            groups.append((size, slice(first, end)))
+            first = end
+        steps.append((start, groups))
     return steps
 
 
 def train(sessions: Sequence[Session]) -> list[tuple[NetworkState, list[EpochStats]]]:
     """Epoch loop over sessions in lockstep: per-session seeded shuffling,
-    mini-batches, last partial batch kept; one (state, history) per session.
+    mini-batches, last partial batch kept; one (state, history) per session,
+    in the caller's order.
 
     The sessions must share their layer specs and every config field but the
     seed. Inputs are validated once. Training runs on a private [sessions,
     parameters] copy, so the callers' states are never modified; frozen layers
     get no weight gradients and their parameters come back bit-identical. The
-    sessions that have a batch of the same size at a step take that step
-    together; a session with fewer batches sits out the extra steps, its
-    velocity untouched. Each session's result is bit-identical to training it
-    alone.
+    copy holds the sessions largest first (a stable sort by row count), so at
+    every step the sessions with a batch of the same size are a slice of it
+    and take that step together; a session with fewer batches sits out the
+    extra steps, its velocity untouched. Each session's result is
+    bit-identical to training it alone.
     """
     sessions = list(sessions)
     if not sessions:
@@ -432,7 +413,9 @@ def train(sessions: Sequence[Session]) -> list[tuple[NetworkState, list[EpochSta
         if replace(session.config, seed=config.seed) != config:
             raise ConfigError("lockstep sessions may differ only in their seed")
     xs = [as_batch(session.state, session.features) for session in sessions]
-    ys = [_check_labels(session.labels, label_count, x.shape[0]) for session, x in zip(sessions, xs)]
+    ys = [LabeledSet(x, session.labels, label_count).labels for session, x in zip(sessions, xs)]
+    order = sorted(range(len(sessions)), key=lambda i: xs[i].shape[0], reverse=True)
+    sessions, xs, ys = ([seq[i] for i in order] for seq in (sessions, xs, ys))
     sizes = [x.shape[0] for x in xs]
     lr, trainable = _step_layout(specs, config)
     params = np.stack([
@@ -441,70 +424,58 @@ def train(sessions: Sequence[Session]) -> list[tuple[NetworkState, list[EpochSta
     ])
     grads = np.zeros_like(params)
     velocity = np.zeros_like(params)
-    views = (*_flat_views(params, specs), *_flat_views(grads, specs))
     activations = [spec.activation for spec in specs]
     needs_grad = [spec.group not in config.frozen_groups for spec in specs]
-    params_t, velocity_t, grads_t, lr_t = (a[..., trainable] for a in (params, velocity, grads, lr))
+    lr_t = lr[trainable]
+    views = {}
 
-    def step(epoch, members, x, y) -> np.ndarray:
-        """One batch for every session in members (None: all of them); returns their losses."""
-        if members is None:
-            weights, biases, grad_w, grad_b = views
-            part_p, part_v, part_g = params_t, velocity_t, grads_t
-        else:
-            part, part_velocity, part_grads = params[members], velocity[members], grads[:members.size]
-            weights, biases = _flat_views(part, specs)
-            grad_w, grad_b = _flat_views(part_grads, specs)
-            part_p, part_v, part_g = (a[:, trainable] for a in (part, part_velocity, part_grads))
+    def step(epoch, members: slice, x, y) -> np.ndarray:
+        """One batch for the sessions in members; returns their losses."""
+        key = (members.start, members.stop)
+        if key not in views:
+            part, part_grads = params[members], grads[members]
+            views[key] = (*_flat_views(part, specs), *_flat_views(part_grads, specs),
+                          part[:, trainable], velocity[members, trainable], part_grads[:, trainable])
+        weights, biases, grad_w, grad_b, part_p, part_v, part_g = views[key]
         losses = _backprop(weights, biases, activations, x, y, grad_w, grad_b, needs_grad)
         if not np.isfinite(losses).all():
             bad = int(np.flatnonzero(~np.isfinite(losses))[0])
-            failed = bad if members is None else members[bad]
-            raise TrainingDiverged(f"training diverged at epoch {epoch} in session {failed} (loss={losses[bad]})")
+            raise TrainingDiverged(
+                f"training diverged at epoch {epoch} in session {order[members.start + bad]} (loss={losses[bad]})"
+            )
         _velocity_step(part_v, part_g, lr_t, config.momentum)
         _apply_step(part_p, part_v)
-        if members is not None:
-            params[members], velocity[members] = part, part_velocity
         return losses
 
     schedule = _step_groups(sizes, config.batch_size)
-    width = schedule[-1][0] + config.batch_size
-    x_epoch = np.zeros((len(sessions), width, xs[0].shape[1]))
-    y_epoch = np.zeros((len(sessions), width), dtype=np.int64)
+    x_epoch = np.zeros((len(sessions), sizes[0], xs[0].shape[1]))
+    y_epoch = np.zeros((len(sessions), sizes[0]), dtype=np.int64)
     rngs = [np.random.default_rng(session.config.seed) for session in sessions]
     histories = [[] for _ in sessions]
     for epoch in range(config.epochs):
         start_time = time.perf_counter()
         for i, (rng, x, y) in enumerate(zip(rngs, xs, ys)):
-            order = rng.permutation(y.shape[0])
-            x_epoch[i, :y.shape[0]] = x[order]
-            y_epoch[i, :y.shape[0]] = y[order]
+            shuffle = rng.permutation(y.shape[0])
+            x_epoch[i, :y.shape[0]] = x[shuffle]
+            y_epoch[i, :y.shape[0]] = y[shuffle]
         totals = np.zeros(len(sessions))
         for start, groups in schedule:
             for size, members in groups:
                 rows = slice(start, start + size)
-                if members is None:
-                    totals += step(epoch, None, x_epoch[:, rows], y_epoch[:, rows]) * size
-                else:
-                    totals[members] += step(epoch, members, x_epoch[members, rows], y_epoch[members, rows]) * size
+                totals[members] += step(epoch, members, x_epoch[members, rows], y_epoch[members, rows]) * size
         elapsed_ms = (time.perf_counter() - start_time) * 1e3
         for history, total, n in zip(histories, totals, sizes):
             history.append(EpochStats(epoch, float(total / n), elapsed_ms))
-    results = []
-    for session, row, history in zip(sessions, params, histories):
+    results = [None] * len(sessions)
+    for i, session, row, history in zip(order, sessions, params, histories):
         weights, biases = _flat_views(row, specs)
         layers = [Layer(w, b, spec.activation, spec.group) for w, b, spec in zip(weights, biases, specs)]
-        results.append((NetworkState(layers, label_count, session.state.seed), history))
+        results[i] = (NetworkState(layers, label_count, session.state.seed), history)
     return results
 
 
-def predict(state: NetworkState, inputs) -> np.ndarray:
-    return forward(state, inputs).argmax(axis=1)
-
-
 def accuracy(state: NetworkState, inputs, labels) -> float:
-    y = np.asarray(labels)
-    return float(np.mean(predict(state, inputs) == y))
+    return float(np.mean(forward(state, inputs).argmax(axis=1) == np.asarray(labels)))
 
 
 def save_checkpoint(state: NetworkState, path) -> None:

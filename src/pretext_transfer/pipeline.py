@@ -97,18 +97,6 @@ def prt_train(
     return state
 
 
-def _group_displacement(before: NetworkState, after: NetworkState) -> dict[str, float]:
-    totals: dict[str, list[float]] = {}
-    for old, new in zip(before.layers, after.layers):
-        deltas = totals.setdefault(old.group, [])
-        deltas.append(np.abs(new.weights - old.weights).sum() + np.abs(new.bias - old.bias).sum())
-    sizes = {
-        group: sum(l.weights.size + l.bias.size for l in before.layers if l.group == group)
-        for group in totals
-    }
-    return {group: sum(deltas) / sizes[group] for group, deltas in totals.items()}
-
-
 @dataclass(frozen=True)
 class TlSession:
     """One conventional-transfer session: the model it starts from, its target
@@ -134,8 +122,6 @@ def tl_train(sessions: Sequence[TlSession]) -> list[NetworkState]:
     for session in sessions:
         cfg = replace(session.cfg, frozen_groups=frozenset(), classifier_lr_multiplier=TL_HEAD_MULTIPLIER)
         target_train = session.target_train
-        if len(target_train) < 1:
-            raise ValidationError("target training set is empty")
         empty = np.flatnonzero(np.bincount(target_train.labels, minlength=target_train.class_count) == 0)
         for c in empty:
             logger.warning("tl stage: class %d has no training samples", c)
@@ -144,8 +130,6 @@ def tl_train(sessions: Sequence[TlSession]) -> list[NetworkState]:
         start = replace_head(session.m1, target_train.class_count, head_seed)
         runs.append(Session(start, target_train.features, target_train.labels, cfg))
     results = _train_stage("tl", runs)
-    for session, run, (state, history), notes in zip(sessions, runs, results, warnings):
-        if logger.isEnabledFor(logging.DEBUG):
-            logger.debug("tl stage mean per-parameter displacement: %s", _group_displacement(run.state, state))
+    for session, (_, history), notes in zip(sessions, results, warnings):
         write_run_log(session.log_path, history, notes)
     return [state for state, _ in results]

@@ -200,6 +200,14 @@ class TestDatasetFiles:
         assert np.array_equal(loaded.features, unlabeled.features)
 
 
+class TestLabeledSet:
+    def test_non_integer_labels_rejected(self):
+        with pytest.raises(ValidationError, match="labels must be integers"):
+            LabeledSet(np.zeros((4, 2)), np.array([0.0, 1.0, 0.0, 1.0]), 2)
+        with pytest.raises(ValidationError, match="labels must be integers"):
+            LabeledSet(np.zeros((2, 2)), np.array([False, True]), 2)
+
+
 class TestSubset:
     def test_subset_preserves_rows(self):
         _, _, target = generate_domains(SMALL)

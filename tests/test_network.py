@@ -448,6 +448,7 @@ LOCKSTEP_CASES = {
     "ragged-last-batches": ([29, 22, 27, 19, 24], 8),
     "batch-counts-differ": ([32, 33], 16),
     "one-row-batches": ([17, 1, 16, 33], 16),
+    "repeated-sizes-not-adjacent": ([17, 33, 17, 33], 16),
 }
 STAGE_RULES = {
     "tl": dict(classifier_lr_multiplier=10.0),
@@ -488,11 +489,13 @@ class TestLockstepTrain:
             assert state_bytes(trained) == state_bytes(expected)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_one_diverging_session_raises(self):
-        healthy, diverging = lockstep_sessions([24, 24], 8, "tl")
-        diverging = replace(diverging, features=diverging.features * 1e300)
-        with pytest.raises(TrainingDiverged, match="session 1"):
-            train([healthy, diverging])
+    @pytest.mark.parametrize("sizes, bad", [([24, 24], 1), ([16, 24], 0)], ids=["second", "shorter-first"])
+    def test_one_diverging_session_raises(self, sizes, bad):
+        # the error names the session by its place in the caller's list
+        sessions = lockstep_sessions(sizes, 8, "tl")
+        sessions[bad] = replace(sessions[bad], features=sessions[bad].features * 1e300)
+        with pytest.raises(TrainingDiverged, match=f"session {bad}"):
+            train(sessions)
 
     def test_sessions_share_specs_and_hyperparameters(self):
         first, second = lockstep_sessions([16, 16], 8, "tl")

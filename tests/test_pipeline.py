@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-import pretext_transfer.pipeline as pipeline
 from pretext_transfer.clustering import pseudo_label
 from pretext_transfer.data import LabeledSet, SynthConfig, generate_domains
 from pretext_transfer.errors import ConfigError, ValidationError
@@ -249,26 +248,6 @@ class TestTlTrain:
             )
             per_group[group] = sum(deltas) / sizes
         assert per_group[REPRESENTATION] < per_group[CLASSIFICATION]
-
-    def test_displacement_computed_only_for_debug(self, source_model, domains, caplog, monkeypatch):
-        _, _, target = domains
-        calls = []
-        real = pipeline._group_displacement
-
-        def recording(before, after):
-            calls.append(1)
-            return real(before, after)
-
-        monkeypatch.setattr(pipeline, "_group_displacement", recording)
-        cfg = TrainConfig(epochs=1, seed=4)
-        with caplog.at_level("INFO", logger=pipeline.logger.name):
-            tl_one(source_model, target, cfg)
-        assert calls == []
-        assert "displacement" not in caplog.text
-        with caplog.at_level("DEBUG", logger=pipeline.logger.name):
-            tl_one(source_model, target, cfg)
-        assert calls == [1]
-        assert "tl stage mean per-parameter displacement" in caplog.text
 
     def test_lockstep_sessions_match_sessions_alone(self, source_model, pseudo, domains, tmp_path, caplog):
         # each session keeps its own start, data, seeds, warnings and log
