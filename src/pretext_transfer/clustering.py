@@ -19,14 +19,21 @@ _CHUNK = 1024
 
 @dataclass
 class ClusterModel:
-    """Fitted centroids plus the assignment recorded at convergence."""
+    """Fitted centroids plus the assignment recorded at convergence; the last
+    inertia of the history is that of the final assignment."""
 
     centroids: np.ndarray  # [k, p]
-    k: int
     seed: int
-    inertia: float
     inertia_history: list[float]
     labels: np.ndarray  # assignment of the fitted sample set, [m]
+
+    @property
+    def k(self) -> int:
+        return self.centroids.shape[0]
+
+    @property
+    def inertia(self) -> float:
+        return self.inertia_history[-1]
 
 
 def extract_projection(model: NetworkState, samples) -> np.ndarray:
@@ -124,9 +131,8 @@ def kmeans_fit(
         if shift < tol:
             break
     labels, sq_dists = _assign(x, centroids)
-    inertia = float(sq_dists.sum())
-    history.append(inertia)
-    return ClusterModel(centroids, k, seed, inertia, history, labels)
+    history.append(float(sq_dists.sum()))
+    return ClusterModel(centroids, seed, history, labels)
 
 
 def kmeans_assign(model: ClusterModel, features) -> np.ndarray:
@@ -166,13 +172,18 @@ def save_cluster_model(model: ClusterModel, path) -> None:
     write_artifact(path, "clusters", fields, [model.centroids], [model.labels])
 
 
+def _parse_floats(raw: str) -> list[float]:
+    return [float(v) for v in raw.split(",")]
+
+
 def load_cluster_model(path) -> ClusterModel:
+    """The ``inertia`` line is written for readers of the file; the model takes
+    its inertia from the last ``inertia_history`` entry."""
     pairs, blob = read_artifact(path, "clusters")
-    k = int(manifest_value(pairs, "k", path))
-    p = int(manifest_value(pairs, "p", path))
-    m = int(manifest_value(pairs, "m", path))
-    seed = int(manifest_value(pairs, "seed", path))
-    inertia = float(manifest_value(pairs, "inertia", path))
-    history = [float(v) for v in manifest_value(pairs, "inertia_history", path).split(",") if v]
+    k = manifest_value(pairs, "k", path, int)
+    p = manifest_value(pairs, "p", path, int)
+    m = manifest_value(pairs, "m", path, int)
+    seed = manifest_value(pairs, "seed", path, int)
+    history = manifest_value(pairs, "inertia_history", path, _parse_floats)
     (centroids,), (labels,) = unpack_blob(blob, path, [(k, p)], [m])
-    return ClusterModel(centroids, k, seed, inertia, history, labels)
+    return ClusterModel(centroids, seed, history, labels)

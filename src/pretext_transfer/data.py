@@ -62,7 +62,6 @@ class UnlabeledSet:
 class FoldPlan:
     """Per-fold train/test index arrays; test blocks are contiguous per class."""
 
-    fold_count: int
     train_indices: tuple[np.ndarray, ...]
     test_indices: tuple[np.ndarray, ...]
 
@@ -159,7 +158,7 @@ def make_folds(dataset: LabeledSet, fold_count: int) -> FoldPlan:
         test = np.sort(np.concatenate([blocks[k] for blocks in per_class_blocks]))
         test_indices.append(test)
         train_indices.append(np.setdiff1d(all_indices, test, assume_unique=True))
-    return FoldPlan(fold_count, tuple(train_indices), tuple(test_indices))
+    return FoldPlan(tuple(train_indices), tuple(test_indices))
 
 
 def subset(dataset: LabeledSet, indices: np.ndarray) -> LabeledSet:
@@ -195,10 +194,10 @@ def save_dataset(dataset: LabeledSet | UnlabeledSet, path) -> None:
 
 def load_dataset(path) -> LabeledSet | UnlabeledSet:
     pairs, blob = read_artifact(path, "dataset")
-    n = int(manifest_value(pairs, "n", path))
-    d = int(manifest_value(pairs, "d", path))
-    class_count = int(manifest_value(pairs, "class_count", path))
-    labeled = bool(int(manifest_value(pairs, "labeled", path)))
+    n = manifest_value(pairs, "n", path, int)
+    d = manifest_value(pairs, "d", path, int)
+    class_count = manifest_value(pairs, "class_count", path, int)
+    labeled = manifest_value(pairs, "labeled", path, int)
     (features,), labels = unpack_blob(blob, path, [(n, d)], [n] if labeled else [])
     if not labeled:
         return UnlabeledSet(features)

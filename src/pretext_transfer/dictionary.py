@@ -4,7 +4,8 @@ Test features are coded over the whole dictionary with ridge-regularized least
 squares, solved through the push-through identity in the feature dimension;
 per-class reconstruction residuals are mapped to a probability vector with
 inverse-squared-residual normalization, so an exact class reconstruction
-dominates. Classes may contribute unequal column counts.
+dominates. Classes may contribute unequal column counts; the dictionary stores
+only those counts, and each class's column range is derived from them.
 """
 
 from __future__ import annotations
@@ -37,12 +38,15 @@ class CRCConfig:
 
 @dataclass
 class FeatureDictionary:
-    columns: np.ndarray  # [p, N], unit-norm columns
-    class_offsets: list[tuple[int, int, int]]  # (class index, start column, count)
+    """Unit-norm feature columns [p, N] grouped by class in ascending order:
+    class c owns the class_counts[c] columns after those of classes 0..c-1."""
+
+    columns: np.ndarray
+    class_counts: tuple[int, ...]
 
     @property
     def class_count(self) -> int:
-        return len(self.class_offsets)
+        return len(self.class_counts)
 
     @property
     def feature_dim(self) -> int:
@@ -57,16 +61,14 @@ def build_dictionary(m1: NetworkState, train: LabeledSet) -> FeatureDictionary:
     if bad.size:
         raise ValidationError(f"zero-norm projection feature for training sample {bad[0]}")
     columns_blocks = []
-    class_offsets = []
-    start = 0
+    class_counts = []
     for c in range(train.class_count):
         idx = np.flatnonzero(train.labels == c)
         if idx.size == 0:
             raise ValidationError(f"class {c} has no training samples")
         columns_blocks.append((features[idx] / norms[idx, None]).T)
-        class_offsets.append((c, start, int(idx.size)))
-        start += int(idx.size)
-    return FeatureDictionary(np.concatenate(columns_blocks, axis=1), class_offsets)
+        class_counts.append(int(idx.size))
+    return FeatureDictionary(np.concatenate(columns_blocks, axis=1), tuple(class_counts))
 
 
 def class_probabilities(fdict: FeatureDictionary, features, cfg: CRCConfig) -> np.ndarray:
@@ -93,30 +95,29 @@ def class_probabilities(fdict: FeatureDictionary, features, cfg: CRCConfig) -> n
     if np.linalg.norm(gram @ solved - y_unit) > _SOLVE_TOL * max(1.0, np.linalg.norm(y_unit)):
         raise ArithmeticError("push-through solve exceeded the residual tolerance")
     codes = d.T @ solved  # [N, n]
+    bounds = np.cumsum((0, *fdict.class_counts))
     weights = np.empty((y.shape[0], fdict.class_count))
-    for c, start, count in fdict.class_offsets:
-        recon = d[:, start:start + count] @ codes[start:start + count]
+    for c, (start, stop) in enumerate(zip(bounds[:-1], bounds[1:])):
+        recon = d[:, start:stop] @ codes[start:stop]
         weights[:, c] = (np.linalg.norm(y_unit - recon, axis=0) + cfg.epsilon) ** -2
     return weights / weights.sum(axis=1, keepdims=True)
 
 
 def save_dictionary(fdict: FeatureDictionary, path) -> None:
-    offsets = ",".join(f"{c}:{start}:{count}" for c, start, count in fdict.class_offsets)
-    fields: list[tuple[str, object]] = [
-        ("p", fdict.feature_dim),
-        ("columns", fdict.columns.shape[1]),
-        ("class_offsets", offsets),
-    ]
+    fields = [("p", fdict.feature_dim), ("class_counts", ",".join(map(str, fdict.class_counts)))]
     write_artifact(path, "dictionary", fields, [fdict.columns])
+
+
+def _parse_counts(raw: str) -> tuple[int, ...]:
+    counts = tuple(int(part) for part in raw.split(","))
+    if min(counts) < 1:
+        raise ValueError("every class needs at least one column")
+    return counts
 
 
 def load_dictionary(path) -> FeatureDictionary:
     pairs, blob = read_artifact(path, "dictionary")
-    p = int(manifest_value(pairs, "p", path))
-    n = int(manifest_value(pairs, "columns", path))
-    offsets = []
-    for part in manifest_value(pairs, "class_offsets", path).split(","):
-        c, start, count = part.split(":")
-        offsets.append((int(c), int(start), int(count)))
-    (columns,), _ = unpack_blob(blob, path, [(p, n)])
-    return FeatureDictionary(columns, offsets)
+    p = manifest_value(pairs, "p", path, int)
+    counts = manifest_value(pairs, "class_counts", path, _parse_counts)
+    (columns,), _ = unpack_blob(blob, path, [(p, sum(counts))])
+    return FeatureDictionary(columns, counts)

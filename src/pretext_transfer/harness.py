@@ -111,8 +111,8 @@ class ExperimentConfig:
         bad_methods = set(self.methods) - set(METHOD_ORDER)
         if bad_methods:
             raise ConfigError(f"methods must be a subset of {METHOD_ORDER}, got {sorted(bad_methods)}")
-        if self.fold_count < 1:
-            raise ConfigError("fold_count must be >= 1")
+        if self.fold_count < 2:
+            raise ConfigError("fold_count must be >= 2: with one fold every training split is empty")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
         if not self.hidden:
@@ -255,7 +255,10 @@ def run_pretrain(cfg: ExperimentConfig) -> NetworkState:
     return model
 
 
-def run_cluster(cfg: ExperimentConfig) -> ClusterModel:
+def run_cluster(cfg: ExperimentConfig) -> ClusterModel | None:
+    if not _needs_prt_route(cfg):
+        logger.info("cluster stage skipped: no configured method needs it")
+        return
     source_model = load_checkpoint(_require(source_ckpt_path(cfg)))
     unlabeled = load_dataset(_require(data_path(cfg, "unlabeled")))
     model, _ = pseudo_label(
@@ -396,9 +399,8 @@ def run_experiment(cfg: ExperimentConfig) -> MetricsReport:
     """The full grid: generate, pretrain, cluster, PRT, per-cell training, evaluate."""
     run_generate(cfg)
     run_pretrain(cfg)
-    if _needs_prt_route(cfg):
-        run_cluster(cfg)
-        run_prt(cfg)
+    run_cluster(cfg)
+    run_prt(cfg)
     run_tl(cfg)
     run_dict(cfg)
     return run_evaluate(cfg)

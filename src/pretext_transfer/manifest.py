@@ -105,12 +105,18 @@ def unpack_blob(
     return arrays[:len(float_shapes)], arrays[len(float_shapes):]
 
 
-def manifest_value(pairs: list[tuple[str, str]], key: str, path: str | Path) -> str:
-    for k, value in pairs:
-        if k == key:
-            return value
-    raise ValidationError(f"{path}: manifest is missing key '{key}'")
+def manifest_values(pairs: list[tuple[str, str]], key: str, path: str | Path, parse) -> list:
+    """``parse`` of every value of ``key``, in file order; a ValueError from
+    ``parse`` becomes a ValidationError that names the file and the key."""
+    try:
+        return [parse(value) for k, value in pairs if k == key]
+    except ValueError as exc:
+        raise ValidationError(f"{path}: bad value for '{key}': {exc}") from None
 
 
-def manifest_values(pairs: list[tuple[str, str]], key: str) -> list[str]:
-    return [value for k, value in pairs if k == key]
+def manifest_value(pairs: list[tuple[str, str]], key: str, path: str | Path, parse):
+    """``parse`` of the first value of ``key``, which must be present."""
+    values = manifest_values(pairs, key, path, parse)
+    if not values:
+        raise ValidationError(f"{path}: manifest is missing key '{key}'")
+    return values[0]

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import logging
-import time
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
@@ -23,7 +22,7 @@ import numpy as np
 
 from .data import LabeledSet
 from .errors import ConfigError, ShapeError, TrainingDiverged, ValidationError
-from .manifest import manifest_value, manifest_values, read_artifact, unpack_blob, write_artifact
+from .manifest import manifest_values, read_artifact, unpack_blob, write_artifact
 
 logger = logging.getLogger(__name__)
 
@@ -82,12 +81,14 @@ class Layer:
 @dataclass
 class NetworkState:
     layers: list[Layer]
-    label_count: int
-    seed: int = 0
 
     @property
     def input_dim(self) -> int:
         return self.layers[0].weights.shape[1]
+
+    @property
+    def label_count(self) -> int:
+        return self.layers[-1].weights.shape[0]
 
 
 @dataclass
@@ -137,7 +138,7 @@ def init_network(specs: list[LayerSpec], seed: int = 0) -> NetworkState:
         scale = 1.0 / np.sqrt(spec.input_dim)
         weights = rng.normal(0.0, scale, size=(spec.output_dim, spec.input_dim))
         layers.append(Layer(weights, np.zeros(spec.output_dim), spec.activation, spec.group))
-    return NetworkState(layers=layers, label_count=specs[-1].output_dim, seed=seed)
+    return NetworkState(layers)
 
 
 def as_batch(state: NetworkState, inputs) -> np.ndarray:
@@ -327,8 +328,7 @@ def sgd_update(
         else Layer(w, b, layer.activation, layer.group)
         for layer, w, b in zip(state.layers, weights, biases)
     ]
-    new_state = NetworkState(new_layers, state.label_count, state.seed)
-    return new_state, Gradients(*_flat_views(new_velocity, specs))
+    return NetworkState(new_layers), Gradients(*_flat_views(new_velocity, specs))
 
 
 def replace_head(state: NetworkState, new_label_count: int, init_seed: int) -> NetworkState:
@@ -349,14 +349,7 @@ def replace_head(state: NetworkState, new_label_count: int, init_seed: int) -> N
         out_dim = new_label_count if i == last else layer.weights.shape[0]
         weights = rng.normal(0.0, 0.01, size=(out_dim, layer.weights.shape[1]))
         layers.append(Layer(weights, np.zeros(out_dim), layer.activation, layer.group))
-    return NetworkState(layers, new_label_count, state.seed)
-
-
-@dataclass(frozen=True)
-class EpochStats:
-    epoch: int
-    mean_loss: float
-    elapsed_ms: float
+    return NetworkState(layers)
 
 
 @dataclass(frozen=True)
@@ -386,10 +379,10 @@ def _step_groups(sizes: list[int], batch_size: int) -> list[tuple[int, list[tupl
     return steps
 
 
-def train(sessions: Sequence[Session]) -> list[tuple[NetworkState, list[EpochStats]]]:
+def train(sessions: Sequence[Session]) -> list[tuple[NetworkState, list[float]]]:
     """Epoch loop over sessions in lockstep: per-session seeded shuffling,
-    mini-batches, last partial batch kept; one (state, history) per session,
-    in the caller's order.
+    mini-batches, last partial batch kept; one (state, per-epoch mean losses)
+    per session, in the caller's order.
 
     The sessions must share their layer specs and every config field but the
     seed. Inputs are validated once. Training runs on a private [sessions,
@@ -406,14 +399,13 @@ def train(sessions: Sequence[Session]) -> list[tuple[NetworkState, list[EpochSta
         raise ConfigError("train needs at least one session")
     config = sessions[0].config
     specs = layer_specs(sessions[0].state)
-    label_count = sessions[0].state.label_count
     for session in sessions[1:]:
-        if layer_specs(session.state) != specs or session.state.label_count != label_count:
+        if layer_specs(session.state) != specs:
             raise ConfigError("lockstep sessions must share their layer specs")
         if replace(session.config, seed=config.seed) != config:
             raise ConfigError("lockstep sessions may differ only in their seed")
     xs = [as_batch(session.state, session.features) for session in sessions]
-    ys = [LabeledSet(x, session.labels, label_count).labels for session, x in zip(sessions, xs)]
+    ys = [LabeledSet(x, session.labels, session.state.label_count).labels for session, x in zip(sessions, xs)]
     order = sorted(range(len(sessions)), key=lambda i: xs[i].shape[0], reverse=True)
     sessions, xs, ys = ([seq[i] for i in order] for seq in (sessions, xs, ys))
     sizes = [x.shape[0] for x in xs]
@@ -453,7 +445,6 @@ def train(sessions: Sequence[Session]) -> list[tuple[NetworkState, list[EpochSta
     rngs = [np.random.default_rng(session.config.seed) for session in sessions]
     histories = [[] for _ in sessions]
     for epoch in range(config.epochs):
-        start_time = time.perf_counter()
         for i, (rng, x, y) in enumerate(zip(rngs, xs, ys)):
             shuffle = rng.permutation(y.shape[0])
             x_epoch[i, :y.shape[0]] = x[shuffle]
@@ -463,14 +454,13 @@ def train(sessions: Sequence[Session]) -> list[tuple[NetworkState, list[EpochSta
             for size, members in groups:
                 rows = slice(start, start + size)
                 totals[members] += step(epoch, members, x_epoch[members, rows], y_epoch[members, rows]) * size
-        elapsed_ms = (time.perf_counter() - start_time) * 1e3
         for history, total, n in zip(histories, totals, sizes):
-            history.append(EpochStats(epoch, float(total / n), elapsed_ms))
+            history.append(float(total / n))
     results = [None] * len(sessions)
-    for i, session, row, history in zip(order, sessions, params, histories):
+    for i, row, history in zip(order, params, histories):
         weights, biases = _flat_views(row, specs)
         layers = [Layer(w, b, spec.activation, spec.group) for w, b, spec in zip(weights, biases, specs)]
-        results[i] = (NetworkState(layers, label_count, session.state.seed), history)
+        results[i] = (NetworkState(layers), history)
     return results
 
 
@@ -479,36 +469,21 @@ def accuracy(state: NetworkState, inputs, labels) -> float:
 
 
 def save_checkpoint(state: NetworkState, path) -> None:
-    fields: list[tuple[str, object]] = [
-        ("label_count", state.label_count),
-        ("seed", state.seed),
-    ]
-    arrays = []
-    total = 0
-    for layer in state.layers:
-        spec = layer.spec
-        fields.append(("layer", f"{spec.input_dim} {spec.output_dim} {spec.activation} {spec.group}"))
-        arrays.extend([layer.weights, layer.bias])
-        total += layer.weights.size + layer.bias.size
-    fields.append(("params", total))
+    fields = [("layer", f"{s.input_dim} {s.output_dim} {s.activation} {s.group}") for s in layer_specs(state)]
+    arrays = [a for layer in state.layers for a in (layer.weights, layer.bias)]
     write_artifact(path, "checkpoint", fields, arrays)
 
 
+def _parse_layer(line: str) -> LayerSpec:
+    in_dim, out_dim, activation, group = line.split()
+    return LayerSpec(int(in_dim), int(out_dim), activation, group)
+
+
 def load_checkpoint(path) -> NetworkState:
+    """Rebuild a state from its layer lines and blob; other manifest lines are ignored."""
     pairs, blob = read_artifact(path, "checkpoint")
-    label_count = int(manifest_value(pairs, "label_count", path))
-    seed = int(manifest_value(pairs, "seed", path))
-    specs = []
-    for line in manifest_values(pairs, "layer"):
-        in_dim, out_dim, activation, group = line.split()
-        specs.append(LayerSpec(int(in_dim), int(out_dim), activation, group))
+    specs = manifest_values(pairs, "layer", path, _parse_layer)
     validate_layer_specs(specs)
-    total = int(manifest_value(pairs, "params", path))
-    if total != sum(s.input_dim * s.output_dim + s.output_dim for s in specs):
-        raise ValidationError(f"{path}: params count does not match the layers")
     shapes = [shape for s in specs for shape in ((s.output_dim, s.input_dim), (s.output_dim,))]
     arrays, _ = unpack_blob(blob, path, shapes)
-    layers = [Layer(w, b, s.activation, s.group) for w, b, s in zip(arrays[::2], arrays[1::2], specs)]
-    if label_count != specs[-1].output_dim:
-        raise ValidationError(f"{path}: label_count does not match the final layer width")
-    return NetworkState(layers, label_count, seed)
+    return NetworkState([Layer(w, b, s.activation, s.group) for w, b, s in zip(arrays[::2], arrays[1::2], specs)])

@@ -15,7 +15,6 @@ from .errors import ConfigError, TrainingDiverged, ValidationError
 from .manifest import write_text_file
 from .network import (
     CLASSIFICATION,
-    EpochStats,
     LayerSpec,
     NetworkState,
     Session,
@@ -32,16 +31,18 @@ TL_HEAD_MULTIPLIER = 10.0
 SOURCE_ACCURACY_GATE = 0.9
 
 
-def write_run_log(path, history: list[EpochStats], warnings: tuple[str, ...] = ()) -> None:
-    """One line per epoch: epoch index, mean loss, elapsed ms."""
+def write_run_log(path, losses: list[float], warnings: tuple[str, ...] = ()) -> None:
+    """The warnings, then one ``epoch loss`` line per epoch: the epoch index
+    and its mean training loss. Nothing in it depends on timing, so a rerun
+    writes the same bytes."""
     if path is None:
         return
     lines = list(warnings)
-    lines.extend(f"{s.epoch} {s.mean_loss:.12g} {s.elapsed_ms:.3f}" for s in history)
+    lines.extend(f"{epoch} {loss:.12g}" for epoch, loss in enumerate(losses))
     write_text_file(path, "\n".join(lines) + "\n")
 
 
-def _train_stage(stage: str, sessions: list[Session]) -> list[tuple[NetworkState, list[EpochStats]]]:
+def _train_stage(stage: str, sessions: list[Session]) -> list[tuple[NetworkState, list[float]]]:
     try:
         return train(sessions)
     except TrainingDiverged as exc:
@@ -62,7 +63,7 @@ def pretrain_source(
             f"source data has {source_data.class_count} classes but the network "
             f"outputs {state.label_count}"
         )
-    [(state, history)] = _train_stage(
+    [(state, losses)] = _train_stage(
         "source", [Session(state, source_data.features, source_data.labels, cfg)]
     )
     train_accuracy = accuracy(state, source_data.features, source_data.labels)
@@ -72,7 +73,7 @@ def pretrain_source(
             train_accuracy,
             SOURCE_ACCURACY_GATE,
         )
-    write_run_log(log_path, history)
+    write_run_log(log_path, losses)
     return state
 
 
@@ -92,8 +93,8 @@ def prt_train(
             f"pseudo-label cluster count {pseudo.class_count} must equal the "
             f"source model label count {source_model.label_count}"
         )
-    [(state, history)] = _train_stage("prt", [Session(source_model, pseudo.features, pseudo.labels, cfg)])
-    write_run_log(log_path, history)
+    [(state, losses)] = _train_stage("prt", [Session(source_model, pseudo.features, pseudo.labels, cfg)])
+    write_run_log(log_path, losses)
     return state
 
 
@@ -130,6 +131,6 @@ def tl_train(sessions: Sequence[TlSession]) -> list[NetworkState]:
         start = replace_head(session.m1, target_train.class_count, head_seed)
         runs.append(Session(start, target_train.features, target_train.labels, cfg))
     results = _train_stage("tl", runs)
-    for session, (_, history), notes in zip(sessions, results, warnings):
-        write_run_log(session.log_path, history, notes)
+    for session, (_, losses), notes in zip(sessions, results, warnings):
+        write_run_log(session.log_path, losses, notes)
     return [state for state, _ in results]

@@ -151,6 +151,12 @@ class TestCliDispatch:
         assert main(["generate", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
         assert "bad.cfg:1" in capsys.readouterr().err
 
+    def test_single_fold_exits_1_before_writing(self, config_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["run-all", "--config", str(config_file), "--folds", "1", "--out", str(out)]) == 1
+        assert "fold_count must be >= 2" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_evaluate_without_checkpoints_exits_1(self, config_file, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["generate", "--config", str(config_file), "--out", str(out)]) == 0

@@ -26,7 +26,6 @@ def identity_rep_state(dim=3, label_count=2):
             Layer(np.eye(dim), np.zeros(dim), "identity", REPRESENTATION),
             Layer(np.zeros((label_count, dim)), np.zeros(label_count), "identity", CLASSIFICATION),
         ],
-        label_count=label_count,
     )
 
 

@@ -13,6 +13,7 @@ from pretext_transfer.dictionary import (
     save_dictionary,
 )
 from pretext_transfer.errors import ConfigError, ShapeError, ValidationError
+from pretext_transfer.manifest import write_artifact
 from pretext_transfer.network import (
     CLASSIFICATION,
     REPRESENTATION,
@@ -29,19 +30,13 @@ def identity_projection_state(dim):
             Layer(np.eye(dim), np.zeros(dim), "identity", REPRESENTATION),
             Layer(np.zeros((2, dim)), np.zeros(2), "identity", CLASSIFICATION),
         ],
-        label_count=2,
     )
 
 
 def random_dictionary(rng, p, counts):
     columns = rng.normal(size=(p, sum(counts)))
     columns /= np.linalg.norm(columns, axis=0)
-    offsets = []
-    start = 0
-    for c, count in enumerate(counts):
-        offsets.append((c, start, count))
-        start += count
-    return FeatureDictionary(columns, offsets)
+    return FeatureDictionary(columns, tuple(counts))
 
 
 def oracle_code(fdict, y, cfg):
@@ -56,11 +51,13 @@ def oracle_probability(fdict, alpha, y, cfg):
     """Residuals recomputed via explicit per-class masking of the code vector."""
     y_unit = y / np.linalg.norm(y)
     weights = []
-    for c, start, count in fdict.class_offsets:
+    start = 0
+    for count in fdict.class_counts:
         masked = np.zeros_like(alpha)
         masked[start:start + count] = alpha[start:start + count]
         residual = np.linalg.norm(y_unit - fdict.columns @ masked)
         weights.append(1.0 / (residual + cfg.epsilon) ** 2)
+        start += count
     weights = np.array(weights)
     return weights / weights.sum()
 
@@ -71,7 +68,7 @@ class TestBuildDictionary:
         labels = np.concatenate([np.zeros(349, dtype=int), np.ones(35, dtype=int)])
         train = LabeledSet(rng.normal(size=(384, 6)), labels, 2)
         fdict = build_dictionary(identity_projection_state(6), train)
-        assert fdict.class_offsets == [(0, 0, 349), (1, 349, 35)]
+        assert fdict.class_counts == (349, 35)
         assert fdict.columns.shape == (6, 384)
 
     def test_single_sample_per_class_is_normalized_input(self):
@@ -112,7 +109,7 @@ class TestCrcCode:
     def test_self_representation(self):
         # y is class 0's only column, at any scale: class 0 reconstructs it exactly
         u = np.array([0.6, 0.8, 0.0])
-        fdict = FeatureDictionary(np.array([u, [0.0, 0.0, 1.0]]).T, [(0, 0, 1), (1, 1, 1)])
+        fdict = FeatureDictionary(np.array([u, [0.0, 0.0, 1.0]]).T, (1, 1))
         cfg = CRCConfig(ridge=1e-10)
         q = q_one(fdict, u, cfg)
         assert q[0] > 1 - 1e-9
@@ -157,7 +154,7 @@ class TestCrcProbability:
                 [0.0, 0.0, 1.0],
             ]
         )
-        fdict = FeatureDictionary(columns, [(0, 0, 2), (1, 2, 1)])
+        fdict = FeatureDictionary(columns, (2, 1))
         y = np.array([0.6, 0.8, 0.0])
         q = q_one(fdict, y, CRCConfig(ridge=1e-9, epsilon=1e-12))
         assert q[0] > 0.999999
@@ -171,7 +168,7 @@ class TestCrcProbability:
                 [0.0, 0.0],
             ]
         )
-        fdict = FeatureDictionary(columns, [(0, 0, 1), (1, 1, 1)])
+        fdict = FeatureDictionary(columns, (1, 1))
         q = q_one(fdict, np.array([1.0, 1.0, 0.0]))
         assert np.allclose(q, [0.5, 0.5], atol=1e-12)
 
@@ -202,7 +199,7 @@ class TestCrcProbability:
         q = q_one(fdict, y)
         permuted_columns = fdict.columns.copy()
         permuted_columns[:, 0:4] = permuted_columns[:, [2, 0, 3, 1]]
-        permuted = FeatureDictionary(permuted_columns, fdict.class_offsets)
+        permuted = FeatureDictionary(permuted_columns, fdict.class_counts)
         assert np.allclose(q, q_one(permuted, y), atol=1e-9)
 
     def test_duplicating_one_class_keeps_q_valid_and_other_blocks_unchanged(self):
@@ -211,9 +208,7 @@ class TestCrcProbability:
         duplicated_columns = np.concatenate(
             [fdict.columns[:, :3], fdict.columns[:, 3:], fdict.columns[:, 3:]], axis=1
         )
-        duplicated = FeatureDictionary(
-            duplicated_columns, [(0, 0, 3), (1, 3, 4)]
-        )
+        duplicated = FeatureDictionary(duplicated_columns, (3, 4))
         assert np.array_equal(duplicated.columns[:, :3], fdict.columns[:, :3])
         q = q_one(duplicated, rng.normal(size=6))
         assert q.sum() == pytest.approx(1.0, abs=1e-9)
@@ -263,7 +258,28 @@ class TestDictionarySerialization:
         save_dictionary(fdict, path)
         loaded = load_dictionary(path)
         assert np.array_equal(loaded.columns, fdict.columns)
-        assert loaded.class_offsets == fdict.class_offsets
+        assert loaded.class_counts == fdict.class_counts
+
+    @pytest.mark.parametrize("counts, error", [
+        ("3,0", "bad value for 'class_counts': every class needs at least one column"),
+        ("2,2", "blob size"),  # 4 columns named, 3 stored
+        ("0:0:3,0:3:3", "bad value for 'class_counts'"),  # the old offsets form
+    ])
+    def test_bad_class_counts_rejected(self, tmp_path, counts, error):
+        path = tmp_path / "dict.ckpt"
+        save_dictionary(random_dictionary(np.random.default_rng(8), p=5, counts=[2, 1]), path)
+        raw = path.read_bytes()
+        assert b"class_counts = 2,1\n" in raw
+        path.write_bytes(raw.replace(b"class_counts = 2,1\n", f"class_counts = {counts}\n".encode()))
+        with pytest.raises(ValidationError, match=error):
+            load_dictionary(path)
+
+    def test_offsets_format_names_missing_key(self, tmp_path):
+        path = tmp_path / "dict.ckpt"
+        columns = random_dictionary(np.random.default_rng(8), p=5, counts=[2, 1]).columns
+        write_artifact(path, "dictionary", [("p", 5), ("columns", 3), ("class_offsets", "0:0:2,1:2:1")], [columns])
+        with pytest.raises(ValidationError, match="missing key 'class_counts'"):
+            load_dictionary(path)
 
 
 class TestConfig:

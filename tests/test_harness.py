@@ -58,6 +58,11 @@ def mini_config(out_dir, **overrides):
     return ExperimentConfig(**values)
 
 
+def tree_bytes(root: Path) -> dict[str, bytes]:
+    """Every file under root, by relative path."""
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
 @pytest.fixture(scope="module")
 def mini_run(tmp_path_factory):
     cfg = mini_config(tmp_path_factory.mktemp("mini"))
@@ -77,6 +82,11 @@ class TestConfigValidation:
     def test_empty_methods_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             mini_config(tmp_path, methods=())
+
+    def test_single_fold_rejected(self, tmp_path):
+        # one fold leaves every training split empty
+        with pytest.raises(ConfigError, match="fold_count must be >= 2"):
+            mini_config(tmp_path, fold_count=1)
 
 
 class TestDeriveSeed:
@@ -125,20 +135,13 @@ class TestGridRun:
         cfg, _ = mini_run
         rerun_cfg = dataclasses.replace(cfg, out_dir=tmp_path / "rerun")
         run_experiment(rerun_cfg)
-        assert (rerun_cfg.out_dir / "report.csv").read_bytes() == (
-            cfg.out_dir / "report.csv"
-        ).read_bytes()
-        assert (rerun_cfg.out_dir / "folds.csv").read_bytes() == (
-            cfg.out_dir / "folds.csv"
-        ).read_bytes()
+        assert tree_bytes(rerun_cfg.out_dir) == tree_bytes(cfg.out_dir)
 
     def test_results_independent_of_worker_count(self, mini_run, tmp_path):
         cfg, _ = mini_run
         parallel_cfg = dataclasses.replace(cfg, out_dir=tmp_path / "parallel", workers=3)
         run_experiment(parallel_cfg)
-        assert (parallel_cfg.out_dir / "report.csv").read_bytes() == (
-            cfg.out_dir / "report.csv"
-        ).read_bytes()
+        assert tree_bytes(parallel_cfg.out_dir) == tree_bytes(cfg.out_dir)
 
     def test_adding_methods_does_not_perturb_tl_rows(self, mini_run, tmp_path):
         cfg, full_report = mini_run
@@ -160,6 +163,14 @@ class TestGridRun:
         assert (staged.out_dir / "report.csv").read_bytes() == (
             cfg.out_dir / "report.csv"
         ).read_bytes()
+
+    def test_tl_only_stages_write_what_run_all_writes(self, tmp_path):
+        run_all = mini_config(tmp_path / "run_all", methods=("TL",))
+        staged = mini_config(tmp_path / "staged", methods=("TL",))
+        run_experiment(run_all)
+        for stage in (run_generate, run_pretrain, run_cluster, run_prt, run_tl, run_dict, run_evaluate):
+            stage(staged)
+        assert tree_bytes(staged.out_dir) == tree_bytes(run_all.out_dir)
 
 
 class TestPrtOncePerSeed:

@@ -1,5 +1,6 @@
 import ast
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -92,7 +93,7 @@ CODECS = {
     ),
     "clusters": (kmeans_fit(_RNG.normal(size=(10, 2)), k=2), save_cluster_model, load_cluster_model, 4),
     "dictionary": (
-        FeatureDictionary(_RNG.normal(size=(3, 4)), [(0, 0, 2), (1, 2, 2)]), save_dictionary, load_dictionary, 8
+        FeatureDictionary(_RNG.normal(size=(3, 4)), (2, 2)), save_dictionary, load_dictionary, 8
     ),
 }
 
@@ -109,6 +110,17 @@ class TestBlobLayout:
         raw = path.read_bytes()
         path.write_bytes(raw[:-last_width] if damage == "short" else raw + b"\0")
         with pytest.raises(ValidationError, match="blob size"):
+            load(path)
+
+    @pytest.mark.parametrize("codec", CODECS)
+    def test_unparsable_value_rejected(self, tmp_path, codec):
+        """The first digit of the manifest, after its kind line, turned into a letter."""
+        artifact, save, load, _ = CODECS[codec]
+        path = tmp_path / "artifact"
+        save(artifact, path)
+        kind, newline, rest = path.read_bytes().partition(b"\n")
+        path.write_bytes(kind + newline + re.sub(rb"\d", b"O", rest, count=1))
+        with pytest.raises(ValidationError, match=f"{re.escape(str(path))}: bad value for"):
             load(path)
 
     @pytest.mark.parametrize("codec", CODECS)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from pretext_transfer.errors import ConfigError, ShapeError, TrainingDiverged, ValidationError
+from pretext_transfer.manifest import write_artifact
 from pretext_transfer.network import (
     CLASSIFICATION,
     REPRESENTATION,
@@ -16,6 +17,7 @@ from pretext_transfer.network import (
     accuracy,
     forward,
     init_network,
+    layer_specs,
     load_checkpoint,
     loss_and_grad,
     replace_head,
@@ -114,7 +116,6 @@ class TestForward:
                 Layer(np.eye(2), np.zeros(2), "identity", REPRESENTATION),
                 Layer(np.eye(2), np.zeros(2), "identity", CLASSIFICATION),
             ],
-            label_count=2,
         )
         probs = forward(state, np.array([[1.0, 0.0]]))
         expected = np.array([math.e / (math.e + 1.0), 1.0 / (math.e + 1.0)])
@@ -157,7 +158,6 @@ class TestLossAndGrad:
                 Layer(np.eye(2), np.zeros(2), "identity", REPRESENTATION),
                 Layer(np.array([[1000.0, 0.0], [0.0, 1000.0]]), np.zeros(2), "identity", CLASSIFICATION),
             ],
-            label_count=2,
         )
         loss, _ = loss_and_grad(state, np.array([[1.0, 0.0]]), np.array([0]))
         assert loss == 0.0
@@ -184,7 +184,6 @@ class TestSgdUpdate:
                 Layer(np.array([[theta]]), np.zeros(1), "identity", REPRESENTATION),
                 Layer(np.array([[1.0], [0.0]]), np.zeros(2), "identity", CLASSIFICATION),
             ],
-            label_count=2,
         )
 
     def grad_of_one(self, state, value=1.0):
@@ -303,7 +302,7 @@ class TestTrain:
         x, y = self.separable_data()
         cfg = TrainConfig(epochs=15, batch_size=16, base_lr=0.05, momentum=0.9, seed=1)
         state, history = train_one(init_network(specs, seed=1), x, y, cfg)
-        assert history[-1].mean_loss < history[0].mean_loss
+        assert history[-1] < history[0]
         assert accuracy(state, x, y) > 0.9
 
     def test_training_is_deterministic(self):
@@ -372,7 +371,7 @@ class TestTrainMatchesStepByStep:
         trained, history = train_one(state, x, y, cfg)
         expected, mean_losses = step_by_step_train(state, x, y, cfg)
         assert state_bytes(trained) == state_bytes(expected)
-        assert [s.mean_loss for s in history] == mean_losses
+        assert history == mean_losses
         if case == "both-frozen":
             assert state_bytes(trained) == state_bytes(state)
         else:
@@ -426,7 +425,7 @@ def reference_train(state, x, y, cfg):
                     param += vel
             total += loss * len(yb)
         mean_losses.append(total / len(y))
-    trained = NetworkState([Layer(w, b, a, g) for w, b, a, g in layers], state.label_count, state.seed)
+    trained = NetworkState([Layer(w, b, a, g) for w, b, a, g in layers])
     return trained, mean_losses
 
 
@@ -440,7 +439,7 @@ class TestTrainMatchesReference:
         trained, history = train_one(state, x, y, cfg)
         expected, mean_losses = reference_train(state, x, y, cfg)
         assert state_bytes(trained) == state_bytes(expected)
-        assert [s.mean_loss for s in history] == mean_losses
+        assert history == mean_losses
 
 
 # (rows of each session, batch size)
@@ -478,9 +477,7 @@ class TestLockstepTrain:
             expected, mean_losses = reference_train(session.state, session.features, session.labels, session.config)
             oracle, oracle_losses = step_by_step_train(session.state, session.features, session.labels, session.config)
             assert state_bytes(trained) == state_bytes(alone) == state_bytes(expected) == state_bytes(oracle)
-            losses = [s.mean_loss for s in history]
-            assert losses == [s.mean_loss for s in alone_history] == mean_losses == oracle_losses
-            assert trained.seed == session.state.seed
+            assert history == alone_history == mean_losses == oracle_losses
 
     def test_two_hidden_layers(self):
         sessions = lockstep_sessions([21, 16, 9], 8, "tl", specs=TWO_HIDDEN_SPECS)
@@ -585,5 +582,14 @@ class TestCheckpoint:
         loaded = load_checkpoint(path)
         assert state_bytes(loaded) == state_bytes(state)
         assert loaded.label_count == state.label_count
-        assert loaded.seed == state.seed
         assert [l.spec for l in loaded.layers] == [l.spec for l in state.layers]
+
+    def test_loads_format_with_copied_fields(self, tmp_path):
+        # checkpoints once also stored label_count, seed and params lines
+        state = small_state(seed=21)
+        fields = [("label_count", 3), ("seed", 21)]
+        fields += [("layer", f"{s.input_dim} {s.output_dim} {s.activation} {s.group}") for s in layer_specs(state)]
+        fields.append(("params", sum(l.weights.size + l.bias.size for l in state.layers)))
+        path = tmp_path / "model.ckpt"
+        write_artifact(path, "checkpoint", fields, [a for l in state.layers for a in (l.weights, l.bias)])
+        assert state_bytes(load_checkpoint(path)) == state_bytes(state)

@@ -175,7 +175,7 @@ class TestPrtTrain:
     def test_loss_decreases_on_pseudo_task(self, source_model, pseudo):
         cfg = TrainConfig(epochs=15, frozen_groups=frozenset({CLASSIFICATION}))
         _, history = train_one(source_model, pseudo.features, pseudo.labels, cfg)
-        assert history[-1].mean_loss < history[0].mean_loss
+        assert history[-1] < history[0]
 
     def test_cluster_count_mismatch_is_config_error(self, source_model, pseudo):
         bad = LabeledSet(pseudo.features, pseudo.labels, class_count=5)
@@ -188,9 +188,9 @@ class TestPrtTrain:
         lines = log.read_text().splitlines()
         assert len(lines) == 3
         for i, line in enumerate(lines):
-            epoch, loss, elapsed = line.split()
+            epoch, loss = line.split()
             assert int(epoch) == i
-            assert float(loss) > 0 and float(elapsed) >= 0
+            assert float(loss) > 0
 
 
 class TestTlTrain:
