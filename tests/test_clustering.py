@@ -1,7 +1,15 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import pretext_transfer.clustering as clustering
 from pretext_transfer.clustering import (
+    _CHUNK,
+    _assign,
+    _direct_assign,
     extract_projection,
     kmeans_assign,
     kmeans_fit,
@@ -163,6 +171,98 @@ class TestKmeansAssign:
         model = kmeans_fit(points, k=2, seed=0)
         with pytest.raises(ValidationError):
             kmeans_assign(model, np.zeros((2, 5)))
+
+
+class TestCertifiedAssign:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        p=st.integers(1, 40),
+        k=st.integers(1, 12),
+        m=st.integers(1, 40) | st.integers(_CHUNK - 2, _CHUNK + 2),
+        exponent=st.integers(-160, 150),
+        spread=st.integers(0, 8),
+        shifted=st.booleans(),
+        centroids_from_points=st.booleans(),
+        duplicate_points=st.booleans(),
+        duplicate_centroids=st.booleans(),
+    )
+    def test_bit_identical_to_direct_formula(
+        self, seed, p, k, m, exponent, spread, shifted, centroids_from_points, duplicate_points,
+        duplicate_centroids,
+    ):
+        # magnitudes 1e-160 (squares underflow) to 1e158 (squares overflow);
+        # each row and centroid scaled on its own by up to 10**spread; a shift
+        # 1e8 times the scale makes |x|² cancel in the expansion (near ties)
+        rng = np.random.default_rng(seed)
+        shift = 10.0 ** (exponent + 8) if shifted else 0.0
+
+        def draw(rows):
+            scale = 10.0 ** (exponent + rng.uniform(0, spread, (rows, 1)))
+            return shift + rng.normal(size=(rows, p)) * scale
+
+        x = draw(m)
+        if duplicate_points:
+            x[m // 2:] = x[0]
+        centroids = x[rng.integers(0, m, size=k)] if centroids_from_points else draw(k)
+        if duplicate_centroids:
+            centroids[-1] = centroids[0]  # every row ties; k == 1 ties with itself
+        with np.errstate(over="ignore"):  # the direct formula's own overflow
+            labels, sq_dists = _assign(x, centroids)
+            direct_labels, direct_sq = _direct_assign(x, centroids)
+        assert np.array_equal(labels, direct_labels)
+        assert sq_dists.tobytes() == direct_sq.tobytes()
+
+    def test_tie_row_takes_the_direct_fallback(self, monkeypatch):
+        sent = []
+        real_direct = clustering._direct_assign
+
+        def spy(x, centroids):
+            sent.append(x.copy())
+            return real_direct(x, centroids)
+
+        monkeypatch.setattr(clustering, "_direct_assign", spy)
+        centroids = np.array([[0.0, 0.0], [2.0, 0.0], [9.0, 9.0]])
+        x = np.array([[0.1, 0.3], [1.0, 0.0], [8.0, 9.5]])  # row 1 ties centroids 0 and 1
+        labels, sq_dists = _assign(x, centroids)
+        assert len(sent) == 1 and np.array_equal(sent[0], x[1:2])
+        assert labels.tolist() == [0, 0, 2]
+        assert sq_dists[1] == 1.0
+
+    def test_near_tie_the_expansion_misranks(self):
+        # |x|² = 2e16 cancels in the expansion and leaves its scores good to a
+        # few units, so it ranks centroid 0 (squared distance 6.25) ahead of
+        # centroid 1 (4.5); only the fallback gets this row right
+        x = np.array([[1e8 + 0.5, 1e8]])
+        centroids = np.array([[1e8 - 1.5, 1e8 - 1.5], [1e8 + 2.0, 1e8 - 1.5]])
+        expansion = (x**2).sum(axis=1) - 2.0 * x @ centroids.T + (centroids**2).sum(axis=1)
+        assert expansion.argmin() == 0
+        labels, sq_dists = _assign(x, centroids)
+        assert labels.tolist() == [1]
+        assert sq_dists.tolist() == [4.5]
+
+
+class TestPinnedFit:
+    """The assignment arithmetic fixes every bit of a fit; these figures were
+    recorded with the direct formula alone, so any change to it shows here."""
+
+    HISTORY = [
+        "67726.01462082255", "36860.81568123773", "36770.31820980918", "36710.79362828416",
+        "36667.62620759546", "36646.32278037099", "36637.41762496534", "36629.55398069269",
+        "36624.670363762896", "36620.61780663302", "36617.21420534511",
+    ]
+    LABELS_SHA256 = "4d1c521d48f8eedbf7509b6d68cc029c14156512ecd433ee97c44d79b410cef7"
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_fit_is_pinned(self, order):
+        # 2348 rows end in a partial assignment block; a Fortran-ordered copy
+        # must fit the same
+        rng = np.random.default_rng(2301)
+        centers = rng.normal(scale=3.0, size=(6, 16))
+        points = centers[rng.integers(0, 6, size=2348)] + rng.normal(size=(2348, 16))
+        model = kmeans_fit(np.asarray(points, order=order), k=10, seed=4, max_iters=10, tol=0.0)
+        assert [repr(v) for v in model.inertia_history] == self.HISTORY
+        assert hashlib.sha256(model.labels.astype("<i8").tobytes()).hexdigest() == self.LABELS_SHA256
 
 
 class TestPseudoLabel:

@@ -234,10 +234,11 @@ class TestBaselineIsolation:
                 assert cell_path(cfg, ratio, fold, "tl").exists()
 
     def test_tl_evaluation_never_reads_prt_files(self, mini_run, tmp_path, monkeypatch):
-        # evaluate TL rows from a directory that does contain PRT artifacts and
-        # log every checkpoint read: none may be a PRT product
-        cfg, _ = mini_run
-        tl_cfg = dataclasses.replace(cfg, methods=("TL",))
+        # evaluate TL rows from a copy of a directory that does contain PRT
+        # artifacts and log every checkpoint read: none may be a PRT product
+        base, _ = mini_run
+        tl_cfg = dataclasses.replace(base, out_dir=tmp_path / "run", methods=("TL",))
+        shutil.copytree(base.out_dir, tl_cfg.out_dir)
         opened = []
         real_load = harness.load_checkpoint
 
@@ -251,7 +252,7 @@ class TestBaselineIsolation:
         )
         run_evaluate(tl_cfg)
         assert opened, "evaluation must load the TL checkpoints"
-        assert not [p for p in opened if "prt" in p]
+        assert not [p for p in opened if "prt" in Path(p).name]
 
 
 class TestMissingPrerequisites:
