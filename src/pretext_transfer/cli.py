@@ -31,7 +31,6 @@ _STAGES = {
     "evaluate": (run_evaluate, "score every configured cell and write the reports"),
     "run-all": (run_experiment, "run the whole pipeline end to end"),
 }
-_LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -47,17 +46,16 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--out", type=Path, default=None, help="output directory override")
         sub.add_argument("--ratios", type=int_list, default=None, help="comma-separated imbalance ratios override")
         sub.add_argument("--folds", type=int, default=None, help="fold count override")
-        sub.add_argument("--log-level", choices=_LOG_LEVELS, default="INFO", help="logging threshold")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
+    logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse: 0 for --help, 2 for usage errors
         return exc.code if isinstance(exc.code, int) else 2
-    logging.basicConfig(level=args.log_level, format="%(levelname)s %(name)s: %(message)s")
     try:
         cfg = build_experiment_config(
             config_path=args.config, seed=args.seed, out=args.out,

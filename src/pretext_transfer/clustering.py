@@ -86,7 +86,9 @@ def _sure_nearest(
     centroid scores within the rounding slack of it (see ``_assign``)."""
     p = block.shape[1]
     finfo = np.finfo(np.float64)
-    # one row per centroid, so the reductions over centroids run along contiguous rows
+    # one row per centroid: the min and the count over centroids combine whole
+    # contiguous rows; argmin copies to make its axis contiguous, but taking the
+    # best score again with min costs less than gathering it by index
     scores = (-2.0 * centroids) @ block.T + c_sq[:, None]
     best = scores.argmin(axis=0)
     scale_sq = (np.sqrt(np.einsum("ij,ij->i", block, block)) + np.sqrt(c_sq.max())) ** 2

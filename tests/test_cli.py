@@ -1,13 +1,9 @@
 import functools
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-import pretext_transfer
 from pretext_transfer.cli import main
 from pretext_transfer.config import FIELDS, build_experiment_config, parse_config_file
 from pretext_transfer.errors import ConfigError
@@ -139,7 +135,7 @@ class TestCliDispatch:
     def test_unknown_flag_exits_2(self, capsys):
         assert main(["generate", "--frobnicate"]) == 2
 
-    @pytest.mark.parametrize("flag", [["--folds", "abc"], ["--ratios", "10,x"], ["--log-level", "LOUD"]])
+    @pytest.mark.parametrize("flag", [["--folds", "abc"], ["--ratios", "10,x"]])
     def test_malformed_flag_value_exits_2(self, flag, tmp_path, capsys):
         assert main(["generate", *flag, "--out", str(tmp_path / "o")]) == 2
         assert f"argument {flag[0]}" in capsys.readouterr().err
@@ -167,22 +163,6 @@ class TestCliDispatch:
         assert main(["generate", "--out", str(taken)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert taken.read_text() == "not a directory\n"
-
-    @pytest.mark.parametrize(
-        "level,shown", [([], True), (["--log-level", "WARNING"], False)], ids=["default", "warning"]
-    )
-    def test_log_level_sets_the_logging_threshold(self, tmp_path, level, shown):
-        # a fresh interpreter: under pytest the root logger already has handlers
-        config = tmp_path / "tl_only.cfg"
-        config.write_text("methods = TL\n")
-        src = Path(pretext_transfer.__file__).resolve().parent.parent
-        done = subprocess.run(
-            [sys.executable, "-m", "pretext_transfer", "cluster", "--config", str(config),
-             "--out", str(tmp_path / "out"), *level],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=120,
-        )
-        assert done.returncode == 0, done.stderr
-        assert ("INFO pretext_transfer.harness: cluster stage skipped" in done.stderr) is shown
 
     def test_evaluate_without_checkpoints_exits_1(self, config_file, tmp_path, capsys):
         out = tmp_path / "out"
