@@ -55,8 +55,8 @@ def parse_config_file(path: str | Path) -> dict[str, tuple[str, int]]:
     """Return {key: (raw value, line number)}; raises ConfigError with the line."""
     path = Path(path)
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     values: dict[str, tuple[str, int]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):

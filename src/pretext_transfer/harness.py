@@ -69,6 +69,7 @@ from .network import (
     forward,
     load_checkpoint,
     save_checkpoint,
+    validate_layer_specs,
 )
 from .pipeline import TlSession, pretrain_source, prt_train, tl_train
 
@@ -117,6 +118,14 @@ class ExperimentConfig:
             raise ConfigError("workers must be >= 1")
         if not self.hidden:
             raise ConfigError("need at least one hidden representation layer")
+        validate_layer_specs(build_layer_specs(self.synth.dim, self.synth.source_class_count, self.hidden,
+                                               self.projection_dim))
+        for stage, epochs, lr in [("source", self.source_epochs, self.source_lr),
+                                  ("prt", self.prt_epochs, None), ("tl", self.tl_epochs, None)]:
+            try:
+                _train_config(self, epochs, seed=0, base_lr=lr)
+            except ConfigError as exc:
+                raise ConfigError(f"{stage} stage: {exc}") from exc
 
 
 def derive_seed(master_seed: int, *parts) -> int:
@@ -143,7 +152,7 @@ def _train_config(
     cfg: ExperimentConfig, epochs: int, seed: int, base_lr: float | None = None
 ) -> TrainConfig:
     """The hyperparameters every training stage shares; each stage sets its
-    own frozen groups and head learning rate."""
+    own head learning-rate multiplier."""
     return TrainConfig(
         epochs=epochs,
         batch_size=cfg.batch_size,

@@ -1,9 +1,10 @@
 """Dense feed-forward classifier with grouped parameters and momentum SGD.
 
 Layers carry a group tag so the earlier "representation" part and the deeper
-"classification" part of the model can be trained, frozen and swapped
-independently. States are value objects: the public functions return new
-NetworkState and Gradients objects and leave their arguments unchanged.
+"classification" part of the model can train at their own rates and the head
+can be swapped; a classification rate of zero freezes the head. States are
+value objects: the public functions return new NetworkState and Gradients
+objects and leave their arguments unchanged.
 `train` runs several sessions of one architecture in lockstep: it orders them
 by row count, largest first, copies their parameters into one private
 [sessions, parameters] buffer, and at every step trains each run of adjacent
@@ -47,9 +48,8 @@ class TrainConfig:
     epochs: int
     batch_size: int = 16
     base_lr: float = 3e-4
-    classifier_lr_multiplier: float = 1.0
+    classifier_lr_multiplier: float = 1.0  # 0 freezes every classification layer
     momentum: float = 0.9
-    frozen_groups: frozenset = frozenset()
     seed: int = 0
 
     def __post_init__(self):
@@ -57,13 +57,12 @@ class TrainConfig:
             raise ConfigError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
-        if self.base_lr <= 0 or self.classifier_lr_multiplier <= 0:
-            raise ConfigError("learning rates must be positive")
+        if self.base_lr <= 0:
+            raise ConfigError("base_lr must be positive")
+        if self.classifier_lr_multiplier < 0:
+            raise ConfigError("classifier_lr_multiplier must be >= 0")
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigError("momentum must lie in [0, 1)")
-        unknown = set(self.frozen_groups) - set(GROUPS)
-        if unknown:
-            raise ConfigError(f"unknown parameter groups: {sorted(unknown)}")
 
 
 @dataclass
@@ -198,8 +197,8 @@ def _backprop(weights, biases, activations, x, y, grad_w, grad_b, needs_grad) ->
 
     Every batch of the stack has the same row count. Each session's slice goes
     through the same BLAS calls, with the same shapes, as it would alone, so
-    its figures do not depend on the other sessions. Backprop stops at the
-    lowest layer that needs a gradient. Inputs are trusted: callers validate them.
+    its figures do not depend on the other sessions. Inputs are trusted:
+    callers validate them.
     """
     sessions, n = y.shape
     outputs = [x]
@@ -220,12 +219,11 @@ def _backprop(weights, biases, activations, x, y, grad_w, grad_b, needs_grad) ->
     delta /= total[:, :, None]
     delta[index] -= 1.0
     delta /= n
-    lowest = needs_grad.index(True) if True in needs_grad else len(weights)
-    for k in range(len(weights) - 1, lowest - 1, -1):
+    for k in range(len(weights) - 1, -1, -1):
         if needs_grad[k]:
             np.matmul(delta.transpose(0, 2, 1), outputs[k], out=grad_w[k])
             np.add.reduce(delta, axis=1, out=grad_b[k])
-        if k > lowest:
+        if k:
             delta = np.matmul(delta, weights[k])
             if activations[k - 1] == "relu":
                 delta *= outputs[k] > 0.0
@@ -235,7 +233,7 @@ def _backprop(weights, biases, activations, x, y, grad_w, grad_b, needs_grad) ->
 def loss_and_grad(state: NetworkState, inputs, labels) -> tuple[float, Gradients]:
     """Mean softmax cross-entropy and its gradient for every parameter.
 
-    Gradients are populated for frozen groups too; freezing is applied at
+    Gradients are populated for frozen layers too; freezing is applied at
     update time.
     """
     x = as_batch(state, inputs)
@@ -270,27 +268,21 @@ def _check_same_shapes(state: NetworkState, grads: Gradients, name: str) -> None
             raise ShapeError(f"{name} shapes do not match the network parameters")
 
 
-def _step_layout(specs: list[LayerSpec], config: TrainConfig) -> tuple[np.ndarray, slice]:
-    """Per-element learning rates of the flat layout, zero for frozen groups,
-    and the span of the trainable parameters.
+def _step_layout(specs: list[LayerSpec], config: TrainConfig) -> tuple[np.ndarray, slice, list[bool]]:
+    """The one reading of a config's rates: per-element learning rates of the
+    flat layout, the span of the layers that train, and per layer whether it
+    trains (its rate is not zero).
 
-    The span is contiguous because validate_layer_specs puts every
-    representation layer before every classification layer.
+    Representation layers train at base_lr > 0 and come first (see
+    validate_layer_specs); the classification layers share one rate, so the
+    layers that train are a prefix and the span starts at 0.
     """
     validate_layer_specs(specs)
-    rates, sizes = [], []
-    for spec in specs:
-        if spec.group in config.frozen_groups:
-            rates.append(0.0)
-        elif spec.group == CLASSIFICATION:
-            rates.append(config.base_lr * config.classifier_lr_multiplier)
-        else:
-            rates.append(config.base_lr)
-        sizes.append(spec.output_dim * (spec.input_dim + 1))
-    offsets = [0, *itertools.accumulate(sizes)]
-    trainable = [i for i, spec in enumerate(specs) if spec.group not in config.frozen_groups]
-    span = slice(offsets[trainable[0]], offsets[trainable[-1] + 1]) if trainable else slice(0, 0)
-    return np.repeat(rates, sizes), span
+    head_lr = config.base_lr * config.classifier_lr_multiplier
+    rates = [head_lr if spec.group == CLASSIFICATION else config.base_lr for spec in specs]
+    sizes = [spec.output_dim * (spec.input_dim + 1) for spec in specs]
+    trains = [rate > 0 for rate in rates]
+    return np.repeat(rates, sizes), slice(0, sum(itertools.compress(sizes, trains))), trains
 
 
 def _velocity_step(velocity: np.ndarray, grads: np.ndarray, lr: np.ndarray, momentum: float) -> None:
@@ -311,22 +303,21 @@ def sgd_update(
 ) -> tuple[NetworkState, Gradients]:
     """One momentum-SGD step with per-group learning rates.
 
-    Frozen groups keep their parameter arrays untouched (bit-identical); their
-    velocity follows the same recursion with a zero learning rate.
+    Layers with a zero rate keep their parameter arrays untouched
+    (bit-identical); their velocity follows the same recursion.
     """
     _check_same_shapes(state, grads, "gradients")
     _check_same_shapes(state, velocity, "velocity")
     specs = layer_specs(state)
-    lr, trainable = _step_layout(specs, config)
+    lr, trainable, trains = _step_layout(specs, config)
     params = _flatten([l.weights for l in state.layers], [l.bias for l in state.layers])
     new_velocity = _flatten(velocity.weights, velocity.biases)
     _velocity_step(new_velocity, _flatten(grads.weights, grads.biases), lr, config.momentum)
     _apply_step(params[trainable], new_velocity[trainable])
     weights, biases = _flat_views(params, specs)
     new_layers = [
-        layer if layer.group in config.frozen_groups
-        else Layer(w, b, layer.activation, layer.group)
-        for layer, w, b in zip(state.layers, weights, biases)
+        Layer(w, b, layer.activation, layer.group) if moves else layer
+        for layer, w, b, moves in zip(state.layers, weights, biases, trains)
     ]
     return NetworkState(new_layers), Gradients(*_flat_views(new_velocity, specs))
 
@@ -387,7 +378,7 @@ def train(sessions: Sequence[Session]) -> list[tuple[NetworkState, list[float]]]
     The sessions must share their layer specs and every config field but the
     seed. Inputs are validated once. Training runs on a private [sessions,
     parameters] copy, so the callers' states are never modified; frozen layers
-    get no weight gradients and their parameters come back bit-identical. The
+    (a zero rate) get no gradients and their parameters come back bit-identical. The
     copy holds the sessions largest first (a stable sort by row count), so at
     every step the sessions with a batch of the same size are a slice of it
     and take that step together; a session with fewer batches sits out the
@@ -409,7 +400,7 @@ def train(sessions: Sequence[Session]) -> list[tuple[NetworkState, list[float]]]
     order = sorted(range(len(sessions)), key=lambda i: xs[i].shape[0], reverse=True)
     sessions, xs, ys = ([seq[i] for i in order] for seq in (sessions, xs, ys))
     sizes = [x.shape[0] for x in xs]
-    lr, trainable = _step_layout(specs, config)
+    lr, trainable, needs_grad = _step_layout(specs, config)
     params = np.stack([
         _flatten([l.weights for l in session.state.layers], [l.bias for l in session.state.layers])
         for session in sessions
@@ -417,7 +408,6 @@ def train(sessions: Sequence[Session]) -> list[tuple[NetworkState, list[float]]]
     grads = np.zeros_like(params)
     velocity = np.zeros_like(params)
     activations = [spec.activation for spec in specs]
-    needs_grad = [spec.group not in config.frozen_groups for spec in specs]
     lr_t = lr[trainable]
     views = {}
 

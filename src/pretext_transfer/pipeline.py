@@ -14,7 +14,6 @@ from .data import LabeledSet
 from .errors import ConfigError, TrainingDiverged, ValidationError
 from .manifest import write_text_file
 from .network import (
-    CLASSIFICATION,
     LayerSpec,
     NetworkState,
     Session,
@@ -54,9 +53,10 @@ def pretrain_source(
 ) -> NetworkState:
     """Supervised training of a fresh network, the stand-in for an off-the-shelf source model.
 
-    Every group trains at the base learning rate, whatever ``cfg`` says.
+    The stage's rule is a head multiplier of 1: every layer trains at the base
+    learning rate, whatever multiplier ``cfg`` carries.
     """
-    cfg = replace(cfg, frozen_groups=frozenset(), classifier_lr_multiplier=1.0)
+    cfg = replace(cfg, classifier_lr_multiplier=1.0)
     state = init_network(specs, cfg.seed)
     if source_data.class_count != state.label_count:
         raise ValidationError(
@@ -82,12 +82,13 @@ def prt_train(
 ) -> NetworkState:
     """Train the representation on pseudo-labels with the classifier frozen.
 
-    The classification group is frozen and the rest trains at the base
-    learning rate, whatever ``cfg`` says. The pseudo-label cluster count must
+    The stage's rule is a head multiplier of 0: the classification layers stay
+    bit-identical and the representation trains at the base learning rate,
+    whatever multiplier ``cfg`` carries. The pseudo-label cluster count must
     equal the source model's label count so the fixed classifier head can be
     reused as-is.
     """
-    cfg = replace(cfg, frozen_groups=frozenset({CLASSIFICATION}), classifier_lr_multiplier=1.0)
+    cfg = replace(cfg, classifier_lr_multiplier=0.0)
     if pseudo.class_count != source_model.label_count:
         raise ConfigError(
             f"pseudo-label cluster count {pseudo.class_count} must equal the "
@@ -101,13 +102,12 @@ def prt_train(
 @dataclass(frozen=True)
 class TlSession:
     """One conventional-transfer session: the model it starts from, its target
-    training set and config, the seed of its new head (default: the config
-    seed + 1) and its run log."""
+    training set and config, the seed of its new head and its run log."""
 
     m1: NetworkState
     target_train: LabeledSet
     cfg: TrainConfig
-    head_seed: int | None = None
+    head_seed: int
     log_path: str | Path | None = None
 
 
@@ -115,20 +115,19 @@ def tl_train(sessions: Sequence[TlSession]) -> list[NetworkState]:
     """Replace each session's head for its target label set and fine-tune
     everything, all sessions in one lockstep ``train`` call.
 
-    No group is frozen, and the new head trains at ``TL_HEAD_MULTIPLIER``
-    times the base learning rate, whatever a session's ``cfg`` says. The
-    sessions must share every config field but the seed.
+    The stage's rule is a head multiplier of ``TL_HEAD_MULTIPLIER``, whatever
+    multiplier a session's ``cfg`` carries. The sessions must share every
+    config field but the seed.
     """
     runs, warnings = [], []
     for session in sessions:
-        cfg = replace(session.cfg, frozen_groups=frozenset(), classifier_lr_multiplier=TL_HEAD_MULTIPLIER)
+        cfg = replace(session.cfg, classifier_lr_multiplier=TL_HEAD_MULTIPLIER)
         target_train = session.target_train
         empty = np.flatnonzero(np.bincount(target_train.labels, minlength=target_train.class_count) == 0)
         for c in empty:
             logger.warning("tl stage: class %d has no training samples", c)
         warnings.append(tuple(f"warning: class {c} has no training samples" for c in empty))
-        head_seed = cfg.seed + 1 if session.head_seed is None else session.head_seed
-        start = replace_head(session.m1, target_train.class_count, head_seed)
+        start = replace_head(session.m1, target_train.class_count, session.head_seed)
         runs.append(Session(start, target_train.features, target_train.labels, cfg))
     results = _train_stage("tl", runs)
     for session, (_, losses), notes in zip(sessions, results, warnings):

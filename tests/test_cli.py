@@ -157,6 +157,23 @@ class TestCliDispatch:
         assert "fold_count must be >= 2" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("line, message", [
+        ("tl_epochs = 0", "tl stage: epochs must be >= 1"),
+        ("prt_epochs = 0", "prt stage: epochs must be >= 1"),
+        ("source_lr = 0", "source stage: base_lr must be positive"),
+        ("batch = 0", "stage: batch_size must be >= 1"),
+        ("momentum = 1", "stage: momentum must lie in [0, 1)"),
+        ("hidden = 0", "dimensions must be positive"),
+    ], ids=["tl_epochs", "prt_epochs", "source_lr", "batch", "momentum", "hidden"])
+    def test_bad_stage_setting_exits_1_before_writing(self, config_file, tmp_path, capsys, line, message):
+        key = line.split("=")[0]
+        kept = [entry for entry in MINI_CFG.splitlines() if not entry.startswith(key)]
+        config_file.write_text("\n".join([*kept, line]) + "\n")
+        out = tmp_path / "out"
+        assert main(["run-all", "--config", str(config_file), "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_out_is_a_file_exits_1(self, tmp_path, capsys):
         taken = tmp_path / "taken"
         taken.write_text("not a directory\n")
@@ -179,6 +196,14 @@ class TestCliDispatch:
         source.write_bytes(b"\xff" + source.read_bytes()[1:])
         assert main(["pretrain", "--config", str(config_file), "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {source}: manifest is not UTF-8")
+
+    def test_non_utf8_config_exits_1(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_bytes(b"seed = 1\n\xff\xfe\n")
+        out = tmp_path / "out"
+        assert main(["run-all", "--config", str(bad), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot read config file {bad}")
+        assert not out.exists()
 
     def test_staged_subcommands_produce_report(self, config_file, tmp_path):
         out = tmp_path / "staged"

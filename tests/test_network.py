@@ -212,7 +212,7 @@ class TestSgdUpdate:
 
     def test_frozen_group_is_bit_identical(self):
         state = small_state(seed=2)
-        cfg = TrainConfig(epochs=1, base_lr=0.5, momentum=0.9, frozen_groups=frozenset({CLASSIFICATION}))
+        cfg = TrainConfig(epochs=1, base_lr=0.5, momentum=0.9, classifier_lr_multiplier=0.0)
         before = [l.weights.tobytes() + l.bias.tobytes() for l in state.layers]
         velocity = zero_velocity(state)
         rng = np.random.default_rng(0)
@@ -226,10 +226,10 @@ class TestSgdUpdate:
             else:
                 assert a != b
 
-    @pytest.mark.parametrize("frozen", [CLASSIFICATION, REPRESENTATION])
+    @pytest.mark.parametrize("frozen", [CLASSIFICATION])
     def test_every_trainable_element_moves(self, frozen):
         state = init_network(THREE_LAYER_SPECS, seed=0)
-        cfg = TrainConfig(epochs=1, base_lr=0.1, momentum=0.0, frozen_groups=frozenset({frozen}))
+        cfg = TrainConfig(epochs=1, base_lr=0.1, momentum=0.0, classifier_lr_multiplier=0.0)
         new, _ = sgd_update(state, self.grad_of_one(state), zero_velocity(state), cfg)
         for old_layer, new_layer in zip(state.layers, new.layers):
             for old, updated in [(old_layer.weights, new_layer.weights), (old_layer.bias, new_layer.bias)]:
@@ -245,6 +245,19 @@ class TestSgdUpdate:
         rep_delta = state.layers[0].weights[0, 0] - new.layers[0].weights[0, 0]
         cls_delta = state.layers[1].weights[0, 0] - new.layers[1].weights[0, 0]
         assert cls_delta == 10.0 * rep_delta
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("bad", [
+        dict(epochs=0), dict(batch_size=0), dict(base_lr=0.0), dict(classifier_lr_multiplier=-1.0),
+        dict(momentum=1.0), dict(momentum=-0.1),
+    ], ids=["epochs", "batch_size", "base_lr", "multiplier", "momentum-1", "momentum-negative"])
+    def test_rejects_bad_value(self, bad):
+        with pytest.raises(ConfigError):
+            TrainConfig(**{"epochs": 1, **bad})
+
+    def test_zero_multiplier_is_accepted(self):
+        assert TrainConfig(epochs=1, classifier_lr_multiplier=0.0).classifier_lr_multiplier == 0.0
 
 
 class TestReplaceHead:
@@ -352,12 +365,10 @@ def three_class_data(n, seed=4):
 
 
 ORACLE_CASES = {
-    "prt": (THREE_LAYER_SPECS, 32, dict(frozen_groups=frozenset({CLASSIFICATION}))),
+    "prt": (THREE_LAYER_SPECS, 32, dict(classifier_lr_multiplier=0.0)),
     "tl": (THREE_LAYER_SPECS, 32, dict(classifier_lr_multiplier=10.0)),
-    "representation-frozen": (THREE_LAYER_SPECS, 32, dict(frozen_groups=frozenset({REPRESENTATION}))),
-    "both-frozen": (THREE_LAYER_SPECS, 32, dict(frozen_groups=frozenset({REPRESENTATION, CLASSIFICATION}))),
     "two-hidden-layers": (TWO_HIDDEN_SPECS, 32, dict(classifier_lr_multiplier=10.0)),
-    "partial-last-batch": (THREE_LAYER_SPECS, 29, dict(frozen_groups=frozenset({CLASSIFICATION}))),
+    "partial-last-batch": (THREE_LAYER_SPECS, 29, dict(classifier_lr_multiplier=0.0)),
 }
 
 
@@ -372,10 +383,7 @@ class TestTrainMatchesStepByStep:
         expected, mean_losses = step_by_step_train(state, x, y, cfg)
         assert state_bytes(trained) == state_bytes(expected)
         assert history == mean_losses
-        if case == "both-frozen":
-            assert state_bytes(trained) == state_bytes(state)
-        else:
-            assert state_bytes(trained) != state_bytes(state)
+        assert state_bytes(trained) != state_bytes(state)
 
 
 def reference_train(state, x, y, cfg):
@@ -416,7 +424,7 @@ def reference_train(state, x, y, cfg):
                     delta = delta @ w
                     if layers[k - 1][2] == "relu":
                         delta *= outputs[k] > 0.0
-                if group in cfg.frozen_groups:
+                if rates[group] == 0.0:
                     continue
                 for param, vel, grad in zip((w, b), velocity[k], (grad_w, grad_b)):
                     grad *= rates[group]
@@ -451,7 +459,7 @@ LOCKSTEP_CASES = {
 }
 STAGE_RULES = {
     "tl": dict(classifier_lr_multiplier=10.0),
-    "prt": dict(frozen_groups=frozenset({CLASSIFICATION})),
+    "prt": dict(classifier_lr_multiplier=0.0),
 }
 
 
@@ -509,7 +517,7 @@ class TestTrainLeavesInputAlone:
     def setup_method(self):
         self.x, self.y = three_class_data(30)
         self.cfg = TrainConfig(
-            epochs=2, batch_size=8, base_lr=0.05, seed=1, frozen_groups=frozenset({CLASSIFICATION})
+            epochs=2, batch_size=8, base_lr=0.05, seed=1, classifier_lr_multiplier=0.0
         )
         self.state = init_network(THREE_LAYER_SPECS, seed=3)
 

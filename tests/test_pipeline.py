@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -63,7 +64,7 @@ def train_one(state, x, y, cfg):
     return result
 
 
-def tl_one(m1, target_train, cfg, head_seed=None, log_path=None):
+def tl_one(m1, target_train, cfg, head_seed, log_path=None):
     """tl_train() of a single session."""
     [model] = tl_train([TlSession(m1, target_train, cfg, head_seed, log_path)])
     return model
@@ -79,12 +80,12 @@ def state_bytes(state):
     return group_bytes(state, REPRESENTATION) + group_bytes(state, CLASSIFICATION)
 
 
-# a config that breaks every stage's rule: each stage must override both fields
-MISCONFIGURED = dict(frozen_groups=frozenset({REPRESENTATION}), classifier_lr_multiplier=2.0)
+# a head multiplier that breaks every stage's rule: each stage must set its own
+MISCONFIGURED = dict(classifier_lr_multiplier=2.0)
 
 
 class TestStageRules:
-    """Each stage sets its own frozen groups and head rate, whatever it is given."""
+    """Each stage sets its own head rate, whatever it is given."""
 
     def test_prt_must_freeze_classifier(self, source_model, pseudo):
         given = TrainConfig(epochs=2, seed=3, **MISCONFIGURED)
@@ -93,7 +94,7 @@ class TestStageRules:
         assert group_bytes(m1, REPRESENTATION) != group_bytes(source_model, REPRESENTATION)
         expected, _ = train_one(
             source_model, pseudo.features, pseudo.labels,
-            TrainConfig(epochs=2, seed=3, frozen_groups=frozenset({CLASSIFICATION})),
+            TrainConfig(epochs=2, seed=3, classifier_lr_multiplier=0.0),
         )
         assert state_bytes(m1) == state_bytes(expected)
 
@@ -173,7 +174,7 @@ class TestPrtTrain:
             assert m1.label_count == source_model.label_count
 
     def test_loss_decreases_on_pseudo_task(self, source_model, pseudo):
-        cfg = TrainConfig(epochs=15, frozen_groups=frozenset({CLASSIFICATION}))
+        cfg = TrainConfig(epochs=15, classifier_lr_multiplier=0.0)
         _, history = train_one(source_model, pseudo.features, pseudo.labels, cfg)
         assert history[-1] < history[0]
 
@@ -193,11 +194,42 @@ class TestPrtTrain:
             assert float(loss) > 0
 
 
+def sha256(state):
+    return hashlib.sha256(state_bytes(state)).hexdigest()
+
+
+class TestPinnedStages:
+    """The stage rules fix every bit of a trained state; these digests were
+    recorded when PRT froze its head through a separate config field, so any
+    change to a stage's arithmetic shows here."""
+
+    PRT_SHA256 = "1e9b1a41b3ec782e32c4148134494238b7a5d97b983a5a4689e8e0258d8885f0"
+    TL_SHA256 = [
+        "2f7f644c3d8d0d7967e53d43a24e5402f395528de93910477e06236887466999",
+        "7594aa1d56af243c32f56cb99f4cabe83b0766af74e85c061eb04f0280290589",
+    ]
+
+    def test_prt_is_pinned(self, source_model, pseudo):
+        assert sha256(prt_train(source_model, pseudo, TrainConfig(epochs=3, seed=8))) == self.PRT_SHA256
+
+    def test_tl_is_pinned(self, source_model, pseudo, domains):
+        # both routes of a grid cell, with unequal row counts so the sessions
+        # take different batches at the end of each epoch
+        _, _, target = domains
+        m1 = prt_train(source_model, pseudo, TrainConfig(epochs=1, seed=2))
+        models = tl_train([
+            TlSession(source_model, target, TrainConfig(epochs=2, seed=4), head_seed=11),
+            TlSession(m1, LabeledSet(target.features[::3], target.labels[::3], 2),
+                      TrainConfig(epochs=2, seed=5), head_seed=12),
+        ])
+        assert [sha256(model) for model in models] == self.TL_SHA256
+
+
 class TestTlTrain:
     def test_head_replaced_to_two_classes(self, source_model, domains):
         _, _, target = domains
         cfg = TrainConfig(epochs=2, seed=4)
-        m2 = tl_one(source_model, target, cfg)
+        m2 = tl_one(source_model, target, cfg, head_seed=5)
         assert m2.label_count == 2
         assert forward(m2, target.features).shape == (len(target), 2)
 
@@ -209,7 +241,7 @@ class TestTlTrain:
         log = tmp_path / "tl.log"
         cfg = TrainConfig(epochs=1)
         with caplog.at_level("WARNING"):
-            tl_one(source_model, only_negative, cfg, log_path=log)
+            tl_one(source_model, only_negative, cfg, head_seed=1, log_path=log)
         assert "no training samples" in caplog.text
         assert log.read_text().splitlines()[0].startswith("warning: class 1")
 
@@ -258,7 +290,7 @@ class TestTlTrain:
         every_third = LabeledSet(target.features[::3], target.labels[::3], 2)
         sessions = [
             TlSession(source_model, target, TrainConfig(epochs=2, seed=4), head_seed=11, log_path=tmp_path / "a.log"),
-            TlSession(m1, only_negative, TrainConfig(epochs=2, seed=5), log_path=tmp_path / "b.log"),
+            TlSession(m1, only_negative, TrainConfig(epochs=2, seed=5), head_seed=6, log_path=tmp_path / "b.log"),
             TlSession(m1, every_third, TrainConfig(epochs=2, seed=6), head_seed=3, log_path=tmp_path / "c.log"),
         ]
         with caplog.at_level("WARNING"):
@@ -276,8 +308,8 @@ class TestTlTrain:
     def test_lockstep_sessions_share_hyperparameters(self, source_model, domains):
         _, _, target = domains
         with pytest.raises(ConfigError):
-            tl_train([TlSession(source_model, target, TrainConfig(epochs=1)),
-                      TlSession(source_model, target, TrainConfig(epochs=2))])
+            tl_train([TlSession(source_model, target, TrainConfig(epochs=1), head_seed=1),
+                      TlSession(source_model, target, TrainConfig(epochs=2), head_seed=1)])
 
     def test_empty_training_set_rejected(self, source_model):
         with pytest.raises(Exception):
@@ -297,5 +329,5 @@ class TestTlTrain:
             )
             _, pseudo_set = pseudo_label(base, generate_domains(SYNTH)[1].features, k=4, seed=0)
             m1 = prt_train(base, pseudo_set, TrainConfig(epochs=1))
-            m2 = tl_one(m1, target, TrainConfig(epochs=1))
+            m2 = tl_one(m1, target, TrainConfig(epochs=1), head_seed=1)
             assert m2.label_count == 2
