@@ -14,11 +14,13 @@ from .network import REPRESENTATION, NetworkState, apply_layer, as_batch
 
 logger = logging.getLogger(__name__)
 
-# Rows per assignment block. A [1024, p] @ [p, k] product stays on one BLAS
-# thread. With all 20000 rows of the pseudo-label pool in one product, OpenBLAS
-# wakes a second thread: kmeans_fit took about 2.5 times the CPU time and no
-# less wall time, and the whole-set temporaries added about 3 MB of peak RSS
-# (p = 16, k = 10, 2 cores).
+# Rows per assignment block. It bounds the per-block temporaries: with all
+# 20000 rows of the pseudo-label pool in one product they added about 3 MB of
+# peak RSS (p = 16, k = 10). The harness stages already run BLAS on one thread;
+# a [1024, p] @ [p, k] product also stays below OpenBLAS's threading threshold,
+# which keeps callers of kmeans_fit outside a stage on one thread too. A
+# whole-pool product woke a second thread there and took about 2.5 times the
+# CPU time for no less wall time (2 cores).
 _CHUNK = 1024
 
 

@@ -70,6 +70,8 @@ def parse_config_file(path: str | Path) -> dict[str, tuple[str, int]]:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         if key not in FIELDS:
             raise ConfigError(f"{path}:{lineno}: unknown key '{key}'")
+        if key in values:
+            raise ConfigError(f"{path}:{lineno}: key '{key}' repeats line {values[key][1]}")
         values[key] = (value, lineno)
     return values
 

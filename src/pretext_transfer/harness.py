@@ -12,7 +12,7 @@ import hashlib
 import logging
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
-from functools import partial
+from functools import cache, partial, wraps
 from multiprocessing import get_context
 from pathlib import Path
 
@@ -118,8 +118,11 @@ class ExperimentConfig:
             raise ConfigError("workers must be >= 1")
         if not self.hidden:
             raise ConfigError("need at least one hidden representation layer")
-        validate_layer_specs(build_layer_specs(self.synth.dim, self.synth.source_class_count, self.hidden,
-                                               self.projection_dim))
+        try:
+            validate_layer_specs(build_layer_specs(self.synth.dim, self.synth.source_class_count,
+                                                   self.hidden, self.projection_dim))
+        except ConfigError as exc:
+            raise ConfigError(f"hidden/projection_dim: {exc}") from exc
         for stage, epochs, lr in [("source", self.source_epochs, self.source_lr),
                                   ("prt", self.prt_epochs, None), ("tl", self.tl_epochs, None)]:
             try:
@@ -206,17 +209,53 @@ def _cells(cfg: ExperimentConfig) -> list[tuple[int, int]]:
     return [(ratio, fold) for ratio in cfg.ratios for fold in range(cfg.fold_count)]
 
 
-def _single_blas_thread() -> None:
-    """Pool-worker initializer: pin NumPy's bundled OpenBLAS to one thread.
-
-    Each worker otherwise starts a full OpenBLAS thread set, and with several
-    workers those threads compete for the same cores. Does nothing when NumPy
-    does not bundle scipy-openblas.
-    """
+@cache
+def _openblas() -> ctypes.CDLL | None:
+    """NumPy's bundled scipy-openblas, or None when NumPy does not bundle it or
+    it cannot be loaded."""
     libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so"))
     if not libs:
-        return
-    ctypes.CDLL(str(libs[0])).scipy_openblas_set_num_threads64_(1)
+        return None
+    try:
+        lib = ctypes.CDLL(str(libs[0]))
+        get_threads = lib.scipy_openblas_get_num_threads64_
+        set_threads = lib.scipy_openblas_set_num_threads64_
+    except (OSError, AttributeError):
+        return None
+    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    return lib
+
+
+def _set_blas_threads(count: int) -> int | None:
+    """Set the thread count of NumPy's bundled OpenBLAS; return the count it
+    had, or None (and change nothing) when there is no such library."""
+    lib = _openblas()
+    if lib is None:
+        return None
+    before = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(count)
+    return before
+
+
+def _one_blas_thread(stage):
+    """Run the stage with OpenBLAS on one thread and restore the caller's count
+    when it returns or raises.
+
+    Every product of a stage is small (p = 16, at most a few hundred
+    dictionary columns), so a second BLAS thread only adds wake-up and spin
+    time; the thread count does not change OpenBLAS's results here.
+    """
+    @wraps(stage)
+    def limited(*args, **kwargs):
+        before = _set_blas_threads(1)
+        try:
+            return stage(*args, **kwargs)
+        finally:
+            if before is not None:
+                _set_blas_threads(before)
+
+    return limited
 
 
 def _map_cells(cfg: ExperimentConfig, fn, tasks: list[tuple], *shared):
@@ -230,13 +269,15 @@ def _map_cells(cfg: ExperimentConfig, fn, tasks: list[tuple], *shared):
     except ValueError:
         context = None
     with ProcessPoolExecutor(
-        max_workers=cfg.workers, mp_context=context, initializer=_single_blas_thread
+        max_workers=cfg.workers, mp_context=context, initializer=_set_blas_threads,
+        initargs=(1,),
     ) as pool:
         return list(pool.map(task, *zip(*tasks)))
 
 
 # ---- stages -----------------------------------------------------------------
 
+@_one_blas_thread
 def run_generate(cfg: ExperimentConfig) -> tuple[LabeledSet, UnlabeledSet, LabeledSet]:
     """Generate the two-domain data and persist it with a provenance manifest."""
     synth = replace(cfg.synth, seed=derive_seed(cfg.master_seed, "data"))
@@ -251,6 +292,7 @@ def run_generate(cfg: ExperimentConfig) -> tuple[LabeledSet, UnlabeledSet, Label
     return source, unlabeled, target
 
 
+@_one_blas_thread
 def run_pretrain(cfg: ExperimentConfig) -> NetworkState:
     source = load_dataset(_require(data_path(cfg, "source")))
     specs = build_layer_specs(
@@ -264,6 +306,7 @@ def run_pretrain(cfg: ExperimentConfig) -> NetworkState:
     return model
 
 
+@_one_blas_thread
 def run_cluster(cfg: ExperimentConfig) -> ClusterModel | None:
     if not _needs_prt_route(cfg):
         logger.info("cluster stage skipped: no configured method needs it")
@@ -288,6 +331,7 @@ def _load_pseudo(cfg: ExperimentConfig) -> LabeledSet:
     return LabeledSet(unlabeled.features, cluster_model.labels, cluster_model.k)
 
 
+@_one_blas_thread
 def run_prt(cfg: ExperimentConfig) -> None:
     """Representation-only transfer, one session per master seed.
 
@@ -333,6 +377,7 @@ def _tl_ratio(cfg: ExperimentConfig, target: LabeledSet, folds: FoldPlan,
         save_checkpoint(model, path)
 
 
+@_one_blas_thread
 def run_tl(cfg: ExperimentConfig) -> None:
     """Conventional transfer per cell: from the source model for the TL
     baseline, and from the representation-transferred model otherwise. The
@@ -353,6 +398,7 @@ def _dict_cell(cfg: ExperimentConfig, target: LabeledSet, folds: FoldPlan, m1: N
     save_dictionary(fdict, cell_path(cfg, ratio, fold, "dict"))
 
 
+@_one_blas_thread
 def run_dict(cfg: ExperimentConfig) -> None:
     """Feature dictionaries from the same imbalanced train fold used for TL."""
     if METHOD_ALL not in cfg.methods:
@@ -388,6 +434,7 @@ def _evaluate_cell(cfg: ExperimentConfig, target: LabeledSet, folds: FoldPlan,
     return rows
 
 
+@_one_blas_thread
 def run_evaluate(cfg: ExperimentConfig) -> MetricsReport:
     """Score every configured (method, ratio, fold) cell and write the reports."""
     target, folds = _load_target(cfg)
@@ -404,6 +451,7 @@ def run_evaluate(cfg: ExperimentConfig) -> MetricsReport:
     return report
 
 
+@_one_blas_thread
 def run_experiment(cfg: ExperimentConfig) -> MetricsReport:
     """The full grid: generate, pretrain, cluster, PRT, per-cell training, evaluate."""
     run_generate(cfg)

@@ -90,6 +90,12 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=r"bad\.cfg:2.*mystery"):
             parse_config_file(path)
 
+    def test_repeated_key_names_both_lines(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_text("tl_epochs = 7\n# later\ntl_epochs = 2\n")
+        with pytest.raises(ConfigError, match=r"bad\.cfg:3: key 'tl_epochs' repeats line 1"):
+            parse_config_file(path)
+
     def test_overrides_beat_file_values(self, config_file, tmp_path):
         cfg = build_experiment_config(
             config_file, seed=9, out=tmp_path / "o", ratios=(100,), folds=2
@@ -163,8 +169,9 @@ class TestCliDispatch:
         ("source_lr = 0", "source stage: base_lr must be positive"),
         ("batch = 0", "stage: batch_size must be >= 1"),
         ("momentum = 1", "stage: momentum must lie in [0, 1)"),
-        ("hidden = 0", "dimensions must be positive"),
-    ], ids=["tl_epochs", "prt_epochs", "source_lr", "batch", "momentum", "hidden"])
+        ("hidden = 0", "hidden/projection_dim: layer 0: dimensions must be positive"),
+        ("projection_dim = 0", "hidden/projection_dim: layer 1: dimensions must be positive"),
+    ], ids=["tl_epochs", "prt_epochs", "source_lr", "batch", "momentum", "hidden", "projection_dim"])
     def test_bad_stage_setting_exits_1_before_writing(self, config_file, tmp_path, capsys, line, message):
         key = line.split("=")[0]
         kept = [entry for entry in MINI_CFG.splitlines() if not entry.startswith(key)]
@@ -172,6 +179,13 @@ class TestCliDispatch:
         out = tmp_path / "out"
         assert main(["run-all", "--config", str(config_file), "--out", str(out)]) == 1
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_repeated_key_exits_1_before_writing(self, config_file, tmp_path, capsys):
+        config_file.write_text(MINI_CFG + "tl_epochs = 7\n")
+        out = tmp_path / "out"
+        assert main(["run-all", "--config", str(config_file), "--out", str(out)]) == 1
+        assert "key 'tl_epochs' repeats line" in capsys.readouterr().err
         assert not out.exists()
 
     def test_out_is_a_file_exits_1(self, tmp_path, capsys):

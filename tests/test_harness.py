@@ -306,18 +306,98 @@ class TestCrashSafeOutputs:
         assert list(cfg.out_dir.rglob(".*.tmp")) == []
 
 
-def bundled_blas_threads():
-    """Live thread count of NumPy's bundled OpenBLAS, or None when it is not bundled."""
+def _bundled_blas():
     libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so"))
     if not libs:
         return None
-    return ctypes.CDLL(str(libs[0])).scipy_openblas_get_num_threads64_()
+    lib = ctypes.CDLL(str(libs[0]))
+    lib.scipy_openblas_get_num_threads64_.argtypes = []
+    lib.scipy_openblas_get_num_threads64_.restype = ctypes.c_int
+    lib.scipy_openblas_set_num_threads64_.argtypes = [ctypes.c_int]
+    lib.scipy_openblas_set_num_threads64_.restype = None
+    return lib
+
+
+def bundled_blas_threads():
+    """Live thread count of NumPy's bundled OpenBLAS, or None when it is not bundled."""
+    lib = _bundled_blas()
+    return None if lib is None else lib.scipy_openblas_get_num_threads64_()
 
 
 def test_pool_workers_run_one_blas_thread():
     parent_threads = bundled_blas_threads()
     if parent_threads is None:
         pytest.skip("NumPy does not bundle scipy-openblas")
-    with ProcessPoolExecutor(1, mp_context=get_context("fork"), initializer=harness._single_blas_thread) as pool:
+    with ProcessPoolExecutor(1, mp_context=get_context("fork"), initializer=harness._set_blas_threads,
+                             initargs=(1,)) as pool:
         assert pool.submit(bundled_blas_threads).result() == 1
     assert bundled_blas_threads() == parent_threads
+
+
+@pytest.fixture()
+def two_blas_threads():
+    """The caller runs OpenBLAS on two threads, so that a stage's limit shows
+    on any host; its own count comes back afterwards."""
+    before = bundled_blas_threads()
+    if before is None:
+        pytest.skip("NumPy does not bundle scipy-openblas")
+    _bundled_blas().scipy_openblas_set_num_threads64_(2)
+    yield
+    _bundled_blas().scipy_openblas_set_num_threads64_(before)
+
+
+def record_blas_threads(monkeypatch, name: str) -> list[int]:
+    """Wrap harness.<name> so that each call records the live BLAS thread count."""
+    seen = []
+    inner = getattr(harness, name)
+
+    def recording(*args, **kwargs):
+        seen.append(bundled_blas_threads())
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(harness, name, recording)
+    return seen
+
+
+class TestOneBlasThread:
+    def test_each_stage_runs_on_one_thread_and_restores_the_count(self, two_blas_threads, tmp_path,
+                                                                   monkeypatch):
+        pretrain = record_blas_threads(monkeypatch, "pretrain_source")
+        crc = record_blas_threads(monkeypatch, "class_probabilities")
+        cfg = mini_config(tmp_path)
+        for stage in (run_generate, run_pretrain, run_cluster, run_prt, run_tl, run_dict, run_evaluate):
+            stage(cfg)
+            assert bundled_blas_threads() == 2, stage.__name__
+        assert pretrain == [1]
+        assert crc and set(crc) == {1}
+
+    def test_nested_stages_keep_the_limit(self, two_blas_threads, tmp_path, monkeypatch):
+        pretrain = record_blas_threads(monkeypatch, "pretrain_source")
+        crc = record_blas_threads(monkeypatch, "class_probabilities")
+        run_experiment(mini_config(tmp_path))
+        assert pretrain == [1]
+        assert crc and set(crc) == {1}
+        assert bundled_blas_threads() == 2
+
+    def test_caller_count_restored_after_a_stage_raises(self, two_blas_threads, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            run_pretrain(mini_config(tmp_path))
+        assert bundled_blas_threads() == 2
+
+    def test_bytes_do_not_depend_on_the_limit(self, two_blas_threads, tmp_path, monkeypatch):
+        # the default data sizes: at the mini_config sizes no product reaches
+        # OpenBLAS's threading threshold, so the comparison would prove nothing
+        cfg = ExperimentConfig(out_dir=tmp_path / "limited", ratios=(100,), fold_count=2)
+        run_experiment(cfg)
+        monkeypatch.setattr(harness, "_set_blas_threads", lambda count: None)
+        pretrain = record_blas_threads(monkeypatch, "pretrain_source")
+        run_experiment(dataclasses.replace(cfg, out_dir=tmp_path / "unlimited"))
+        assert pretrain == [2]
+        assert tree_bytes(tmp_path / "limited") == tree_bytes(tmp_path / "unlimited")
+
+
+def test_limit_does_nothing_without_bundled_openblas(tmp_path, monkeypatch):
+    monkeypatch.setattr(harness, "_openblas", lambda: None)
+    assert harness._set_blas_threads(1) is None
+    run_generate(mini_config(tmp_path))
+    assert (tmp_path / "manifest.txt").exists()
