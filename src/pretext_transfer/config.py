@@ -26,7 +26,6 @@ FIELDS = {
     "out": ("out_dir", Path),
     "seed": ("master_seed", int),
     "folds": ("fold_count", int),
-    "workers": ("workers", int),
     "source_classes": ("synth.source_class_count", int),
     "dim": ("synth.dim", int),
     "samples_per_class": ("synth.samples_per_class", int),

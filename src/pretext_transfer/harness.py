@@ -10,10 +10,8 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import logging
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
-from functools import cache, partial, wraps
-from multiprocessing import get_context
+from functools import cache, wraps
 from pathlib import Path
 
 import numpy as np
@@ -96,6 +94,8 @@ class ExperimentConfig:
     ratios: tuple[int, ...] = ALLOWED_RATIOS
     fold_count: int = 5
     methods: tuple[str, ...] = METHOD_ORDER
+    # Read by no stage: every stage runs in the calling process. `perfbench`
+    # still sets it, and it goes with that benchmark's `grid-par` workload.
     workers: int = 1
     kmeans_max_iters: int = 200
     kmeans_tol: float = 1e-7
@@ -258,23 +258,6 @@ def _one_blas_thread(stage):
     return limited
 
 
-def _map_cells(cfg: ExperimentConfig, fn, tasks: list[tuple], *shared):
-    """Run fn(cfg, *shared, *task) for every task (a grid cell or a ratio),
-    optionally on a process pool; results come back in task order."""
-    task = partial(fn, cfg, *shared)
-    if cfg.workers <= 1 or len(tasks) <= 1:
-        return [task(*args) for args in tasks]
-    try:
-        context = get_context("fork")
-    except ValueError:
-        context = None
-    with ProcessPoolExecutor(
-        max_workers=cfg.workers, mp_context=context, initializer=_set_blas_threads,
-        initargs=(1,),
-    ) as pool:
-        return list(pool.map(task, *zip(*tasks)))
-
-
 # ---- stages -----------------------------------------------------------------
 
 @_one_blas_thread
@@ -359,29 +342,11 @@ def _cell_train_set(target: LabeledSet, folds: FoldPlan, ratio: int, fold: int) 
     return apply_imbalance(train_set, POSITIVE_CLASS, ratio)
 
 
-def _tl_ratio(cfg: ExperimentConfig, target: LabeledSet, folds: FoldPlan,
-              routes: list[tuple[str, NetworkState, str]], ratio: int) -> None:
-    sessions, paths = [], []
-    for fold in range(cfg.fold_count):
-        imbalanced = _cell_train_set(target, folds, ratio, fold)
-        for method, start, name in routes:
-            sessions.append(TlSession(
-                start,
-                imbalanced,
-                _train_config(cfg, cfg.tl_epochs, derive_seed(cfg.master_seed, ratio, fold, method, "tl")),
-                head_seed=derive_seed(cfg.master_seed, ratio, fold, method, "head"),
-                log_path=cell_log(cfg, ratio, fold, name),
-            ))
-            paths.append(cell_path(cfg, ratio, fold, name))
-    for model, path in zip(tl_train(sessions), paths):
-        save_checkpoint(model, path)
-
-
 @_one_blas_thread
 def run_tl(cfg: ExperimentConfig) -> None:
     """Conventional transfer per cell: from the source model for the TL
-    baseline, and from the representation-transferred model otherwise. The
-    sessions of one ratio train together; the pool, if any, maps over ratios."""
+    baseline, and from the representation-transferred model otherwise. Every
+    session of one ratio (each fold, both routes) trains in one lockstep call."""
     target, folds = _load_target(cfg)
     source_ckpt = _require(source_ckpt_path(cfg))
     routes = []  # (method, starting model, output name)
@@ -389,13 +354,21 @@ def run_tl(cfg: ExperimentConfig) -> None:
         routes.append((METHOD_TL, load_checkpoint(source_ckpt), "tl"))
     if _needs_prt_route(cfg):
         routes.append((METHOD_PRT_TL, load_checkpoint(_require(prt_ckpt_path(cfg))), "prt_tl"))
-    _map_cells(cfg, _tl_ratio, [(ratio,) for ratio in cfg.ratios], target, folds, routes)
-
-
-def _dict_cell(cfg: ExperimentConfig, target: LabeledSet, folds: FoldPlan, m1: NetworkState,
-               ratio: int, fold: int) -> None:
-    fdict = build_dictionary(m1, _cell_train_set(target, folds, ratio, fold))
-    save_dictionary(fdict, cell_path(cfg, ratio, fold, "dict"))
+    for ratio in cfg.ratios:
+        sessions, paths = [], []
+        for fold in range(cfg.fold_count):
+            imbalanced = _cell_train_set(target, folds, ratio, fold)
+            for method, start, name in routes:
+                sessions.append(TlSession(
+                    start,
+                    imbalanced,
+                    _train_config(cfg, cfg.tl_epochs, derive_seed(cfg.master_seed, ratio, fold, method, "tl")),
+                    head_seed=derive_seed(cfg.master_seed, ratio, fold, method, "head"),
+                    log_path=cell_log(cfg, ratio, fold, name),
+                ))
+                paths.append(cell_path(cfg, ratio, fold, name))
+        for model, path in zip(tl_train(sessions), paths):
+            save_checkpoint(model, path)
 
 
 @_one_blas_thread
@@ -406,12 +379,13 @@ def run_dict(cfg: ExperimentConfig) -> None:
         return
     target, folds = _load_target(cfg)
     m1 = load_checkpoint(_require(prt_ckpt_path(cfg)))
-    _map_cells(cfg, _dict_cell, _cells(cfg), target, folds, m1)
+    for ratio, fold in _cells(cfg):
+        fdict = build_dictionary(m1, _cell_train_set(target, folds, ratio, fold))
+        save_dictionary(fdict, cell_path(cfg, ratio, fold, "dict"))
 
 
-def _evaluate_cell(cfg: ExperimentConfig, target: LabeledSet, folds: FoldPlan,
-                   m1: NetworkState | None, ratio: int, fold: int) -> list[FoldMetrics]:
-    test = subset(target, folds.test_indices[fold])
+def _evaluate_cell(cfg: ExperimentConfig, test: LabeledSet, m1: NetworkState | None,
+                   ratio: int, fold: int) -> list[FoldMetrics]:
     rows = []
 
     def row(method: str, predictions: np.ndarray) -> FoldMetrics:
@@ -442,8 +416,8 @@ def run_evaluate(cfg: ExperimentConfig) -> MetricsReport:
         for ratio, fold in _cells(cfg):
             _require(cell_path(cfg, ratio, fold, "tl"))
     m1 = load_checkpoint(_require(prt_ckpt_path(cfg))) if METHOD_ALL in cfg.methods else None
-    per_cell = _map_cells(cfg, _evaluate_cell, _cells(cfg), target, folds, m1)
-    rows = [row for cell_rows in per_cell for row in cell_rows]
+    rows = [row for ratio, fold in _cells(cfg)
+            for row in _evaluate_cell(cfg, subset(target, folds.test_indices[fold]), m1, ratio, fold)]
     report = aggregate_folds(rows)
     write_text_file(cfg.out_dir / "report.csv", render_report_csv(report))
     write_text_file(cfg.out_dir / "folds.csv", render_folds_csv(report))

@@ -36,7 +36,6 @@ EVERY_KEY = {
     "out": ("elsewhere", "out_dir", Path("elsewhere")),
     "seed": ("4", "master_seed", 4),
     "folds": ("3", "fold_count", 3),
-    "workers": ("2", "workers", 2),
     "source_classes": ("5", "synth.source_class_count", 5),
     "dim": ("9", "synth.dim", 9),
     "samples_per_class": ("11", "synth.samples_per_class", 11),
@@ -186,6 +185,14 @@ class TestCliDispatch:
         out = tmp_path / "out"
         assert main(["run-all", "--config", str(config_file), "--out", str(out)]) == 1
         assert "key 'tl_epochs' repeats line" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_workers_key_exits_1_before_writing(self, config_file, tmp_path, capsys):
+        # every stage runs in one process, so a worker count would do nothing
+        config_file.write_text(MINI_CFG + "workers = 2\n")
+        out = tmp_path / "out"
+        assert main(["run-all", "--config", str(config_file), "--out", str(out)]) == 1
+        assert "unknown key 'workers'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_out_is_a_file_exits_1(self, tmp_path, capsys):

@@ -2,8 +2,6 @@ import ctypes
 import dataclasses
 import os
 import shutil
-from concurrent.futures import ProcessPoolExecutor
-from multiprocessing import get_context
 from pathlib import Path
 
 import numpy as np
@@ -143,6 +141,16 @@ class TestGridRun:
         run_experiment(parallel_cfg)
         assert tree_bytes(parallel_cfg.out_dir) == tree_bytes(cfg.out_dir)
 
+    def test_no_stage_starts_a_process(self, mini_run, tmp_path, monkeypatch):
+        def no_fork():
+            raise AssertionError("a stage forked a process")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        cfg, _ = mini_run
+        forkless_cfg = dataclasses.replace(cfg, out_dir=tmp_path / "forkless", workers=3)
+        run_experiment(forkless_cfg)
+        assert tree_bytes(forkless_cfg.out_dir) == tree_bytes(cfg.out_dir)
+
     def test_adding_methods_does_not_perturb_tl_rows(self, mini_run, tmp_path):
         cfg, full_report = mini_run
         tl_cfg = mini_config(tmp_path / "tl_only", methods=("TL",), master_seed=cfg.master_seed)
@@ -177,8 +185,8 @@ class TestPrtOncePerSeed:
     @pytest.mark.parametrize("workers", [1, 3])
     @pytest.mark.parametrize("ratios, fold_count", [((10,), 2), ((10, 25, 100), 3)])
     def test_prt_runs_once(self, tmp_path, monkeypatch, workers, ratios, fold_count):
-        # each call appends a line to a file, so calls made in forked pool
-        # workers are counted too
+        # each call appends a line to a file, so a call made in any process
+        # would be counted
         calls = tmp_path / "prt_calls"
         real_prt_train = harness.prt_train
 
@@ -203,8 +211,8 @@ class TestPrtOncePerSeed:
 class TestTlOncePerRatio:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_one_lockstep_call_per_ratio(self, tmp_path, monkeypatch, workers):
-        # each call appends a line to a file, so calls made in forked pool
-        # workers are counted too
+        # each call appends a line to a file, so a call made in any process
+        # would be counted
         calls = tmp_path / "tl_calls"
         real_tl_train = harness.tl_train
 
@@ -322,16 +330,6 @@ def bundled_blas_threads():
     """Live thread count of NumPy's bundled OpenBLAS, or None when it is not bundled."""
     lib = _bundled_blas()
     return None if lib is None else lib.scipy_openblas_get_num_threads64_()
-
-
-def test_pool_workers_run_one_blas_thread():
-    parent_threads = bundled_blas_threads()
-    if parent_threads is None:
-        pytest.skip("NumPy does not bundle scipy-openblas")
-    with ProcessPoolExecutor(1, mp_context=get_context("fork"), initializer=harness._set_blas_threads,
-                             initargs=(1,)) as pool:
-        assert pool.submit(bundled_blas_threads).result() == 1
-    assert bundled_blas_threads() == parent_threads
 
 
 @pytest.fixture()
