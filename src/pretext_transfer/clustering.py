@@ -80,27 +80,31 @@ def _direct_assign(x: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np
     return labels, sq_dists
 
 
+@np.errstate(over="ignore")
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """|x| of each row, for ``_assign``'s rounding slack; it depends only on
+    the rows, so a fit computes it once for all its iterations."""
+    return np.sqrt(np.einsum("ij,ij->i", x, x))
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def _sure_nearest(
-    block: np.ndarray, centroids: np.ndarray, c_sq: np.ndarray
+    block: np.ndarray, neg_2c: np.ndarray, c_sq: np.ndarray, slack: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Best-scoring centroid of each row, and whether it is sure: no other
-    centroid scores within the rounding slack of it (see ``_assign``)."""
-    p = block.shape[1]
-    finfo = np.finfo(np.float64)
+    centroid scores within the row's rounding slack of it (see ``_assign``)."""
     # one row per centroid: the min and the count over centroids combine whole
     # contiguous rows; argmin copies to make its axis contiguous, but taking the
     # best score again with min costs less than gathering it by index
-    scores = (-2.0 * centroids) @ block.T + c_sq[:, None]
+    scores = neg_2c @ block.T + c_sq[:, None]
     best = scores.argmin(axis=0)
-    scale_sq = (np.sqrt(np.einsum("ij,ij->i", block, block)) + np.sqrt(c_sq.max())) ** 2
-    slack = 8.0 * ((p + 8) * finfo.eps * scale_sq + p * finfo.tiny)
     return best, (scores <= scores.min(axis=0) + slack).sum(axis=0) == 1
 
 
-def _assign(x: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _assign(x: np.ndarray, centroids: np.ndarray, x_norms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nearest centroid per row of the C-ordered ``x``, bit for bit as
-    ``_direct_assign`` finds it, from one matrix product per block.
+    ``_direct_assign`` finds it, from one matrix product per block; ``x_norms``
+    is ``_row_norms(x)``.
 
     A centroid's score is ``|c|² - 2·x·c``, the squared distance less the
     row's common ``|x|²``. With S = |x| + max|c| and p features, the score plus
@@ -116,19 +120,24 @@ def _assign(x: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarra
     through ``_direct_assign``: near and exact ties (which go to the lowest
     index), and rows whose scores or slack an overflow turned into inf or NaN.
     """
-    m = x.shape[0]
+    m, p = x.shape
     labels = np.empty(m, dtype=np.int64)
     sq_dists = np.empty(m)
     c_sq = np.einsum("ij,ij->i", centroids, centroids)
+    finfo = np.finfo(np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        neg_2c = -2.0 * centroids
+        slack = 8.0 * ((p + 8) * finfo.eps * (x_norms + np.sqrt(c_sq.max())) ** 2 + p * finfo.tiny)
     for start in range(0, m, _CHUNK):
-        block = x[start:start + _CHUNK]
-        best, sure = _sure_nearest(block, centroids, c_sq)
+        rows = slice(start, start + _CHUNK)
+        block = x[rows]
+        best, sure = _sure_nearest(block, neg_2c, c_sq, slack[rows])
         block_sq = ((block - centroids[best]) ** 2).sum(axis=1)
         if not sure.all():
             doubt = ~sure
             best[doubt], block_sq[doubt] = _direct_assign(block[doubt], centroids)
-        labels[start:start + _CHUNK] = best
-        sq_dists[start:start + _CHUNK] = block_sq
+        labels[rows] = best
+        sq_dists[rows] = block_sq
     return labels, sq_dists
 
 
@@ -179,20 +188,21 @@ def kmeans_fit(
         raise ValidationError(f"need at least k={k} samples, got {x.shape[0]}")
     if max_iters < 1:
         raise ValidationError("max_iters must be >= 1")
-    if tol < 0:
+    if not tol >= 0:  # NaN fails this test too
         raise ValidationError("tol must be >= 0")
     rng = np.random.default_rng(seed)
     centroids = _plus_plus_seed(x, k, rng)
+    x_norms = _row_norms(x)
     history: list[float] = []
     for _ in range(max_iters):
-        labels, sq_dists = _assign(x, centroids)
+        labels, sq_dists = _assign(x, centroids, x_norms)
         history.append(float(sq_dists.sum()))
         new_centroids = _update_means(x, labels, k, centroids, sq_dists)
         shift = np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max()
         centroids = new_centroids
         if shift < tol:
             break
-    labels, sq_dists = _assign(x, centroids)
+    labels, sq_dists = _assign(x, centroids, x_norms)
     history.append(float(sq_dists.sum()))
     return ClusterModel(centroids, seed, history, labels)
 
@@ -204,7 +214,7 @@ def kmeans_assign(model: ClusterModel, features) -> np.ndarray:
             f"feature dimension {x.shape[1]} does not match centroid dimension "
             f"{model.centroids.shape[1]}"
         )
-    labels, _ = _assign(x, model.centroids)
+    labels, _ = _assign(x, model.centroids, _row_norms(x))
     return labels
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,10 +86,10 @@ class SynthConfig:
             raise ConfigError("dim must be >= 1")
         if min(self.samples_per_class, self.unlabeled_size, self.positives, self.negatives) < 1:
             raise ConfigError("all sample counts must be >= 1")
-        if self.shift < 0:
-            raise ConfigError("shift must be >= 0")
-        if self.noise <= 0:
-            raise ConfigError("noise must be > 0")
+        if not (math.isfinite(self.shift) and self.shift >= 0):
+            raise ConfigError("shift must be >= 0 and finite")
+        if not (math.isfinite(self.noise) and self.noise > 0):
+            raise ConfigError("noise must be > 0 and finite")
 
 
 def _unit(v: np.ndarray) -> np.ndarray:

@@ -10,6 +10,7 @@ only those counts, and each class's column range is derived from them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,10 +31,10 @@ class CRCConfig:
     epsilon: float = 1e-12
 
     def __post_init__(self):
-        if self.ridge <= 0:
-            raise ConfigError("ridge must be > 0")
-        if self.epsilon <= 0:
-            raise ConfigError("epsilon must be > 0")
+        if not (math.isfinite(self.ridge) and self.ridge > 0):
+            raise ConfigError("ridge must be > 0 and finite")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ConfigError("epsilon must be > 0 and finite")
 
 
 @dataclass

@@ -10,6 +10,7 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import logging
+import math
 from dataclasses import dataclass, fields, replace
 from functools import cache, wraps
 from pathlib import Path
@@ -129,6 +130,10 @@ class ExperimentConfig:
                 _train_config(self, epochs, seed=0, base_lr=lr)
             except ConfigError as exc:
                 raise ConfigError(f"{stage} stage: {exc}") from exc
+        if self.kmeans_max_iters < 1:
+            raise ConfigError("cluster stage: kmeans_max_iters must be >= 1")
+        if not (math.isfinite(self.kmeans_tol) and self.kmeans_tol >= 0):
+            raise ConfigError("cluster stage: kmeans_tol must be >= 0 and finite")
 
 
 def derive_seed(master_seed: int, *parts) -> int:

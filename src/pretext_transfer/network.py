@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
@@ -57,10 +58,10 @@ class TrainConfig:
             raise ConfigError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
-        if self.base_lr <= 0:
-            raise ConfigError("base_lr must be positive")
-        if self.classifier_lr_multiplier < 0:
-            raise ConfigError("classifier_lr_multiplier must be >= 0")
+        if not (math.isfinite(self.base_lr) and self.base_lr > 0):
+            raise ConfigError("base_lr must be positive and finite")
+        if not (math.isfinite(self.classifier_lr_multiplier) and self.classifier_lr_multiplier >= 0):
+            raise ConfigError("classifier_lr_multiplier must be >= 0 and finite")
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigError("momentum must lie in [0, 1)")
 
@@ -155,19 +156,26 @@ def as_batch(state: NetworkState, inputs) -> np.ndarray:
 
 
 def apply_layer(layer: Layer, x: np.ndarray) -> np.ndarray:
-    z = x @ layer.weights.T + layer.bias
+    """The layer's output as a new array; x is only read. The bias and the
+    activation go into the product in place, so a layer holds one output-sized
+    array at a time, with the same bits as ``np.maximum(x @ W.T + b, 0.0)``."""
+    z = x @ layer.weights.T
+    z += layer.bias
     if layer.activation == "relu":
-        return np.maximum(z, 0.0)
+        np.maximum(z, 0.0, out=z)
     return z
 
 
 def forward(state: NetworkState, inputs) -> np.ndarray:
-    """Class probabilities, one row per sample, rows summing to 1."""
+    """Class probabilities, one row per sample, rows summing to 1. The softmax
+    runs in place in the logits, which the last layer allocated."""
     z = as_batch(state, inputs)
     for layer in state.layers:
         z = apply_layer(layer, z)
-    e = np.exp(z - z.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
+    z -= z.max(axis=1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=1, keepdims=True)
+    return z
 
 
 def _flat_views(buffer: np.ndarray, specs: list[LayerSpec]) -> tuple[list, list]:

@@ -60,6 +60,19 @@ EVERY_KEY = {
 }
 
 
+# every float setting, by config-file key: NaN passes any `<` or `<=` test, so
+# each one must also be finite
+NON_FINITE = ("nan", "inf", "-inf")
+NON_FINITE_MESSAGES = {
+    "lr": "stage: base_lr must be positive and finite",
+    "source_lr": "source stage: base_lr must be positive and finite",
+    "shift": "shift must be >= 0 and finite",
+    "noise": "noise must be > 0 and finite",
+    "ridge": "ridge must be > 0 and finite",
+    "epsilon": "epsilon must be > 0 and finite",
+}
+
+
 def field_value(cfg, path):
     return functools.reduce(getattr, path.split("."), cfg)
 
@@ -170,7 +183,9 @@ class TestCliDispatch:
         ("momentum = 1", "stage: momentum must lie in [0, 1)"),
         ("hidden = 0", "hidden/projection_dim: layer 0: dimensions must be positive"),
         ("projection_dim = 0", "hidden/projection_dim: layer 1: dimensions must be positive"),
-    ], ids=["tl_epochs", "prt_epochs", "source_lr", "batch", "momentum", "hidden", "projection_dim"])
+        *((f"{key} = {value}", message) for key, message in NON_FINITE_MESSAGES.items() for value in NON_FINITE),
+    ], ids=["tl_epochs", "prt_epochs", "source_lr", "batch", "momentum", "hidden", "projection_dim",
+            *(f"{key}-{value}" for key in NON_FINITE_MESSAGES for value in NON_FINITE)])
     def test_bad_stage_setting_exits_1_before_writing(self, config_file, tmp_path, capsys, line, message):
         key = line.split("=")[0]
         kept = [entry for entry in MINI_CFG.splitlines() if not entry.startswith(key)]

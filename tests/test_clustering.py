@@ -10,6 +10,7 @@ from pretext_transfer.clustering import (
     _CHUNK,
     _assign,
     _direct_assign,
+    _row_norms,
     extract_projection,
     kmeans_assign,
     kmeans_fit,
@@ -139,6 +140,12 @@ class TestKmeansFit:
         with pytest.raises(ValidationError):
             kmeans_fit(np.zeros((3, 2)), k=4, seed=0)
 
+    def test_nan_tol_rejected(self):
+        # NaN would pass a `tol < 0` test and never meet `shift < tol`
+        points, _ = two_blobs(20)
+        with pytest.raises(ValidationError, match="tol must be >= 0"):
+            kmeans_fit(points, k=2, seed=0, tol=float("nan"))
+
 
 class TestKmeansAssign:
     def test_point_at_centroid(self):
@@ -208,7 +215,7 @@ class TestCertifiedAssign:
         if duplicate_centroids:
             centroids[-1] = centroids[0]  # every row ties; k == 1 ties with itself
         with np.errstate(over="ignore"):  # the direct formula's own overflow
-            labels, sq_dists = _assign(x, centroids)
+            labels, sq_dists = _assign(x, centroids, _row_norms(x))
             direct_labels, direct_sq = _direct_assign(x, centroids)
         assert np.array_equal(labels, direct_labels)
         assert sq_dists.tobytes() == direct_sq.tobytes()
@@ -224,7 +231,7 @@ class TestCertifiedAssign:
         monkeypatch.setattr(clustering, "_direct_assign", spy)
         centroids = np.array([[0.0, 0.0], [2.0, 0.0], [9.0, 9.0]])
         x = np.array([[0.1, 0.3], [1.0, 0.0], [8.0, 9.5]])  # row 1 ties centroids 0 and 1
-        labels, sq_dists = _assign(x, centroids)
+        labels, sq_dists = _assign(x, centroids, _row_norms(x))
         assert len(sent) == 1 and np.array_equal(sent[0], x[1:2])
         assert labels.tolist() == [0, 0, 2]
         assert sq_dists[1] == 1.0
@@ -237,7 +244,7 @@ class TestCertifiedAssign:
         centroids = np.array([[1e8 - 1.5, 1e8 - 1.5], [1e8 + 2.0, 1e8 - 1.5]])
         expansion = (x**2).sum(axis=1) - 2.0 * x @ centroids.T + (centroids**2).sum(axis=1)
         assert expansion.argmin() == 0
-        labels, sq_dists = _assign(x, centroids)
+        labels, sq_dists = _assign(x, centroids, _row_norms(x))
         assert labels.tolist() == [1]
         assert sq_dists.tolist() == [4.5]
 

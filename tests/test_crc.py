@@ -288,3 +288,9 @@ class TestConfig:
             CRCConfig(ridge=0.0)
         with pytest.raises(ConfigError):
             CRCConfig(epsilon=0.0)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field", ["ridge", "epsilon"])
+    def test_non_finite_setting_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be .* finite"):
+            CRCConfig(**{field: value})

@@ -92,6 +92,12 @@ class TestGenerateDomains:
         with pytest.raises(ConfigError):
             SynthConfig(source_class_count=1)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field", ["shift", "noise"])
+    def test_non_finite_setting_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be .* finite"):
+            SynthConfig(**{field: value})
+
 
 class TestMakeFolds:
     def grouped_set(self, counts):

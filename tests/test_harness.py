@@ -86,6 +86,18 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="fold_count must be >= 2"):
             mini_config(tmp_path, fold_count=1)
 
+    @pytest.mark.parametrize("setting, message", [
+        (dict(kmeans_max_iters=0), "cluster stage: kmeans_max_iters must be >= 1"),
+        (dict(kmeans_tol=-1.0), "cluster stage: kmeans_tol must be >= 0 and finite"),
+        (dict(kmeans_tol=float("nan")), "cluster stage: kmeans_tol must be >= 0 and finite"),
+        (dict(kmeans_tol=float("inf")), "cluster stage: kmeans_tol must be >= 0 and finite"),
+    ], ids=["max_iters-0", "tol-negative", "tol-nan", "tol-inf"])
+    def test_bad_kmeans_setting_rejected_before_any_write(self, tmp_path, setting, message):
+        out = tmp_path / "out"
+        with pytest.raises(ConfigError, match=message):
+            run_experiment(mini_config(out, **setting))
+        assert not out.exists()
+
 
 class TestDeriveSeed:
     def test_stable_and_distinct(self):

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from pretext_transfer.clustering import extract_projection
 from pretext_transfer.errors import ConfigError, ShapeError, TrainingDiverged, ValidationError
 from pretext_transfer.manifest import write_artifact
 from pretext_transfer.network import (
@@ -15,6 +17,7 @@ from pretext_transfer.network import (
     Session,
     TrainConfig,
     accuracy,
+    apply_layer,
     forward,
     init_network,
     layer_specs,
@@ -138,6 +141,69 @@ class TestForward:
             forward(small_state(), np.array([[np.nan, 0.0, 0.0, 0.0]]))
 
 
+# the experiment's default network: 16 features, hidden 32, projection 16, 10 classes
+DEFAULT_SPECS = [
+    LayerSpec(16, 32, "relu", REPRESENTATION),
+    LayerSpec(32, 16, "identity", REPRESENTATION),
+    LayerSpec(16, 10, "identity", CLASSIFICATION),
+]
+
+
+def reference_layer(layer, x):
+    z = x @ layer.weights.T + layer.bias
+    return np.maximum(z, 0.0) if layer.activation == "relu" else z
+
+
+class TestInPlaceKernels:
+    """apply_layer and forward write into the arrays they allocate, with the
+    bits of the plain expressions and without touching the caller's input."""
+
+    @pytest.mark.parametrize("rows", [1, 7, 256, 1000])
+    def test_apply_layer_bit_identical_to_reference(self, rows):
+        state = init_network(DEFAULT_SPECS, seed=rows)
+        x = np.random.default_rng(rows).normal(scale=3.0, size=(rows, 16))
+        for layer in state.layers:
+            got, expected = apply_layer(layer, x), reference_layer(layer, x)
+            assert got.tobytes() == expected.tobytes()
+            x = expected
+
+    @pytest.mark.parametrize("rows", [1, 7, 256, 1000])
+    def test_forward_bit_identical_to_reference(self, rows):
+        state = init_network(DEFAULT_SPECS, seed=rows)
+        x = np.random.default_rng(rows).normal(scale=3.0, size=(rows, 16))
+        z = x
+        for layer in state.layers:
+            z = reference_layer(layer, z)
+        e = np.exp(z - z.max(axis=1, keepdims=True))
+        assert forward(state, x).tobytes() == (e / e.sum(axis=1, keepdims=True)).tobytes()
+
+    def test_c_ordered_float64_input_unchanged(self):
+        state = init_network(DEFAULT_SPECS, seed=1)
+        x = np.random.default_rng(1).normal(size=(50, 16))
+        kept = x.copy()
+        for fn in (forward, extract_projection):
+            out = fn(state, x)
+            assert not np.shares_memory(out, x)
+            assert x.tobytes() == kept.tobytes()
+
+    @pytest.mark.parametrize("fn", [forward, extract_projection], ids=["forward", "extract_projection"])
+    def test_peak_memory_is_one_array_per_layer(self, fn):
+        # the hidden and projection outputs must coexist for one product; any
+        # further full-size temporary (a bias sum, an activation copy) breaks this
+        rows = 20000
+        state = init_network(DEFAULT_SPECS, seed=0)
+        x = np.random.default_rng(0).normal(size=(rows, 16))
+        needed = rows * (32 + 16) * x.itemsize
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            fn(state, x)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.05 * needed
+
+
 class TestLossAndGrad:
     def test_uniform_loss_is_ln2(self):
         specs = [
@@ -251,7 +317,11 @@ class TestTrainConfig:
     @pytest.mark.parametrize("bad", [
         dict(epochs=0), dict(batch_size=0), dict(base_lr=0.0), dict(classifier_lr_multiplier=-1.0),
         dict(momentum=1.0), dict(momentum=-0.1),
-    ], ids=["epochs", "batch_size", "base_lr", "multiplier", "momentum-1", "momentum-negative"])
+        # a NaN rate compares false against 0 and would freeze every layer
+        dict(base_lr=math.nan), dict(base_lr=math.inf),
+        dict(classifier_lr_multiplier=math.nan), dict(classifier_lr_multiplier=math.inf),
+    ], ids=["epochs", "batch_size", "base_lr", "multiplier", "momentum-1", "momentum-negative",
+            "base_lr-nan", "base_lr-inf", "multiplier-nan", "multiplier-inf"])
     def test_rejects_bad_value(self, bad):
         with pytest.raises(ConfigError):
             TrainConfig(**{"epochs": 1, **bad})
