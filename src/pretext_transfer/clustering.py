@@ -92,13 +92,21 @@ def _sure_nearest(
     block: np.ndarray, neg_2c: np.ndarray, c_sq: np.ndarray, slack: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Best-scoring centroid of each row, and whether it is sure: no other
-    centroid scores within the row's rounding slack of it (see ``_assign``)."""
-    # one row per centroid: the min and the count over centroids combine whole
-    # contiguous rows; argmin copies to make its axis contiguous, but taking the
-    # best score again with min costs less than gathering it by index
+    centroid scores within the row's rounding slack of it (see ``_assign``).
+    The index is only meaningful for sure rows; for the rest it lies in
+    [0, k) and the caller replaces it."""
+    # one row per centroid, so every reduction below combines whole contiguous
+    # rows (argmin over axis 0 would first copy the scores). A sure row has
+    # exactly one centroid within its slack, the best-scoring one, so the sum
+    # of its `within` indices is its argmin. Other rows have none (NaN scores)
+    # or several, whose index sum can pass k - 1: the clip keeps it a valid
+    # index until _assign replaces it
+    k = neg_2c.shape[0]
     scores = neg_2c @ block.T + c_sq[:, None]
-    best = scores.argmin(axis=0)
-    return best, (scores <= scores.min(axis=0) + slack).sum(axis=0) == 1
+    within = scores <= scores.min(axis=0) + slack
+    best = (within * np.arange(k)[:, None]).sum(axis=0)
+    np.minimum(best, k - 1, out=best)
+    return best, within.sum(axis=0) == 1
 
 
 def _assign(x: np.ndarray, centroids: np.ndarray, x_norms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -132,7 +140,10 @@ def _assign(x: np.ndarray, centroids: np.ndarray, x_norms: np.ndarray) -> tuple[
         rows = slice(start, start + _CHUNK)
         block = x[rows]
         best, sure = _sure_nearest(block, neg_2c, c_sq, slack[rows])
-        block_sq = ((block - centroids[best]) ** 2).sum(axis=1)
+        # the direct formula's ufuncs and row reduction, in one temporary;
+        # np.take gathers the same rows as centroids[best] in less time
+        diff = block - np.take(centroids, best, axis=0)
+        block_sq = np.square(diff, out=diff).sum(axis=1)
         if not sure.all():
             doubt = ~sure
             best[doubt], block_sq[doubt] = _direct_assign(block[doubt], centroids)
@@ -141,12 +152,18 @@ def _assign(x: np.ndarray, centroids: np.ndarray, x_norms: np.ndarray) -> tuple[
     return labels, sq_dists
 
 
+@np.errstate(over="ignore")
 def _plus_plus_seed(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     centroids = np.empty((k, x.shape[1]))
     centroids[0] = x[int(rng.integers(x.shape[0]))]
     closest = ((x - centroids[0]) ** 2).sum(axis=1)
     for j in range(1, k):
         total = closest.sum()
+        if not np.isfinite(total):  # closest / total would be NaN
+            raise ValidationError(
+                "k-means++ seeding failed: squared distances between features "
+                "overflow float64"
+            )
         if total > 0.0:
             idx = int(rng.choice(x.shape[0], p=closest / total))
         else:
@@ -157,22 +174,26 @@ def _plus_plus_seed(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
 
 
 def _update_means(
-    x: np.ndarray, labels: np.ndarray, k: int, centroids: np.ndarray, sq_dists: np.ndarray
+    x_cols: np.ndarray, labels: np.ndarray, k: int, centroids: np.ndarray, sq_dists: np.ndarray
 ) -> np.ndarray:
+    """Cluster means of the samples, given column by column as ``x_cols``
+    ([p, m], C order); an empty cluster is re-seeded at the sample worst
+    served by its own centroid."""
     counts = np.bincount(labels, minlength=k)
-    p = x.shape[1]
-    # bin (label, column) of every element of x, summed in sample order as np.add.at would
-    bins = (labels[:, None] * p + np.arange(p)).ravel()
-    sums = np.bincount(bins, weights=x.ravel(), minlength=k * p).reshape(k, p)
+    # bincount adds each cluster's weights in sample order from 0.0, so every
+    # sum has the bits np.add.at gives; one contiguous column per call, which
+    # costs about half a single call over a (label, column) bin of every element
+    sums = np.empty((k, x_cols.shape[0]))
+    for c, column in enumerate(x_cols):
+        sums[:, c] = np.bincount(labels, weights=column, minlength=k)
     new_centroids = centroids.copy()
     nonempty = counts > 0
     new_centroids[nonempty] = sums[nonempty] / counts[nonempty, None]
-    # re-seed each empty cluster at the point worst served by its own centroid
     if not nonempty.all():
         spare = sq_dists.copy()
         for j in np.flatnonzero(~nonempty):
             idx = int(spare.argmax())
-            new_centroids[j] = x[idx]
+            new_centroids[j] = x_cols[:, idx]
             spare[idx] = -np.inf
     return new_centroids
 
@@ -193,11 +214,12 @@ def kmeans_fit(
     rng = np.random.default_rng(seed)
     centroids = _plus_plus_seed(x, k, rng)
     x_norms = _row_norms(x)
+    x_cols = np.ascontiguousarray(x.T)  # for _update_means, once per fit
     history: list[float] = []
     for _ in range(max_iters):
         labels, sq_dists = _assign(x, centroids, x_norms)
         history.append(float(sq_dists.sum()))
-        new_centroids = _update_means(x, labels, k, centroids, sq_dists)
+        new_centroids = _update_means(x_cols, labels, k, centroids, sq_dists)
         shift = np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max()
         centroids = new_centroids
         if shift < tol:

@@ -94,7 +94,10 @@ def class_probabilities(fdict: FeatureDictionary, features, cfg: CRCConfig) -> n
     gram = d @ d.T + cfg.ridge * np.eye(d.shape[0])  # [p, p]
     solved = np.linalg.solve(gram, y_unit)
     if np.linalg.norm(gram @ solved - y_unit) > _SOLVE_TOL * max(1.0, np.linalg.norm(y_unit)):
-        raise ArithmeticError("push-through solve exceeded the residual tolerance")
+        raise ValidationError(
+            "push-through solve exceeded the residual tolerance: the dictionary "
+            f"is too ill-conditioned for ridge = {cfg.ridge!r}; raise the ridge setting"
+        )
     codes = d.T @ solved  # [N, n]
     bounds = np.cumsum((0, *fdict.class_counts))
     weights = np.empty((y.shape[0], fdict.class_count))

@@ -241,6 +241,19 @@ class TestCliDispatch:
         assert capsys.readouterr().err.startswith(f"error: cannot read config file {bad}")
         assert not out.exists()
 
+    def test_failed_crc_solve_exits_1(self, config_file, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "out"
+        base = ["--config", str(config_file), "--out", str(out)]
+        for command in ("generate", "pretrain", "cluster", "prt", "tl", "dict"):
+            assert main([command, *base]) == 0, command
+        real_solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: real_solve(a, b) + 1e-6)
+        assert main(["evaluate", *base]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: push-through solve exceeded the residual tolerance")
+        assert "raise the ridge setting" in err
+        assert not (out / "report.csv").exists()
+
     def test_staged_subcommands_produce_report(self, config_file, tmp_path):
         out = tmp_path / "staged"
         base = ["--config", str(config_file), "--seed", "3", "--out", str(out)]

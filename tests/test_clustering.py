@@ -11,6 +11,7 @@ from pretext_transfer.clustering import (
     _assign,
     _direct_assign,
     _row_norms,
+    _update_means,
     extract_projection,
     kmeans_assign,
     kmeans_fit,
@@ -140,6 +141,12 @@ class TestKmeansFit:
         with pytest.raises(ValidationError):
             kmeans_fit(np.zeros((3, 2)), k=4, seed=0)
 
+    def test_overflowing_seeding_weights_rejected(self):
+        # finite features whose squared distances overflow: the k-means++
+        # weights would be inf / inf
+        with pytest.raises(ValidationError, match="overflow"):
+            kmeans_fit(np.array([[1e200], [0.0], [1.0], [2.0]]), k=2, seed=0)
+
     def test_nan_tol_rejected(self):
         # NaN would pass a `tol < 0` test and never meet `shift < tol`
         points, _ = two_blobs(20)
@@ -247,6 +254,95 @@ class TestCertifiedAssign:
         labels, sq_dists = _assign(x, centroids, _row_norms(x))
         assert labels.tolist() == [1]
         assert sq_dists.tolist() == [4.5]
+
+
+    @pytest.mark.parametrize("shifted", [False, True])
+    def test_many_blocks_bit_identical_to_direct_formula(self, shifted):
+        # 20000 rows span 20 assignment blocks; two coincident centroids tie
+        # for every row nearest them, and the shift makes near ties
+        rng = np.random.default_rng(20000)
+        centers = rng.normal(scale=3.0, size=(10, 16))
+        x = centers[rng.integers(0, 10, size=20000)] + rng.normal(size=(20000, 16))
+        x[::7] = np.round(x[::7])
+        if shifted:
+            x += 1e8
+        centroids = x[rng.choice(20000, size=10, replace=False)]
+        centroids[9] = centroids[4]
+        labels, sq_dists = _assign(x, centroids, _row_norms(x))
+        direct_labels, direct_sq = _direct_assign(x, centroids)
+        assert np.array_equal(labels, direct_labels)
+        assert sq_dists.tobytes() == direct_sq.tobytes()
+
+    @pytest.mark.parametrize("case", ["ties", "overflow"])
+    def test_sure_nearest_indices_lie_in_range(self, monkeypatch, case):
+        # rows that are not sure still index the centroids before the direct
+        # formula replaces them: seven coincident centroids make every row's
+        # index sum 21, and a centroid whose |c|² overflows makes NaN scores
+        k = 7
+        returned = []
+        real_sure_nearest = clustering._sure_nearest
+
+        def spy(*args):
+            best, sure = real_sure_nearest(*args)
+            returned.append((best.copy(), sure.copy()))
+            return best, sure
+
+        monkeypatch.setattr(clustering, "_sure_nearest", spy)
+        rng = np.random.default_rng(7)
+        x = rng.normal(size=(_CHUNK + 300, 3))
+        if case == "ties":
+            centroids = np.repeat(rng.normal(size=(1, 3)), k, axis=0)
+        else:
+            centroids = rng.normal(size=(k, 3))
+            centroids[k - 1] = 1e160
+            x[::3] = 1e160
+        with np.errstate(over="ignore", invalid="ignore"):  # the direct formula's own overflow
+            labels, _ = _assign(x, centroids, _row_norms(x))
+            direct_labels, _ = _direct_assign(x, centroids)
+        assert np.array_equal(labels, direct_labels)
+        best = np.concatenate([b for b, _ in returned])
+        sure = np.concatenate([s for _, s in returned])
+        assert (~sure).any()
+        assert best.min() >= 0 and best.max() < k
+
+
+class TestUpdateMeans:
+    @staticmethod
+    def reference(x, labels, k, centroids, sq_dists):
+        """np.add.at sums; empty clusters take the worst-served samples in turn."""
+        sums = np.zeros((k, x.shape[1]))
+        np.add.at(sums, labels, x)
+        counts = np.bincount(labels, minlength=k)
+        expected = centroids.copy()
+        for j in np.flatnonzero(counts):
+            expected[j] = sums[j] / counts[j]
+        worst_first = np.argsort(-sq_dists, kind="stable")
+        for j, idx in zip(np.flatnonzero(counts == 0), worst_first):
+            expected[j] = x[idx]
+        return expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        p=st.integers(1, 40),
+        k=st.integers(2, 12),
+        extra_rows=st.integers(0, 200),
+        used=st.integers(1, 12),
+        exponent=st.integers(-150, 150),
+        spread=st.integers(0, 8),
+    )
+    def test_bit_identical_to_add_at(self, seed, p, k, extra_rows, used, exponent, spread):
+        # only `used` clusters receive samples, so up to k - 1 are empty;
+        # each row scaled on its own by up to 10**spread
+        rng = np.random.default_rng(seed)
+        m = k + extra_rows
+        x = rng.normal(size=(m, p)) * 10.0 ** (exponent + rng.uniform(0, spread, (m, 1)))
+        labels = rng.choice(k, size=min(used, k), replace=False)[rng.integers(0, min(used, k), m)]
+        centroids = rng.normal(size=(k, p))
+        sq_dists = rng.uniform(size=m)
+        sq_dists[rng.integers(0, m, size=m // 4)] = sq_dists[0]  # ties among the worst served
+        got = _update_means(np.ascontiguousarray(x.T), labels, k, centroids, sq_dists)
+        assert got.tobytes() == self.reference(x, labels, k, centroids, sq_dists).tobytes()
 
 
 class TestPinnedFit:

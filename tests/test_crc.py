@@ -246,8 +246,16 @@ class TestSolveResidualCheck:
         class_probabilities(fdict, batch, CFG)
         assert systems == [(6, 6)]  # one p x p system, not N x N (N = 7)
         monkeypatch.setattr(np.linalg, "solve", off_by_a_little)
-        with pytest.raises(ArithmeticError, match="residual"):
+        with pytest.raises(ValidationError, match="residual"):
             class_probabilities(fdict, batch, CFG)
+
+    def test_tiny_ridge_on_rank_deficient_dictionary_names_ridge(self):
+        # 3 columns span 3 of 16 dimensions, so D D^T + ridge I has 13
+        # eigenvalues of 1e-12: a valid config the solve cannot meet
+        rng = np.random.default_rng(4)
+        fdict = random_dictionary(rng, p=16, counts=[2, 1])
+        with pytest.raises(ValidationError, match=r"ridge = 1e-12; raise the ridge setting"):
+            class_probabilities(fdict, rng.normal(size=(4, 16)), CRCConfig(ridge=1e-12))
 
 
 class TestDictionarySerialization:
