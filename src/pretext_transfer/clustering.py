@@ -224,7 +224,9 @@ def kmeans_fit(
         centroids = new_centroids
         if shift < tol:
             break
-    labels, sq_dists = _assign(x, centroids, x_norms)
+    # when no centroid moved, the loop's last assignment is already final
+    if shift != 0:
+        labels, sq_dists = _assign(x, centroids, x_norms)
     history.append(float(sq_dists.sum()))
     return ClusterModel(centroids, seed, history, labels)
 

@@ -1,9 +1,10 @@
 """Experiment grid orchestration: data generation, one pre-text representation
 transfer (PRT) per master seed, conventional transfer (TL) with every session
 of a ratio (each fold, both routes) trained in lockstep, per-cell dictionaries,
-evaluation of the TL / PRT+TL / All methods with each cell scored in one pass,
-and report writing. Every random stream derives from the master seed, so a
-rerun with the same seed reproduces the report byte for byte."""
+evaluation of the TL / PRT+TL / All methods with each test fold projected and
+normalized once for all its ratios, and report writing. Every random stream
+derives from the master seed, so a rerun with the same seed reproduces the
+report byte for byte."""
 
 from __future__ import annotations
 
@@ -41,9 +42,10 @@ from .data import (
 from .dictionary import (
     CRCConfig,
     build_dictionary,
-    class_probabilities,
     load_dictionary,
     save_dictionary,
+    unit_class_probabilities,
+    unit_test_columns,
 )
 from .errors import ConfigError
 from .manifest import write_text_file
@@ -389,8 +391,10 @@ def run_dict(cfg: ExperimentConfig) -> None:
         save_dictionary(fdict, cell_path(cfg, ratio, fold, "dict"))
 
 
-def _evaluate_cell(cfg: ExperimentConfig, test: LabeledSet, m1: NetworkState | None,
+def _evaluate_cell(cfg: ExperimentConfig, test: LabeledSet, test_unit: np.ndarray | None,
                    ratio: int, fold: int) -> list[FoldMetrics]:
+    """The cell's rows; ``test_unit`` is the fold's test projection as CRC's
+    unit columns, or None when method 'All' is not configured."""
     rows = []
 
     def row(method: str, predictions: np.ndarray) -> FoldMetrics:
@@ -408,7 +412,7 @@ def _evaluate_cell(cfg: ExperimentConfig, test: LabeledSet, m1: NetworkState | N
             rows.append(row(METHOD_PRT_TL, rho.argmax(axis=1)))
         if METHOD_ALL in cfg.methods:
             fdict = load_dictionary(_require(cell_path(cfg, ratio, fold, "dict")))
-            q = class_probabilities(fdict, extract_projection(m1, test.features), cfg.crc)
+            q = unit_class_probabilities(fdict, test_unit, cfg.crc)
             rows.append(row(METHOD_ALL, fuse_predict(rho, q)[0]))
     return rows
 
@@ -421,9 +425,15 @@ def run_evaluate(cfg: ExperimentConfig) -> MetricsReport:
         for ratio, fold in _cells(cfg):
             _require(cell_path(cfg, ratio, fold, "tl"))
     m1 = load_checkpoint(_require(prt_ckpt_path(cfg))) if METHOD_ALL in cfg.methods else None
-    rows = [row for ratio, fold in _cells(cfg)
-            for row in _evaluate_cell(cfg, subset(target, folds.test_indices[fold]), m1, ratio, fold)]
-    report = aggregate_folds(rows)
+    rows = []
+    for fold in range(cfg.fold_count):  # every ratio of a fold shares its test set
+        test = subset(target, folds.test_indices[fold])
+        test_unit = None
+        if m1 is not None:
+            test_unit = unit_test_columns(extract_projection(m1, test.features), cfg.projection_dim)
+        for ratio in cfg.ratios:
+            rows.extend(_evaluate_cell(cfg, test, test_unit, ratio, fold))
+    report = aggregate_folds(rows)  # groups keep fold order, so the bytes do not change
     write_text_file(cfg.out_dir / "report.csv", render_report_csv(report))
     write_text_file(cfg.out_dir / "folds.csv", render_folds_csv(report))
     write_text_file(cfg.out_dir / "report.txt", render_report_text(report))

@@ -96,14 +96,10 @@ def confusion_counts(predictions, truth, positive_class: int) -> ConfusionCounts
     true = np.asarray(truth)
     if pred.shape != true.shape or pred.ndim != 1:
         raise ShapeError("predictions and truth must be equal-length vectors")
-    pred_pos = pred == positive_class
-    true_pos = true == positive_class
-    return ConfusionCounts(
-        tp=int(np.sum(pred_pos & true_pos)),
-        tn=int(np.sum(~pred_pos & ~true_pos)),
-        fp=int(np.sum(pred_pos & ~true_pos)),
-        fn=int(np.sum(~pred_pos & true_pos)),
-    )
+    # one tally of 2 * (truth is positive) + (prediction is positive)
+    cells = 2 * (true == positive_class) + (pred == positive_class)
+    tn, fp, fn, tp = np.bincount(cells, minlength=4).tolist()
+    return ConfusionCounts(tp=tp, tn=tn, fp=fp, fn=fn)
 
 
 def compute_metrics(counts: ConfusionCounts) -> MetricValues:

@@ -20,6 +20,7 @@ from pretext_transfer.clustering import (
     save_cluster_model,
 )
 from pretext_transfer.errors import ShapeError, ValidationError
+from pretext_transfer.harness import ExperimentConfig, clusters_ckpt_path, run_cluster, run_generate, run_pretrain
 from pretext_transfer.network import (
     CLASSIFICATION,
     REPRESENTATION,
@@ -366,6 +367,60 @@ class TestPinnedFit:
         model = kmeans_fit(np.asarray(points, order=order), k=10, seed=4, max_iters=10, tol=0.0)
         assert [repr(v) for v in model.inertia_history] == self.HISTORY
         assert hashlib.sha256(model.labels.astype("<i8").tobytes()).hexdigest() == self.LABELS_SHA256
+
+
+def count_assign_calls(monkeypatch) -> list[int]:
+    """Wrap clustering._assign so that each call appends its row count."""
+    calls = []
+    real = clustering._assign
+
+    def counting(x, centroids, x_norms):
+        calls.append(x.shape[0])
+        return real(x, centroids, x_norms)
+
+    monkeypatch.setattr(clustering, "_assign", counting)
+    return calls
+
+
+class TestFinalAssignment:
+    """When the last Lloyd step moves no centroid, its assignment is the final
+    one; the fit keeps it instead of assigning again, and still records its
+    inertia twice."""
+
+    def test_converged_fit_assigns_once_per_iteration(self, monkeypatch):
+        points, _ = two_blobs()
+        calls = count_assign_calls(monkeypatch)
+        model = kmeans_fit(points, k=2, seed=1)
+        assert model.inertia_history[-1] == model.inertia_history[-2]
+        assert len(calls) == len(model.inertia_history) - 1
+        assert np.array_equal(model.labels, kmeans_assign(model, points))
+
+    def test_fit_stopped_while_moving_assigns_again(self, monkeypatch):
+        points = np.random.default_rng(5).normal(size=(70, 4))
+        calls = count_assign_calls(monkeypatch)
+        model = kmeans_fit(points, k=7, seed=11, max_iters=1)
+        assert len(calls) == len(model.inertia_history) == 2
+        assert model.inertia_history[1] < model.inertia_history[0]
+        assert np.array_equal(model.labels, kmeans_assign(model, points))
+
+    # recorded before the final assignment was reused; the default run's fits
+    # end on a step that moves no centroid at both seeds
+    CLUSTERS_SHA256 = {
+        0: "ad35bdad23feedd9d87a60ad9d018fea985b8add5b8a77bd58a3ca95052cbbfa",
+        11: "dce143135e02c4601021253bedb210c7003ae575607e5f49f642dde159383ad7",
+    }
+
+    @pytest.mark.parametrize("seed, iterations", [(0, 37), (11, 32)])
+    def test_default_run_clusters_keep_their_bytes(self, tmp_path, monkeypatch, seed, iterations):
+        cfg = ExperimentConfig(out_dir=tmp_path, master_seed=seed)
+        run_generate(cfg)
+        run_pretrain(cfg)
+        calls = count_assign_calls(monkeypatch)
+        model = run_cluster(cfg)
+        assert len(calls) == iterations
+        assert len(model.inertia_history) == iterations + 1
+        raw = clusters_ckpt_path(cfg).read_bytes()
+        assert hashlib.sha256(raw).hexdigest() == self.CLUSTERS_SHA256[seed]
 
 
 class TestPseudoLabel:

@@ -11,6 +11,8 @@ from pretext_transfer.dictionary import (
     class_probabilities,
     load_dictionary,
     save_dictionary,
+    unit_class_probabilities,
+    unit_test_columns,
 )
 from pretext_transfer.errors import ConfigError, ShapeError, ValidationError
 from pretext_transfer.manifest import write_artifact
@@ -225,6 +227,74 @@ class TestBatchProbabilities:
         for i in range(12):
             assert np.allclose(q_batch[i], q_one(fdict, batch[i]), atol=1e-10)
             assert np.allclose(q_batch[i], oracle_q(fdict, batch[i]), atol=1e-9)
+
+
+def codes_form_q(fdict, batch, cfg=CFG):
+    """The former scoring: the same push-through solve, then the [N, n] codes
+    D^T s and each class's reconstruction D_c codes_c."""
+    y_unit = (batch / np.linalg.norm(batch, axis=1)[:, None]).T
+    d = fdict.columns
+    solved = np.linalg.solve(d @ d.T + cfg.ridge * np.eye(d.shape[0]), y_unit)
+    codes = d.T @ solved
+    bounds = np.cumsum((0, *fdict.class_counts))
+    weights = np.empty((batch.shape[0], fdict.class_count))
+    for c, (start, stop) in enumerate(zip(bounds[:-1], bounds[1:])):
+        recon = d[:, start:stop] @ codes[start:stop]
+        weights[:, c] = (np.linalg.norm(y_unit - recon, axis=0) + cfg.epsilon) ** -2
+    return weights / weights.sum(axis=1, keepdims=True)
+
+
+class TestClassGramReconstruction:
+    """Each class reconstructs through its p x p Gram matrix; the codes form
+    it replaced agrees to rounding."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_unequal_class_counts_349_35(self, seed):
+        rng = np.random.default_rng(seed)
+        fdict = random_dictionary(rng, p=16, counts=[349, 35])
+        batch = rng.normal(size=(140, 16))
+        q = class_probabilities(fdict, batch, CFG)
+        assert np.abs(q - codes_form_q(fdict, batch)).max() <= 1e-12
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_one_class_duplicated(self, seed):
+        rng = np.random.default_rng(10 + seed)
+        base = random_dictionary(rng, p=16, counts=[60, 25])
+        twice = np.concatenate([base.columns, base.columns[:, 60:]], axis=1)
+        fdict = FeatureDictionary(twice, (60, 50))
+        batch = rng.normal(size=(140, 16))
+        q = class_probabilities(fdict, batch, CFG)
+        assert np.abs(q - codes_form_q(fdict, batch)).max() <= 1e-12
+
+    def test_several_classes_and_a_single_column_class(self):
+        rng = np.random.default_rng(20)
+        fdict = random_dictionary(rng, p=9, counts=[1, 40, 7, 3])
+        batch = rng.normal(size=(33, 9))
+        q = class_probabilities(fdict, batch, CFG)
+        assert np.abs(q - codes_form_q(fdict, batch)).max() <= 1e-12
+
+
+class TestUnitColumns:
+    def test_split_steps_give_class_probabilities(self):
+        rng = np.random.default_rng(21)
+        fdict = random_dictionary(rng, p=8, counts=[5, 3])
+        batch = rng.normal(size=(10, 8)) * rng.uniform(0.1, 10, size=(10, 1))
+        y_unit = unit_test_columns(batch, 8)
+        assert y_unit.shape == (8, 10)
+        assert np.allclose(np.linalg.norm(y_unit, axis=0), 1.0, atol=1e-12)
+        assert np.array_equal(unit_class_probabilities(fdict, y_unit, CFG), class_probabilities(fdict, batch, CFG))
+
+    def test_dictionary_of_another_width_rejected(self):
+        fdict = random_dictionary(np.random.default_rng(0), p=5, counts=[2, 2])
+        with pytest.raises(ShapeError, match="5 columns"):
+            unit_class_probabilities(fdict, unit_test_columns(np.ones((3, 4)), 4), CFG)
+
+    def test_shape_checked_before_values(self):
+        # a batch of the wrong width is named as such even when it holds NaN
+        with pytest.raises(ShapeError, match="6 columns"):
+            unit_test_columns(np.full((2, 4), np.nan), 6)
+        with pytest.raises(ValidationError, match="non-finite"):
+            unit_test_columns(np.full((2, 6), np.nan), 6)
 
 
 class TestSolveResidualCheck:

@@ -240,6 +240,38 @@ class TestTlOncePerRatio:
         assert calls.read_text().splitlines() == ["6", "6", "6"]
 
 
+class TestEvaluateOncePerFold:
+    def test_each_fold_projected_once_for_all_ratios(self, mini_run, tmp_path, monkeypatch):
+        # every ratio's cell of a fold shares its test set, so the fold's PRT
+        # projection and CRC normalization are computed once, not once per cell
+        base, report = mini_run
+        cfg = dataclasses.replace(base, out_dir=tmp_path / "run")
+        shutil.copytree(base.out_dir, cfg.out_dir)
+        projected, normalized = [], []
+        real_projection, real_columns = harness.extract_projection, harness.unit_test_columns
+
+        def projection(model, samples):
+            projected.append(len(samples))
+            return real_projection(model, samples)
+
+        def columns(features, feature_dim):
+            normalized.append(len(features))
+            return real_columns(features, feature_dim)
+
+        monkeypatch.setattr(harness, "extract_projection", projection)
+        monkeypatch.setattr(harness, "unit_test_columns", columns)
+        assert run_evaluate(cfg) == report
+        assert len(cfg.ratios) > 1
+        assert len(projected) == len(normalized) == cfg.fold_count
+
+    def test_projection_skipped_without_all(self, mini_run, tmp_path, monkeypatch):
+        base, _ = mini_run
+        cfg = dataclasses.replace(base, out_dir=tmp_path / "run", methods=("TL", "PRT+TL"))
+        shutil.copytree(base.out_dir, cfg.out_dir)
+        monkeypatch.setattr(harness, "extract_projection", lambda *args: pytest.fail("projected"))
+        run_evaluate(cfg)
+
+
 class TestBaselineIsolation:
     def test_tl_only_run_creates_no_prt_artifacts(self, tmp_path):
         cfg = mini_config(tmp_path, methods=("TL",))
@@ -282,6 +314,24 @@ class TestMissingPrerequisites:
         with pytest.raises(FileNotFoundError) as err:
             run_evaluate(cfg)
         assert "tl.ckpt" in str(err.value)
+
+    def test_missing_tl_named_before_prt_model_is_read(self, mini_run, tmp_path, monkeypatch):
+        base, _ = mini_run
+        cfg = dataclasses.replace(base, out_dir=tmp_path / "run")
+        shutil.copytree(base.out_dir, cfg.out_dir)
+        missing = cell_path(cfg, cfg.ratios[-1], cfg.fold_count - 1, "tl")
+        missing.unlink()
+        opened = []
+        real_load = harness.load_checkpoint
+
+        def recording_load(path):
+            opened.append(Path(path).name)
+            return real_load(path)
+
+        monkeypatch.setattr(harness, "load_checkpoint", recording_load)
+        with pytest.raises(FileNotFoundError, match=str(missing)):
+            run_evaluate(cfg)
+        assert "prt.ckpt" not in opened
 
     def test_pretrain_requires_generated_data(self, tmp_path):
         cfg = mini_config(tmp_path)
@@ -373,7 +423,7 @@ class TestOneBlasThread:
     def test_each_stage_runs_on_one_thread_and_restores_the_count(self, two_blas_threads, tmp_path,
                                                                    monkeypatch):
         pretrain = record_blas_threads(monkeypatch, "pretrain_source")
-        crc = record_blas_threads(monkeypatch, "class_probabilities")
+        crc = record_blas_threads(monkeypatch, "unit_class_probabilities")
         cfg = mini_config(tmp_path)
         for stage in (run_generate, run_pretrain, run_cluster, run_prt, run_tl, run_dict, run_evaluate):
             stage(cfg)
@@ -383,7 +433,7 @@ class TestOneBlasThread:
 
     def test_nested_stages_keep_the_limit(self, two_blas_threads, tmp_path, monkeypatch):
         pretrain = record_blas_threads(monkeypatch, "pretrain_source")
-        crc = record_blas_threads(monkeypatch, "class_probabilities")
+        crc = record_blas_threads(monkeypatch, "unit_class_probabilities")
         run_experiment(mini_config(tmp_path))
         assert pretrain == [1]
         assert crc and set(crc) == {1}

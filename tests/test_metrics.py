@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pretext_transfer.errors import ShapeError, ValidationError
@@ -156,6 +156,34 @@ class TestConfusionCounts:
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):
             confusion_counts(np.zeros(3, dtype=int), np.zeros(4, dtype=int), 1)
+
+    def test_matrix_rejected(self):
+        with pytest.raises(ShapeError):
+            confusion_counts(np.zeros((2, 2), dtype=int), np.zeros((2, 2), dtype=int), 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 40).flatmap(lambda n: st.tuples(
+            st.lists(st.integers(0, 2), min_size=n, max_size=n),
+            st.lists(st.integers(0, 2), min_size=n, max_size=n),
+        )),
+        st.integers(0, 2),
+    )
+    @example(([], []), 1)  # empty vectors
+    @example(([1, 1, 1], [1, 1, 1]), 1)  # a single class, all positive
+    @example(([0, 0, 0], [0, 0, 0]), 1)  # a single class, no positive
+    @example(([0, 2, 0], [2, 0, 0]), 1)  # no positive at all among three classes
+    def test_matches_four_masked_sums(self, vectors, positive_class):
+        pred, truth = (np.array(v, dtype=np.int64) for v in vectors)
+        pred_pos, true_pos = pred == positive_class, truth == positive_class
+        counts = confusion_counts(pred, truth, positive_class)
+        assert (counts.tp, counts.tn, counts.fp, counts.fn) == (
+            int(np.sum(pred_pos & true_pos)),
+            int(np.sum(~pred_pos & ~true_pos)),
+            int(np.sum(pred_pos & ~true_pos)),
+            int(np.sum(~pred_pos & true_pos)),
+        )
+        assert all(type(v) is int for v in (counts.tp, counts.tn, counts.fp, counts.fn))
 
 
 class TestComputeMetrics:
