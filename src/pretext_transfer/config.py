@@ -9,14 +9,9 @@ from .errors import ConfigError
 from .harness import ExperimentConfig
 
 
-def str_list(raw: str) -> tuple[str, ...]:
-    """Comma-separated items, blanks dropped."""
-    return tuple(part.strip() for part in raw.split(",") if part.strip())
-
-
 def int_list(raw: str) -> tuple[int, ...]:
     """Comma-separated integers, blanks dropped; raises ValueError on a bad item."""
-    return tuple(int(part) for part in str_list(raw))
+    return tuple(int(part) for part in raw.split(",") if part.strip())
 
 
 # file key -> (ExperimentConfig field, or "<nested config>.<field>", parser).
@@ -46,7 +41,6 @@ FIELDS = {
     "ridge": ("crc.ridge", float),
     "epsilon": ("crc.epsilon", float),
     "ratios": ("ratios", int_list),
-    "methods": ("methods", str_list),
 }
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
-import logging
 import math
 from dataclasses import dataclass, fields, replace
 from functools import cache, wraps
@@ -47,7 +46,7 @@ from .dictionary import (
     unit_class_probabilities,
     unit_test_columns,
 )
-from .errors import ConfigError
+from .errors import ConfigError, ValidationError
 from .manifest import write_text_file
 from .metrics import (
     METHOD_ORDER,
@@ -74,8 +73,6 @@ from .network import (
 )
 from .pipeline import TlSession, pretrain_source, prt_train, tl_train
 
-logger = logging.getLogger(__name__)
-
 METHOD_TL, METHOD_PRT_TL, METHOD_ALL = METHOD_ORDER
 
 
@@ -96,7 +93,6 @@ class ExperimentConfig:
     crc: CRCConfig = CRCConfig()
     ratios: tuple[int, ...] = ALLOWED_RATIOS
     fold_count: int = 5
-    methods: tuple[str, ...] = METHOD_ORDER
     # Read by no stage: every stage runs in the calling process. `perfbench`
     # still sets it, and it goes with that benchmark's `grid-par` workload.
     workers: int = 1
@@ -110,11 +106,8 @@ class ExperimentConfig:
         bad_ratios = set(self.ratios) - set(ALLOWED_RATIOS)
         if bad_ratios:
             raise ConfigError(f"ratios must be a subset of {ALLOWED_RATIOS}, got {sorted(bad_ratios)}")
-        if not self.methods:
-            raise ConfigError("methods must not be empty")
-        bad_methods = set(self.methods) - set(METHOD_ORDER)
-        if bad_methods:
-            raise ConfigError(f"methods must be a subset of {METHOD_ORDER}, got {sorted(bad_methods)}")
+        if len(set(self.ratios)) != len(self.ratios):
+            raise ConfigError(f"ratios must not repeat, got {list(self.ratios)}")
         if self.fold_count < 2:
             raise ConfigError("fold_count must be >= 2: with one fold every training split is empty")
         if self.workers < 1:
@@ -172,10 +165,6 @@ def _train_config(
     )
 
 
-def _needs_prt_route(cfg: ExperimentConfig) -> bool:
-    return METHOD_PRT_TL in cfg.methods or METHOD_ALL in cfg.methods
-
-
 # ---- output layout ----------------------------------------------------------
 
 def data_path(cfg: ExperimentConfig, name: str) -> Path:
@@ -210,6 +199,28 @@ def _require(path: Path) -> Path:
     if not path.exists():
         raise FileNotFoundError(f"missing checkpoint or data file: {path}")
     return path
+
+
+def _data_synth(cfg: ExperimentConfig) -> SynthConfig:
+    return replace(cfg.synth, seed=derive_seed(cfg.master_seed, "data"))
+
+
+def _data_manifest(cfg: ExperimentConfig) -> str:
+    """The text of ``manifest.txt``: the settings that fix the generated data."""
+    synth = _data_synth(cfg)
+    lines = [f"master_seed = {cfg.master_seed}"]
+    lines.extend(f"{field.name} = {getattr(synth, field.name)}" for field in fields(synth))
+    return "\n".join(lines) + "\n"
+
+
+def _load_data(cfg: ExperimentConfig, name: str) -> LabeledSet | UnlabeledSet:
+    """Load ``<name>.bin``, refusing data generated with another seed or other
+    data settings than ``cfg``'s."""
+    path = _require(data_path(cfg, name))
+    manifest = _require(cfg.out_dir / "manifest.txt")
+    if manifest.read_bytes() != _data_manifest(cfg).encode("utf-8"):
+        raise ValidationError(f"{manifest}: the data was generated with another seed or other data settings")
+    return load_dataset(path)
 
 
 def _cells(cfg: ExperimentConfig) -> list[tuple[int, int]]:
@@ -270,21 +281,17 @@ def _one_blas_thread(stage):
 @_one_blas_thread
 def run_generate(cfg: ExperimentConfig) -> tuple[LabeledSet, UnlabeledSet, LabeledSet]:
     """Generate the two-domain data and persist it with a provenance manifest."""
-    synth = replace(cfg.synth, seed=derive_seed(cfg.master_seed, "data"))
-    source, unlabeled, target = generate_domains(synth)
+    source, unlabeled, target = generate_domains(_data_synth(cfg))
     save_dataset(source, data_path(cfg, "source"))
     save_dataset(unlabeled, data_path(cfg, "unlabeled"))
     save_dataset(target, data_path(cfg, "target"))
-    manifest_lines = [f"master_seed = {cfg.master_seed}"]
-    for field in fields(synth):
-        manifest_lines.append(f"{field.name} = {getattr(synth, field.name)}")
-    write_text_file(cfg.out_dir / "manifest.txt", "\n".join(manifest_lines) + "\n")
+    write_text_file(cfg.out_dir / "manifest.txt", _data_manifest(cfg))
     return source, unlabeled, target
 
 
 @_one_blas_thread
 def run_pretrain(cfg: ExperimentConfig) -> NetworkState:
-    source = load_dataset(_require(data_path(cfg, "source")))
+    source = _load_data(cfg, "source")
     specs = build_layer_specs(
         source.features.shape[1], source.class_count, cfg.hidden, cfg.projection_dim
     )
@@ -297,12 +304,9 @@ def run_pretrain(cfg: ExperimentConfig) -> NetworkState:
 
 
 @_one_blas_thread
-def run_cluster(cfg: ExperimentConfig) -> ClusterModel | None:
-    if not _needs_prt_route(cfg):
-        logger.info("cluster stage skipped: no configured method needs it")
-        return
+def run_cluster(cfg: ExperimentConfig) -> ClusterModel:
     source_model = load_checkpoint(_require(source_ckpt_path(cfg)))
-    unlabeled = load_dataset(_require(data_path(cfg, "unlabeled")))
+    unlabeled = _load_data(cfg, "unlabeled")
     model, _ = pseudo_label(
         source_model,
         unlabeled.features,
@@ -317,7 +321,7 @@ def run_cluster(cfg: ExperimentConfig) -> ClusterModel | None:
 
 def _load_pseudo(cfg: ExperimentConfig) -> LabeledSet:
     cluster_model = load_cluster_model(_require(clusters_ckpt_path(cfg)))
-    unlabeled = load_dataset(_require(data_path(cfg, "unlabeled")))
+    unlabeled = _load_data(cfg, "unlabeled")
     return LabeledSet(unlabeled.features, cluster_model.labels, cluster_model.k)
 
 
@@ -329,9 +333,6 @@ def run_prt(cfg: ExperimentConfig) -> None:
     fold or target data, so every grid cell starts its PRT+TL route and its
     dictionary from the same ``prt.ckpt``.
     """
-    if not _needs_prt_route(cfg):
-        logger.info("prt stage skipped: no configured method needs it")
-        return
     source_model = load_checkpoint(_require(source_ckpt_path(cfg)))
     pseudo = _load_pseudo(cfg)
     train_cfg = _train_config(cfg, cfg.prt_epochs, derive_seed(cfg.master_seed, "prt"))
@@ -340,7 +341,7 @@ def run_prt(cfg: ExperimentConfig) -> None:
 
 
 def _load_target(cfg: ExperimentConfig) -> tuple[LabeledSet, FoldPlan]:
-    target = load_dataset(_require(data_path(cfg, "target")))
+    target = _load_data(cfg, "target")
     return target, make_folds(target, cfg.fold_count)
 
 
@@ -355,12 +356,9 @@ def run_tl(cfg: ExperimentConfig) -> None:
     baseline, and from the representation-transferred model otherwise. Every
     session of one ratio (each fold, both routes) trains in one lockstep call."""
     target, folds = _load_target(cfg)
-    source_ckpt = _require(source_ckpt_path(cfg))
-    routes = []  # (method, starting model, output name)
-    if METHOD_TL in cfg.methods:
-        routes.append((METHOD_TL, load_checkpoint(source_ckpt), "tl"))
-    if _needs_prt_route(cfg):
-        routes.append((METHOD_PRT_TL, load_checkpoint(_require(prt_ckpt_path(cfg))), "prt_tl"))
+    # (method, starting model, output name)
+    routes = [(METHOD_TL, load_checkpoint(_require(source_ckpt_path(cfg))), "tl"),
+              (METHOD_PRT_TL, load_checkpoint(_require(prt_ckpt_path(cfg))), "prt_tl")]
     for ratio in cfg.ratios:
         sessions, paths = [], []
         for fold in range(cfg.fold_count):
@@ -381,9 +379,6 @@ def run_tl(cfg: ExperimentConfig) -> None:
 @_one_blas_thread
 def run_dict(cfg: ExperimentConfig) -> None:
     """Feature dictionaries from the same imbalanced train fold used for TL."""
-    if METHOD_ALL not in cfg.methods:
-        logger.info("dict stage skipped: method 'All' not configured")
-        return
     target, folds = _load_target(cfg)
     m1 = load_checkpoint(_require(prt_ckpt_path(cfg)))
     for ratio, fold in _cells(cfg):
@@ -391,46 +386,36 @@ def run_dict(cfg: ExperimentConfig) -> None:
         save_dictionary(fdict, cell_path(cfg, ratio, fold, "dict"))
 
 
-def _evaluate_cell(cfg: ExperimentConfig, test: LabeledSet, test_unit: np.ndarray | None,
+def _evaluate_cell(cfg: ExperimentConfig, test: LabeledSet, test_unit: np.ndarray,
                    ratio: int, fold: int) -> list[FoldMetrics]:
-    """The cell's rows; ``test_unit`` is the fold's test projection as CRC's
-    unit columns, or None when method 'All' is not configured."""
-    rows = []
-
+    """The cell's TL, PRT+TL and All rows; ``test_unit`` is the fold's test
+    projection as CRC's unit columns."""
     def row(method: str, predictions: np.ndarray) -> FoldMetrics:
         counts = confusion_counts(predictions, test.labels, POSITIVE_CLASS)
         values = compute_metrics(counts)
         return FoldMetrics(fold, ratio, method, values.sen, values.spe, values.f1, values.acc)
 
-    if METHOD_TL in cfg.methods:
-        model = load_checkpoint(_require(cell_path(cfg, ratio, fold, "tl")))
-        rows.append(row(METHOD_TL, forward(model, test.features).argmax(axis=1)))
-    if _needs_prt_route(cfg):
-        m2 = load_checkpoint(_require(cell_path(cfg, ratio, fold, "prt_tl")))
-        rho = forward(m2, test.features)
-        if METHOD_PRT_TL in cfg.methods:
-            rows.append(row(METHOD_PRT_TL, rho.argmax(axis=1)))
-        if METHOD_ALL in cfg.methods:
-            fdict = load_dictionary(_require(cell_path(cfg, ratio, fold, "dict")))
-            q = unit_class_probabilities(fdict, test_unit, cfg.crc)
-            rows.append(row(METHOD_ALL, fuse_predict(rho, q)[0]))
-    return rows
+    tl = load_checkpoint(_require(cell_path(cfg, ratio, fold, "tl")))
+    m2 = load_checkpoint(_require(cell_path(cfg, ratio, fold, "prt_tl")))
+    rho = forward(m2, test.features)
+    fdict = load_dictionary(_require(cell_path(cfg, ratio, fold, "dict")))
+    q = unit_class_probabilities(fdict, test_unit, cfg.crc)
+    return [row(METHOD_TL, forward(tl, test.features).argmax(axis=1)),
+            row(METHOD_PRT_TL, rho.argmax(axis=1)),
+            row(METHOD_ALL, fuse_predict(rho, q)[0])]
 
 
 @_one_blas_thread
 def run_evaluate(cfg: ExperimentConfig) -> MetricsReport:
-    """Score every configured (method, ratio, fold) cell and write the reports."""
+    """Score every (method, ratio, fold) cell and write the reports."""
     target, folds = _load_target(cfg)
-    if METHOD_TL in cfg.methods:  # a missing TL stage is named before the shared PRT model
-        for ratio, fold in _cells(cfg):
-            _require(cell_path(cfg, ratio, fold, "tl"))
-    m1 = load_checkpoint(_require(prt_ckpt_path(cfg))) if METHOD_ALL in cfg.methods else None
+    for ratio, fold in _cells(cfg):  # a missing TL stage is named before the shared PRT model
+        _require(cell_path(cfg, ratio, fold, "tl"))
+    m1 = load_checkpoint(_require(prt_ckpt_path(cfg)))
     rows = []
     for fold in range(cfg.fold_count):  # every ratio of a fold shares its test set
         test = subset(target, folds.test_indices[fold])
-        test_unit = None
-        if m1 is not None:
-            test_unit = unit_test_columns(extract_projection(m1, test.features), cfg.projection_dim)
+        test_unit = unit_test_columns(extract_projection(m1, test.features), cfg.projection_dim)
         for ratio in cfg.ratios:
             rows.extend(_evaluate_cell(cfg, test, test_unit, ratio, fold))
     report = aggregate_folds(rows)  # groups keep fold order, so the bytes do not change

@@ -26,7 +26,6 @@ prt_epochs = 2
 tl_epochs = 2
 ratios = 10,100
 folds = 2
-methods = TL,PRT+TL,All
 """
 
 
@@ -56,7 +55,6 @@ EVERY_KEY = {
     "ridge": ("0.01", "crc.ridge", 0.01),
     "epsilon": ("1e-9", "crc.epsilon", 1e-9),
     "ratios": ("25,75", "ratios", (25, 75)),
-    "methods": ("TL, All", "methods", ("TL", "All")),
 }
 
 
@@ -122,7 +120,6 @@ class TestConfigParsing:
         assert cfg == ExperimentConfig(out_dir=Path("out"))
         assert cfg.ratios == (10, 25, 50, 75, 100)
         assert cfg.fold_count == 5
-        assert cfg.methods == ("TL", "PRT+TL", "All")
         assert cfg.synth.positives == 349
 
     def test_every_key_lands_on_its_field(self, tmp_path):
@@ -203,11 +200,25 @@ class TestCliDispatch:
         assert not out.exists()
 
     def test_workers_key_exits_1_before_writing(self, config_file, tmp_path, capsys):
-        # every stage runs in one process, so a worker count would do nothing
-        config_file.write_text(MINI_CFG + "workers = 2\n")
+        # every stage runs in one process, so a worker count would do nothing;
+        # every run scores all three methods, so there is nothing to select
+        for key, line in [("workers", "workers = 2"), ("methods", "methods = TL")]:
+            config_file.write_text(MINI_CFG + line + "\n")
+            out = tmp_path / key
+            assert main(["run-all", "--config", str(config_file), "--out", str(out)]) == 1
+            assert f"unknown key '{key}'" in capsys.readouterr().err
+            assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_repeated_ratio_exits_1_before_writing(self, config_file, tmp_path, capsys, source):
         out = tmp_path / "out"
-        assert main(["run-all", "--config", str(config_file), "--out", str(out)]) == 1
-        assert "unknown key 'workers'" in capsys.readouterr().err
+        if source == "flag":
+            args = ["--ratios", "100,100"]
+        else:
+            config_file.write_text(MINI_CFG.replace("ratios = 10,100", "ratios = 100,100"))
+            args = []
+        assert main(["run-all", "--config", str(config_file), *args, "--out", str(out)]) == 1
+        assert "ratios must not repeat, got [100, 100]" in capsys.readouterr().err
         assert not out.exists()
 
     def test_out_is_a_file_exits_1(self, tmp_path, capsys):
@@ -253,6 +264,23 @@ class TestCliDispatch:
         assert err.startswith("error: push-through solve exceeded the residual tolerance")
         assert "raise the ridge setting" in err
         assert not (out / "report.csv").exists()
+
+    def test_mixed_seed_sequence_exits_1_at_pretrain(self, config_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        base = ["--config", str(config_file), "--out", str(out)]
+        assert main(["generate", *base, "--seed", "1"]) == 0
+        assert main(["pretrain", *base, "--seed", "2"]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {out / 'manifest.txt'}: ")
+        assert not (out / "source.ckpt").exists()
+
+    def test_data_setting_change_exits_1_at_pretrain(self, config_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        base = ["--config", str(config_file), "--out", str(out)]
+        assert main(["generate", *base]) == 0
+        config_file.write_text(MINI_CFG.replace("shift = 1.5", "shift = 2.0"))
+        assert main(["pretrain", *base]) == 1
+        assert "another seed or other data settings" in capsys.readouterr().err
+        assert not (out / "source.ckpt").exists()
 
     def test_staged_subcommands_produce_report(self, config_file, tmp_path):
         out = tmp_path / "staged"

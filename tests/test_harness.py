@@ -9,7 +9,7 @@ import pytest
 
 import pretext_transfer.harness as harness
 from pretext_transfer.data import SynthConfig
-from pretext_transfer.errors import ConfigError
+from pretext_transfer.errors import ConfigError, ValidationError
 from pretext_transfer.harness import (
     ExperimentConfig,
     build_layer_specs,
@@ -25,6 +25,7 @@ from pretext_transfer.harness import (
     run_prt,
     run_tl,
 )
+from pretext_transfer.metrics import METHOD_ORDER
 from pretext_transfer.network import CLASSIFICATION, REPRESENTATION
 
 MINI_SYNTH = SynthConfig(
@@ -70,16 +71,11 @@ def mini_run(tmp_path_factory):
 
 class TestConfigValidation:
     def test_bad_ratio_rejected(self, tmp_path):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="subset"):
             mini_config(tmp_path, ratios=(10, 33))
-
-    def test_bad_method_rejected(self, tmp_path):
-        with pytest.raises(ConfigError):
-            mini_config(tmp_path, methods=("TL", "CRC"))
-
-    def test_empty_methods_rejected(self, tmp_path):
-        with pytest.raises(ConfigError):
-            mini_config(tmp_path, methods=())
+        # a repeated ratio would train and score every cell of it twice
+        with pytest.raises(ConfigError, match="ratios must not repeat"):
+            mini_config(tmp_path, ratios=(10, 10))
 
     def test_single_fold_rejected(self, tmp_path):
         # one fold leaves every training split empty
@@ -118,7 +114,7 @@ class TestLayerSpecsBuilder:
 class TestGridRun:
     def test_row_cardinality(self, mini_run):
         cfg, report = mini_run
-        assert len(report.per_fold) == len(cfg.methods) * len(cfg.ratios) * cfg.fold_count
+        assert len(report.per_fold) == len(METHOD_ORDER) * len(cfg.ratios) * cfg.fold_count
         for row in report.per_fold:
             for metric in ("sen", "spe", "f1", "acc"):
                 assert np.isfinite(getattr(row, metric))
@@ -163,13 +159,6 @@ class TestGridRun:
         run_experiment(forkless_cfg)
         assert tree_bytes(forkless_cfg.out_dir) == tree_bytes(cfg.out_dir)
 
-    def test_adding_methods_does_not_perturb_tl_rows(self, mini_run, tmp_path):
-        cfg, full_report = mini_run
-        tl_cfg = mini_config(tmp_path / "tl_only", methods=("TL",), master_seed=cfg.master_seed)
-        tl_report = run_experiment(tl_cfg)
-        tl_rows_full = [r for r in full_report.per_fold if r.method == "TL"]
-        assert tl_report.per_fold == tl_rows_full
-
     def test_stagewise_commands_match_run_all(self, mini_run, tmp_path):
         cfg, _ = mini_run
         staged = dataclasses.replace(cfg, out_dir=tmp_path / "staged")
@@ -180,17 +169,7 @@ class TestGridRun:
         run_tl(staged)
         run_dict(staged)
         run_evaluate(staged)
-        assert (staged.out_dir / "report.csv").read_bytes() == (
-            cfg.out_dir / "report.csv"
-        ).read_bytes()
-
-    def test_tl_only_stages_write_what_run_all_writes(self, tmp_path):
-        run_all = mini_config(tmp_path / "run_all", methods=("TL",))
-        staged = mini_config(tmp_path / "staged", methods=("TL",))
-        run_experiment(run_all)
-        for stage in (run_generate, run_pretrain, run_cluster, run_prt, run_tl, run_dict, run_evaluate):
-            stage(staged)
-        assert tree_bytes(staged.out_dir) == tree_bytes(run_all.out_dir)
+        assert tree_bytes(staged.out_dir) == tree_bytes(cfg.out_dir)
 
 
 class TestPrtOncePerSeed:
@@ -264,47 +243,23 @@ class TestEvaluateOncePerFold:
         assert len(cfg.ratios) > 1
         assert len(projected) == len(normalized) == cfg.fold_count
 
-    def test_projection_skipped_without_all(self, mini_run, tmp_path, monkeypatch):
-        base, _ = mini_run
-        cfg = dataclasses.replace(base, out_dir=tmp_path / "run", methods=("TL", "PRT+TL"))
-        shutil.copytree(base.out_dir, cfg.out_dir)
-        monkeypatch.setattr(harness, "extract_projection", lambda *args: pytest.fail("projected"))
-        run_evaluate(cfg)
-
 
 class TestBaselineIsolation:
-    def test_tl_only_run_creates_no_prt_artifacts(self, tmp_path):
-        cfg = mini_config(tmp_path, methods=("TL",))
-        run_experiment(cfg)
-        assert not (cfg.out_dir / "clusters.ckpt").exists()
-        assert not prt_ckpt_path(cfg).exists()
-        for ratio in cfg.ratios:
-            for fold in range(cfg.fold_count):
-                assert not cell_path(cfg, ratio, fold, "prt").exists()
-                assert not cell_path(cfg, ratio, fold, "prt_tl").exists()
-                assert not cell_path(cfg, ratio, fold, "dict").exists()
-                assert cell_path(cfg, ratio, fold, "tl").exists()
-
-    def test_tl_evaluation_never_reads_prt_files(self, mini_run, tmp_path, monkeypatch):
-        # evaluate TL rows from a copy of a directory that does contain PRT
-        # artifacts and log every checkpoint read: none may be a PRT product
-        base, _ = mini_run
-        tl_cfg = dataclasses.replace(base, out_dir=tmp_path / "run", methods=("TL",))
-        shutil.copytree(base.out_dir, tl_cfg.out_dir)
-        opened = []
-        real_load = harness.load_checkpoint
-
-        def recording_load(path):
-            opened.append(str(path))
-            return real_load(path)
-
-        monkeypatch.setattr(harness, "load_checkpoint", recording_load)
-        monkeypatch.setattr(
-            harness, "load_dictionary", lambda path: pytest.fail("dictionary loaded")
-        )
-        run_evaluate(tl_cfg)
-        assert opened, "evaluation must load the TL checkpoints"
-        assert not [p for p in opened if "prt" in Path(p).name]
+    def test_pseudo_label_and_prt_settings_leave_tl_unchanged(self, mini_run, tmp_path):
+        # the TL baseline starts from the source model: the cluster and PRT
+        # settings change their own artifacts and never a TL byte
+        base, base_report = mini_run
+        cfg = dataclasses.replace(base, out_dir=tmp_path / "run", prt_epochs=3, kmeans_max_iters=3)
+        report = run_experiment(cfg)
+        new, old = tree_bytes(cfg.out_dir), tree_bytes(base.out_dir)
+        for name in ("clusters.ckpt", "prt.ckpt"):
+            assert new[name] != old[name], name
+        tl_files = [name for name in old if Path(name).name in ("tl.ckpt", "tl.log")]
+        assert len(tl_files) == 2 * len(cfg.ratios) * cfg.fold_count
+        for name in tl_files:
+            assert new[name] == old[name], name
+        assert ([r for r in report.per_fold if r.method == "TL"]
+                == [r for r in base_report.per_fold if r.method == "TL"])
 
 
 class TestMissingPrerequisites:
@@ -332,6 +287,17 @@ class TestMissingPrerequisites:
         with pytest.raises(FileNotFoundError, match=str(missing)):
             run_evaluate(cfg)
         assert "prt.ckpt" not in opened
+
+    @pytest.mark.parametrize("stage", [run_pretrain, run_cluster, run_prt, run_tl, run_dict, run_evaluate],
+                             ids=lambda stage: stage.__name__)
+    def test_stage_refuses_data_of_another_seed(self, mini_run, tmp_path, stage):
+        base, _ = mini_run
+        shutil.copytree(base.out_dir, tmp_path / "run")
+        before = tree_bytes(tmp_path / "run")
+        cfg = dataclasses.replace(base, out_dir=tmp_path / "run", master_seed=base.master_seed + 1)
+        with pytest.raises(ValidationError, match="manifest.txt"):
+            stage(cfg)
+        assert tree_bytes(cfg.out_dir) == before
 
     def test_pretrain_requires_generated_data(self, tmp_path):
         cfg = mini_config(tmp_path)
