@@ -7,30 +7,10 @@ import logging
 import sys
 from pathlib import Path
 
+from . import harness
 from .config import build_experiment_config, int_list
 from .errors import ValidationError
-from .harness import (
-    run_cluster,
-    run_dict,
-    run_evaluate,
-    run_experiment,
-    run_generate,
-    run_prt,
-    run_pretrain,
-    run_tl,
-)
 from .metrics import render_report_text
-
-_STAGES = {
-    "generate": (run_generate, "generate the synthetic source/unlabeled/target datasets"),
-    "pretrain": (run_pretrain, "train the source model on the source dataset"),
-    "cluster": (run_cluster, "cluster unlabeled projections into pseudo-classes"),
-    "prt": (run_prt, "representation-only transfer, once per master seed (classifier frozen)"),
-    "tl": (run_tl, "conventional transfer, every session of a ratio in lockstep"),
-    "dict": (run_dict, "build per-cell feature dictionaries for the fused method"),
-    "evaluate": (run_evaluate, "score every configured cell and write the reports"),
-    "run-all": (run_experiment, "run the whole pipeline end to end"),
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -39,7 +19,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Representation transfer experiments on synthetic two-domain data.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text) in _STAGES.items():
+    commands = {name: stage[0] for name, stage in harness.STAGES.items()}
+    commands["run-all"] = "run the whole pipeline end to end"
+    for name, help_text in commands.items():
         sub = subparsers.add_parser(name, help=help_text)
         sub.add_argument("--config", type=Path, default=None, help="experiment config file (key = value lines)")
         sub.add_argument("--seed", type=int, default=None, help="master seed override")
@@ -61,7 +43,9 @@ def main(argv: list[str] | None = None) -> int:
             config_path=args.config, seed=args.seed, out=args.out,
             ratios=args.ratios, folds=args.folds,
         )
-        result = _STAGES[args.command][0](cfg)
+        # looked up when it runs, so a rebound `harness.run_*` is the one called
+        run = getattr(harness, "run_experiment" if args.command == "run-all" else f"run_{args.command}")
+        result = run(cfg)
     except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

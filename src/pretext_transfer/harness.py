@@ -11,7 +11,7 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from functools import cache, wraps
 from pathlib import Path
 
@@ -201,28 +201,6 @@ def _require(path: Path) -> Path:
     return path
 
 
-def _data_synth(cfg: ExperimentConfig) -> SynthConfig:
-    return replace(cfg.synth, seed=derive_seed(cfg.master_seed, "data"))
-
-
-def _data_manifest(cfg: ExperimentConfig) -> str:
-    """The text of ``manifest.txt``: the settings that fix the generated data."""
-    synth = _data_synth(cfg)
-    lines = [f"master_seed = {cfg.master_seed}"]
-    lines.extend(f"{field.name} = {getattr(synth, field.name)}" for field in fields(synth))
-    return "\n".join(lines) + "\n"
-
-
-def _load_data(cfg: ExperimentConfig, name: str) -> LabeledSet | UnlabeledSet:
-    """Load ``<name>.bin``, refusing data generated with another seed or other
-    data settings than ``cfg``'s."""
-    path = _require(data_path(cfg, name))
-    manifest = _require(cfg.out_dir / "manifest.txt")
-    if manifest.read_bytes() != _data_manifest(cfg).encode("utf-8"):
-        raise ValidationError(f"{manifest}: the data was generated with another seed or other data settings")
-    return load_dataset(path)
-
-
 def _cells(cfg: ExperimentConfig) -> list[tuple[int, int]]:
     return [(ratio, fold) for ratio in cfg.ratios for fold in range(cfg.fold_count)]
 
@@ -256,42 +234,99 @@ def _set_blas_threads(count: int) -> int | None:
     return before
 
 
-def _one_blas_thread(stage):
-    """Run the stage with OpenBLAS on one thread and restore the caller's count
-    when it returns or raises.
+# ---- stages -----------------------------------------------------------------
 
-    Every product of a stage is small (p = 16, at most a few hundred
-    dictionary columns), so a second BLAS thread only adds wake-up and spin
-    time; the thread count does not change OpenBLAS's results here.
-    """
-    @wraps(stage)
-    def limited(*args, **kwargs):
+# stage -> (help line, the output named while it has not finished, the stages
+# whose outputs it reads, the config fields it reads), in run order. No key
+# holds `out_dir`, `workers` or `ratios` (a cell does not depend on the others).
+STAGES = {
+    "generate": ("generate the synthetic source/unlabeled/target datasets", "source.bin",
+                 (), ("master_seed", "synth")),
+    "pretrain": ("train the source model on the source dataset", "source.ckpt", ("generate",),
+                 ("hidden", "projection_dim", "source_epochs", "source_lr", "batch_size", "momentum")),
+    "cluster": ("cluster unlabeled projections into pseudo-classes", "clusters.ckpt",
+                ("generate", "pretrain"), ("kmeans_max_iters", "kmeans_tol")),
+    "prt": ("representation-only transfer, once per master seed (classifier frozen)", "prt.ckpt",
+            ("generate", "pretrain", "cluster"), ("prt_epochs", "base_lr", "batch_size", "momentum")),
+    "tl": ("conventional transfer, every session of a ratio in lockstep", "tl.ckpt",
+           ("generate", "pretrain", "prt"), ("tl_epochs", "base_lr", "batch_size", "momentum", "fold_count")),
+    "dict": ("build per-cell feature dictionaries for the fused method", "dict.ckpt",
+             ("generate", "prt"), ("fold_count",)),
+    "evaluate": ("score every configured cell and write the reports", "report.csv",
+                 ("generate", "tl", "dict", "prt"), ("crc",)),
+}
+
+
+def stage_key(cfg: ExperimentConfig, name: str) -> str:
+    """SHA-256 of the stage's name, the settings it reads and its inputs' keys."""
+    _, _, inputs, keyed = STAGES[name]
+    text = repr((name, [getattr(cfg, field) for field in keyed], [stage_key(cfg, dep) for dep in inputs]))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _read_keys(manifest: Path) -> dict[str, str]:
+    """The ``stage = key`` lines of ``manifest.txt``, one per finished stage."""
+    if not manifest.exists():
+        return {}
+    try:
+        pairs = [line.split(" = ") for line in manifest.read_bytes().decode("utf-8").splitlines()]
+    except UnicodeDecodeError:
+        pairs = [[]]  # not UTF-8: refused below
+    if any(len(pair) != 2 or pair[0] not in STAGES for pair in pairs):
+        raise ValidationError(f"{manifest}: not one 'stage = key' line per finished stage; rerun generate")
+    return dict(pairs)
+
+
+def _write_keys(manifest: Path, keys: dict[str, str]) -> None:
+    write_text_file(manifest, "".join(f"{name} = {keys[name]}\n" for name in STAGES if name in keys))
+
+
+def _stage(run):
+    """Run a stage on one OpenBLAS thread, restoring the caller's count after:
+    its products are small (p = 16, at most a few hundred dictionary columns),
+    so a second thread only adds wake-up and spin time and changes no result.
+    The stage runs once every stage whose outputs it reads has finished under
+    ``cfg``'s settings; its key leaves ``manifest.txt`` while it runs, so one
+    that raises or is killed leaves none. ``generate`` starts a new manifest."""
+    name = run.__name__.removeprefix("run_")
+
+    @wraps(run)
+    def checked(cfg: ExperimentConfig):
         before = _set_blas_threads(1)
         try:
-            return stage(*args, **kwargs)
+            manifest, inputs = cfg.out_dir / "manifest.txt", STAGES[name][2]
+            keys = _read_keys(manifest) if inputs else {}
+            for dep in inputs:
+                if dep not in keys:
+                    raise FileNotFoundError(f"{manifest}: {dep} has not finished, so its {STAGES[dep][1]} "
+                                            "is missing or out of date")
+                if keys[dep] != stage_key(cfg, dep):
+                    raise ValidationError(f"{manifest}: {dep} ran with another seed or other data settings "
+                                          "or stage settings")
+            _write_keys(manifest, {stage: key for stage, key in keys.items() if stage != name})
+            result = run(cfg)
+            _write_keys(manifest, keys | {name: stage_key(cfg, name)})
+            return result
         finally:
             if before is not None:
                 _set_blas_threads(before)
 
-    return limited
+    return checked
 
 
-# ---- stages -----------------------------------------------------------------
-
-@_one_blas_thread
+@_stage
 def run_generate(cfg: ExperimentConfig) -> tuple[LabeledSet, UnlabeledSet, LabeledSet]:
-    """Generate the two-domain data and persist it with a provenance manifest."""
-    source, unlabeled, target = generate_domains(_data_synth(cfg))
+    """Generate the two-domain data, seeded from the master seed, and persist it."""
+    source, unlabeled, target = generate_domains(replace(cfg.synth, seed=derive_seed(cfg.master_seed, "data")))
     save_dataset(source, data_path(cfg, "source"))
     save_dataset(unlabeled, data_path(cfg, "unlabeled"))
     save_dataset(target, data_path(cfg, "target"))
-    write_text_file(cfg.out_dir / "manifest.txt", _data_manifest(cfg))
     return source, unlabeled, target
 
 
-@_one_blas_thread
+@_stage
 def run_pretrain(cfg: ExperimentConfig) -> NetworkState:
-    source = _load_data(cfg, "source")
+    source = load_dataset(_require(data_path(cfg, "source")))
     specs = build_layer_specs(
         source.features.shape[1], source.class_count, cfg.hidden, cfg.projection_dim
     )
@@ -303,10 +338,10 @@ def run_pretrain(cfg: ExperimentConfig) -> NetworkState:
     return model
 
 
-@_one_blas_thread
+@_stage
 def run_cluster(cfg: ExperimentConfig) -> ClusterModel:
     source_model = load_checkpoint(_require(source_ckpt_path(cfg)))
-    unlabeled = _load_data(cfg, "unlabeled")
+    unlabeled = load_dataset(_require(data_path(cfg, "unlabeled")))
     model, _ = pseudo_label(
         source_model,
         unlabeled.features,
@@ -321,11 +356,11 @@ def run_cluster(cfg: ExperimentConfig) -> ClusterModel:
 
 def _load_pseudo(cfg: ExperimentConfig) -> LabeledSet:
     cluster_model = load_cluster_model(_require(clusters_ckpt_path(cfg)))
-    unlabeled = _load_data(cfg, "unlabeled")
+    unlabeled = load_dataset(_require(data_path(cfg, "unlabeled")))
     return LabeledSet(unlabeled.features, cluster_model.labels, cluster_model.k)
 
 
-@_one_blas_thread
+@_stage
 def run_prt(cfg: ExperimentConfig) -> None:
     """Representation-only transfer, one session per master seed.
 
@@ -341,7 +376,7 @@ def run_prt(cfg: ExperimentConfig) -> None:
 
 
 def _load_target(cfg: ExperimentConfig) -> tuple[LabeledSet, FoldPlan]:
-    target = _load_data(cfg, "target")
+    target = load_dataset(_require(data_path(cfg, "target")))
     return target, make_folds(target, cfg.fold_count)
 
 
@@ -350,7 +385,7 @@ def _cell_train_set(target: LabeledSet, folds: FoldPlan, ratio: int, fold: int) 
     return apply_imbalance(train_set, POSITIVE_CLASS, ratio)
 
 
-@_one_blas_thread
+@_stage
 def run_tl(cfg: ExperimentConfig) -> None:
     """Conventional transfer per cell: from the source model for the TL
     baseline, and from the representation-transferred model otherwise. Every
@@ -376,7 +411,7 @@ def run_tl(cfg: ExperimentConfig) -> None:
             save_checkpoint(model, path)
 
 
-@_one_blas_thread
+@_stage
 def run_dict(cfg: ExperimentConfig) -> None:
     """Feature dictionaries from the same imbalanced train fold used for TL."""
     target, folds = _load_target(cfg)
@@ -405,7 +440,7 @@ def _evaluate_cell(cfg: ExperimentConfig, test: LabeledSet, test_unit: np.ndarra
             row(METHOD_ALL, fuse_predict(rho, q)[0])]
 
 
-@_one_blas_thread
+@_stage
 def run_evaluate(cfg: ExperimentConfig) -> MetricsReport:
     """Score every (method, ratio, fold) cell and write the reports."""
     target, folds = _load_target(cfg)
@@ -425,13 +460,8 @@ def run_evaluate(cfg: ExperimentConfig) -> MetricsReport:
     return report
 
 
-@_one_blas_thread
 def run_experiment(cfg: ExperimentConfig) -> MetricsReport:
-    """The full grid: generate, pretrain, cluster, PRT, per-cell training, evaluate."""
-    run_generate(cfg)
-    run_pretrain(cfg)
-    run_cluster(cfg)
-    run_prt(cfg)
-    run_tl(cfg)
-    run_dict(cfg)
-    return run_evaluate(cfg)
+    """The full grid: each stage of ``STAGES``, looked up when it runs, in order."""
+    for name in STAGES:
+        result = globals()[f"run_{name}"](cfg)
+    return result

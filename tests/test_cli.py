@@ -1,13 +1,15 @@
+import argparse
 import functools
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pretext_transfer.cli import main
+import pretext_transfer.harness as harness
+from pretext_transfer.cli import build_parser, main
 from pretext_transfer.config import FIELDS, build_experiment_config, parse_config_file
 from pretext_transfer.errors import ConfigError
-from pretext_transfer.harness import ExperimentConfig
+from pretext_transfer.harness import STAGES, ExperimentConfig
 
 MINI_CFG = """
 # mini experiment
@@ -142,6 +144,11 @@ class TestCliDispatch:
         assert (out / "report.txt").exists()
         captured = capsys.readouterr()
         assert "Accuracy" in captured.out
+
+    def test_subcommands_are_the_stage_table(self):
+        subparsers = next(action for action in build_parser()._actions
+                          if isinstance(action, argparse._SubParsersAction))
+        assert list(subparsers.choices) == [*STAGES, "run-all"]
 
     def test_unknown_subcommand_exits_2(self, capsys):
         assert main(["explode"]) == 2
@@ -296,3 +303,83 @@ class TestCliDispatch:
         assert main(["run-all", "--config", str(config_file), "--seed", "11", "--out", str(out_a)]) == 0
         assert main(["run-all", "--config", str(config_file), "--seed", "11", "--out", str(out_b)]) == 0
         assert (out_a / "report.csv").read_bytes() == (out_b / "report.csv").read_bytes()
+
+
+# the data-only manifest of the format before stage keys, as written for MINI_CFG
+OLD_MANIFEST = (b"master_seed = 0\nsource_class_count = 4\ndim = 6\nsamples_per_class = 12\n"
+                b"unlabeled_size = 80\npositives = 20\nnegatives = 20\nshift = 1.5\nnoise = 1.0\n"
+                b"seed = 5645879620718662389\n")
+
+
+class TestProvenance:
+    """Every stage refuses outputs of earlier stages made under other settings
+    than its own config's, through `manifest.txt`'s one key per finished stage."""
+
+    @pytest.fixture()
+    def base(self, config_file, tmp_path):
+        return ["--config", str(config_file), "--out", str(tmp_path / "out")]
+
+    @pytest.mark.parametrize("old,new", [("prt_epochs = 2", "prt_epochs = 3"), ("hidden = 8", "hidden = 5")],
+                             ids=["prt_epochs", "hidden"])
+    def test_tl_refuses_a_prt_model_of_other_settings(self, config_file, base, tmp_path, capsys, old, new):
+        out = tmp_path / "out"
+        for command in ("generate", "pretrain", "cluster", "prt"):
+            assert main([command, *base]) == 0, command
+        config_file.write_text(MINI_CFG.replace(old, new))
+        assert main(["tl", *base]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {out / 'manifest.txt'}: ")
+        assert list(out.rglob("tl.ckpt")) == []
+
+    def test_a_rerun_stage_invalidates_the_stages_after_it(self, config_file, base, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["run-all", *base]) == 0
+        report = (out / "report.csv").read_bytes()
+        config_file.write_text(MINI_CFG.replace("prt_epochs = 2", "prt_epochs = 3"))
+        assert main(["prt", *base]) == 0
+        config_file.write_text(MINI_CFG)
+        capsys.readouterr()
+        assert main(["evaluate", *base]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {out / 'manifest.txt'}: prt ran with another seed")
+        assert (out / "report.csv").read_bytes() == report
+
+    def test_a_failed_stage_leaves_no_key(self, base, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "out"
+        assert main(["run-all", *base]) == 0
+
+        def crash(*args, **kwargs):
+            raise OSError("simulated crash in PRT training")
+
+        monkeypatch.setattr(harness, "prt_train", crash)
+        assert main(["prt", *base]) == 1
+        lines = (out / "manifest.txt").read_text().splitlines()
+        assert [line.split(" = ")[0] for line in lines] == ["generate", "pretrain", "cluster", "tl", "dict",
+                                                            "evaluate"]
+        capsys.readouterr()
+        assert main(["tl", *base]) == 1
+        assert "prt.ckpt" in capsys.readouterr().err
+
+    def test_evaluate_of_a_ratio_subset_keeps_its_rows(self, base, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["run-all", *base]) == 0
+        rows = [line for line in (out / "report.csv").read_text().splitlines() if line.startswith("10,")]
+        assert main(["evaluate", *base, "--ratios", "10"]) == 0
+        report = (out / "report.csv").read_text().splitlines()
+        assert report[1:] == rows
+        capsys.readouterr()
+        assert main(["evaluate", *base, "--folds", "3"]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {out / 'manifest.txt'}: tl ran with another seed")
+
+    @pytest.mark.parametrize("content", [OLD_MANIFEST, b"generate 0123abcd\n", b"generate = \xff\xfe\n"],
+                             ids=["before-stage-keys", "no-separator", "not-utf8"])
+    def test_old_or_garbled_manifest_is_refused(self, base, tmp_path, capsys, content):
+        out = tmp_path / "out"
+        assert main(["generate", *base]) == 0
+        (out / "manifest.txt").write_bytes(content)
+        capsys.readouterr()
+        assert main(["pretrain", *base]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {out / 'manifest.txt'}: ")
+        assert "rerun generate" in err and "Traceback" not in err
+        assert not (out / "source.ckpt").exists()
+        assert main(["generate", *base]) == 0
+        assert main(["pretrain", *base]) == 0

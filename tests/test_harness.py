@@ -9,8 +9,10 @@ import pytest
 
 import pretext_transfer.harness as harness
 from pretext_transfer.data import SynthConfig
+from pretext_transfer.dictionary import CRCConfig
 from pretext_transfer.errors import ConfigError, ValidationError
 from pretext_transfer.harness import (
+    STAGES,
     ExperimentConfig,
     build_layer_specs,
     cell_path,
@@ -24,6 +26,7 @@ from pretext_transfer.harness import (
     run_pretrain,
     run_prt,
     run_tl,
+    stage_key,
 )
 from pretext_transfer.metrics import METHOD_ORDER
 from pretext_transfer.network import CLASSIFICATION, REPRESENTATION
@@ -93,6 +96,50 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=message):
             run_experiment(mini_config(out, **setting))
         assert not out.exists()
+
+
+# another valid value of every ExperimentConfig field that goes into an output
+KEYED_CHANGES = {
+    "master_seed": 1,
+    "synth": dataclasses.replace(MINI_SYNTH, shift=2.0),
+    "hidden": (5,),
+    "projection_dim": 4,
+    "source_epochs": 3,
+    "source_lr": 0.02,
+    "prt_epochs": 3,
+    "tl_epochs": 3,
+    "base_lr": 1e-3,
+    "batch_size": 8,
+    "momentum": 0.5,
+    "crc": CRCConfig(ridge=0.01),
+    "fold_count": 3,
+    "kmeans_max_iters": 50,
+    "kmeans_tol": 1e-5,
+}
+# fields that change no output, or (ratios) only which cells run
+UNKEYED_CHANGES = {"out_dir": Path("elsewhere"), "workers": 2, "ratios": (10,)}
+
+
+def stage_keys(cfg: ExperimentConfig) -> dict[str, str]:
+    return {name: stage_key(cfg, name) for name in STAGES}
+
+
+class TestStageTable:
+    @pytest.mark.parametrize("field", [field.name for field in dataclasses.fields(ExperimentConfig)])
+    def test_every_field_is_keyed_or_named_unkeyed(self, tmp_path, field):
+        """A field added without a table entry (or a listed reason) fails here."""
+        base = mini_config(tmp_path)
+        changed = dataclasses.replace(base, **{field: {**KEYED_CHANGES, **UNKEYED_CHANGES}[field]})
+        assert (stage_keys(changed) != stage_keys(base)) == (field in KEYED_CHANGES)
+
+    def test_a_setting_changes_its_stage_and_the_stages_after_it(self, tmp_path):
+        base = mini_config(tmp_path)
+        before, after = stage_keys(base), stage_keys(dataclasses.replace(base, prt_epochs=3))
+        assert [name for name in STAGES if before[name] != after[name]] == ["prt", "tl", "dict", "evaluate"]
+
+    def test_table_lists_earlier_stages_only(self):
+        for position, (name, (_, _, inputs, _)) in enumerate(STAGES.items()):
+            assert set(inputs) <= set(list(STAGES)[:position]), name
 
 
 class TestDeriveSeed:
