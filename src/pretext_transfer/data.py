@@ -77,7 +77,6 @@ class SynthConfig:
     negatives: int = 349
     shift: float = 2.5
     noise: float = 1.0
-    seed: int = 0
 
     def __post_init__(self):
         if self.source_class_count < 2:
@@ -96,7 +95,7 @@ def _unit(v: np.ndarray) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def generate_domains(cfg: SynthConfig) -> tuple[LabeledSet, UnlabeledSet, LabeledSet]:
+def generate_domains(cfg: SynthConfig, seed: int = 0) -> tuple[LabeledSet, UnlabeledSet, LabeledSet]:
     """Source clusters, an unlabeled target pool, and the labeled target set.
 
     The target's two class means are source cluster means 0 and 1 translated
@@ -104,7 +103,7 @@ def generate_domains(cfg: SynthConfig) -> tuple[LabeledSet, UnlabeledSet, Labele
     are emitted class-grouped, negatives first, so sequential fold blocks are
     class-stratified. Deterministic per seed.
     """
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     scale = _MEAN_SCALE * cfg.noise
     means = rng.normal(0.0, scale, size=(cfg.source_class_count, cfg.dim))
     means[1] = means[0] + _TARGET_PAIR_GAP * cfg.noise * _unit(rng.normal(size=cfg.dim))

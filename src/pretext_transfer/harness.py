@@ -11,7 +11,7 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache, wraps
 from pathlib import Path
 
@@ -195,12 +195,6 @@ def cell_log(cfg: ExperimentConfig, ratio: int, fold: int, stage: str) -> Path:
     return cell_dir(cfg, ratio, fold) / f"{stage}.log"
 
 
-def _require(path: Path) -> Path:
-    if not path.exists():
-        raise FileNotFoundError(f"missing checkpoint or data file: {path}")
-    return path
-
-
 def _cells(cfg: ExperimentConfig) -> list[tuple[int, int]]:
     return [(ratio, fold) for ratio in cfg.ratios for fold in range(cfg.fold_count)]
 
@@ -317,7 +311,7 @@ def _stage(run):
 @_stage
 def run_generate(cfg: ExperimentConfig) -> tuple[LabeledSet, UnlabeledSet, LabeledSet]:
     """Generate the two-domain data, seeded from the master seed, and persist it."""
-    source, unlabeled, target = generate_domains(replace(cfg.synth, seed=derive_seed(cfg.master_seed, "data")))
+    source, unlabeled, target = generate_domains(cfg.synth, derive_seed(cfg.master_seed, "data"))
     save_dataset(source, data_path(cfg, "source"))
     save_dataset(unlabeled, data_path(cfg, "unlabeled"))
     save_dataset(target, data_path(cfg, "target"))
@@ -326,7 +320,7 @@ def run_generate(cfg: ExperimentConfig) -> tuple[LabeledSet, UnlabeledSet, Label
 
 @_stage
 def run_pretrain(cfg: ExperimentConfig) -> NetworkState:
-    source = load_dataset(_require(data_path(cfg, "source")))
+    source = load_dataset(data_path(cfg, "source"))
     specs = build_layer_specs(
         source.features.shape[1], source.class_count, cfg.hidden, cfg.projection_dim
     )
@@ -340,8 +334,8 @@ def run_pretrain(cfg: ExperimentConfig) -> NetworkState:
 
 @_stage
 def run_cluster(cfg: ExperimentConfig) -> ClusterModel:
-    source_model = load_checkpoint(_require(source_ckpt_path(cfg)))
-    unlabeled = load_dataset(_require(data_path(cfg, "unlabeled")))
+    source_model = load_checkpoint(source_ckpt_path(cfg))
+    unlabeled = load_dataset(data_path(cfg, "unlabeled"))
     model, _ = pseudo_label(
         source_model,
         unlabeled.features,
@@ -355,8 +349,8 @@ def run_cluster(cfg: ExperimentConfig) -> ClusterModel:
 
 
 def _load_pseudo(cfg: ExperimentConfig) -> LabeledSet:
-    cluster_model = load_cluster_model(_require(clusters_ckpt_path(cfg)))
-    unlabeled = load_dataset(_require(data_path(cfg, "unlabeled")))
+    cluster_model = load_cluster_model(clusters_ckpt_path(cfg))
+    unlabeled = load_dataset(data_path(cfg, "unlabeled"))
     return LabeledSet(unlabeled.features, cluster_model.labels, cluster_model.k)
 
 
@@ -368,7 +362,7 @@ def run_prt(cfg: ExperimentConfig) -> None:
     fold or target data, so every grid cell starts its PRT+TL route and its
     dictionary from the same ``prt.ckpt``.
     """
-    source_model = load_checkpoint(_require(source_ckpt_path(cfg)))
+    source_model = load_checkpoint(source_ckpt_path(cfg))
     pseudo = _load_pseudo(cfg)
     train_cfg = _train_config(cfg, cfg.prt_epochs, derive_seed(cfg.master_seed, "prt"))
     model = prt_train(source_model, pseudo, train_cfg, log_path=cfg.out_dir / "logs" / "prt.log")
@@ -376,7 +370,7 @@ def run_prt(cfg: ExperimentConfig) -> None:
 
 
 def _load_target(cfg: ExperimentConfig) -> tuple[LabeledSet, FoldPlan]:
-    target = load_dataset(_require(data_path(cfg, "target")))
+    target = load_dataset(data_path(cfg, "target"))
     return target, make_folds(target, cfg.fold_count)
 
 
@@ -392,8 +386,8 @@ def run_tl(cfg: ExperimentConfig) -> None:
     session of one ratio (each fold, both routes) trains in one lockstep call."""
     target, folds = _load_target(cfg)
     # (method, starting model, output name)
-    routes = [(METHOD_TL, load_checkpoint(_require(source_ckpt_path(cfg))), "tl"),
-              (METHOD_PRT_TL, load_checkpoint(_require(prt_ckpt_path(cfg))), "prt_tl")]
+    routes = [(METHOD_TL, load_checkpoint(source_ckpt_path(cfg)), "tl"),
+              (METHOD_PRT_TL, load_checkpoint(prt_ckpt_path(cfg)), "prt_tl")]
     for ratio in cfg.ratios:
         sessions, paths = [], []
         for fold in range(cfg.fold_count):
@@ -415,7 +409,7 @@ def run_tl(cfg: ExperimentConfig) -> None:
 def run_dict(cfg: ExperimentConfig) -> None:
     """Feature dictionaries from the same imbalanced train fold used for TL."""
     target, folds = _load_target(cfg)
-    m1 = load_checkpoint(_require(prt_ckpt_path(cfg)))
+    m1 = load_checkpoint(prt_ckpt_path(cfg))
     for ratio, fold in _cells(cfg):
         fdict = build_dictionary(m1, _cell_train_set(target, folds, ratio, fold))
         save_dictionary(fdict, cell_path(cfg, ratio, fold, "dict"))
@@ -430,10 +424,10 @@ def _evaluate_cell(cfg: ExperimentConfig, test: LabeledSet, test_unit: np.ndarra
         values = compute_metrics(counts)
         return FoldMetrics(fold, ratio, method, values.sen, values.spe, values.f1, values.acc)
 
-    tl = load_checkpoint(_require(cell_path(cfg, ratio, fold, "tl")))
-    m2 = load_checkpoint(_require(cell_path(cfg, ratio, fold, "prt_tl")))
+    tl = load_checkpoint(cell_path(cfg, ratio, fold, "tl"))
+    m2 = load_checkpoint(cell_path(cfg, ratio, fold, "prt_tl"))
     rho = forward(m2, test.features)
-    fdict = load_dictionary(_require(cell_path(cfg, ratio, fold, "dict")))
+    fdict = load_dictionary(cell_path(cfg, ratio, fold, "dict"))
     q = unit_class_probabilities(fdict, test_unit, cfg.crc)
     return [row(METHOD_TL, forward(tl, test.features).argmax(axis=1)),
             row(METHOD_PRT_TL, rho.argmax(axis=1)),
@@ -444,9 +438,7 @@ def _evaluate_cell(cfg: ExperimentConfig, test: LabeledSet, test_unit: np.ndarra
 def run_evaluate(cfg: ExperimentConfig) -> MetricsReport:
     """Score every (method, ratio, fold) cell and write the reports."""
     target, folds = _load_target(cfg)
-    for ratio, fold in _cells(cfg):  # a missing TL stage is named before the shared PRT model
-        _require(cell_path(cfg, ratio, fold, "tl"))
-    m1 = load_checkpoint(_require(prt_ckpt_path(cfg)))
+    m1 = load_checkpoint(prt_ckpt_path(cfg))
     rows = []
     for fold in range(cfg.fold_count):  # every ratio of a fold shares its test set
         test = subset(target, folds.test_indices[fold])

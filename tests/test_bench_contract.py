@@ -2,13 +2,18 @@
 
 The benchmark calls ``harness.run_*`` stages by name, builds
 ``ExperimentConfig``/``SynthConfig`` from keyword fields, and wraps the
-functions in ``perfbench/tracing.py::TRACED`` by name. Renaming or deleting any
-of them would break the benchmark without failing any other test. The
-benchmark's files are read here, never imported or changed.
+functions in ``perfbench/tracing.py::TRACED`` by name in the modules that
+importing ``harness`` loads. Renaming or deleting any of them would break the
+benchmark without failing any other test. The benchmark's files are read here,
+never imported or changed.
 """
 
 import ast
 import importlib
+import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -20,6 +25,7 @@ from pretext_transfer.data import SynthConfig
 from pretext_transfer.harness import ExperimentConfig
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SRC = PERFBENCH.parent / "src"
 
 
 def module_tree(name: str) -> ast.Module:
@@ -56,6 +62,17 @@ TRACED = assigned_literal(module_tree("tracing.py"), "TRACED")
 def test_traced_function_exists(module, function):
     defining = importlib.import_module(f"pretext_transfer.{module}")
     assert callable(getattr(defining, function, None)), f"{module}.{function}"
+
+
+def test_benchmark_import_path_loads_every_traced_module():
+    """child.py imports the package, then ``harness``; tracing.install wraps
+    only loaded modules, so that import must load every traced one."""
+    code = ("import json, sys; import pretext_transfer; from pretext_transfer import harness; "
+            "print(json.dumps(sorted(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    loaded = set(json.loads(child.stdout))
+    assert {f"pretext_transfer.{module}" for module in TRACED} <= loaded
 
 
 def test_benchmark_stages_exist():

@@ -118,6 +118,17 @@ KEYED_CHANGES = {
 }
 # fields that change no output, or (ratios) only which cells run
 UNKEYED_CHANGES = {"out_dir": Path("elsewhere"), "workers": 2, "ratios": (10,)}
+# another valid value of every SynthConfig field
+SYNTH_CHANGES = {
+    "source_class_count": 5,
+    "dim": 7,
+    "samples_per_class": 13,
+    "unlabeled_size": 81,
+    "positives": 21,
+    "negatives": 19,
+    "shift": 2.0,
+    "noise": 0.5,
+}
 
 
 def stage_keys(cfg: ExperimentConfig) -> dict[str, str]:
@@ -131,6 +142,19 @@ class TestStageTable:
         base = mini_config(tmp_path)
         changed = dataclasses.replace(base, **{field: {**KEYED_CHANGES, **UNKEYED_CHANGES}[field]})
         assert (stage_keys(changed) != stage_keys(base)) == (field in KEYED_CHANGES)
+
+    @pytest.mark.parametrize("field", [field.name for field in dataclasses.fields(SynthConfig)])
+    def test_every_data_setting_changes_the_data(self, tmp_path, field):
+        """A data setting in generate's key that the data ignore would make
+        later stages refuse data equal to their own."""
+        base = mini_config(tmp_path / "base")
+        changed = mini_config(tmp_path / "changed",
+                              synth=dataclasses.replace(MINI_SYNTH, **{field: SYNTH_CHANGES[field]}))
+        assert stage_key(changed, "generate") != stage_key(base, "generate")
+        run_generate(base)
+        run_generate(changed)
+        names = ["source.bin", "unlabeled.bin", "target.bin"]
+        assert any((base.out_dir / name).read_bytes() != (changed.out_dir / name).read_bytes() for name in names)
 
     def test_a_setting_changes_its_stage_and_the_stages_after_it(self, tmp_path):
         base = mini_config(tmp_path)
@@ -317,23 +341,16 @@ class TestMissingPrerequisites:
             run_evaluate(cfg)
         assert "tl.ckpt" in str(err.value)
 
-    def test_missing_tl_named_before_prt_model_is_read(self, mini_run, tmp_path, monkeypatch):
+    def test_missing_tl_is_named_and_report_kept(self, mini_run, tmp_path):
         base, _ = mini_run
         cfg = dataclasses.replace(base, out_dir=tmp_path / "run")
         shutil.copytree(base.out_dir, cfg.out_dir)
         missing = cell_path(cfg, cfg.ratios[-1], cfg.fold_count - 1, "tl")
         missing.unlink()
-        opened = []
-        real_load = harness.load_checkpoint
-
-        def recording_load(path):
-            opened.append(Path(path).name)
-            return real_load(path)
-
-        monkeypatch.setattr(harness, "load_checkpoint", recording_load)
+        report = (cfg.out_dir / "report.csv").read_bytes()
         with pytest.raises(FileNotFoundError, match=str(missing)):
             run_evaluate(cfg)
-        assert "prt.ckpt" not in opened
+        assert (cfg.out_dir / "report.csv").read_bytes() == report
 
     @pytest.mark.parametrize("stage", [run_pretrain, run_cluster, run_prt, run_tl, run_dict, run_evaluate],
                              ids=lambda stage: stage.__name__)

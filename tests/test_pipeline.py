@@ -36,13 +36,12 @@ SYNTH = SynthConfig(
     negatives=40,
     shift=1.0,
     noise=1.0,
-    seed=7,
 )
 
 
 @pytest.fixture(scope="module")
 def domains():
-    return generate_domains(SYNTH)
+    return generate_domains(SYNTH, seed=7)
 
 
 @pytest.fixture(scope="module")
@@ -325,9 +324,9 @@ class TestTlTrain:
                 prev = width
             specs.append(LayerSpec(prev, 4, "identity", CLASSIFICATION))
             base = pretrain_source(
-                specs, generate_domains(SYNTH)[0], TrainConfig(epochs=2, base_lr=1e-2)
+                specs, generate_domains(SYNTH, seed=7)[0], TrainConfig(epochs=2, base_lr=1e-2)
             )
-            _, pseudo_set = pseudo_label(base, generate_domains(SYNTH)[1].features, k=4, seed=0)
+            _, pseudo_set = pseudo_label(base, generate_domains(SYNTH, seed=7)[1].features, k=4, seed=0)
             m1 = prt_train(base, pseudo_set, TrainConfig(epochs=1))
             m2 = tl_one(m1, target, TrainConfig(epochs=1), head_seed=1)
             assert m2.label_count == 2
