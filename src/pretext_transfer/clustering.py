@@ -87,29 +87,42 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->i", x, x))
 
 
+def _slack(x_norms: np.ndarray, c_sq: np.ndarray, p: int) -> np.ndarray:
+    """Each row's rounding slack (see ``_assign``) for centroids whose squared
+    norms are ``c_sq``."""
+    finfo = np.finfo(np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return 8.0 * ((p + 8) * finfo.eps * (x_norms + np.sqrt(c_sq.max())) ** 2 + p * finfo.tiny)
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def _sure_nearest(
     block: np.ndarray, neg_2c: np.ndarray, c_sq: np.ndarray, slack: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Best-scoring centroid of each row, and whether it is sure: no other
-    centroid scores within the row's rounding slack of it (see ``_assign``).
-    The index is only meaningful for sure rows; for the rest it lies in
-    [0, k) and the caller replaces it."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Best-scoring centroid of each row, whether it is sure: no other
+    centroid scores within the row's rounding slack of it (see ``_assign``),
+    and the row's runner-up score, the lowest of the other centroids. The
+    index and the runner-up are only meaningful for sure rows; for the rest
+    the index lies in [0, k) and the caller replaces both."""
     # one row per centroid, so every reduction below combines whole contiguous
     # rows (argmin over axis 0 would first copy the scores). A sure row has
     # exactly one centroid within its slack, the best-scoring one, so the sum
-    # of its `within` indices is its argmin. Other rows have none (NaN scores)
-    # or several, whose index sum can pass k - 1: the clip keeps it a valid
-    # index until _assign replaces it
+    # of its `within` indices is its argmin, and the lowest score outside its
+    # slack is its runner-up. Other rows have none (NaN scores) or several,
+    # whose index sum can pass k - 1: the clip keeps it a valid index until
+    # _assign replaces it
     k = neg_2c.shape[0]
     scores = neg_2c @ block.T + c_sq[:, None]
     within = scores <= scores.min(axis=0) + slack
     best = (within * np.arange(k)[:, None]).sum(axis=0)
     np.minimum(best, k - 1, out=best)
-    return best, within.sum(axis=0) == 1
+    np.copyto(scores, np.inf, where=within)
+    return best, within.sum(axis=0) == 1, scores.min(axis=0)
 
 
-def _assign(x: np.ndarray, centroids: np.ndarray, x_norms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _assign(
+    x: np.ndarray, centroids: np.ndarray, x_norms: np.ndarray, lower: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Nearest centroid per row of the C-ordered ``x``, bit for bit as
     ``_direct_assign`` finds it, from one matrix product per block; ``x_norms``
     is ``_row_norms(x)``.
@@ -127,19 +140,28 @@ def _assign(x: np.ndarray, centroids: np.ndarray, x_norms: np.ndarray) -> tuple[
     same contiguous length-p row, so the bits match. Every other row goes
     through ``_direct_assign``: near and exact ties (which go to the lowest
     index), and rows whose scores or slack an overflow turned into inf or NaN.
+
+    ``lower``, when given, receives each row's bound ℓ for ``kmeans_fit``: a
+    lower bound on the exact distance from the row to every centroid but its
+    own. A sure row's ℓ² is its runner-up score plus ``|x|²`` less ``slack``.
+    The score errs by at most (p + 2)·eps/2·S² plus the underflow terms
+    above, ``|x|²`` squared back from ``x_norms`` by (p + 3)·eps·S² plus
+    ``tiny``, the sum and the difference round by eps/2·S² each and the square
+    root by eps of ℓ²: less than half of ``slack`` in all, so ℓ² stays below
+    every other centroid's exact squared distance. A negative ℓ² makes ℓ NaN,
+    and a row that is not sure gets NaN.
     """
     m, p = x.shape
     labels = np.empty(m, dtype=np.int64)
     sq_dists = np.empty(m)
     c_sq = np.einsum("ij,ij->i", centroids, centroids)
-    finfo = np.finfo(np.float64)
-    with np.errstate(over="ignore", invalid="ignore"):
+    slack = _slack(x_norms, c_sq, p)
+    with np.errstate(over="ignore"):
         neg_2c = -2.0 * centroids
-        slack = 8.0 * ((p + 8) * finfo.eps * (x_norms + np.sqrt(c_sq.max())) ** 2 + p * finfo.tiny)
     for start in range(0, m, _CHUNK):
         rows = slice(start, start + _CHUNK)
         block = x[rows]
-        best, sure = _sure_nearest(block, neg_2c, c_sq, slack[rows])
+        best, sure, runner_up = _sure_nearest(block, neg_2c, c_sq, slack[rows])
         # the direct formula's ufuncs and row reduction, in one temporary;
         # np.take gathers the same rows as centroids[best] in less time
         diff = block - np.take(centroids, best, axis=0)
@@ -147,9 +169,65 @@ def _assign(x: np.ndarray, centroids: np.ndarray, x_norms: np.ndarray) -> tuple[
         if not sure.all():
             doubt = ~sure
             best[doubt], block_sq[doubt] = _direct_assign(block[doubt], centroids)
+            runner_up[doubt] = np.nan
         labels[rows] = best
         sq_dists[rows] = block_sq
+        if lower is not None:
+            with np.errstate(over="ignore", invalid="ignore"):
+                lower[rows] = np.sqrt(runner_up + x_norms[rows] ** 2 - slack[rows])
     return labels, sq_dists
+
+
+def _bounded_assign(
+    x: np.ndarray,
+    centroids: np.ndarray,
+    x_norms: np.ndarray,
+    labels: np.ndarray | None,
+    sq_dists: np.ndarray | None,
+    lower: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One Lloyd iteration's ``_assign(x, centroids, x_norms)``, bit for bit.
+    ``labels`` and ``sq_dists`` are the previous iteration's, or None in the
+    first; ``lower`` holds each row's ℓ for these centroids (see ``_assign``
+    and ``kmeans_fit``). All three are updated in place.
+
+    A row keeps its label when ℓ² exceeds its squared distance to that
+    label's centroid, computed with the direct formula's own ufuncs and row
+    reduction, plus its ``slack``. The direct formula's squared distance to
+    any other centroid is at least ℓ² less (p + 2)·eps/2·S² and the tiny
+    terms of ``_assign``, and rounding ℓ² and the sum costs at most
+    eps·(S² + slack): all within ``slack``, so the direct formula ranks the
+    label strictly first. A NaN, infinite or non-positive ℓ keeps no row.
+    The other rows go through ``_assign`` in gathered blocks of at most
+    ``_CHUNK`` rows, which resets their ℓ."""
+    if labels is None:
+        return _assign(x, centroids, x_norms, lower)
+    m, p = x.shape
+    for start in range(0, m, _CHUNK):
+        rows = slice(start, start + _CHUNK)
+        diff = x[rows] - np.take(centroids, labels[rows], axis=0)
+        sq_dists[rows] = np.square(diff, out=diff).sum(axis=1)
+    bar = _slack(x_norms, np.einsum("ij,ij->i", centroids, centroids), p)
+    bar += sq_dists
+    with np.errstate(over="ignore", invalid="ignore"):
+        doubt = np.flatnonzero(~((lower > 0.0) & (lower < np.inf) & (lower * lower > bar)))
+    del bar  # before the gathered blocks allocate their own
+    for start in range(0, doubt.size, _CHUNK):
+        rows = doubt[start:start + _CHUNK]
+        bound = np.empty(rows.size)
+        labels[rows], sq_dists[rows] = _assign(x[rows], centroids, x_norms[rows], bound)
+        lower[rows] = bound
+    return labels, sq_dists
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _lower_bounds(lower: np.ndarray, shift: float, p: int) -> None:
+    """Lower every ℓ in place by more than the largest exact centroid move,
+    of which ``shift`` is the computed value (see ``kmeans_fit``)."""
+    finfo = np.finfo(np.float64)
+    move = (shift + 2.0 * np.sqrt(p * finfo.tiny)) * (1.0 + 2 * (p + 8) * finfo.eps)
+    np.multiply(lower, 1.0 - 2.0 * finfo.eps, out=lower)
+    np.subtract(lower, move, out=lower)
 
 
 @np.errstate(over="ignore")
@@ -201,7 +279,23 @@ def _update_means(
 def kmeans_fit(
     features, k: int, seed: int = 0, max_iters: int = 200, tol: float = 1e-7
 ) -> ClusterModel:
-    """Lloyd's algorithm with k-means++ seeding and empty-cluster repair."""
+    """Lloyd's algorithm with k-means++ seeding and empty-cluster repair.
+
+    Every assignment is ``_assign``'s, bit for bit, but after the first one a
+    row whose label is provably still nearest skips the certificate (Hamerly,
+    *Making k-means even faster*, SDM 2010): each row carries ℓ, a lower bound
+    on its exact distance to every centroid but its own, which ``_assign``
+    sets when the row passes through it and ``_bounded_assign`` tests. When
+    the centroids move, the triangle inequality lowers each distance by at
+    most the largest exact move M, so ``_lower_bounds`` lowers ℓ by more than
+    M. The computed ``shift`` sums p rounded squares of rounded differences,
+    which lose at most (p + 2)·eps of M² and, by underflow, ``tiny`` each;
+    with the square root's eps/2, M ≤ (shift + √(p·tiny))·(1 + (p + 4)·eps).
+    ``_lower_bounds`` subtracts (shift + 2·√(p·tiny))·(1 + 2·(p + 8)·eps),
+    whose own roundings keep it above that bound, from ℓ·(1 - 2·eps), so the
+    rounding of the difference, at most eps/2 of ℓ, cannot raise the result
+    above ℓ - M. An infinite or NaN shift makes every ℓ -inf or NaN.
+    """
     x = _check_features(features)
     if k < 2:
         raise ValidationError("k must be >= 2")
@@ -215,18 +309,21 @@ def kmeans_fit(
     centroids = _plus_plus_seed(x, k, rng)
     x_norms = _row_norms(x)
     x_cols = np.ascontiguousarray(x.T)  # for _update_means, once per fit
+    lower = np.empty(x.shape[0])  # each row's ℓ, set by the first assignment
+    labels = sq_dists = None
     history: list[float] = []
     for _ in range(max_iters):
-        labels, sq_dists = _assign(x, centroids, x_norms)
+        labels, sq_dists = _bounded_assign(x, centroids, x_norms, labels, sq_dists, lower)
         history.append(float(sq_dists.sum()))
         new_centroids = _update_means(x_cols, labels, k, centroids, sq_dists)
         shift = np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max()
+        _lower_bounds(lower, shift, x.shape[1])
         centroids = new_centroids
         if shift < tol:
             break
     # when no centroid moved, the loop's last assignment is already final
     if shift != 0:
-        labels, sq_dists = _assign(x, centroids, x_norms)
+        labels, sq_dists = _bounded_assign(x, centroids, x_norms, labels, sq_dists, lower)
     history.append(float(sq_dists.sum()))
     return ClusterModel(centroids, seed, history, labels)
 

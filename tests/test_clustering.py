@@ -9,7 +9,10 @@ import pretext_transfer.clustering as clustering
 from pretext_transfer.clustering import (
     _CHUNK,
     _assign,
+    _bounded_assign,
     _direct_assign,
+    _lower_bounds,
+    _plus_plus_seed,
     _row_norms,
     _update_means,
     extract_projection,
@@ -284,9 +287,9 @@ class TestCertifiedAssign:
         real_sure_nearest = clustering._sure_nearest
 
         def spy(*args):
-            best, sure = real_sure_nearest(*args)
+            best, sure, runner_up = real_sure_nearest(*args)
             returned.append((best.copy(), sure.copy()))
-            return best, sure
+            return best, sure, runner_up
 
         monkeypatch.setattr(clustering, "_sure_nearest", spy)
         rng = np.random.default_rng(7)
@@ -346,6 +349,135 @@ class TestUpdateMeans:
         assert got.tobytes() == self.reference(x, labels, k, centroids, sq_dists).tobytes()
 
 
+def reference_fit(x, k, seed, max_iters, tol):
+    """Lloyd's loop with the direct formula in every assignment, and a final
+    assignment after the last step: what kmeans_fit must equal bit for bit."""
+    centroids = _plus_plus_seed(x, k, np.random.default_rng(seed))
+    x_cols = np.ascontiguousarray(x.T)
+    history = []
+    for _ in range(max_iters):
+        labels, sq_dists = _direct_assign(x, centroids)
+        history.append(float(sq_dists.sum()))
+        new_centroids = _update_means(x_cols, labels, k, centroids, sq_dists)
+        shift = np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max()
+        centroids = new_centroids
+        if shift < tol:
+            break
+    labels, sq_dists = _direct_assign(x, centroids)
+    history.append(float(sq_dists.sum()))
+    return centroids, labels, history
+
+
+def assert_fit_is(model, expected):
+    centroids, labels, history = expected
+    assert model.centroids.tobytes() == centroids.tobytes()
+    assert np.array_equal(model.labels, labels)
+    assert np.array(model.inertia_history).tobytes() == np.array(history).tobytes()
+
+
+class TestBoundedFit:
+    """kmeans_fit skips the certificate for rows whose bound shows their label
+    is still nearest; the fit must not change by a bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        p=st.integers(1, 40),
+        k=st.integers(2, 12),
+        m=st.integers(1, 40) | st.integers(_CHUNK - 2, _CHUNK + 2),
+        exponent=st.integers(-160, 150),
+        spread=st.integers(0, 8),
+        shifted=st.booleans(),
+        duplicate_points=st.booleans(),
+        duplicate_centroids=st.booleans(),
+        max_iters=st.integers(1, 12),
+        tol=st.sampled_from([0.0, 1e-7]),
+    )
+    def test_bit_identical_to_reference_lloyd(
+        self, seed, p, k, m, exponent, spread, shifted, duplicate_points, duplicate_centroids,
+        max_iters, tol,
+    ):
+        # TestCertifiedAssign's rows: magnitudes 1e-160 to 1e158, near ties
+        # from the shift, duplicate points; fewer distinct rows than k make
+        # k-means++ pick duplicate centroids, whose ties leave clusters empty
+        rng = np.random.default_rng(seed)
+        m = max(m, k)
+        shift = 10.0 ** (exponent + 8) if shifted else 0.0
+        scale = 10.0 ** (exponent + rng.uniform(0, spread, (m, 1)))
+        x = shift + rng.normal(size=(m, p)) * scale
+        if duplicate_points:
+            x[m // 2:] = x[0]
+        if duplicate_centroids:
+            x = x[rng.integers(0, k - 1, size=m)]
+        fit_seed = int(rng.integers(2**31))
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow is part of the data
+            try:
+                expected = reference_fit(x, k, fit_seed, max_iters, tol)
+            except ValidationError:  # k-means++ weights overflow
+                with pytest.raises(ValidationError, match="overflow"):
+                    kmeans_fit(x, k, seed=fit_seed, max_iters=max_iters, tol=tol)
+                return
+            model = kmeans_fit(x, k, seed=fit_seed, max_iters=max_iters, tol=tol)
+        assert_fit_is(model, expected)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        p=st.integers(1, 4),
+        k=st.integers(2, 6),
+        m=st.integers(1, 40) | st.integers(_CHUNK - 2, _CHUNK + 2),
+        exponent=st.integers(-160, 150),
+        shifted=st.booleans(),
+        ulps=st.integers(-4, 4),
+        reach=st.floats(1.5, 4.0),
+    )
+    def test_tight_bound_at_a_near_tie(self, seed, p, k, m, exponent, shifted, ulps, reach):
+        # the only move carries centroid j straight toward row i, so the
+        # triangle inequality lowers i's bound to i's new distance to j, which
+        # a few ulps separate from i's distance to its own centroid: only the
+        # bound's margins keep row i from keeping a label that is no longer
+        # nearest
+        rng = np.random.default_rng(seed)
+        scale = 10.0**exponent
+        x = (10.0 ** (exponent + 4) if shifted else 0.0) + rng.normal(size=(m, p)) * scale
+        i = int(rng.integers(m))
+        own, j = rng.choice(k, size=2, replace=False)
+        new = x[rng.integers(0, m, size=k)] + rng.normal(size=(k, p)) * scale
+        new[own] = x[i] + rng.normal(size=p) * (scale * 1e-3)
+        new[j] = x[i] + (x[i] - new[own]) * (1.0 + ulps * np.finfo(np.float64).eps)
+        old = new.copy()
+        old[j] = x[i] + (new[j] - x[i]) * reach
+        x_norms = _row_norms(x)
+        lower = np.empty(m)
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow is part of the data
+            labels, _ = _assign(x, old, x_norms, lower)
+            _lower_bounds(lower, np.sqrt(((new - old) ** 2).sum(axis=1)).max(), p)
+            labels, sq_dists = _bounded_assign(x, new, x_norms, labels, np.empty(m), lower)
+            direct_labels, direct_sq = _direct_assign(x, new)
+        assert np.array_equal(labels, direct_labels)
+        assert sq_dists.tobytes() == direct_sq.tobytes()
+
+    def test_most_rows_skip_the_certificate(self, monkeypatch):
+        # 20000 rows of ten clusters: once the labels settle, the bound keeps
+        # most rows out of the [k, rows] product, which is the whole saving
+        rng = np.random.default_rng(19)
+        centers = rng.normal(scale=3.0, size=(10, 16))
+        x = centers[rng.integers(0, 10, size=20000)] + rng.normal(size=(20000, 16))
+        certified = []
+        real_sure_nearest = clustering._sure_nearest
+
+        def spy(block, *args):
+            certified.append(block.shape[0])
+            return real_sure_nearest(block, *args)
+
+        monkeypatch.setattr(clustering, "_sure_nearest", spy)
+        calls = count_assign_calls(monkeypatch)
+        model = kmeans_fit(x, k=10, seed=3, max_iters=30, tol=0.0)
+        assert len(calls) == 31
+        assert sum(certified) < len(x) * len(calls) / 4
+        assert_fit_is(model, reference_fit(x, 10, 3, 30, 0.0))
+
+
 class TestPinnedFit:
     """The assignment arithmetic fixes every bit of a fit; these figures were
     recorded with the direct formula alone, so any change to it shows here."""
@@ -370,15 +502,16 @@ class TestPinnedFit:
 
 
 def count_assign_calls(monkeypatch) -> list[int]:
-    """Wrap clustering._assign so that each call appends its row count."""
+    """Wrap clustering._bounded_assign, one call per Lloyd assignment, so that
+    each call appends its row count."""
     calls = []
-    real = clustering._assign
+    real = clustering._bounded_assign
 
-    def counting(x, centroids, x_norms):
+    def counting(x, *args):
         calls.append(x.shape[0])
-        return real(x, centroids, x_norms)
+        return real(x, *args)
 
-    monkeypatch.setattr(clustering, "_assign", counting)
+    monkeypatch.setattr(clustering, "_bounded_assign", counting)
     return calls
 
 
