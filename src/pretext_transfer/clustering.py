@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -10,9 +9,7 @@ import numpy as np
 from .data import LabeledSet
 from .errors import ShapeError, ValidationError
 from .manifest import manifest_value, read_artifact, unpack_blob, write_artifact
-from .network import REPRESENTATION, NetworkState, apply_layer, as_batch
-
-logger = logging.getLogger(__name__)
+from .network import NetworkState, apply_layer, as_batch
 
 # Rows per assignment block. It bounds the per-block temporaries: with all
 # 20000 rows of the pseudo-label pool in one product they added about 3 MB of
@@ -44,12 +41,10 @@ class ClusterModel:
 
 
 def extract_projection(model: NetworkState, samples) -> np.ndarray:
-    """Activation of the last representation layer, used as the low-dim projection."""
-    x = as_batch(model, samples)
-    out = x
-    for layer in model.layers:
-        if layer.group != REPRESENTATION:
-            break
+    """Activation of the last representation layer (the one before the head),
+    used as the low-dim projection."""
+    out = as_batch(model, samples)
+    for layer in model.layers[:-1]:
         out = apply_layer(layer, out)
     return out
 

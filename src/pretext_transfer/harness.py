@@ -61,8 +61,6 @@ from .metrics import (
     render_report_text,
 )
 from .network import (
-    CLASSIFICATION,
-    REPRESENTATION,
     LayerSpec,
     NetworkState,
     TrainConfig,
@@ -110,6 +108,12 @@ class ExperimentConfig:
             raise ConfigError(f"ratios must not repeat, got {list(self.ratios)}")
         if self.fold_count < 2:
             raise ConfigError("fold_count must be >= 2: with one fold every training split is empty")
+        if min(self.synth.positives, self.synth.negatives) < self.fold_count:
+            raise ConfigError(f"positives and negatives must each be >= fold_count ({self.fold_count}): "
+                              "every test fold holds both classes")
+        if self.synth.unlabeled_size < self.synth.source_class_count:
+            raise ConfigError(f"unlabeled_size must be >= source_class_count ({self.synth.source_class_count}): "
+                              "k-means makes one pseudo-class per source class")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
         if not self.hidden:
@@ -144,10 +148,10 @@ def build_layer_specs(
     specs = []
     prev = input_dim
     for width in hidden:
-        specs.append(LayerSpec(prev, width, "relu", REPRESENTATION))
+        specs.append(LayerSpec(prev, width, "relu"))
         prev = width
-    specs.append(LayerSpec(prev, projection_dim, "identity", REPRESENTATION))
-    specs.append(LayerSpec(projection_dim, label_count, "identity", CLASSIFICATION))
+    specs.append(LayerSpec(prev, projection_dim, "identity"))
+    specs.append(LayerSpec(projection_dim, label_count, "identity"))
     return specs
 
 

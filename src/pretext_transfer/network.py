@@ -1,9 +1,9 @@
-"""Dense feed-forward classifier with grouped parameters and momentum SGD.
+"""Dense feed-forward classifier with momentum SGD.
 
-Layers carry a group tag so the earlier "representation" part and the deeper
-"classification" part of the model can train at their own rates and the head
-can be swapped; a classification rate of zero freezes the head. States are
-value objects: the public functions return new NetworkState and Gradients
+The last layer is the classification layer (the head); every layer before it
+is a representation layer. The two parts train at their own rates, a head
+rate of zero freezes the head, and the head can be swapped. States are value
+objects: the public functions return new NetworkState and Gradients
 objects and leave their arguments unchanged.
 `train` runs several sessions of one architecture in lockstep: it orders them
 by row count, largest first, copies their parameters into one private
@@ -15,7 +15,6 @@ per layer, updated in place. It never changes the caller's arrays.
 from __future__ import annotations
 
 import itertools
-import logging
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
@@ -26,22 +25,16 @@ from .data import LabeledSet
 from .errors import ConfigError, ShapeError, TrainingDiverged, ValidationError
 from .manifest import manifest_values, read_artifact, unpack_blob, write_artifact
 
-logger = logging.getLogger(__name__)
-
-REPRESENTATION = "representation"
-CLASSIFICATION = "classification"
-GROUPS = (REPRESENTATION, CLASSIFICATION)
 ACTIVATIONS = ("relu", "identity")
 
 
 @dataclass(frozen=True)
 class LayerSpec:
-    """Shape, activation and parameter group of one dense layer."""
+    """Shape and activation of one dense layer."""
 
     input_dim: int
     output_dim: int
     activation: str
-    group: str
 
 
 @dataclass(frozen=True)
@@ -49,7 +42,7 @@ class TrainConfig:
     epochs: int
     batch_size: int = 16
     base_lr: float = 3e-4
-    classifier_lr_multiplier: float = 1.0  # 0 freezes every classification layer
+    classifier_lr_multiplier: float = 1.0  # 0 freezes the head
     momentum: float = 0.9
     seed: int = 0
 
@@ -71,11 +64,10 @@ class Layer:
     weights: np.ndarray  # [output_dim, input_dim]
     bias: np.ndarray  # [output_dim]
     activation: str
-    group: str
 
     @property
     def spec(self) -> LayerSpec:
-        return LayerSpec(self.weights.shape[1], self.weights.shape[0], self.activation, self.group)
+        return LayerSpec(self.weights.shape[1], self.weights.shape[0], self.activation)
 
 
 @dataclass
@@ -100,28 +92,20 @@ class Gradients:
 
 
 def validate_layer_specs(specs: list[LayerSpec]) -> None:
-    if not specs:
-        raise ConfigError("network needs at least one layer")
+    if len(specs) < 2:
+        raise ConfigError("network needs at least one representation layer and a head")
     for i, spec in enumerate(specs):
         if spec.input_dim < 1 or spec.output_dim < 1:
             raise ConfigError(f"layer {i}: dimensions must be positive")
         if spec.activation not in ACTIVATIONS:
             raise ConfigError(f"layer {i}: unknown activation '{spec.activation}'")
-        if spec.group not in GROUPS:
-            raise ConfigError(f"layer {i}: unknown group '{spec.group}'")
         if i and specs[i - 1].output_dim != spec.input_dim:
             raise ConfigError(
                 f"layer {i}: input_dim {spec.input_dim} does not chain with "
                 f"previous output_dim {specs[i - 1].output_dim}"
             )
-    if specs[-1].activation != "identity" or specs[-1].group != CLASSIFICATION:
-        raise ConfigError("final layer must be an identity-activation classification layer")
-    groups = [spec.group for spec in specs]
-    if REPRESENTATION not in groups:
-        raise ConfigError("need at least one representation layer")
-    first_cls = groups.index(CLASSIFICATION)
-    if REPRESENTATION in groups[first_cls:]:
-        raise ConfigError("representation layers must precede classification layers")
+    if specs[-1].activation != "identity":
+        raise ConfigError("the head (final layer) must have identity activation")
 
 
 def layer_specs(state: NetworkState) -> list[LayerSpec]:
@@ -137,7 +121,7 @@ def init_network(specs: list[LayerSpec], seed: int = 0) -> NetworkState:
     for spec in specs:
         scale = 1.0 / np.sqrt(spec.input_dim)
         weights = rng.normal(0.0, scale, size=(spec.output_dim, spec.input_dim))
-        layers.append(Layer(weights, np.zeros(spec.output_dim), spec.activation, spec.group))
+        layers.append(Layer(weights, np.zeros(spec.output_dim), spec.activation))
     return NetworkState(layers)
 
 
@@ -281,13 +265,12 @@ def _step_layout(specs: list[LayerSpec], config: TrainConfig) -> tuple[np.ndarra
     flat layout, the span of the layers that train, and per layer whether it
     trains (its rate is not zero).
 
-    Representation layers train at base_lr > 0 and come first (see
-    validate_layer_specs); the classification layers share one rate, so the
-    layers that train are a prefix and the span starts at 0.
+    The representation layers, all but the last, train at base_lr > 0; only
+    the head can be frozen, so the layers that train are a prefix and the span
+    starts at 0.
     """
     validate_layer_specs(specs)
-    head_lr = config.base_lr * config.classifier_lr_multiplier
-    rates = [head_lr if spec.group == CLASSIFICATION else config.base_lr for spec in specs]
+    rates = [config.base_lr] * (len(specs) - 1) + [config.base_lr * config.classifier_lr_multiplier]
     sizes = [spec.output_dim * (spec.input_dim + 1) for spec in specs]
     trains = [rate > 0 for rate in rates]
     return np.repeat(rates, sizes), slice(0, sum(itertools.compress(sizes, trains))), trains
@@ -309,7 +292,7 @@ def _apply_step(params: np.ndarray, velocity: np.ndarray) -> None:
 def sgd_update(
     state: NetworkState, grads: Gradients, velocity: Gradients, config: TrainConfig
 ) -> tuple[NetworkState, Gradients]:
-    """One momentum-SGD step with per-group learning rates.
+    """One momentum-SGD step: the representation layers at base_lr, the head at its own rate.
 
     Layers with a zero rate keep their parameter arrays untouched
     (bit-identical); their velocity follows the same recursion.
@@ -324,31 +307,22 @@ def sgd_update(
     _apply_step(params[trainable], new_velocity[trainable])
     weights, biases = _flat_views(params, specs)
     new_layers = [
-        Layer(w, b, layer.activation, layer.group) if moves else layer
+        Layer(w, b, layer.activation) if moves else layer
         for layer, w, b, moves in zip(state.layers, weights, biases, trains)
     ]
     return NetworkState(new_layers), Gradients(*_flat_views(new_velocity, specs))
 
 
 def replace_head(state: NetworkState, new_label_count: int, init_seed: int) -> NetworkState:
-    """Reinitialize every classification layer; the last gets the new width.
-
-    Representation layers are carried over untouched. New weights are Gaussian
-    with std 0.01, biases zero, so the fresh head starts near-uniform.
+    """A new head of the new width; the representation layers are carried over
+    untouched. New weights are Gaussian with std 0.01, biases zero, so the
+    fresh head starts near-uniform.
     """
     if new_label_count < 2:
         raise ValidationError("new_label_count must be >= 2")
-    rng = np.random.default_rng(init_seed)
-    last = len(state.layers) - 1
-    layers = []
-    for i, layer in enumerate(state.layers):
-        if layer.group != CLASSIFICATION:
-            layers.append(layer)
-            continue
-        out_dim = new_label_count if i == last else layer.weights.shape[0]
-        weights = rng.normal(0.0, 0.01, size=(out_dim, layer.weights.shape[1]))
-        layers.append(Layer(weights, np.zeros(out_dim), layer.activation, layer.group))
-    return NetworkState(layers)
+    head = state.layers[-1]
+    weights = np.random.default_rng(init_seed).normal(0.0, 0.01, size=(new_label_count, head.weights.shape[1]))
+    return NetworkState([*state.layers[:-1], Layer(weights, np.zeros(new_label_count), head.activation)])
 
 
 @dataclass(frozen=True)
@@ -457,7 +431,7 @@ def train(sessions: Sequence[Session]) -> list[tuple[NetworkState, list[float]]]
     results = [None] * len(sessions)
     for i, row, history in zip(order, params, histories):
         weights, biases = _flat_views(row, specs)
-        layers = [Layer(w, b, spec.activation, spec.group) for w, b, spec in zip(weights, biases, specs)]
+        layers = [Layer(w, b, spec.activation) for w, b, spec in zip(weights, biases, specs)]
         results[i] = (NetworkState(layers), history)
     return results
 
@@ -467,14 +441,14 @@ def accuracy(state: NetworkState, inputs, labels) -> float:
 
 
 def save_checkpoint(state: NetworkState, path) -> None:
-    fields = [("layer", f"{s.input_dim} {s.output_dim} {s.activation} {s.group}") for s in layer_specs(state)]
+    fields = [("layer", f"{s.input_dim} {s.output_dim} {s.activation}") for s in layer_specs(state)]
     arrays = [a for layer in state.layers for a in (layer.weights, layer.bias)]
     write_artifact(path, "checkpoint", fields, arrays)
 
 
 def _parse_layer(line: str) -> LayerSpec:
-    in_dim, out_dim, activation, group = line.split()
-    return LayerSpec(int(in_dim), int(out_dim), activation, group)
+    in_dim, out_dim, activation = line.split()
+    return LayerSpec(int(in_dim), int(out_dim), activation)
 
 
 def load_checkpoint(path) -> NetworkState:
@@ -484,4 +458,4 @@ def load_checkpoint(path) -> NetworkState:
     validate_layer_specs(specs)
     shapes = [shape for s in specs for shape in ((s.output_dim, s.input_dim), (s.output_dim,))]
     arrays, _ = unpack_blob(blob, path, shapes)
-    return NetworkState([Layer(w, b, s.activation, s.group) for w, b, s in zip(arrays[::2], arrays[1::2], specs)])
+    return NetworkState([Layer(w, b, s.activation) for w, b, s in zip(arrays[::2], arrays[1::2], specs)])

@@ -82,11 +82,11 @@ def prt_train(
 ) -> NetworkState:
     """Train the representation on pseudo-labels with the classifier frozen.
 
-    The stage's rule is a head multiplier of 0: the classification layers stay
-    bit-identical and the representation trains at the base learning rate,
-    whatever multiplier ``cfg`` carries. The pseudo-label cluster count must
-    equal the source model's label count so the fixed classifier head can be
-    reused as-is.
+    The stage's rule is a head multiplier of 0: the head (the last layer)
+    stays bit-identical and every other layer trains at the base learning
+    rate, whatever multiplier ``cfg`` carries. The pseudo-label cluster count
+    must equal the source model's label count so the fixed head can be reused
+    as-is.
     """
     cfg = replace(cfg, classifier_lr_multiplier=0.0)
     if pseudo.class_count != source_model.label_count:

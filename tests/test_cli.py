@@ -199,6 +199,24 @@ class TestCliDispatch:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("lines, flags, message", [
+        # make_folds cuts each class into fold_count test blocks
+        (["positives = 3", "negatives = 3"], ["--folds", "5"],
+         "positives and negatives must each be >= fold_count (5)"),
+        # k-means makes one pseudo-class per source class
+        (["source_classes = 10", "unlabeled_size = 5"], [],
+         "unlabeled_size must be >= source_class_count (10)"),
+    ], ids=["folds-exceed-class-size", "unlabeled-below-class-count"])
+    def test_data_too_small_for_a_later_stage_exits_1_before_writing(self, config_file, tmp_path, capsys,
+                                                                   lines, flags, message):
+        keys = {line.split("=")[0] for line in lines}
+        kept = [entry for entry in MINI_CFG.splitlines() if entry.split("=")[0] not in keys]
+        config_file.write_text("\n".join([*kept, *lines]) + "\n")
+        out = tmp_path / "out"
+        assert main(["run-all", "--config", str(config_file), *flags, "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_repeated_key_exits_1_before_writing(self, config_file, tmp_path, capsys):
         config_file.write_text(MINI_CFG + "tl_epochs = 7\n")
         out = tmp_path / "out"
@@ -288,6 +306,27 @@ class TestCliDispatch:
         assert main(["pretrain", *base]) == 1
         assert "another seed or other data settings" in capsys.readouterr().err
         assert not (out / "source.ckpt").exists()
+
+    def test_checkpoint_with_group_tags_exits_1(self, config_file, tmp_path, capsys):
+        # checkpoints once tagged every layer "representation" or "classification"
+        out = tmp_path / "out"
+        base = ["--config", str(config_file), "--out", str(out)]
+        for command in ("generate", "pretrain", "cluster", "prt"):
+            assert main([command, *base]) == 0, command
+        source = out / "source.ckpt"
+        header, blob = source.read_bytes().split(b"\n\n", 1)
+        lines = header.decode().splitlines()
+        layers = [i for i, line in enumerate(lines) if line.startswith("layer = ")]
+        for i in layers:
+            lines[i] += " classification" if i == layers[-1] else " representation"
+        source.write_bytes("\n".join(lines).encode() + b"\n\n" + blob)
+        capsys.readouterr()
+        assert main(["tl", *base]) == 1
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if line.startswith("error: ")]
+        assert len(errors) == 1 and errors[0].startswith(f"error: {source}: bad value for 'layer'")
+        assert "Traceback" not in err
+        assert list(out.rglob("tl.ckpt")) == []
 
     def test_staged_subcommands_produce_report(self, config_file, tmp_path):
         out = tmp_path / "staged"

@@ -23,13 +23,19 @@ from pretext_transfer.clustering import (
     save_cluster_model,
 )
 from pretext_transfer.errors import ShapeError, ValidationError
-from pretext_transfer.harness import ExperimentConfig, clusters_ckpt_path, run_cluster, run_generate, run_pretrain
+from pretext_transfer.harness import (
+    ExperimentConfig,
+    build_layer_specs,
+    clusters_ckpt_path,
+    run_cluster,
+    run_generate,
+    run_pretrain,
+)
 from pretext_transfer.network import (
-    CLASSIFICATION,
-    REPRESENTATION,
     Layer,
     LayerSpec,
     NetworkState,
+    apply_layer,
     init_network,
 )
 
@@ -37,8 +43,8 @@ from pretext_transfer.network import (
 def identity_rep_state(dim=3, label_count=2):
     return NetworkState(
         layers=[
-            Layer(np.eye(dim), np.zeros(dim), "identity", REPRESENTATION),
-            Layer(np.zeros((label_count, dim)), np.zeros(label_count), "identity", CLASSIFICATION),
+            Layer(np.eye(dim), np.zeros(dim), "identity"),
+            Layer(np.zeros((label_count, dim)), np.zeros(label_count), "identity"),
         ],
     )
 
@@ -62,20 +68,29 @@ class TestExtractProjection:
     def test_projection_width_matches_last_representation_layer(self):
         state = init_network(
             [
-                LayerSpec(4, 7, "relu", REPRESENTATION),
-                LayerSpec(7, 5, "identity", REPRESENTATION),
-                LayerSpec(5, 3, "identity", CLASSIFICATION),
+                LayerSpec(4, 7, "relu"),
+                LayerSpec(7, 5, "identity"),
+                LayerSpec(5, 3, "identity"),
             ],
             seed=0,
         )
         out = extract_projection(state, np.zeros((6, 4)))
         assert out.shape == (6, 5)
 
+    @pytest.mark.parametrize("hidden", [(8,), (8, 6)])
+    def test_applies_every_layer_but_the_head(self, hidden):
+        state = init_network(build_layer_specs(4, 3, hidden, projection_dim=5), seed=1)
+        x = np.random.default_rng(2).normal(size=(7, 4))
+        expected = x
+        for layer in state.layers[:-1]:
+            expected = apply_layer(layer, expected)
+        assert extract_projection(state, x).tobytes() == expected.tobytes()
+
     def test_zero_weights_relu_projects_to_zero(self):
         state = init_network(
             [
-                LayerSpec(3, 4, "relu", REPRESENTATION),
-                LayerSpec(4, 2, "identity", CLASSIFICATION),
+                LayerSpec(3, 4, "relu"),
+                LayerSpec(4, 2, "identity"),
             ],
             seed=0,
         )

@@ -17,8 +17,6 @@ from pretext_transfer.dictionary import (
 from pretext_transfer.errors import ConfigError, ShapeError, ValidationError
 from pretext_transfer.manifest import write_artifact
 from pretext_transfer.network import (
-    CLASSIFICATION,
-    REPRESENTATION,
     Layer,
     NetworkState,
 )
@@ -29,8 +27,8 @@ CFG = CRCConfig()
 def identity_projection_state(dim):
     return NetworkState(
         layers=[
-            Layer(np.eye(dim), np.zeros(dim), "identity", REPRESENTATION),
-            Layer(np.zeros((2, dim)), np.zeros(2), "identity", CLASSIFICATION),
+            Layer(np.eye(dim), np.zeros(dim), "identity"),
+            Layer(np.zeros((2, dim)), np.zeros(2), "identity"),
         ],
     )
 

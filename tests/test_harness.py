@@ -29,7 +29,6 @@ from pretext_transfer.harness import (
     stage_key,
 )
 from pretext_transfer.metrics import METHOD_ORDER
-from pretext_transfer.network import CLASSIFICATION, REPRESENTATION
 
 MINI_SYNTH = SynthConfig(
     source_class_count=4,
@@ -178,8 +177,8 @@ class TestLayerSpecsBuilder:
     def test_shapes_and_groups(self):
         specs = build_layer_specs(6, 4, hidden=(8, 7), projection_dim=5)
         assert [(s.input_dim, s.output_dim) for s in specs] == [(6, 8), (8, 7), (7, 5), (5, 4)]
-        assert [s.group for s in specs] == [REPRESENTATION] * 3 + [CLASSIFICATION]
-        assert specs[-1].activation == "identity"
+        # three representation layers (two hidden and the projection), then the head
+        assert [s.activation for s in specs] == ["relu", "relu", "identity", "identity"]
 
 
 class TestGridRun:

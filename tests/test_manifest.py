@@ -13,8 +13,6 @@ from pretext_transfer.dictionary import FeatureDictionary, load_dictionary, save
 from pretext_transfer.errors import ValidationError
 from pretext_transfer.manifest import read_artifact, unpack_blob, write_artifact, write_text_file
 from pretext_transfer.network import (
-    CLASSIFICATION,
-    REPRESENTATION,
     LayerSpec,
     init_network,
     load_checkpoint,
@@ -86,7 +84,7 @@ CODECS = {
     ),
     "unlabeled-dataset": (UnlabeledSet(_RNG.normal(size=(5, 3))), save_dataset, load_dataset, 8),
     "checkpoint": (
-        init_network([LayerSpec(3, 4, "relu", REPRESENTATION), LayerSpec(4, 2, "identity", CLASSIFICATION)]),
+        init_network([LayerSpec(3, 4, "relu"), LayerSpec(4, 2, "identity")]),
         save_checkpoint,
         load_checkpoint,
         8,

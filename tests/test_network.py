@@ -9,8 +9,6 @@ from pretext_transfer.clustering import extract_projection
 from pretext_transfer.errors import ConfigError, ShapeError, TrainingDiverged, ValidationError
 from pretext_transfer.manifest import write_artifact
 from pretext_transfer.network import (
-    CLASSIFICATION,
-    REPRESENTATION,
     Layer,
     LayerSpec,
     NetworkState,
@@ -32,21 +30,21 @@ from pretext_transfer.network import (
 )
 
 TWO_LAYER_SPECS = [
-    LayerSpec(4, 6, "relu", REPRESENTATION),
-    LayerSpec(6, 3, "identity", CLASSIFICATION),
+    LayerSpec(4, 6, "relu"),
+    LayerSpec(6, 3, "identity"),
 ]
 
 THREE_LAYER_SPECS = [
-    LayerSpec(4, 8, "relu", REPRESENTATION),
-    LayerSpec(8, 5, "identity", REPRESENTATION),
-    LayerSpec(5, 3, "identity", CLASSIFICATION),
+    LayerSpec(4, 8, "relu"),
+    LayerSpec(8, 5, "identity"),
+    LayerSpec(5, 3, "identity"),
 ]
 TWO_HIDDEN_SPECS = [
-    LayerSpec(4, 8, "relu", REPRESENTATION),
-    LayerSpec(8, 6, "relu", REPRESENTATION),
-    LayerSpec(6, 5, "identity", REPRESENTATION),
-    LayerSpec(5, 4, "relu", CLASSIFICATION),
-    LayerSpec(4, 3, "identity", CLASSIFICATION),
+    LayerSpec(4, 8, "relu"),
+    LayerSpec(8, 6, "relu"),
+    LayerSpec(6, 5, "relu"),
+    LayerSpec(5, 4, "identity"),
+    LayerSpec(4, 3, "identity"),
 ]
 
 
@@ -103,8 +101,8 @@ def max_relative_error(analytic, numeric):
 class TestForward:
     def test_zero_network_is_uniform(self):
         specs = [
-            LayerSpec(3, 4, "relu", REPRESENTATION),
-            LayerSpec(4, 4, "identity", CLASSIFICATION),
+            LayerSpec(3, 4, "relu"),
+            LayerSpec(4, 4, "identity"),
         ]
         state = small_state(specs=specs)
         for layer in state.layers:
@@ -116,8 +114,8 @@ class TestForward:
     def test_identity_layer_matches_hand_softmax(self):
         state = NetworkState(
             layers=[
-                Layer(np.eye(2), np.zeros(2), "identity", REPRESENTATION),
-                Layer(np.eye(2), np.zeros(2), "identity", CLASSIFICATION),
+                Layer(np.eye(2), np.zeros(2), "identity"),
+                Layer(np.eye(2), np.zeros(2), "identity"),
             ],
         )
         probs = forward(state, np.array([[1.0, 0.0]]))
@@ -143,9 +141,9 @@ class TestForward:
 
 # the experiment's default network: 16 features, hidden 32, projection 16, 10 classes
 DEFAULT_SPECS = [
-    LayerSpec(16, 32, "relu", REPRESENTATION),
-    LayerSpec(32, 16, "identity", REPRESENTATION),
-    LayerSpec(16, 10, "identity", CLASSIFICATION),
+    LayerSpec(16, 32, "relu"),
+    LayerSpec(32, 16, "identity"),
+    LayerSpec(16, 10, "identity"),
 ]
 
 
@@ -207,8 +205,8 @@ class TestInPlaceKernels:
 class TestLossAndGrad:
     def test_uniform_loss_is_ln2(self):
         specs = [
-            LayerSpec(3, 4, "relu", REPRESENTATION),
-            LayerSpec(4, 2, "identity", CLASSIFICATION),
+            LayerSpec(3, 4, "relu"),
+            LayerSpec(4, 2, "identity"),
         ]
         state = small_state(specs=specs)
         for layer in state.layers:
@@ -221,8 +219,8 @@ class TestLossAndGrad:
     def test_perfect_prediction_zero_loss(self):
         state = NetworkState(
             layers=[
-                Layer(np.eye(2), np.zeros(2), "identity", REPRESENTATION),
-                Layer(np.array([[1000.0, 0.0], [0.0, 1000.0]]), np.zeros(2), "identity", CLASSIFICATION),
+                Layer(np.eye(2), np.zeros(2), "identity"),
+                Layer(np.array([[1000.0, 0.0], [0.0, 1000.0]]), np.zeros(2), "identity"),
             ],
         )
         loss, _ = loss_and_grad(state, np.array([[1.0, 0.0]]), np.array([0]))
@@ -247,8 +245,8 @@ class TestSgdUpdate:
     def one_param_state(self, theta=1.0):
         return NetworkState(
             layers=[
-                Layer(np.array([[theta]]), np.zeros(1), "identity", REPRESENTATION),
-                Layer(np.array([[1.0], [0.0]]), np.zeros(2), "identity", CLASSIFICATION),
+                Layer(np.array([[theta]]), np.zeros(1), "identity"),
+                Layer(np.array([[1.0], [0.0]]), np.zeros(2), "identity"),
             ],
         )
 
@@ -286,20 +284,17 @@ class TestSgdUpdate:
             _, grads = loss_and_grad(state, rng.normal(size=(4, 4)), rng.integers(0, 3, 4))
             state, velocity = sgd_update(state, grads, velocity, cfg)
         after = [l.weights.tobytes() + l.bias.tobytes() for l in state.layers]
-        for layer, b, a in zip(state.layers, before, after):
-            if layer.group == CLASSIFICATION:
-                assert a == b
-            else:
-                assert a != b
+        assert after[-1] == before[-1]
+        assert all(a != b for a, b in zip(after[:-1], before[:-1]))
 
-    @pytest.mark.parametrize("frozen", [CLASSIFICATION])
-    def test_every_trainable_element_moves(self, frozen):
+    def test_every_trainable_element_moves(self):
         state = init_network(THREE_LAYER_SPECS, seed=0)
         cfg = TrainConfig(epochs=1, base_lr=0.1, momentum=0.0, classifier_lr_multiplier=0.0)
         new, _ = sgd_update(state, self.grad_of_one(state), zero_velocity(state), cfg)
-        for old_layer, new_layer in zip(state.layers, new.layers):
+        last = len(state.layers) - 1
+        for k, (old_layer, new_layer) in enumerate(zip(state.layers, new.layers)):
             for old, updated in [(old_layer.weights, new_layer.weights), (old_layer.bias, new_layer.bias)]:
-                if old_layer.group == frozen:
+                if k == last:
                     assert (updated == old).all()
                 else:
                     assert (updated != old).all()
@@ -341,8 +336,8 @@ class TestReplaceHead:
     def test_new_output_width(self):
         state = init_network(
             [
-                LayerSpec(4, 6, "relu", REPRESENTATION),
-                LayerSpec(6, 10, "identity", CLASSIFICATION),
+                LayerSpec(4, 6, "relu"),
+                LayerSpec(6, 10, "identity"),
             ],
             seed=0,
         )
@@ -350,18 +345,6 @@ class TestReplaceHead:
         probs = forward(new, np.zeros((3, 4)))
         assert probs.shape == (3, 2)
         assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-9)
-
-    def test_intermediate_classification_layers_also_reinit(self):
-        specs = [
-            LayerSpec(4, 6, "relu", REPRESENTATION),
-            LayerSpec(6, 5, "relu", CLASSIFICATION),
-            LayerSpec(5, 3, "identity", CLASSIFICATION),
-        ]
-        state = init_network(specs, seed=1)
-        new = replace_head(state, 2, init_seed=2)
-        assert new.layers[1].weights.shape == (5, 6)
-        assert new.layers[1].weights.tobytes() != state.layers[1].weights.tobytes()
-        assert new.layers[2].weights.shape == (2, 5)
 
     def test_rejects_single_class(self):
         with pytest.raises(ValidationError):
@@ -379,8 +362,8 @@ class TestTrain:
 
     def test_loss_decreases_on_separable_data(self):
         specs = [
-            LayerSpec(4, 8, "relu", REPRESENTATION),
-            LayerSpec(8, 2, "identity", CLASSIFICATION),
+            LayerSpec(4, 8, "relu"),
+            LayerSpec(8, 2, "identity"),
         ]
         x, y = self.separable_data()
         cfg = TrainConfig(epochs=15, batch_size=16, base_lr=0.05, momentum=0.9, seed=1)
@@ -460,9 +443,10 @@ def reference_train(state, x, y, cfg):
     """One session trained alone with 2-d arithmetic, batch by batch: the
     single-session loop that train() generalises, kept as the reference for
     its results."""
-    layers = [(l.weights.copy(), l.bias.copy(), l.activation, l.group) for l in state.layers]
-    velocity = [(np.zeros_like(w), np.zeros_like(b)) for w, b, _, _ in layers]
-    rates = {REPRESENTATION: cfg.base_lr, CLASSIFICATION: cfg.base_lr * cfg.classifier_lr_multiplier}
+    layers = [(l.weights.copy(), l.bias.copy(), l.activation) for l in state.layers]
+    velocity = [(np.zeros_like(w), np.zeros_like(b)) for w, b, _ in layers]
+    # the representation layers at base_lr, the head (last layer) at its own rate
+    rates = [cfg.base_lr] * (len(layers) - 1) + [cfg.base_lr * cfg.classifier_lr_multiplier]
     rng = np.random.default_rng(cfg.seed)
     mean_losses = []
     for _ in range(cfg.epochs):
@@ -472,7 +456,7 @@ def reference_train(state, x, y, cfg):
         for start in range(0, len(y), cfg.batch_size):
             xb, yb = x_epoch[start:start + cfg.batch_size], y_epoch[start:start + cfg.batch_size]
             outputs = [xb]
-            for w, b, activation, _ in layers:
+            for w, b, activation in layers:
                 out = outputs[-1] @ w.T
                 out += b
                 if activation == "relu":
@@ -488,22 +472,22 @@ def reference_train(state, x, y, cfg):
             delta[rows, yb] -= 1.0
             delta /= len(yb)
             for k in reversed(range(len(layers))):
-                w, b, _, group = layers[k]
+                w, b, _ = layers[k]
                 grad_w, grad_b = delta.T @ outputs[k], np.sum(delta, axis=0)
                 if k:
                     delta = delta @ w
                     if layers[k - 1][2] == "relu":
                         delta *= outputs[k] > 0.0
-                if rates[group] == 0.0:
+                if rates[k] == 0.0:
                     continue
                 for param, vel, grad in zip((w, b), velocity[k], (grad_w, grad_b)):
-                    grad *= rates[group]
+                    grad *= rates[k]
                     vel *= cfg.momentum
                     vel -= grad
                     param += vel
             total += loss * len(yb)
         mean_losses.append(total / len(y))
-    trained = NetworkState([Layer(w, b, a, g) for w, b, a, g in layers])
+    trained = NetworkState([Layer(w, b, a) for w, b, a in layers])
     return trained, mean_losses
 
 
@@ -598,9 +582,10 @@ class TestTrainLeavesInputAlone:
 
     def test_frozen_layers_bit_identical_to_input(self):
         trained, _ = train_one(self.state, self.x, self.y, self.cfg)
-        for old, new in zip(self.state.layers, trained.layers):
+        last = len(self.state.layers) - 1
+        for k, (old, new) in enumerate(zip(self.state.layers, trained.layers)):
             same = old.weights.tobytes() + old.bias.tobytes() == new.weights.tobytes() + new.bias.tobytes()
-            assert same == (old.group == CLASSIFICATION)
+            assert same == (k == last)
 
     def test_mutating_result_does_not_leak_into_next_call(self):
         first, _ = train_one(self.state, self.x, self.y, self.cfg)
@@ -617,8 +602,8 @@ class TestSpecsValidation:
         with pytest.raises(ConfigError):
             validate_layer_specs(
                 [
-                    LayerSpec(4, 6, "relu", REPRESENTATION),
-                    LayerSpec(5, 3, "identity", CLASSIFICATION),
+                    LayerSpec(4, 6, "relu"),
+                    LayerSpec(5, 3, "identity"),
                 ]
             )
 
@@ -626,26 +611,16 @@ class TestSpecsValidation:
         with pytest.raises(ConfigError):
             validate_layer_specs(
                 [
-                    LayerSpec(4, 6, "relu", REPRESENTATION),
-                    LayerSpec(6, 3, "relu", CLASSIFICATION),
-                ]
-            )
-        with pytest.raises(ConfigError):
-            validate_layer_specs([LayerSpec(4, 3, "identity", REPRESENTATION)])
-
-    def test_groups_must_not_interleave(self):
-        with pytest.raises(ConfigError):
-            validate_layer_specs(
-                [
-                    LayerSpec(4, 6, "relu", CLASSIFICATION),
-                    LayerSpec(6, 5, "relu", REPRESENTATION),
-                    LayerSpec(5, 3, "identity", CLASSIFICATION),
+                    LayerSpec(4, 6, "relu"),
+                    LayerSpec(6, 3, "relu"),
                 ]
             )
 
     def test_both_groups_required(self):
-        with pytest.raises(ConfigError):
-            validate_layer_specs([LayerSpec(4, 3, "identity", CLASSIFICATION)])
+        # the head is the last layer, and at least one representation layer precedes it
+        for specs in ([], [LayerSpec(4, 3, "identity")]):
+            with pytest.raises(ConfigError, match="at least one representation layer and a head"):
+                validate_layer_specs(specs)
 
 
 class TestCheckpoint:
@@ -666,8 +641,20 @@ class TestCheckpoint:
         # checkpoints once also stored label_count, seed and params lines
         state = small_state(seed=21)
         fields = [("label_count", 3), ("seed", 21)]
-        fields += [("layer", f"{s.input_dim} {s.output_dim} {s.activation} {s.group}") for s in layer_specs(state)]
+        fields += [("layer", f"{s.input_dim} {s.output_dim} {s.activation}") for s in layer_specs(state)]
         fields.append(("params", sum(l.weights.size + l.bias.size for l in state.layers)))
         path = tmp_path / "model.ckpt"
         write_artifact(path, "checkpoint", fields, [a for l in state.layers for a in (l.weights, l.bias)])
         assert state_bytes(load_checkpoint(path)) == state_bytes(state)
+
+    def test_refuses_layer_lines_with_a_group_tag(self, tmp_path):
+        # checkpoints once tagged every layer "representation" or "classification"
+        state = small_state(seed=21)
+        tags = ["representation"] * (len(state.layers) - 1) + ["classification"]
+        fields = [("layer", f"{s.input_dim} {s.output_dim} {s.activation} {tag}")
+                  for s, tag in zip(layer_specs(state), tags)]
+        path = tmp_path / "model.ckpt"
+        write_artifact(path, "checkpoint", fields, [a for l in state.layers for a in (l.weights, l.bias)])
+        with pytest.raises(ValidationError) as excinfo:
+            load_checkpoint(path)
+        assert str(excinfo.value).startswith(f"{path}: bad value for 'layer'")

@@ -7,10 +7,8 @@ import pytest
 from pretext_transfer.clustering import pseudo_label
 from pretext_transfer.data import LabeledSet, SynthConfig, generate_domains
 from pretext_transfer.errors import ConfigError, ValidationError
-from pretext_transfer.harness import ExperimentConfig, _train_config
+from pretext_transfer.harness import ExperimentConfig, _train_config, build_layer_specs
 from pretext_transfer.network import (
-    CLASSIFICATION,
-    REPRESENTATION,
     LayerSpec,
     Session,
     TrainConfig,
@@ -22,9 +20,9 @@ from pretext_transfer.network import (
 from pretext_transfer.pipeline import TL_HEAD_MULTIPLIER, TlSession, pretrain_source, prt_train, tl_train
 
 SPECS = [
-    LayerSpec(5, 16, "relu", REPRESENTATION),
-    LayerSpec(16, 8, "identity", REPRESENTATION),
-    LayerSpec(8, 4, "identity", CLASSIFICATION),
+    LayerSpec(5, 16, "relu"),
+    LayerSpec(16, 8, "identity"),
+    LayerSpec(8, 4, "identity"),
 ]
 
 SYNTH = SynthConfig(
@@ -69,14 +67,20 @@ def tl_one(m1, target_train, cfg, head_seed, log_path=None):
     return model
 
 
-def group_bytes(state, group):
-    return b"".join(
-        l.weights.tobytes() + l.bias.tobytes() for l in state.layers if l.group == group
-    )
+def layers_bytes(layers):
+    return b"".join(l.weights.tobytes() + l.bias.tobytes() for l in layers)
+
+
+def representation_bytes(state):
+    return layers_bytes(state.layers[:-1])
+
+
+def head_bytes(state):
+    return layers_bytes(state.layers[-1:])
 
 
 def state_bytes(state):
-    return group_bytes(state, REPRESENTATION) + group_bytes(state, CLASSIFICATION)
+    return layers_bytes(state.layers)
 
 
 # a head multiplier that breaks every stage's rule: each stage must set its own
@@ -89,8 +93,8 @@ class TestStageRules:
     def test_prt_must_freeze_classifier(self, source_model, pseudo):
         given = TrainConfig(epochs=2, seed=3, **MISCONFIGURED)
         m1 = prt_train(source_model, pseudo, given)
-        assert group_bytes(m1, CLASSIFICATION) == group_bytes(source_model, CLASSIFICATION)
-        assert group_bytes(m1, REPRESENTATION) != group_bytes(source_model, REPRESENTATION)
+        assert head_bytes(m1) == head_bytes(source_model)
+        assert representation_bytes(m1) != representation_bytes(source_model)
         expected, _ = train_one(
             source_model, pseudo.features, pseudo.labels,
             TrainConfig(epochs=2, seed=3, classifier_lr_multiplier=0.0),
@@ -108,7 +112,7 @@ class TestStageRules:
         plain, _ = train_one(start, target.features, target.labels, TrainConfig(epochs=2, seed=4))
         assert TL_HEAD_MULTIPLIER == 10.0
         assert state_bytes(m2) == state_bytes(expected)
-        assert group_bytes(m2, CLASSIFICATION) != group_bytes(plain, CLASSIFICATION)
+        assert head_bytes(m2) != head_bytes(plain)
 
     def test_source_is_plain(self, domains):
         source, _, _ = domains
@@ -137,8 +141,8 @@ class TestPretrainSource:
         first = pretrain_source(SPECS, source, cfg)
         second = pretrain_source(SPECS, source, cfg)
         assert first.label_count == 4
-        assert group_bytes(first, REPRESENTATION) == group_bytes(second, REPRESENTATION)
-        assert group_bytes(first, CLASSIFICATION) == group_bytes(second, CLASSIFICATION)
+        assert representation_bytes(first) == representation_bytes(second)
+        assert head_bytes(first) == head_bytes(second)
 
     def test_loss_beats_uniform_baseline(self, domains, source_model):
         source, _, _ = domains
@@ -156,8 +160,8 @@ class TestPretrainSource:
         source, _, _ = domains
         bad = LabeledSet(source.features, source.labels, class_count=4)
         specs = [
-            LayerSpec(5, 8, "relu", REPRESENTATION),
-            LayerSpec(8, 3, "identity", CLASSIFICATION),
+            LayerSpec(5, 8, "relu"),
+            LayerSpec(8, 3, "identity"),
         ]
         with pytest.raises(ValidationError):
             pretrain_source(specs, bad, TrainConfig(epochs=1, base_lr=1e-2))
@@ -168,9 +172,20 @@ class TestPrtTrain:
         for seed in range(5):
             cfg = TrainConfig(epochs=3, seed=seed)
             m1 = prt_train(source_model, pseudo, cfg)
-            assert group_bytes(m1, CLASSIFICATION) == group_bytes(source_model, CLASSIFICATION)
-            assert group_bytes(m1, REPRESENTATION) != group_bytes(source_model, REPRESENTATION)
+            assert head_bytes(m1) == head_bytes(source_model)
+            assert representation_bytes(m1) != representation_bytes(source_model)
             assert m1.label_count == source_model.label_count
+
+    def test_only_the_head_stays_at_two_hidden_layers(self, domains):
+        source, unlabeled, _ = domains
+        base = pretrain_source(build_layer_specs(5, 4, hidden=(8, 6), projection_dim=3), source,
+                               TrainConfig(epochs=2, base_lr=1e-2, seed=1))
+        _, pseudo_set = pseudo_label(base, unlabeled.features, k=4, seed=0)
+        m1 = prt_train(base, pseudo_set, TrainConfig(epochs=2, seed=3))
+        assert len(m1.layers) == 4
+        for k, (old, new) in enumerate(zip(base.layers, m1.layers)):
+            assert (old.weights.tobytes() == new.weights.tobytes()) == (k == 3)
+            assert (old.bias.tobytes() == new.bias.tobytes()) == (k == 3)
 
     def test_loss_decreases_on_pseudo_task(self, source_model, pseudo):
         cfg = TrainConfig(epochs=15, classifier_lr_multiplier=0.0)
@@ -257,7 +272,7 @@ class TestTlTrain:
         for layer, step_w, step_b, after in zip(
             source_model.layers, applied.weights, applied.biases, updated.layers
         ):
-            expected = -2.5 if layer.group == CLASSIFICATION else -0.25
+            expected = -2.5 if layer is source_model.layers[-1] else -0.25
             assert (step_w == expected).all() and (step_b == expected).all()
             assert np.array_equal(after.weights, layer.weights + step_w)
         assert 2.5 == 10.0 * 0.25
@@ -267,18 +282,13 @@ class TestTlTrain:
         cfg = TrainConfig(epochs=7, seed=6)
         m2 = tl_one(source_model, target, cfg, head_seed=11)
         start = replace_head(source_model, 2, init_seed=11)
-        per_group = {}
-        for group in (REPRESENTATION, CLASSIFICATION):
-            deltas = [
-                np.abs(a.weights - b.weights).sum() + np.abs(a.bias - b.bias).sum()
-                for a, b in zip(start.layers, m2.layers)
-                if a.group == group
-            ]
-            sizes = sum(
-                l.weights.size + l.bias.size for l in start.layers if l.group == group
-            )
-            per_group[group] = sum(deltas) / sizes
-        assert per_group[REPRESENTATION] < per_group[CLASSIFICATION]
+        def mean_move(before, after):
+            deltas = [np.abs(a.weights - b.weights).sum() + np.abs(a.bias - b.bias).sum()
+                      for a, b in zip(before, after)]
+            return sum(deltas) / sum(l.weights.size + l.bias.size for l in before)
+
+        head = len(start.layers) - 1
+        assert mean_move(start.layers[:head], m2.layers[:head]) < mean_move(start.layers[head:], m2.layers[head:])
 
     def test_lockstep_sessions_match_sessions_alone(self, source_model, pseudo, domains, tmp_path, caplog):
         # each session keeps its own start, data, seeds, warnings and log
@@ -320,9 +330,9 @@ class TestTlTrain:
             specs = []
             prev = 5
             for width in hidden:
-                specs.append(LayerSpec(prev, width, "relu", REPRESENTATION))
+                specs.append(LayerSpec(prev, width, "relu"))
                 prev = width
-            specs.append(LayerSpec(prev, 4, "identity", CLASSIFICATION))
+            specs.append(LayerSpec(prev, 4, "identity"))
             base = pretrain_source(
                 specs, generate_domains(SYNTH, seed=7)[0], TrainConfig(epochs=2, base_lr=1e-2)
             )
