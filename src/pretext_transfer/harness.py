@@ -126,7 +126,7 @@ class ExperimentConfig:
         for stage, epochs, lr in [("source", self.source_epochs, self.source_lr),
                                   ("prt", self.prt_epochs, None), ("tl", self.tl_epochs, None)]:
             try:
-                _train_config(self, epochs, seed=0, base_lr=lr)
+                _train_config(self, epochs, base_lr=lr)
             except ConfigError as exc:
                 raise ConfigError(f"{stage} stage: {exc}") from exc
         if self.kmeans_max_iters < 1:
@@ -155,17 +155,14 @@ def build_layer_specs(
     return specs
 
 
-def _train_config(
-    cfg: ExperimentConfig, epochs: int, seed: int, base_lr: float | None = None
-) -> TrainConfig:
-    """The hyperparameters every training stage shares; each stage sets its
-    own head learning-rate multiplier."""
+def _train_config(cfg: ExperimentConfig, epochs: int, base_lr: float | None = None) -> TrainConfig:
+    """The hyperparameters of one stage's training call; the stage brings its
+    own seeds and head learning-rate multiplier."""
     return TrainConfig(
         epochs=epochs,
         batch_size=cfg.batch_size,
         base_lr=cfg.base_lr if base_lr is None else base_lr,
         momentum=cfg.momentum,
-        seed=seed,
     )
 
 
@@ -328,10 +325,9 @@ def run_pretrain(cfg: ExperimentConfig) -> NetworkState:
     specs = build_layer_specs(
         source.features.shape[1], source.class_count, cfg.hidden, cfg.projection_dim
     )
-    train_cfg = _train_config(
-        cfg, cfg.source_epochs, derive_seed(cfg.master_seed, "source"), base_lr=cfg.source_lr
-    )
-    model = pretrain_source(specs, source, train_cfg, log_path=cfg.out_dir / "logs" / "source.log")
+    train_cfg = _train_config(cfg, cfg.source_epochs, base_lr=cfg.source_lr)
+    model = pretrain_source(specs, source, train_cfg, derive_seed(cfg.master_seed, "source"),
+                            log_path=cfg.out_dir / "logs" / "source.log")
     save_checkpoint(model, source_ckpt_path(cfg))
     return model
 
@@ -368,8 +364,8 @@ def run_prt(cfg: ExperimentConfig) -> None:
     """
     source_model = load_checkpoint(source_ckpt_path(cfg))
     pseudo = _load_pseudo(cfg)
-    train_cfg = _train_config(cfg, cfg.prt_epochs, derive_seed(cfg.master_seed, "prt"))
-    model = prt_train(source_model, pseudo, train_cfg, log_path=cfg.out_dir / "logs" / "prt.log")
+    model = prt_train(source_model, pseudo, _train_config(cfg, cfg.prt_epochs),
+                      derive_seed(cfg.master_seed, "prt"), log_path=cfg.out_dir / "logs" / "prt.log")
     save_checkpoint(model, prt_ckpt_path(cfg))
 
 
@@ -389,6 +385,7 @@ def run_tl(cfg: ExperimentConfig) -> None:
     baseline, and from the representation-transferred model otherwise. Every
     session of one ratio (each fold, both routes) trains in one lockstep call."""
     target, folds = _load_target(cfg)
+    train_cfg = _train_config(cfg, cfg.tl_epochs)
     # (method, starting model, output name)
     routes = [(METHOD_TL, load_checkpoint(source_ckpt_path(cfg)), "tl"),
               (METHOD_PRT_TL, load_checkpoint(prt_ckpt_path(cfg)), "prt_tl")]
@@ -400,12 +397,12 @@ def run_tl(cfg: ExperimentConfig) -> None:
                 sessions.append(TlSession(
                     start,
                     imbalanced,
-                    _train_config(cfg, cfg.tl_epochs, derive_seed(cfg.master_seed, ratio, fold, method, "tl")),
+                    derive_seed(cfg.master_seed, ratio, fold, method, "tl"),
                     head_seed=derive_seed(cfg.master_seed, ratio, fold, method, "head"),
                     log_path=cell_log(cfg, ratio, fold, name),
                 ))
                 paths.append(cell_path(cfg, ratio, fold, name))
-        for model, path in zip(tl_train(sessions), paths):
+        for model, path in zip(tl_train(sessions, train_cfg), paths):
             save_checkpoint(model, path)
 
 

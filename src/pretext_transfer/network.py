@@ -1,15 +1,16 @@
 """Dense feed-forward classifier with momentum SGD.
 
 The last layer is the classification layer (the head); every layer before it
-is a representation layer. The two parts train at their own rates, a head
-rate of zero freezes the head, and the head can be swapped. States are value
-objects: the public functions return new NetworkState and Gradients
-objects and leave their arguments unchanged.
-`train` runs several sessions of one architecture in lockstep: it orders them
-by row count, largest first, copies their parameters into one private
+is a representation layer. The head trains at base_lr times a head multiplier
+that each training call is given (zero freezes it), and it can be swapped.
+States are value objects: the public functions return new NetworkState and
+Gradients objects and leave their arguments unchanged.
+`train` runs sessions of one architecture in lockstep under one TrainConfig;
+a session brings only its start, data and shuffle seed. It orders them by
+row count, largest first, copies their parameters into one private
 [sessions, parameters] buffer, and at every step trains each run of adjacent
-sessions that share a batch size on a slice of that buffer: one stacked matmul
-per layer, updated in place. It never changes the caller's arrays.
+sessions that share a batch size on a slice of that buffer: one stacked
+matmul per layer, updated in place. It never changes the caller's arrays.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,9 +43,7 @@ class TrainConfig:
     epochs: int
     batch_size: int = 16
     base_lr: float = 3e-4
-    classifier_lr_multiplier: float = 1.0  # 0 freezes the head
     momentum: float = 0.9
-    seed: int = 0
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -53,8 +52,6 @@ class TrainConfig:
             raise ConfigError("batch_size must be >= 1")
         if not (math.isfinite(self.base_lr) and self.base_lr > 0):
             raise ConfigError("base_lr must be positive and finite")
-        if not (math.isfinite(self.classifier_lr_multiplier) and self.classifier_lr_multiplier >= 0):
-            raise ConfigError("classifier_lr_multiplier must be >= 0 and finite")
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigError("momentum must lie in [0, 1)")
 
@@ -260,17 +257,21 @@ def _check_same_shapes(state: NetworkState, grads: Gradients, name: str) -> None
             raise ShapeError(f"{name} shapes do not match the network parameters")
 
 
-def _step_layout(specs: list[LayerSpec], config: TrainConfig) -> tuple[np.ndarray, slice, list[bool]]:
-    """The one reading of a config's rates: per-element learning rates of the
-    flat layout, the span of the layers that train, and per layer whether it
+def _step_layout(
+    specs: list[LayerSpec], config: TrainConfig, head_multiplier: float
+) -> tuple[np.ndarray, slice, list[bool]]:
+    """The one reading of the rates: per-element learning rates of the flat
+    layout, the span of the layers that train, and per layer whether it
     trains (its rate is not zero).
 
-    The representation layers, all but the last, train at base_lr > 0; only
-    the head can be frozen, so the layers that train are a prefix and the span
-    starts at 0.
+    The representation layers, all but the last, train at base_lr > 0 and the
+    head at base_lr * head_multiplier; only the head can be frozen, so the
+    layers that train are a prefix and the span starts at 0.
     """
     validate_layer_specs(specs)
-    rates = [config.base_lr] * (len(specs) - 1) + [config.base_lr * config.classifier_lr_multiplier]
+    if not (math.isfinite(head_multiplier) and head_multiplier >= 0):  # NaN would freeze every layer
+        raise ConfigError(f"head_multiplier must be >= 0 and finite, got {head_multiplier}")
+    rates = [config.base_lr] * (len(specs) - 1) + [config.base_lr * head_multiplier]
     sizes = [spec.output_dim * (spec.input_dim + 1) for spec in specs]
     trains = [rate > 0 for rate in rates]
     return np.repeat(rates, sizes), slice(0, sum(itertools.compress(sizes, trains))), trains
@@ -290,9 +291,9 @@ def _apply_step(params: np.ndarray, velocity: np.ndarray) -> None:
 
 
 def sgd_update(
-    state: NetworkState, grads: Gradients, velocity: Gradients, config: TrainConfig
+    state: NetworkState, grads: Gradients, velocity: Gradients, config: TrainConfig, head_multiplier: float
 ) -> tuple[NetworkState, Gradients]:
-    """One momentum-SGD step: the representation layers at base_lr, the head at its own rate.
+    """One momentum-SGD step: the representation layers at base_lr, the head at base_lr * head_multiplier.
 
     Layers with a zero rate keep their parameter arrays untouched
     (bit-identical); their velocity follows the same recursion.
@@ -300,7 +301,7 @@ def sgd_update(
     _check_same_shapes(state, grads, "gradients")
     _check_same_shapes(state, velocity, "velocity")
     specs = layer_specs(state)
-    lr, trainable, trains = _step_layout(specs, config)
+    lr, trainable, trains = _step_layout(specs, config, head_multiplier)
     params = _flatten([l.weights for l in state.layers], [l.bias for l in state.layers])
     new_velocity = _flatten(velocity.weights, velocity.biases)
     _velocity_step(new_velocity, _flatten(grads.weights, grads.biases), lr, config.momentum)
@@ -327,12 +328,12 @@ def replace_head(state: NetworkState, new_label_count: int, init_seed: int) -> N
 
 @dataclass(frozen=True)
 class Session:
-    """One run of ``train``: a starting state, its samples and labels, and its config."""
+    """One run of ``train``: a starting state, its samples and labels, and its shuffle seed."""
 
     state: NetworkState
     features: np.ndarray
     labels: np.ndarray
-    config: TrainConfig
+    seed: int
 
 
 def _step_groups(sizes: list[int], batch_size: int) -> list[tuple[int, list[tuple[int, slice]]]]:
@@ -352,13 +353,16 @@ def _step_groups(sizes: list[int], batch_size: int) -> list[tuple[int, list[tupl
     return steps
 
 
-def train(sessions: Sequence[Session]) -> list[tuple[NetworkState, list[float]]]:
+def train(
+    sessions: Sequence[Session], config: TrainConfig, head_multiplier: float
+) -> list[tuple[NetworkState, list[float]]]:
     """Epoch loop over sessions in lockstep: per-session seeded shuffling,
     mini-batches, last partial batch kept; one (state, per-epoch mean losses)
     per session, in the caller's order.
 
-    The sessions must share their layer specs and every config field but the
-    seed. Inputs are validated once. Training runs on a private [sessions,
+    Every session trains under ``config``, with the head at ``head_multiplier``
+    times the base rate, and the sessions must share their layer specs.
+    Inputs are validated once. Training runs on a private [sessions,
     parameters] copy, so the callers' states are never modified; frozen layers
     (a zero rate) get no gradients and their parameters come back bit-identical. The
     copy holds the sessions largest first (a stable sort by row count), so at
@@ -370,19 +374,15 @@ def train(sessions: Sequence[Session]) -> list[tuple[NetworkState, list[float]]]
     sessions = list(sessions)
     if not sessions:
         raise ConfigError("train needs at least one session")
-    config = sessions[0].config
     specs = layer_specs(sessions[0].state)
-    for session in sessions[1:]:
-        if layer_specs(session.state) != specs:
-            raise ConfigError("lockstep sessions must share their layer specs")
-        if replace(session.config, seed=config.seed) != config:
-            raise ConfigError("lockstep sessions may differ only in their seed")
+    if any(layer_specs(session.state) != specs for session in sessions[1:]):
+        raise ConfigError("lockstep sessions must share their layer specs")
     xs = [as_batch(session.state, session.features) for session in sessions]
     ys = [LabeledSet(x, session.labels, session.state.label_count).labels for session, x in zip(sessions, xs)]
     order = sorted(range(len(sessions)), key=lambda i: xs[i].shape[0], reverse=True)
     sessions, xs, ys = ([seq[i] for i in order] for seq in (sessions, xs, ys))
     sizes = [x.shape[0] for x in xs]
-    lr, trainable, needs_grad = _step_layout(specs, config)
+    lr, trainable, needs_grad = _step_layout(specs, config, head_multiplier)
     params = np.stack([
         _flatten([l.weights for l in session.state.layers], [l.bias for l in session.state.layers])
         for session in sessions
@@ -414,7 +414,7 @@ def train(sessions: Sequence[Session]) -> list[tuple[NetworkState, list[float]]]
     schedule = _step_groups(sizes, config.batch_size)
     x_epoch = np.zeros((len(sessions), sizes[0], xs[0].shape[1]))
     y_epoch = np.zeros((len(sessions), sizes[0]), dtype=np.int64)
-    rngs = [np.random.default_rng(session.config.seed) for session in sessions]
+    rngs = [np.random.default_rng(session.seed) for session in sessions]
     histories = [[] for _ in sessions]
     for epoch in range(config.epochs):
         for i, (rng, x, y) in enumerate(zip(rngs, xs, ys)):
@@ -455,7 +455,10 @@ def load_checkpoint(path) -> NetworkState:
     """Rebuild a state from its layer lines and blob; other manifest lines are ignored."""
     pairs, blob = read_artifact(path, "checkpoint")
     specs = manifest_values(pairs, "layer", path, _parse_layer)
-    validate_layer_specs(specs)
+    try:
+        validate_layer_specs(specs)
+    except ConfigError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
     shapes = [shape for s in specs for shape in ((s.output_dim, s.input_dim), (s.output_dim,))]
     arrays, _ = unpack_blob(blob, path, shapes)
     return NetworkState([Layer(w, b, s.activation) for w, b, s in zip(arrays[::2], arrays[1::2], specs)])

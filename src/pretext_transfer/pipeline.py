@@ -1,11 +1,13 @@
 """Training stages: source pretraining, representation-only transfer, and
-conventional transfer with an aggressive classifier learning rate."""
+conventional transfer with an aggressive classifier learning rate. A stage
+is given one ``TrainConfig`` and its seeds, and passes ``train`` its own head
+multiplier: 1 for source, 0 for PRT and ``TL_HEAD_MULTIPLIER`` for TL."""
 
 from __future__ import annotations
 
 import logging
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -41,31 +43,31 @@ def write_run_log(path, losses: list[float], warnings: tuple[str, ...] = ()) -> 
     write_text_file(path, "\n".join(lines) + "\n")
 
 
-def _train_stage(stage: str, sessions: list[Session]) -> list[tuple[NetworkState, list[float]]]:
+def _train_stage(
+    stage: str, sessions: list[Session], cfg: TrainConfig, head_multiplier: float
+) -> list[tuple[NetworkState, list[float]]]:
     try:
-        return train(sessions)
+        return train(sessions, cfg, head_multiplier)
     except TrainingDiverged as exc:
         raise TrainingDiverged(f"{stage} stage: {exc}") from exc
 
 
 def pretrain_source(
-    specs: list[LayerSpec], source_data: LabeledSet, cfg: TrainConfig, log_path=None
+    specs: list[LayerSpec], source_data: LabeledSet, cfg: TrainConfig, seed: int, log_path=None
 ) -> NetworkState:
     """Supervised training of a fresh network, the stand-in for an off-the-shelf source model.
 
     The stage's rule is a head multiplier of 1: every layer trains at the base
-    learning rate, whatever multiplier ``cfg`` carries.
+    learning rate. ``seed`` seeds both the initialisation and the shuffle.
     """
-    cfg = replace(cfg, classifier_lr_multiplier=1.0)
-    state = init_network(specs, cfg.seed)
+    state = init_network(specs, seed)
     if source_data.class_count != state.label_count:
         raise ValidationError(
             f"source data has {source_data.class_count} classes but the network "
             f"outputs {state.label_count}"
         )
-    [(state, losses)] = _train_stage(
-        "source", [Session(state, source_data.features, source_data.labels, cfg)]
-    )
+    session = Session(state, source_data.features, source_data.labels, seed)
+    [(state, losses)] = _train_stage("source", [session], cfg, 1.0)
     train_accuracy = accuracy(state, source_data.features, source_data.labels)
     if train_accuracy < SOURCE_ACCURACY_GATE:
         logger.warning(
@@ -78,23 +80,22 @@ def pretrain_source(
 
 
 def prt_train(
-    source_model: NetworkState, pseudo: LabeledSet, cfg: TrainConfig, log_path=None
+    source_model: NetworkState, pseudo: LabeledSet, cfg: TrainConfig, seed: int, log_path=None
 ) -> NetworkState:
     """Train the representation on pseudo-labels with the classifier frozen.
 
     The stage's rule is a head multiplier of 0: the head (the last layer)
     stays bit-identical and every other layer trains at the base learning
-    rate, whatever multiplier ``cfg`` carries. The pseudo-label cluster count
-    must equal the source model's label count so the fixed head can be reused
-    as-is.
+    rate. The pseudo-label cluster count must equal the source model's label
+    count so the fixed head can be reused as-is.
     """
-    cfg = replace(cfg, classifier_lr_multiplier=0.0)
     if pseudo.class_count != source_model.label_count:
         raise ConfigError(
             f"pseudo-label cluster count {pseudo.class_count} must equal the "
             f"source model label count {source_model.label_count}"
         )
-    [(state, losses)] = _train_stage("prt", [Session(source_model, pseudo.features, pseudo.labels, cfg)])
+    session = Session(source_model, pseudo.features, pseudo.labels, seed)
+    [(state, losses)] = _train_stage("prt", [session], cfg, 0.0)
     write_run_log(log_path, losses)
     return state
 
@@ -102,34 +103,31 @@ def prt_train(
 @dataclass(frozen=True)
 class TlSession:
     """One conventional-transfer session: the model it starts from, its target
-    training set and config, the seed of its new head and its run log."""
+    training set, the seeds of its shuffle and of its new head, and its run log."""
 
     m1: NetworkState
     target_train: LabeledSet
-    cfg: TrainConfig
+    seed: int
     head_seed: int
     log_path: str | Path | None = None
 
 
-def tl_train(sessions: Sequence[TlSession]) -> list[NetworkState]:
+def tl_train(sessions: Sequence[TlSession], cfg: TrainConfig) -> list[NetworkState]:
     """Replace each session's head for its target label set and fine-tune
-    everything, all sessions in one lockstep ``train`` call.
+    everything, all sessions in one lockstep ``train`` call under ``cfg``.
 
-    The stage's rule is a head multiplier of ``TL_HEAD_MULTIPLIER``, whatever
-    multiplier a session's ``cfg`` carries. The sessions must share every
-    config field but the seed.
+    The stage's rule is a head multiplier of ``TL_HEAD_MULTIPLIER``.
     """
     runs, warnings = [], []
     for session in sessions:
-        cfg = replace(session.cfg, classifier_lr_multiplier=TL_HEAD_MULTIPLIER)
         target_train = session.target_train
         empty = np.flatnonzero(np.bincount(target_train.labels, minlength=target_train.class_count) == 0)
         for c in empty:
             logger.warning("tl stage: class %d has no training samples", c)
         warnings.append(tuple(f"warning: class {c} has no training samples" for c in empty))
         start = replace_head(session.m1, target_train.class_count, session.head_seed)
-        runs.append(Session(start, target_train.features, target_train.labels, cfg))
-    results = _train_stage("tl", runs)
+        runs.append(Session(start, target_train.features, target_train.labels, session.seed))
+    results = _train_stage("tl", runs, cfg, TL_HEAD_MULTIPLIER)
     for session, (_, losses), notes in zip(sessions, results, warnings):
         write_run_log(session.log_path, losses, notes)
     return [state for state, _ in results]

@@ -328,6 +328,27 @@ class TestCliDispatch:
         assert "Traceback" not in err
         assert list(out.rglob("tl.ckpt")) == []
 
+    def test_checkpoint_with_a_relu_head_exits_1(self, config_file, tmp_path, capsys):
+        # the layer lines parse, but the network they describe breaks the head rule
+        out = tmp_path / "out"
+        base = ["--config", str(config_file), "--out", str(out)]
+        for command in ("generate", "pretrain", "cluster", "prt"):
+            assert main([command, *base]) == 0, command
+        source = out / "source.ckpt"
+        header, blob = source.read_bytes().split(b"\n\n", 1)
+        lines = header.decode().splitlines()
+        head = max(i for i, line in enumerate(lines) if line.startswith("layer = "))
+        assert lines[head].endswith(" identity")
+        lines[head] = lines[head].removesuffix(" identity") + " relu"
+        source.write_bytes("\n".join(lines).encode() + b"\n\n" + blob)
+        capsys.readouterr()
+        assert main(["tl", *base]) == 1
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if line.startswith("error: ")]
+        assert errors == [f"error: {source}: the head (final layer) must have identity activation"]
+        assert "Traceback" not in err
+        assert list(out.rglob("tl.ckpt")) == []
+
     def test_staged_subcommands_produce_report(self, config_file, tmp_path):
         out = tmp_path / "staged"
         base = ["--config", str(config_file), "--seed", "3", "--out", str(out)]

@@ -277,10 +277,10 @@ class TestTlOncePerRatio:
         calls = tmp_path / "tl_calls"
         real_tl_train = harness.tl_train
 
-        def counting_tl_train(sessions):
+        def counting_tl_train(sessions, cfg):
             with open(calls, "a") as fh:
                 fh.write(f"{len(sessions)}\n")
-            return real_tl_train(sessions)
+            return real_tl_train(sessions, cfg)
 
         monkeypatch.setattr(harness, "tl_train", counting_tl_train)
         cfg = mini_config(tmp_path / "run", ratios=(10, 25, 100), fold_count=3, workers=workers)

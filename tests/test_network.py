@@ -48,9 +48,9 @@ TWO_HIDDEN_SPECS = [
 ]
 
 
-def train_one(state, x, y, cfg):
+def train_one(state, x, y, cfg, seed=0, head_multiplier=1.0):
     """train() of a single session."""
-    [result] = train([Session(state, x, y, cfg)])
+    [result] = train([Session(state, x, y, seed)], cfg, head_multiplier)
     return result
 
 
@@ -262,35 +262,35 @@ class TestSgdUpdate:
         state = self.one_param_state(theta=1.0)
         grads = self.grad_of_one(state, 0.5)
         cfg = TrainConfig(epochs=1, base_lr=0.1, momentum=0.0)
-        new, _ = sgd_update(state, grads, zero_velocity(state), cfg)
+        new, _ = sgd_update(state, grads, zero_velocity(state), cfg, 1.0)
         assert new.layers[0].weights[0, 0] == pytest.approx(0.95, abs=1e-15)
 
     def test_momentum_two_steps(self):
         # v1 = -0.1, theta1 = -0.1; v2 = 0.9*(-0.1) - 0.1 = -0.19, theta2 = -0.29
         state = self.one_param_state(theta=0.0)
-        cfg = TrainConfig(epochs=1, base_lr=0.1, momentum=0.9, classifier_lr_multiplier=1.0)
+        cfg = TrainConfig(epochs=1, base_lr=0.1, momentum=0.9)
         velocity = zero_velocity(state)
         for _ in range(2):
-            state, velocity = sgd_update(state, self.grad_of_one(state, 1.0), velocity, cfg)
+            state, velocity = sgd_update(state, self.grad_of_one(state, 1.0), velocity, cfg, 1.0)
         assert state.layers[0].weights[0, 0] == pytest.approx(-0.29, abs=1e-15)
 
     def test_frozen_group_is_bit_identical(self):
         state = small_state(seed=2)
-        cfg = TrainConfig(epochs=1, base_lr=0.5, momentum=0.9, classifier_lr_multiplier=0.0)
+        cfg = TrainConfig(epochs=1, base_lr=0.5, momentum=0.9)
         before = [l.weights.tobytes() + l.bias.tobytes() for l in state.layers]
         velocity = zero_velocity(state)
         rng = np.random.default_rng(0)
         for _ in range(5):
             _, grads = loss_and_grad(state, rng.normal(size=(4, 4)), rng.integers(0, 3, 4))
-            state, velocity = sgd_update(state, grads, velocity, cfg)
+            state, velocity = sgd_update(state, grads, velocity, cfg, 0.0)
         after = [l.weights.tobytes() + l.bias.tobytes() for l in state.layers]
         assert after[-1] == before[-1]
         assert all(a != b for a, b in zip(after[:-1], before[:-1]))
 
     def test_every_trainable_element_moves(self):
         state = init_network(THREE_LAYER_SPECS, seed=0)
-        cfg = TrainConfig(epochs=1, base_lr=0.1, momentum=0.0, classifier_lr_multiplier=0.0)
-        new, _ = sgd_update(state, self.grad_of_one(state), zero_velocity(state), cfg)
+        cfg = TrainConfig(epochs=1, base_lr=0.1, momentum=0.0)
+        new, _ = sgd_update(state, self.grad_of_one(state), zero_velocity(state), cfg, 0.0)
         last = len(state.layers) - 1
         for k, (old_layer, new_layer) in enumerate(zip(state.layers, new.layers)):
             for old, updated in [(old_layer.weights, new_layer.weights), (old_layer.bias, new_layer.bias)]:
@@ -301,28 +301,41 @@ class TestSgdUpdate:
 
     def test_classifier_multiplier_wiring(self):
         state = self.one_param_state()
-        cfg = TrainConfig(epochs=1, base_lr=0.25, momentum=0.0, classifier_lr_multiplier=10.0)
-        new, _ = sgd_update(state, self.grad_of_one(state, 1.0), zero_velocity(state), cfg)
+        cfg = TrainConfig(epochs=1, base_lr=0.25, momentum=0.0)
+        new, _ = sgd_update(state, self.grad_of_one(state, 1.0), zero_velocity(state), cfg, 10.0)
         rep_delta = state.layers[0].weights[0, 0] - new.layers[0].weights[0, 0]
         cls_delta = state.layers[1].weights[0, 0] - new.layers[1].weights[0, 0]
         assert cls_delta == 10.0 * rep_delta
 
 
 class TestTrainConfig:
+    """The settings of a training call: its TrainConfig, and the head
+    multiplier that train and sgd_update are given next to it."""
+
     @pytest.mark.parametrize("bad", [
-        dict(epochs=0), dict(batch_size=0), dict(base_lr=0.0), dict(classifier_lr_multiplier=-1.0),
+        dict(epochs=0), dict(batch_size=0), dict(base_lr=0.0), dict(head_multiplier=-1.0),
         dict(momentum=1.0), dict(momentum=-0.1),
         # a NaN rate compares false against 0 and would freeze every layer
         dict(base_lr=math.nan), dict(base_lr=math.inf),
-        dict(classifier_lr_multiplier=math.nan), dict(classifier_lr_multiplier=math.inf),
+        dict(head_multiplier=math.nan), dict(head_multiplier=math.inf),
     ], ids=["epochs", "batch_size", "base_lr", "multiplier", "momentum-1", "momentum-negative",
             "base_lr-nan", "base_lr-inf", "multiplier-nan", "multiplier-inf"])
     def test_rejects_bad_value(self, bad):
+        settings = {"epochs": 1, "head_multiplier": 1.0, **bad}
+        head_multiplier = settings.pop("head_multiplier")
+        state = small_state()
+        x, y = np.zeros((4, 4)), np.array([0, 1, 2, 0])
         with pytest.raises(ConfigError):
-            TrainConfig(**{"epochs": 1, **bad})
+            train_one(state, x, y, TrainConfig(**settings), head_multiplier=head_multiplier)
+        _, grads = loss_and_grad(state, x, y)
+        with pytest.raises(ConfigError):
+            sgd_update(state, grads, zero_velocity(state), TrainConfig(**settings), head_multiplier)
 
     def test_zero_multiplier_is_accepted(self):
-        assert TrainConfig(epochs=1, classifier_lr_multiplier=0.0).classifier_lr_multiplier == 0.0
+        state = small_state()
+        trained, _ = train_one(state, np.eye(4), np.array([0, 1, 2, 0]), TrainConfig(epochs=1), head_multiplier=0.0)
+        assert state_bytes(NetworkState(trained.layers[-1:])) == state_bytes(NetworkState(state.layers[-1:]))
+        assert state_bytes(trained) != state_bytes(state)
 
 
 class TestReplaceHead:
@@ -366,21 +379,21 @@ class TestTrain:
             LayerSpec(8, 2, "identity"),
         ]
         x, y = self.separable_data()
-        cfg = TrainConfig(epochs=15, batch_size=16, base_lr=0.05, momentum=0.9, seed=1)
-        state, history = train_one(init_network(specs, seed=1), x, y, cfg)
+        cfg = TrainConfig(epochs=15, batch_size=16, base_lr=0.05, momentum=0.9)
+        state, history = train_one(init_network(specs, seed=1), x, y, cfg, seed=1)
         assert history[-1] < history[0]
         assert accuracy(state, x, y) > 0.9
 
     def test_training_is_deterministic(self):
         x, y = self.separable_data(20)
-        cfg = TrainConfig(epochs=3, batch_size=8, base_lr=0.01, momentum=0.9, seed=5)
-        first, _ = train_one(small_state(seed=5), x, y, cfg)
-        second, _ = train_one(small_state(seed=5), x, y, cfg)
+        cfg = TrainConfig(epochs=3, batch_size=8, base_lr=0.01, momentum=0.9)
+        first, _ = train_one(small_state(seed=5), x, y, cfg, seed=5)
+        second, _ = train_one(small_state(seed=5), x, y, cfg, seed=5)
         assert state_bytes(first) == state_bytes(second)
 
     def test_partial_last_batch_used(self):
         x, y = self.separable_data(11)  # 22 samples, batch 16 -> partial batch of 6
-        cfg = TrainConfig(epochs=1, batch_size=16, base_lr=0.01, seed=0)
+        cfg = TrainConfig(epochs=1, batch_size=16, base_lr=0.01)
         state, history = train_one(small_state(seed=0), x, y, cfg)
         assert len(history) == 1
         assert state_bytes(state) != state_bytes(small_state(seed=0))
@@ -388,14 +401,14 @@ class TestTrain:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_raises(self):
         x, y = self.separable_data(10)
-        cfg = TrainConfig(epochs=50, batch_size=4, base_lr=1e6, momentum=0.9, seed=0)
+        cfg = TrainConfig(epochs=50, batch_size=4, base_lr=1e6, momentum=0.9)
         with pytest.raises(TrainingDiverged):
             train_one(small_state(seed=0), x, y, cfg)
 
 
-def step_by_step_train(state, x, y, cfg):
+def step_by_step_train(state, x, y, cfg, seed, head_multiplier):
     """Reference loop over the public per-batch functions: the oracle for train()."""
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     velocity = zero_velocity(state)
     mean_losses = []
     for _ in range(cfg.epochs):
@@ -404,7 +417,7 @@ def step_by_step_train(state, x, y, cfg):
         for start in range(0, len(y), cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
             loss, grads = loss_and_grad(state, x[idx], y[idx])
-            state, velocity = sgd_update(state, grads, velocity, cfg)
+            state, velocity = sgd_update(state, grads, velocity, cfg, head_multiplier)
             total += loss * len(idx)
         mean_losses.append(total / len(y))
     return state, mean_losses
@@ -417,37 +430,38 @@ def three_class_data(n, seed=4):
     return x, y
 
 
+# (layer specs, rows, head multiplier)
 ORACLE_CASES = {
-    "prt": (THREE_LAYER_SPECS, 32, dict(classifier_lr_multiplier=0.0)),
-    "tl": (THREE_LAYER_SPECS, 32, dict(classifier_lr_multiplier=10.0)),
-    "two-hidden-layers": (TWO_HIDDEN_SPECS, 32, dict(classifier_lr_multiplier=10.0)),
-    "partial-last-batch": (THREE_LAYER_SPECS, 29, dict(classifier_lr_multiplier=0.0)),
+    "prt": (THREE_LAYER_SPECS, 32, 0.0),
+    "tl": (THREE_LAYER_SPECS, 32, 10.0),
+    "two-hidden-layers": (TWO_HIDDEN_SPECS, 32, 10.0),
+    "partial-last-batch": (THREE_LAYER_SPECS, 29, 0.0),
 }
+ORACLE_CONFIG = TrainConfig(epochs=4, batch_size=8, base_lr=0.05, momentum=0.9)
 
 
 class TestTrainMatchesStepByStep:
     @pytest.mark.parametrize("case", list(ORACLE_CASES))
     def test_bit_identical_to_public_step_functions(self, case):
-        specs, n, overrides = ORACLE_CASES[case]
+        specs, n, multiplier = ORACLE_CASES[case]
         x, y = three_class_data(n)
-        cfg = TrainConfig(epochs=4, batch_size=8, base_lr=0.05, momentum=0.9, seed=6, **overrides)
         state = init_network(specs, seed=2)
-        trained, history = train_one(state, x, y, cfg)
-        expected, mean_losses = step_by_step_train(state, x, y, cfg)
+        trained, history = train_one(state, x, y, ORACLE_CONFIG, 6, multiplier)
+        expected, mean_losses = step_by_step_train(state, x, y, ORACLE_CONFIG, 6, multiplier)
         assert state_bytes(trained) == state_bytes(expected)
         assert history == mean_losses
         assert state_bytes(trained) != state_bytes(state)
 
 
-def reference_train(state, x, y, cfg):
+def reference_train(state, x, y, cfg, seed, head_multiplier):
     """One session trained alone with 2-d arithmetic, batch by batch: the
     single-session loop that train() generalises, kept as the reference for
     its results."""
     layers = [(l.weights.copy(), l.bias.copy(), l.activation) for l in state.layers]
     velocity = [(np.zeros_like(w), np.zeros_like(b)) for w, b, _ in layers]
     # the representation layers at base_lr, the head (last layer) at its own rate
-    rates = [cfg.base_lr] * (len(layers) - 1) + [cfg.base_lr * cfg.classifier_lr_multiplier]
-    rng = np.random.default_rng(cfg.seed)
+    rates = [cfg.base_lr] * (len(layers) - 1) + [cfg.base_lr * head_multiplier]
+    rng = np.random.default_rng(seed)
     mean_losses = []
     for _ in range(cfg.epochs):
         order = rng.permutation(len(y))
@@ -494,12 +508,11 @@ def reference_train(state, x, y, cfg):
 class TestTrainMatchesReference:
     @pytest.mark.parametrize("case", list(ORACLE_CASES))
     def test_single_session_bit_identical_to_reference(self, case):
-        specs, n, overrides = ORACLE_CASES[case]
+        specs, n, multiplier = ORACLE_CASES[case]
         x, y = three_class_data(n)
-        cfg = TrainConfig(epochs=4, batch_size=8, base_lr=0.05, momentum=0.9, seed=6, **overrides)
         state = init_network(specs, seed=2)
-        trained, history = train_one(state, x, y, cfg)
-        expected, mean_losses = reference_train(state, x, y, cfg)
+        trained, history = train_one(state, x, y, ORACLE_CONFIG, 6, multiplier)
+        expected, mean_losses = reference_train(state, x, y, ORACLE_CONFIG, 6, multiplier)
         assert state_bytes(trained) == state_bytes(expected)
         assert history == mean_losses
 
@@ -511,89 +524,85 @@ LOCKSTEP_CASES = {
     "one-row-batches": ([17, 1, 16, 33], 16),
     "repeated-sizes-not-adjacent": ([17, 33, 17, 33], 16),
 }
-STAGE_RULES = {
-    "tl": dict(classifier_lr_multiplier=10.0),
-    "prt": dict(classifier_lr_multiplier=0.0),
-}
+# the head multiplier of each stage rule
+STAGE_RULES = {"tl": 10.0, "prt": 0.0}
 
 
-def lockstep_sessions(sizes, batch_size, rule, specs=THREE_LAYER_SPECS):
+def lockstep_sessions(sizes, batch_size, specs=THREE_LAYER_SPECS):
+    """Sessions with their own start, data and seed, and the one config they train under."""
     sessions = []
     for i, n in enumerate(sizes):
         x, y = three_class_data(n, seed=10 + i)
-        cfg = TrainConfig(epochs=3, batch_size=batch_size, base_lr=0.05, momentum=0.9, seed=20 + i,
-                          **STAGE_RULES[rule])
-        sessions.append(Session(init_network(specs, seed=i), x, y, cfg))
-    return sessions
+        sessions.append(Session(init_network(specs, seed=i), x, y, seed=20 + i))
+    return sessions, TrainConfig(epochs=3, batch_size=batch_size, base_lr=0.05, momentum=0.9)
 
 
 class TestLockstepTrain:
     @pytest.mark.parametrize("rule", list(STAGE_RULES))
     @pytest.mark.parametrize("case", list(LOCKSTEP_CASES))
     def test_each_session_matches_training_alone(self, case, rule):
-        sessions = lockstep_sessions(*LOCKSTEP_CASES[case], rule)
-        results = train(sessions)
+        sessions, cfg = lockstep_sessions(*LOCKSTEP_CASES[case])
+        multiplier = STAGE_RULES[rule]
+        results = train(sessions, cfg, multiplier)
         assert len(results) == len(sessions)
         for session, (trained, history) in zip(sessions, results):
-            alone, alone_history = train_one(session.state, session.features, session.labels, session.config)
-            expected, mean_losses = reference_train(session.state, session.features, session.labels, session.config)
-            oracle, oracle_losses = step_by_step_train(session.state, session.features, session.labels, session.config)
+            run = (session.state, session.features, session.labels, cfg, session.seed, multiplier)
+            alone, alone_history = train_one(*run)
+            expected, mean_losses = reference_train(*run)
+            oracle, oracle_losses = step_by_step_train(*run)
             assert state_bytes(trained) == state_bytes(alone) == state_bytes(expected) == state_bytes(oracle)
             assert history == alone_history == mean_losses == oracle_losses
 
     def test_two_hidden_layers(self):
-        sessions = lockstep_sessions([21, 16, 9], 8, "tl", specs=TWO_HIDDEN_SPECS)
-        for session, (trained, _) in zip(sessions, train(sessions)):
-            expected, _ = reference_train(session.state, session.features, session.labels, session.config)
+        sessions, cfg = lockstep_sessions([21, 16, 9], 8, specs=TWO_HIDDEN_SPECS)
+        for session, (trained, _) in zip(sessions, train(sessions, cfg, 10.0)):
+            expected, _ = reference_train(session.state, session.features, session.labels, cfg, session.seed, 10.0)
             assert state_bytes(trained) == state_bytes(expected)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("sizes, bad", [([24, 24], 1), ([16, 24], 0)], ids=["second", "shorter-first"])
     def test_one_diverging_session_raises(self, sizes, bad):
         # the error names the session by its place in the caller's list
-        sessions = lockstep_sessions(sizes, 8, "tl")
+        sessions, cfg = lockstep_sessions(sizes, 8)
         sessions[bad] = replace(sessions[bad], features=sessions[bad].features * 1e300)
         with pytest.raises(TrainingDiverged, match=f"session {bad}"):
-            train(sessions)
+            train(sessions, cfg, 10.0)
 
     def test_sessions_share_specs_and_hyperparameters(self):
-        first, second = lockstep_sessions([16, 16], 8, "tl")
-        train([first, second])  # seeds, data and starting parameters may differ
+        # the hyperparameters are the call's one config; the specs are checked
+        (first, second), cfg = lockstep_sessions([16, 16], 8)
+        train([first, second], cfg, 10.0)  # seeds, data and starting parameters may differ
         with pytest.raises(ConfigError):
-            train([first, replace(second, config=replace(second.config, epochs=2))])
+            train([first, replace(second, state=init_network(TWO_HIDDEN_SPECS, seed=0))], cfg, 10.0)
         with pytest.raises(ConfigError):
-            train([first, replace(second, state=init_network(TWO_HIDDEN_SPECS, seed=0))])
-        with pytest.raises(ConfigError):
-            train([])
+            train([], cfg, 10.0)
 
 
 class TestTrainLeavesInputAlone:
     def setup_method(self):
         self.x, self.y = three_class_data(30)
-        self.cfg = TrainConfig(
-            epochs=2, batch_size=8, base_lr=0.05, seed=1, classifier_lr_multiplier=0.0
-        )
+        self.cfg = TrainConfig(epochs=2, batch_size=8, base_lr=0.05)
         self.state = init_network(THREE_LAYER_SPECS, seed=3)
 
     def test_input_arrays_unchanged(self):
         before = state_bytes(self.state)
-        train_one(self.state, self.x, self.y, self.cfg)
+        train_one(self.state, self.x, self.y, self.cfg, 1, 0.0)
         assert state_bytes(self.state) == before
 
     def test_frozen_layers_bit_identical_to_input(self):
-        trained, _ = train_one(self.state, self.x, self.y, self.cfg)
+        trained, _ = train_one(self.state, self.x, self.y, self.cfg, 1, 0.0)
         last = len(self.state.layers) - 1
         for k, (old, new) in enumerate(zip(self.state.layers, trained.layers)):
             same = old.weights.tobytes() + old.bias.tobytes() == new.weights.tobytes() + new.bias.tobytes()
             assert same == (k == last)
 
     def test_mutating_result_does_not_leak_into_next_call(self):
-        first, _ = train_one(self.state, self.x, self.y, self.cfg)
+        first, _ = train_one(self.state, self.x, self.y, self.cfg, 1, 0.0)
         first_bytes = state_bytes(first)
         for layer in first.layers:
             layer.weights[...] = 7.0
             layer.bias[...] = -7.0
-        second, _ = train_one(self.state, self.x, self.y, self.cfg)
+        second, _ = train_one(self.state, self.x, self.y, self.cfg, 1, 0.0)
         assert state_bytes(second) == first_bytes
 
 
@@ -628,8 +637,8 @@ class TestCheckpoint:
         state = small_state(seed=21)
         x = np.random.default_rng(2).normal(size=(6, 4))
         y = np.random.default_rng(3).integers(0, 3, 6)
-        cfg = TrainConfig(epochs=2, batch_size=4, base_lr=0.01, seed=2)
-        state, _ = train_one(state, x, y, cfg)
+        cfg = TrainConfig(epochs=2, batch_size=4, base_lr=0.01)
+        state, _ = train_one(state, x, y, cfg, seed=2)
         path = tmp_path / "model.ckpt"
         save_checkpoint(state, path)
         loaded = load_checkpoint(path)
