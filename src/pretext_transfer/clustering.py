@@ -323,17 +323,6 @@ def kmeans_fit(
     return ClusterModel(centroids, seed, history, labels)
 
 
-def kmeans_assign(model: ClusterModel, features) -> np.ndarray:
-    x = _check_features(features)
-    if x.shape[1] != model.centroids.shape[1]:
-        raise ValidationError(
-            f"feature dimension {x.shape[1]} does not match centroid dimension "
-            f"{model.centroids.shape[1]}"
-        )
-    labels, _ = _assign(x, model.centroids, _row_norms(x))
-    return labels
-
-
 def pseudo_label(
     source_model: NetworkState,
     samples,

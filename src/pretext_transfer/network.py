@@ -3,14 +3,16 @@
 The last layer is the classification layer (the head); every layer before it
 is a representation layer. The head trains at base_lr times a head multiplier
 that each training call is given (zero freezes it), and it can be swapped.
-States are value objects: the public functions return new NetworkState and
-Gradients objects and leave their arguments unchanged.
+States are value objects: the public functions return new NetworkState
+objects and leave their arguments unchanged.
 `train` runs sessions of one architecture in lockstep under one TrainConfig;
 a session brings only its start, data and shuffle seed. It orders them by
 row count, largest first, copies their parameters into one private
 [sessions, parameters] buffer, and at every step trains each run of adjacent
-sessions that share a batch size on a slice of that buffer: one stacked
-matmul per layer, updated in place. It never changes the caller's arrays.
+sessions that share a batch size on a slice of that buffer. A step is two
+kernels that work in place on that slice: `loss_and_grad`, one stacked
+matmul per layer, writes the gradients, and `sgd_update` takes the momentum
+step. It never changes the caller's arrays.
 """
 
 from __future__ import annotations
@@ -78,14 +80,6 @@ class NetworkState:
     @property
     def label_count(self) -> int:
         return self.layers[-1].weights.shape[0]
-
-
-@dataclass
-class Gradients:
-    """Per-layer weight and bias arrays, shape-identical to a NetworkState."""
-
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
 
 
 def validate_layer_specs(specs: list[LayerSpec]) -> None:
@@ -178,7 +172,7 @@ def _flatten(weights, biases) -> np.ndarray:
     return np.concatenate([a.ravel() for pair in zip(weights, biases) for a in pair], dtype=np.float64)
 
 
-def _backprop(weights, biases, activations, x, y, grad_w, grad_b, needs_grad) -> np.ndarray:
+def loss_and_grad(weights, biases, activations, x, y, grad_w, grad_b, needs_grad) -> np.ndarray:
     """Mean softmax cross-entropy of each batch in a stack: session s has the
     batch (x[s], y[s]) and the parameters weights[k][s], biases[k][s]. Writes
     the gradient of every layer k with needs_grad[k] into grad_w[k]/grad_b[k],
@@ -219,44 +213,6 @@ def _backprop(weights, biases, activations, x, y, grad_w, grad_b, needs_grad) ->
     return losses
 
 
-def loss_and_grad(state: NetworkState, inputs, labels) -> tuple[float, Gradients]:
-    """Mean softmax cross-entropy and its gradient for every parameter.
-
-    Gradients are populated for frozen layers too; freezing is applied at
-    update time.
-    """
-    x = as_batch(state, inputs)
-    y = LabeledSet(x, labels, state.label_count).labels
-    grads = Gradients(
-        [np.empty(layer.weights.shape) for layer in state.layers],
-        [np.empty(layer.bias.shape) for layer in state.layers],
-    )
-    (loss,) = _backprop(
-        [layer.weights[None] for layer in state.layers],
-        [layer.bias[None] for layer in state.layers],
-        [layer.activation for layer in state.layers],
-        x[None], y[None],
-        [g[None] for g in grads.weights], [g[None] for g in grads.biases],
-        [True] * len(state.layers),
-    )
-    return float(loss), grads
-
-
-def zero_velocity(state: NetworkState) -> Gradients:
-    return Gradients(
-        [np.zeros_like(layer.weights) for layer in state.layers],
-        [np.zeros_like(layer.bias) for layer in state.layers],
-    )
-
-
-def _check_same_shapes(state: NetworkState, grads: Gradients, name: str) -> None:
-    if len(grads.weights) != len(state.layers) or len(grads.biases) != len(state.layers):
-        raise ShapeError(f"{name} layer count does not match the network")
-    for layer, gw, gb in zip(state.layers, grads.weights, grads.biases):
-        if gw.shape != layer.weights.shape or gb.shape != layer.bias.shape:
-            raise ShapeError(f"{name} shapes do not match the network parameters")
-
-
 def _step_layout(
     specs: list[LayerSpec], config: TrainConfig, head_multiplier: float
 ) -> tuple[np.ndarray, slice, list[bool]]:
@@ -277,41 +233,16 @@ def _step_layout(
     return np.repeat(rates, sizes), slice(0, sum(itertools.compress(sizes, trains))), trains
 
 
-def _velocity_step(velocity: np.ndarray, grads: np.ndarray, lr: np.ndarray, momentum: float) -> None:
-    """velocity <- momentum * velocity - lr * grads, in place; grads is overwritten."""
+def sgd_update(params: np.ndarray, velocity: np.ndarray, grads: np.ndarray, lr: np.ndarray, momentum: float) -> None:
+    """One momentum-SGD step in place on arrays of one shape, ``lr`` broadcast
+    over their last axis: velocity <- momentum * velocity - lr * grads, then
+    params <- params + velocity; grads is overwritten."""
     grads *= lr
     velocity *= momentum
     velocity -= grads
-
-
-def _apply_step(params: np.ndarray, velocity: np.ndarray) -> None:
     params += velocity
     if not np.isfinite(params).all():
         raise TrainingDiverged("parameter update produced non-finite values")
-
-
-def sgd_update(
-    state: NetworkState, grads: Gradients, velocity: Gradients, config: TrainConfig, head_multiplier: float
-) -> tuple[NetworkState, Gradients]:
-    """One momentum-SGD step: the representation layers at base_lr, the head at base_lr * head_multiplier.
-
-    Layers with a zero rate keep their parameter arrays untouched
-    (bit-identical); their velocity follows the same recursion.
-    """
-    _check_same_shapes(state, grads, "gradients")
-    _check_same_shapes(state, velocity, "velocity")
-    specs = layer_specs(state)
-    lr, trainable, trains = _step_layout(specs, config, head_multiplier)
-    params = _flatten([l.weights for l in state.layers], [l.bias for l in state.layers])
-    new_velocity = _flatten(velocity.weights, velocity.biases)
-    _velocity_step(new_velocity, _flatten(grads.weights, grads.biases), lr, config.momentum)
-    _apply_step(params[trainable], new_velocity[trainable])
-    weights, biases = _flat_views(params, specs)
-    new_layers = [
-        Layer(w, b, layer.activation) if moves else layer
-        for layer, w, b, moves in zip(state.layers, weights, biases, trains)
-    ]
-    return NetworkState(new_layers), Gradients(*_flat_views(new_velocity, specs))
 
 
 def replace_head(state: NetworkState, new_label_count: int, init_seed: int) -> NetworkState:
@@ -393,6 +324,10 @@ def train(
     lr_t = lr[trainable]
     views = {}
 
+    def first_bad(members: slice, finite: np.ndarray) -> int:
+        """The row in members of the first session, in the caller's order, that is not finite."""
+        return min(np.flatnonzero(~finite), key=lambda row: order[members.start + row])
+
     def step(epoch, members: slice, x, y) -> np.ndarray:
         """One batch for the sessions in members; returns their losses."""
         key = (members.start, members.stop)
@@ -401,14 +336,19 @@ def train(
             views[key] = (*_flat_views(part, specs), *_flat_views(part_grads, specs),
                           part[:, trainable], velocity[members, trainable], part_grads[:, trainable])
         weights, biases, grad_w, grad_b, part_p, part_v, part_g = views[key]
-        losses = _backprop(weights, biases, activations, x, y, grad_w, grad_b, needs_grad)
+        losses = loss_and_grad(weights, biases, activations, x, y, grad_w, grad_b, needs_grad)
         if not np.isfinite(losses).all():
-            bad = int(np.flatnonzero(~np.isfinite(losses))[0])
+            bad = first_bad(members, np.isfinite(losses))
             raise TrainingDiverged(
                 f"training diverged at epoch {epoch} in session {order[members.start + bad]} (loss={losses[bad]})"
             )
-        _velocity_step(part_v, part_g, lr_t, config.momentum)
-        _apply_step(part_p, part_v)
+        try:
+            sgd_update(part_p, part_v, part_g, lr_t, config.momentum)
+        except TrainingDiverged:
+            bad = first_bad(members, np.isfinite(part_p).all(axis=1))
+            raise TrainingDiverged(
+                f"parameter update produced non-finite values at epoch {epoch} in session {order[members.start + bad]}"
+            ) from None
         return losses
 
     schedule = _step_groups(sizes, config.batch_size)

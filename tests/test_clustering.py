@@ -16,7 +16,6 @@ from pretext_transfer.clustering import (
     _row_norms,
     _update_means,
     extract_projection,
-    kmeans_assign,
     kmeans_fit,
     load_cluster_model,
     pseudo_label,
@@ -177,7 +176,8 @@ class TestKmeansAssign:
     def test_point_at_centroid(self):
         points, _ = two_blobs(20)
         model = kmeans_fit(points, k=2, seed=0)
-        labels = kmeans_assign(model, model.centroids.copy())
+        centroids = model.centroids.copy()
+        labels, _ = _assign(centroids, model.centroids, _row_norms(centroids))
         assert labels.tolist() == [0, 1]
 
     def test_tie_breaks_to_lowest_index(self):
@@ -185,8 +185,9 @@ class TestKmeansAssign:
         model = kmeans_fit(points, k=4, seed=1)
         # rearrange so centroids 1 and 3 are equidistant from the probe point
         model.centroids[:] = np.array([[9.0, 9.0], [0.0, 0.0], [9.0, -9.0], [2.0, 0.0]])
-        label = kmeans_assign(model, np.array([[1.0, 0.0]]))[0]
-        assert label == 1
+        probe = np.array([[1.0, 0.0]])
+        labels, _ = _assign(probe, model.centroids, _row_norms(probe))
+        assert labels[0] == 1
 
     def test_assign_matches_fit_labels(self):
         rng = np.random.default_rng(8)
@@ -196,14 +197,9 @@ class TestKmeansAssign:
         expected = np.array(
             [int(np.argmin(((p - model.centroids) ** 2).sum(axis=1))) for p in points]
         )
-        assert np.array_equal(kmeans_assign(model, points), expected)
+        labels, _ = _assign(points, model.centroids, _row_norms(points))
+        assert np.array_equal(labels, expected)
         assert np.array_equal(model.labels, expected)
-
-    def test_dimension_mismatch(self):
-        points, _ = two_blobs(10)
-        model = kmeans_fit(points, k=2, seed=0)
-        with pytest.raises(ValidationError):
-            kmeans_assign(model, np.zeros((2, 5)))
 
 
 class TestCertifiedAssign:
@@ -541,7 +537,7 @@ class TestFinalAssignment:
         model = kmeans_fit(points, k=2, seed=1)
         assert model.inertia_history[-1] == model.inertia_history[-2]
         assert len(calls) == len(model.inertia_history) - 1
-        assert np.array_equal(model.labels, kmeans_assign(model, points))
+        assert np.array_equal(model.labels, _direct_assign(points, model.centroids)[0])
 
     def test_fit_stopped_while_moving_assigns_again(self, monkeypatch):
         points = np.random.default_rng(5).normal(size=(70, 4))
@@ -549,7 +545,7 @@ class TestFinalAssignment:
         model = kmeans_fit(points, k=7, seed=11, max_iters=1)
         assert len(calls) == len(model.inertia_history) == 2
         assert model.inertia_history[1] < model.inertia_history[0]
-        assert np.array_equal(model.labels, kmeans_assign(model, points))
+        assert np.array_equal(model.labels, _direct_assign(points, model.centroids)[0])
 
     # recorded before the final assignment was reused; the default run's fits
     # end on a step that moves no centroid at both seeds

@@ -14,6 +14,9 @@ from pretext_transfer.network import (
     NetworkState,
     Session,
     TrainConfig,
+    _flat_views,
+    _flatten,
+    _step_layout,
     accuracy,
     apply_layer,
     forward,
@@ -26,7 +29,6 @@ from pretext_transfer.network import (
     sgd_update,
     train,
     validate_layer_specs,
-    zero_velocity,
 )
 
 TWO_LAYER_SPECS = [
@@ -68,10 +70,28 @@ def state_bytes(state):
     return b"".join(l.weights.tobytes() + l.bias.tobytes() for l in state.layers)
 
 
+def stacked_loss_and_grad(state, x, y, needs_grad=None, fill=0.0):
+    """loss_and_grad on a stack of one session: its loss and per-layer
+    gradient buffers, which start filled with ``fill``."""
+    grad_w = [np.full((1, *l.weights.shape), fill) for l in state.layers]
+    grad_b = [np.full((1, *l.bias.shape), fill) for l in state.layers]
+    (loss,) = loss_and_grad(
+        [l.weights[None] for l in state.layers], [l.bias[None] for l in state.layers],
+        [l.activation for l in state.layers], x[None], y[None], grad_w, grad_b,
+        needs_grad or [True] * len(state.layers),
+    )
+    return float(loss), grad_w, grad_b
+
+
+def reference_loss(state, x, y):
+    """Mean cross-entropy from forward's probabilities, independent of loss_and_grad."""
+    return -float(np.mean(np.log(forward(state, x)[np.arange(len(y)), y])))
+
+
 def numeric_gradient(state, x, y, step=1e-5):
-    """Central finite differences over every parameter, the gradient oracle."""
+    """Central finite differences of reference_loss over every parameter, the gradient oracle."""
     grads = []
-    for li, layer in enumerate(state.layers):
+    for layer in state.layers:
         for arr_name in ("weights", "bias"):
             arr = getattr(layer, arr_name)
             grad = np.zeros_like(arr)
@@ -80,9 +100,9 @@ def numeric_gradient(state, x, y, step=1e-5):
                 idx = it.multi_index
                 original = arr[idx]
                 arr[idx] = original + step
-                loss_plus, _ = loss_and_grad(state, x, y)
+                loss_plus = reference_loss(state, x, y)
                 arr[idx] = original - step
-                loss_minus, _ = loss_and_grad(state, x, y)
+                loss_minus = reference_loss(state, x, y)
                 arr[idx] = original
                 grad[idx] = (loss_plus - loss_minus) / (2 * step)
             grads.append(grad)
@@ -203,6 +223,8 @@ class TestInPlaceKernels:
 
 
 class TestLossAndGrad:
+    """The step's gradient kernel, on a stack of one session."""
+
     def test_uniform_loss_is_ln2(self):
         specs = [
             LayerSpec(3, 4, "relu"),
@@ -212,9 +234,8 @@ class TestLossAndGrad:
         for layer in state.layers:
             layer.weights[:] = 0.0
             layer.bias[:] = 0.0
-        loss, grads = loss_and_grad(state, np.ones((6, 3)), np.array([0, 1, 0, 1, 1, 0]))
+        loss, _, _ = stacked_loss_and_grad(state, np.ones((6, 3)), np.array([0, 1, 0, 1, 1, 0]))
         assert loss == pytest.approx(math.log(2), abs=1e-12)
-        assert len(grads.weights) == 2 and len(grads.biases) == 2
 
     def test_perfect_prediction_zero_loss(self):
         state = NetworkState(
@@ -223,94 +244,94 @@ class TestLossAndGrad:
                 Layer(np.array([[1000.0, 0.0], [0.0, 1000.0]]), np.zeros(2), "identity"),
             ],
         )
-        loss, _ = loss_and_grad(state, np.array([[1.0, 0.0]]), np.array([0]))
+        loss, _, _ = stacked_loss_and_grad(state, np.array([[1.0, 0.0]]), np.array([0]))
         assert loss == 0.0
 
     def test_gradients_match_finite_differences(self):
-        state = small_state(seed=11)
+        # relu and identity hidden layers and the head: every layer is checked
+        state = init_network(TWO_HIDDEN_SPECS, seed=11)
         rng = np.random.default_rng(5)
         x = rng.normal(size=(8, 4))
         y = rng.integers(0, 3, size=8)
-        _, analytic = loss_and_grad(state, x, y)
-        flattened = [v for pair in zip(analytic.weights, analytic.biases) for v in pair]
-        numeric = numeric_gradient(state, x, y)
-        assert max_relative_error(flattened, numeric) < 1e-4
+        loss, grad_w, grad_b = stacked_loss_and_grad(state, x, y)
+        assert loss == pytest.approx(reference_loss(state, x, y), rel=1e-12)
+        analytic = [g[0] for pair in zip(grad_w, grad_b) for g in pair]
+        assert max_relative_error(analytic, numeric_gradient(state, x, y)) < 1e-4
+
+    def test_layers_without_needs_grad_keep_their_buffers(self):
+        state = init_network(THREE_LAYER_SPECS, seed=4)
+        x, y = three_class_data(8)
+        _, full_w, full_b = stacked_loss_and_grad(state, x, y)
+        needs_grad = [True, False, True]
+        _, grad_w, grad_b = stacked_loss_and_grad(state, x, y, needs_grad, fill=7.0)
+        for k, needed in enumerate(needs_grad):
+            for got, full in ((grad_w[k], full_w[k]), (grad_b[k], full_b[k])):
+                assert got.tobytes() == (full.tobytes() if needed else np.full_like(got, 7.0).tobytes())
 
     def test_out_of_range_label(self):
+        # the kernel trusts its labels; train validates them before any step
         with pytest.raises(ValidationError):
-            loss_and_grad(small_state(), np.zeros((2, 4)), np.array([0, 3]))
+            train_one(small_state(), np.zeros((2, 4)), np.array([0, 3]), TrainConfig(epochs=1))
 
 
 class TestSgdUpdate:
-    def one_param_state(self, theta=1.0):
-        return NetworkState(
-            layers=[
-                Layer(np.array([[theta]]), np.zeros(1), "identity"),
-                Layer(np.array([[1.0], [0.0]]), np.zeros(2), "identity"),
-            ],
-        )
+    """The step's update kernel, alone and with the rates of _step_layout."""
 
-    def grad_of_one(self, state, value=1.0):
-        from pretext_transfer.network import Gradients
-
-        return Gradients(
-            [np.full_like(l.weights, value) for l in state.layers],
-            [np.full_like(l.bias, value) for l in state.layers],
-        )
+    ONE_PARAM_SPECS = [LayerSpec(1, 1, "identity"), LayerSpec(1, 2, "identity")]
 
     def test_vanilla_step(self):
-        state = self.one_param_state(theta=1.0)
-        grads = self.grad_of_one(state, 0.5)
-        cfg = TrainConfig(epochs=1, base_lr=0.1, momentum=0.0)
-        new, _ = sgd_update(state, grads, zero_velocity(state), cfg, 1.0)
-        assert new.layers[0].weights[0, 0] == pytest.approx(0.95, abs=1e-15)
+        params = np.array([1.0])
+        sgd_update(params, np.zeros(1), np.array([0.5]), np.array([0.1]), 0.0)
+        assert params[0] == pytest.approx(0.95, abs=1e-15)
 
     def test_momentum_two_steps(self):
         # v1 = -0.1, theta1 = -0.1; v2 = 0.9*(-0.1) - 0.1 = -0.19, theta2 = -0.29
-        state = self.one_param_state(theta=0.0)
-        cfg = TrainConfig(epochs=1, base_lr=0.1, momentum=0.9)
-        velocity = zero_velocity(state)
+        params, velocity = np.zeros(1), np.zeros(1)
         for _ in range(2):
-            state, velocity = sgd_update(state, self.grad_of_one(state, 1.0), velocity, cfg, 1.0)
-        assert state.layers[0].weights[0, 0] == pytest.approx(-0.29, abs=1e-15)
+            sgd_update(params, velocity, np.ones(1), np.array([0.1]), 0.9)  # the gradients are overwritten
+        assert params[0] == pytest.approx(-0.29, abs=1e-15)
+
+    def unit_step(self, specs, cfg, head_multiplier, params):
+        """One step of unit gradients over the trainable span of params, as train takes it."""
+        lr, trainable, _ = _step_layout(specs, cfg, head_multiplier)
+        sgd_update(params[trainable], np.zeros_like(params)[trainable], np.ones_like(params)[trainable],
+                   lr[trainable], cfg.momentum)
+
+    def test_classifier_multiplier_wiring(self):
+        # the head trains at head_multiplier * base_lr, the representation at base_lr
+        cfg = TrainConfig(epochs=1, base_lr=0.25, momentum=0.0)
+        params = np.zeros(sum(s.output_dim * (s.input_dim + 1) for s in self.ONE_PARAM_SPECS))
+        self.unit_step(self.ONE_PARAM_SPECS, cfg, 10.0, params)
+        weights, biases = _flat_views(params, self.ONE_PARAM_SPECS)
+        assert weights[0][0, 0] == -0.25 and biases[0][0] == -0.25
+        assert (weights[1] == -2.5).all() and (biases[1] == -2.5).all()
 
     def test_frozen_group_is_bit_identical(self):
-        state = small_state(seed=2)
-        cfg = TrainConfig(epochs=1, base_lr=0.5, momentum=0.9)
-        before = [l.weights.tobytes() + l.bias.tobytes() for l in state.layers]
-        velocity = zero_velocity(state)
-        rng = np.random.default_rng(0)
-        for _ in range(5):
-            _, grads = loss_and_grad(state, rng.normal(size=(4, 4)), rng.integers(0, 3, 4))
-            state, velocity = sgd_update(state, grads, velocity, cfg, 0.0)
-        after = [l.weights.tobytes() + l.bias.tobytes() for l in state.layers]
-        assert after[-1] == before[-1]
-        assert all(a != b for a, b in zip(after[:-1], before[:-1]))
+        # a zero multiplier leaves the head out of the trainable span, the only
+        # part of the buffer that train's update writes
+        specs = layer_specs(small_state())
+        lr, trainable, trains = _step_layout(specs, TrainConfig(epochs=1), 0.0)
+        head = specs[-1].output_dim * (specs[-1].input_dim + 1)
+        assert trains == [True, False]
+        assert (trainable.start, trainable.stop) == (0, lr.size - head)
 
     def test_every_trainable_element_moves(self):
         state = init_network(THREE_LAYER_SPECS, seed=0)
-        cfg = TrainConfig(epochs=1, base_lr=0.1, momentum=0.0)
-        new, _ = sgd_update(state, self.grad_of_one(state), zero_velocity(state), cfg, 0.0)
+        params = _flatten([l.weights for l in state.layers], [l.bias for l in state.layers])
+        self.unit_step(THREE_LAYER_SPECS, TrainConfig(epochs=1, base_lr=0.1, momentum=0.0), 0.0, params)
+        weights, biases = _flat_views(params, THREE_LAYER_SPECS)
         last = len(state.layers) - 1
-        for k, (old_layer, new_layer) in enumerate(zip(state.layers, new.layers)):
-            for old, updated in [(old_layer.weights, new_layer.weights), (old_layer.bias, new_layer.bias)]:
+        for k, layer in enumerate(state.layers):
+            for old, updated in [(layer.weights, weights[k]), (layer.bias, biases[k])]:
                 if k == last:
-                    assert (updated == old).all()
+                    assert updated.tobytes() == old.tobytes()
                 else:
                     assert (updated != old).all()
-
-    def test_classifier_multiplier_wiring(self):
-        state = self.one_param_state()
-        cfg = TrainConfig(epochs=1, base_lr=0.25, momentum=0.0)
-        new, _ = sgd_update(state, self.grad_of_one(state, 1.0), zero_velocity(state), cfg, 10.0)
-        rep_delta = state.layers[0].weights[0, 0] - new.layers[0].weights[0, 0]
-        cls_delta = state.layers[1].weights[0, 0] - new.layers[1].weights[0, 0]
-        assert cls_delta == 10.0 * rep_delta
 
 
 class TestTrainConfig:
     """The settings of a training call: its TrainConfig, and the head
-    multiplier that train and sgd_update are given next to it."""
+    multiplier that train is given next to it."""
 
     @pytest.mark.parametrize("bad", [
         dict(epochs=0), dict(batch_size=0), dict(base_lr=0.0), dict(head_multiplier=-1.0),
@@ -327,9 +348,6 @@ class TestTrainConfig:
         x, y = np.zeros((4, 4)), np.array([0, 1, 2, 0])
         with pytest.raises(ConfigError):
             train_one(state, x, y, TrainConfig(**settings), head_multiplier=head_multiplier)
-        _, grads = loss_and_grad(state, x, y)
-        with pytest.raises(ConfigError):
-            sgd_update(state, grads, zero_velocity(state), TrainConfig(**settings), head_multiplier)
 
     def test_zero_multiplier_is_accepted(self):
         state = small_state()
@@ -406,23 +424,6 @@ class TestTrain:
             train_one(small_state(seed=0), x, y, cfg)
 
 
-def step_by_step_train(state, x, y, cfg, seed, head_multiplier):
-    """Reference loop over the public per-batch functions: the oracle for train()."""
-    rng = np.random.default_rng(seed)
-    velocity = zero_velocity(state)
-    mean_losses = []
-    for _ in range(cfg.epochs):
-        order = rng.permutation(len(y))
-        total = 0.0
-        for start in range(0, len(y), cfg.batch_size):
-            idx = order[start:start + cfg.batch_size]
-            loss, grads = loss_and_grad(state, x[idx], y[idx])
-            state, velocity = sgd_update(state, grads, velocity, cfg, head_multiplier)
-            total += loss * len(idx)
-        mean_losses.append(total / len(y))
-    return state, mean_losses
-
-
 def three_class_data(n, seed=4):
     rng = np.random.default_rng(seed)
     y = rng.integers(0, 3, n)
@@ -438,19 +439,6 @@ ORACLE_CASES = {
     "partial-last-batch": (THREE_LAYER_SPECS, 29, 0.0),
 }
 ORACLE_CONFIG = TrainConfig(epochs=4, batch_size=8, base_lr=0.05, momentum=0.9)
-
-
-class TestTrainMatchesStepByStep:
-    @pytest.mark.parametrize("case", list(ORACLE_CASES))
-    def test_bit_identical_to_public_step_functions(self, case):
-        specs, n, multiplier = ORACLE_CASES[case]
-        x, y = three_class_data(n)
-        state = init_network(specs, seed=2)
-        trained, history = train_one(state, x, y, ORACLE_CONFIG, 6, multiplier)
-        expected, mean_losses = step_by_step_train(state, x, y, ORACLE_CONFIG, 6, multiplier)
-        assert state_bytes(trained) == state_bytes(expected)
-        assert history == mean_losses
-        assert state_bytes(trained) != state_bytes(state)
 
 
 def reference_train(state, x, y, cfg, seed, head_multiplier):
@@ -549,9 +537,8 @@ class TestLockstepTrain:
             run = (session.state, session.features, session.labels, cfg, session.seed, multiplier)
             alone, alone_history = train_one(*run)
             expected, mean_losses = reference_train(*run)
-            oracle, oracle_losses = step_by_step_train(*run)
-            assert state_bytes(trained) == state_bytes(alone) == state_bytes(expected) == state_bytes(oracle)
-            assert history == alone_history == mean_losses == oracle_losses
+            assert state_bytes(trained) == state_bytes(alone) == state_bytes(expected)
+            assert history == alone_history == mean_losses
 
     def test_two_hidden_layers(self):
         sessions, cfg = lockstep_sessions([21, 16, 9], 8, specs=TWO_HIDDEN_SPECS)
@@ -567,6 +554,18 @@ class TestLockstepTrain:
         sessions[bad] = replace(sessions[bad], features=sessions[bad].features * 1e300)
         with pytest.raises(TrainingDiverged, match=f"session {bad}"):
             train(sessions, cfg, 10.0)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("sizes, bad", [([24, 24], [1]), ([16, 24], [0]), ([16, 24], [0, 1])],
+                             ids=["second", "shorter-first", "both"])
+    def test_one_overflowing_session_raises(self, sizes, bad):
+        # every loss stays finite and the first step overflows the parameters
+        # of the scaled sessions; the error names the first in the caller's list
+        sessions, cfg = lockstep_sessions(sizes, 8)
+        for i in bad:
+            sessions[i] = replace(sessions[i], features=sessions[i].features * 1e10)
+        with pytest.raises(TrainingDiverged, match=f"non-finite values at epoch 0 in session {bad[0]}$"):
+            train(sessions, replace(cfg, base_lr=1e300), 10.0)
 
     def test_sessions_share_specs_and_hyperparameters(self):
         # the hyperparameters are the call's one config; the specs are checked

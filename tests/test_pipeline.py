@@ -12,9 +12,14 @@ from pretext_transfer.network import (
     LayerSpec,
     Session,
     TrainConfig,
+    _flat_views,
+    _flatten,
+    _step_layout,
     forward,
     init_network,
+    layer_specs,
     replace_head,
+    sgd_update,
     train,
 )
 from pretext_transfer.pipeline import TL_HEAD_MULTIPLIER, TlSession, pretrain_source, prt_train, tl_train
@@ -244,21 +249,18 @@ class TestTlTrain:
         assert log.read_text().splitlines()[0].startswith("warning: class 1")
 
     def test_one_step_lr_wiring(self, source_model):
-        # unit gradients, zero momentum: classifier moves exactly 10x as far
-        from pretext_transfer.network import Gradients, sgd_update, zero_velocity
-
+        # unit gradients, zero momentum: at TL's multiplier the head moves exactly 10x as far
         cfg = TrainConfig(epochs=1, base_lr=0.25, momentum=0.0)
-        grads = Gradients(
-            [np.ones_like(l.weights) for l in source_model.layers],
-            [np.ones_like(l.bias) for l in source_model.layers],
-        )
-        updated, applied = sgd_update(source_model, grads, zero_velocity(source_model), cfg, TL_HEAD_MULTIPLIER)
-        for layer, step_w, step_b, after in zip(
-            source_model.layers, applied.weights, applied.biases, updated.layers
-        ):
-            expected = -2.5 if layer is source_model.layers[-1] else -0.25
+        specs = layer_specs(source_model)
+        lr, trainable, _ = _step_layout(specs, cfg, TL_HEAD_MULTIPLIER)
+        params = _flatten([l.weights for l in source_model.layers], [l.bias for l in source_model.layers])
+        before, velocity = params.copy(), np.zeros_like(params)
+        sgd_update(params[trainable], velocity[trainable], np.ones_like(params)[trainable],
+                   lr[trainable], cfg.momentum)
+        for k, (step_w, step_b) in enumerate(zip(*_flat_views(velocity, specs))):
+            expected = -2.5 if k == len(specs) - 1 else -0.25
             assert (step_w == expected).all() and (step_b == expected).all()
-            assert np.array_equal(after.weights, layer.weights + step_w)
+        assert np.array_equal(params, before + velocity)
         assert 2.5 == 10.0 * 0.25
 
     def test_representation_moves_less_than_classifier(self, source_model, domains):
