@@ -6,7 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LabeledSet
 from .errors import ShapeError, ValidationError
 from .manifest import manifest_value, read_artifact, unpack_blob, write_artifact
 from .network import NetworkState, apply_layer, as_batch
@@ -45,7 +44,7 @@ def extract_projection(model: NetworkState, samples) -> np.ndarray:
     used as the low-dim projection."""
     out = as_batch(model, samples)
     for layer in model.layers[:-1]:
-        out = apply_layer(layer, out)
+        out = apply_layer(out, layer.weights, layer.bias, layer.activation)
     return out
 
 
@@ -321,20 +320,6 @@ def kmeans_fit(
         labels, sq_dists = _bounded_assign(x, centroids, x_norms, labels, sq_dists, lower)
     history.append(float(sq_dists.sum()))
     return ClusterModel(centroids, seed, history, labels)
-
-
-def pseudo_label(
-    source_model: NetworkState,
-    samples,
-    k: int,
-    seed: int = 0,
-    max_iters: int = 200,
-    tol: float = 1e-7,
-) -> tuple[ClusterModel, LabeledSet]:
-    """Cluster projected samples and label each original sample with its cluster."""
-    projections = extract_projection(source_model, samples)
-    model = kmeans_fit(projections, k, seed=seed, max_iters=max_iters, tol=tol)
-    return model, LabeledSet(samples, model.labels, k)
 
 
 def save_cluster_model(model: ClusterModel, path) -> None:

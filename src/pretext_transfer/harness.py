@@ -20,8 +20,8 @@ import numpy as np
 from .clustering import (
     ClusterModel,
     extract_projection,
+    kmeans_fit,
     load_cluster_model,
-    pseudo_label,
     save_cluster_model,
 )
 from .data import (
@@ -336,9 +336,8 @@ def run_pretrain(cfg: ExperimentConfig) -> NetworkState:
 def run_cluster(cfg: ExperimentConfig) -> ClusterModel:
     source_model = load_checkpoint(source_ckpt_path(cfg))
     unlabeled = load_dataset(data_path(cfg, "unlabeled"))
-    model, _ = pseudo_label(
-        source_model,
-        unlabeled.features,
+    model = kmeans_fit(
+        extract_projection(source_model, unlabeled.features),
         source_model.label_count,
         seed=derive_seed(cfg.master_seed, "cluster"),
         max_iters=cfg.kmeans_max_iters,

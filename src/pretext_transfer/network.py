@@ -10,9 +10,11 @@ a session brings only its start, data and shuffle seed. It orders them by
 row count, largest first, copies their parameters into one private
 [sessions, parameters] buffer, and at every step trains each run of adjacent
 sessions that share a batch size on a slice of that buffer. A step is two
-kernels that work in place on that slice: `loss_and_grad`, one stacked
-matmul per layer, writes the gradients, and `sgd_update` takes the momentum
-step. It never changes the caller's arrays.
+kernels that work in place on that slice: `loss_and_grad`, whose forward
+pass is `apply_layer` on the stack, writes the gradients, and `sgd_update`
+takes the momentum step. It never changes the caller's arrays. `apply_layer`
+is the one dense layer: inference calls it on 2-D batches, and the cluster
+stage and the dictionary read projections from it.
 """
 
 from __future__ import annotations
@@ -130,13 +132,17 @@ def as_batch(state: NetworkState, inputs) -> np.ndarray:
     return x
 
 
-def apply_layer(layer: Layer, x: np.ndarray) -> np.ndarray:
-    """The layer's output as a new array; x is only read. The bias and the
+def apply_layer(x: np.ndarray, weights: np.ndarray, bias: np.ndarray, activation: str) -> np.ndarray:
+    """The package's one dense layer: ``activation(x @ weights.T + bias)`` as
+    a new array; x is only read. It takes a [rows, in] batch with one layer's
+    [out, in] weights and [out] bias, or a [sessions, rows, in] stack with
+    [sessions, out, in] weights and [sessions, out] biases. The bias and the
     activation go into the product in place, so a layer holds one output-sized
-    array at a time, with the same bits as ``np.maximum(x @ W.T + b, 0.0)``."""
-    z = x @ layer.weights.T
-    z += layer.bias
-    if layer.activation == "relu":
+    array at a time, with the same bits as ``np.maximum(x @ W.T + b, 0.0)``.
+    A stack of one gives the 2-D call's bits."""
+    z = np.matmul(x, weights.swapaxes(-1, -2))
+    z += bias[..., None, :]
+    if activation == "relu":
         np.maximum(z, 0.0, out=z)
     return z
 
@@ -146,7 +152,7 @@ def forward(state: NetworkState, inputs) -> np.ndarray:
     runs in place in the logits, which the last layer allocated."""
     z = as_batch(state, inputs)
     for layer in state.layers:
-        z = apply_layer(layer, z)
+        z = apply_layer(z, layer.weights, layer.bias, layer.activation)
     z -= z.max(axis=1, keepdims=True)
     np.exp(z, out=z)
     z /= z.sum(axis=1, keepdims=True)
@@ -178,34 +184,30 @@ def loss_and_grad(weights, biases, activations, x, y, grad_w, grad_b, needs_grad
     the gradient of every layer k with needs_grad[k] into grad_w[k]/grad_b[k],
     leaves the others alone, and returns the per-session losses.
 
-    Every batch of the stack has the same row count. Each session's slice goes
-    through the same BLAS calls, with the same shapes, as it would alone, so
-    its figures do not depend on the other sessions. Inputs are trusted:
-    callers validate them.
+    The forward pass is ``apply_layer`` on the stack, layer by layer; the
+    backward pass reads the outputs it kept. Every batch of the stack has the
+    same row count. Each session's slice goes through the same BLAS calls,
+    with the same shapes, as it would alone, so its figures do not depend on
+    the other sessions. Inputs are trusted: callers validate them.
     """
     sessions, n = y.shape
     outputs = [x]
-    out = x
     for w, b, activation in zip(weights, biases, activations):
-        out = np.matmul(out, w.transpose(0, 2, 1))
-        out += b[:, None, :]
-        if activation == "relu":
-            np.maximum(out, 0.0, out=out)
-        outputs.append(out)
-    z = out
+        outputs.append(apply_layer(outputs[-1], w, b, activation))
+    z = outputs[-1]
     z_max = z.max(axis=2, keepdims=True)
     delta = np.exp(z - z_max)
     total = delta.sum(axis=2)
     index = (np.arange(sessions)[:, None], np.arange(n), y)
-    losses = np.add.reduce(np.log(total) + z_max[:, :, 0] - z[index], axis=1) / n
+    losses = (np.log(total) + z_max[:, :, 0] - z[index]).sum(axis=1) / n
 
     delta /= total[:, :, None]
     delta[index] -= 1.0
     delta /= n
     for k in range(len(weights) - 1, -1, -1):
         if needs_grad[k]:
-            np.matmul(delta.transpose(0, 2, 1), outputs[k], out=grad_w[k])
-            np.add.reduce(delta, axis=1, out=grad_b[k])
+            np.matmul(delta.swapaxes(-1, -2), outputs[k], out=grad_w[k])
+            delta.sum(axis=1, out=grad_b[k])
         if k:
             delta = np.matmul(delta, weights[k])
             if activations[k - 1] == "relu":
@@ -356,18 +358,21 @@ def train(
     y_epoch = np.zeros((len(sessions), sizes[0]), dtype=np.int64)
     rngs = [np.random.default_rng(session.seed) for session in sessions]
     histories = [[] for _ in sessions]
-    for epoch in range(config.epochs):
-        for i, (rng, x, y) in enumerate(zip(rngs, xs, ys)):
-            shuffle = rng.permutation(y.shape[0])
-            x_epoch[i, :y.shape[0]] = x[shuffle]
-            y_epoch[i, :y.shape[0]] = y[shuffle]
-        totals = np.zeros(len(sessions))
-        for start, groups in schedule:
-            for size, members in groups:
-                rows = slice(start, start + size)
-                totals[members] += step(epoch, members, x_epoch[members, rows], y_epoch[members, rows]) * size
-        for history, total, n in zip(histories, totals, sizes):
-            history.append(float(total / n))
+    # an overflow or NaN reaches a step's loss or parameter check, which raises
+    # TrainingDiverged; NumPy's own warning would only precede that error
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.epochs):
+            for i, (rng, x, y) in enumerate(zip(rngs, xs, ys)):
+                shuffle = rng.permutation(y.shape[0])
+                x_epoch[i, :y.shape[0]] = x[shuffle]
+                y_epoch[i, :y.shape[0]] = y[shuffle]
+            totals = np.zeros(len(sessions))
+            for start, groups in schedule:
+                for size, members in groups:
+                    rows = slice(start, start + size)
+                    totals[members] += step(epoch, members, x_epoch[members, rows], y_epoch[members, rows]) * size
+            for history, total, n in zip(histories, totals, sizes):
+                history.append(float(total / n))
     results = [None] * len(sessions)
     for i, row, history in zip(order, params, histories):
         weights, biases = _flat_views(row, specs)

@@ -290,6 +290,17 @@ class TestCliDispatch:
         assert "raise the ridge setting" in err
         assert not (out / "report.csv").exists()
 
+    def test_diverging_run_exits_1_with_one_error_line(self, tmp_path, capsys):
+        # the default network at this rate overflows in TL's first epoch; the
+        # suite turns any NumPy warning that escapes the step into a failure
+        cfg = tmp_path / "diverge.cfg"
+        cfg.write_text("lr = 1e6\n")
+        out = tmp_path / "out"
+        assert main(["run-all", "--config", str(cfg), "--ratios", "10", "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: tl stage: "), err
+        assert list(out.rglob("tl.ckpt")) == []
+
     def test_mixed_seed_sequence_exits_1_at_pretrain(self, config_file, tmp_path, capsys):
         out = tmp_path / "out"
         base = ["--config", str(config_file), "--out", str(out)]

@@ -18,9 +18,9 @@ from pretext_transfer.clustering import (
     extract_projection,
     kmeans_fit,
     load_cluster_model,
-    pseudo_label,
     save_cluster_model,
 )
+from pretext_transfer.data import LabeledSet
 from pretext_transfer.errors import ShapeError, ValidationError
 from pretext_transfer.harness import (
     ExperimentConfig,
@@ -82,7 +82,7 @@ class TestExtractProjection:
         x = np.random.default_rng(2).normal(size=(7, 4))
         expected = x
         for layer in state.layers[:-1]:
-            expected = apply_layer(layer, expected)
+            expected = apply_layer(expected, layer.weights, layer.bias, layer.activation)
         assert extract_projection(state, x).tobytes() == expected.tobytes()
 
     def test_zero_weights_relu_projects_to_zero(self):
@@ -569,13 +569,14 @@ class TestFinalAssignment:
 
 class TestPseudoLabel:
     def test_labels_cover_expected_range(self):
+        # the cluster stage's set: k-means on the projections labels the samples
         state = identity_rep_state(dim=2)
-        points, _ = two_blobs(30)
-        model, pseudo = pseudo_label(state, points, k=2, seed=0)
+        points, blobs = two_blobs(30)
+        model = kmeans_fit(extract_projection(state, points), k=2, seed=0)
+        pseudo = LabeledSet(points, model.labels, model.k)
         assert pseudo.class_count == 2
-        assert pseudo.features.shape == points.shape
-        assert np.array_equal(pseudo.labels, model.labels)
         assert set(pseudo.labels.tolist()) == {0, 1}
+        assert len(set(zip(blobs.tolist(), pseudo.labels.tolist()))) == 2
 
 
 class TestClusterSerialization:

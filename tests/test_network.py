@@ -7,6 +7,7 @@ import pytest
 
 from pretext_transfer.clustering import extract_projection
 from pretext_transfer.errors import ConfigError, ShapeError, TrainingDiverged, ValidationError
+from pretext_transfer.harness import build_layer_specs
 from pretext_transfer.manifest import write_artifact
 from pretext_transfer.network import (
     Layer,
@@ -181,9 +182,27 @@ class TestInPlaceKernels:
         state = init_network(DEFAULT_SPECS, seed=rows)
         x = np.random.default_rng(rows).normal(scale=3.0, size=(rows, 16))
         for layer in state.layers:
-            got, expected = apply_layer(layer, x), reference_layer(layer, x)
+            got = apply_layer(x, layer.weights, layer.bias, layer.activation)
+            expected = reference_layer(layer, x)
             assert got.tobytes() == expected.tobytes()
             x = expected
+
+    @pytest.mark.parametrize("rows", [1, 16, 29, 140, 1500, 20000])
+    def test_stack_of_one_equals_the_2d_call(self, rows):
+        # every layer shape of the experiment's networks at hidden = 32 and
+        # 64,32, with the source head (10 classes) and the TL head (2)
+        specs = {spec for hidden in ((32,), (64, 32)) for classes in (10, 2)
+                 for spec in build_layer_specs(16, classes, hidden, projection_dim=16)}
+        assert len(specs) == 6
+        rng = np.random.default_rng(rows)
+        for spec in sorted(specs, key=lambda spec: (spec.input_dim, spec.output_dim)):
+            weights = rng.normal(size=(spec.output_dim, spec.input_dim))
+            bias = rng.normal(size=spec.output_dim)
+            x = rng.normal(scale=3.0, size=(rows, spec.input_dim))
+            flat = apply_layer(x, weights, bias, spec.activation)
+            stacked = apply_layer(x[None], weights[None], bias[None], spec.activation)
+            assert stacked.shape == (1, rows, spec.output_dim)
+            assert stacked.tobytes() == flat.tobytes(), spec
 
     @pytest.mark.parametrize("rows", [1, 7, 256, 1000])
     def test_forward_bit_identical_to_reference(self, rows):
@@ -416,7 +435,6 @@ class TestTrain:
         assert len(history) == 1
         assert state_bytes(state) != state_bytes(small_state(seed=0))
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_raises(self):
         x, y = self.separable_data(10)
         cfg = TrainConfig(epochs=50, batch_size=4, base_lr=1e6, momentum=0.9)
@@ -546,7 +564,6 @@ class TestLockstepTrain:
             expected, _ = reference_train(session.state, session.features, session.labels, cfg, session.seed, 10.0)
             assert state_bytes(trained) == state_bytes(expected)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("sizes, bad", [([24, 24], 1), ([16, 24], 0)], ids=["second", "shorter-first"])
     def test_one_diverging_session_raises(self, sizes, bad):
         # the error names the session by its place in the caller's list
@@ -555,7 +572,6 @@ class TestLockstepTrain:
         with pytest.raises(TrainingDiverged, match=f"session {bad}"):
             train(sessions, cfg, 10.0)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("sizes, bad", [([24, 24], [1]), ([16, 24], [0]), ([16, 24], [0, 1])],
                              ids=["second", "shorter-first", "both"])
     def test_one_overflowing_session_raises(self, sizes, bad):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from pretext_transfer.clustering import pseudo_label
+from pretext_transfer.clustering import extract_projection, kmeans_fit
 from pretext_transfer.data import LabeledSet, SynthConfig, generate_domains
 from pretext_transfer.errors import ConfigError, ValidationError
 from pretext_transfer.harness import ExperimentConfig, _train_config, build_layer_specs
@@ -53,11 +53,15 @@ def source_model(domains):
     return pretrain_source(SPECS, source, TrainConfig(epochs=20, base_lr=1e-2), seed=1)
 
 
+def pseudo_label(model, features, k, seed):
+    """The cluster stage's labelled set: k-means on the projections, its labels on the samples."""
+    return LabeledSet(features, kmeans_fit(extract_projection(model, features), k, seed=seed).labels, k)
+
+
 @pytest.fixture(scope="module")
 def pseudo(source_model, domains):
     _, unlabeled, _ = domains
-    _, pseudo_set = pseudo_label(source_model, unlabeled.features, k=4, seed=2)
-    return pseudo_set
+    return pseudo_label(source_model, unlabeled.features, k=4, seed=2)
 
 
 def train_one(state, x, y, cfg, seed, head_multiplier):
@@ -173,7 +177,7 @@ class TestPrtTrain:
         source, unlabeled, _ = domains
         base = pretrain_source(build_layer_specs(5, 4, hidden=(8, 6), projection_dim=3), source,
                                TrainConfig(epochs=2, base_lr=1e-2), seed=1)
-        _, pseudo_set = pseudo_label(base, unlabeled.features, k=4, seed=0)
+        pseudo_set = pseudo_label(base, unlabeled.features, k=4, seed=0)
         m1 = prt_train(base, pseudo_set, TrainConfig(epochs=2), seed=3)
         assert len(m1.layers) == 4
         for k, (old, new) in enumerate(zip(base.layers, m1.layers)):
@@ -316,7 +320,7 @@ class TestTlTrain:
             base = pretrain_source(
                 specs, generate_domains(SYNTH, seed=7)[0], TrainConfig(epochs=2, base_lr=1e-2), seed=0
             )
-            _, pseudo_set = pseudo_label(base, generate_domains(SYNTH, seed=7)[1].features, k=4, seed=0)
+            pseudo_set = pseudo_label(base, generate_domains(SYNTH, seed=7)[1].features, k=4, seed=0)
             m1 = prt_train(base, pseudo_set, TrainConfig(epochs=1), seed=0)
             m2 = tl_one(m1, target, TrainConfig(epochs=1), seed=0, head_seed=1)
             assert m2.label_count == 2
