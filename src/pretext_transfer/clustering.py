@@ -17,6 +17,14 @@ from .network import NetworkState, apply_layer, as_batch
 # which keeps callers of kmeans_fit outside a stage on one thread too. A
 # whole-pool product woke a second thread there and took about 2.5 times the
 # CPU time for no less wall time (2 cores).
+#
+# extract_projection runs its layers over blocks of at least _CHUNK rows, so
+# its peak is its output plus one block's layer outputs, whatever the hidden
+# widths (whole-pool layers held 12 times the output at 20000 rows through
+# hidden = 128,64). Its last block takes the remainder, _CHUNK to 2·_CHUNK - 1
+# rows, so a batch under 2·_CHUNK rows is one block: in fixed blocks a short
+# tail (1025, 1040 or 2049 rows) took another OpenBLAS path, with other bits
+# than the whole-batch product; blocks of this rule give its bits.
 _CHUNK = 1024
 
 
@@ -41,10 +49,19 @@ class ClusterModel:
 
 def extract_projection(model: NetworkState, samples) -> np.ndarray:
     """Activation of the last representation layer (the one before the head),
-    used as the low-dim projection."""
-    out = as_batch(model, samples)
-    for layer in model.layers[:-1]:
-        out = apply_layer(out, layer.weights, layer.bias, layer.activation)
+    used as the low-dim projection; computed in row blocks (see ``_CHUNK``)
+    with the bits of the whole-batch layers."""
+    x = as_batch(model, samples)
+    layers = model.layers[:-1]
+    m = x.shape[0]
+    out = np.empty((m, layers[-1].weights.shape[0]))
+    blocks = max(m // _CHUNK, 1)
+    for b in range(blocks):
+        rows = slice(b * _CHUNK, m if b == blocks - 1 else (b + 1) * _CHUNK)
+        z = x[rows]
+        for layer in layers:
+            z = apply_layer(z, layer.weights, layer.bias, layer.activation)
+        out[rows] = z
     return out
 
 

@@ -335,9 +335,9 @@ def run_pretrain(cfg: ExperimentConfig) -> NetworkState:
 @_stage
 def run_cluster(cfg: ExperimentConfig) -> ClusterModel:
     source_model = load_checkpoint(source_ckpt_path(cfg))
-    unlabeled = load_dataset(data_path(cfg, "unlabeled"))
+    # the pool goes straight into the projection, so nothing holds it during the fit
     model = kmeans_fit(
-        extract_projection(source_model, unlabeled.features),
+        extract_projection(source_model, load_dataset(data_path(cfg, "unlabeled")).features),
         source_model.label_count,
         seed=derive_seed(cfg.master_seed, "cluster"),
         max_iters=cfg.kmeans_max_iters,

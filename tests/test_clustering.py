@@ -1,4 +1,6 @@
 import hashlib
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pretext_transfer.clustering as clustering
+import pretext_transfer.harness as harness
 from pretext_transfer.clustering import (
     _CHUNK,
     _assign,
@@ -76,14 +79,30 @@ class TestExtractProjection:
         out = extract_projection(state, np.zeros((6, 4)))
         assert out.shape == (6, 5)
 
-    @pytest.mark.parametrize("hidden", [(8,), (8, 6)])
+    # row counts on both sides of one and two blocks: fixed 1024-row blocks
+    # give other bits than the whole-batch layers at 1025, 1040 and 2049 rows
+    @pytest.mark.parametrize("hidden", [(8,), (8, 6), (32,), (64, 32), (128, 64)])
     def test_applies_every_layer_but_the_head(self, hidden):
-        state = init_network(build_layer_specs(4, 3, hidden, projection_dim=5), seed=1)
-        x = np.random.default_rng(2).normal(size=(7, 4))
-        expected = x
-        for layer in state.layers[:-1]:
-            expected = apply_layer(expected, layer.weights, layer.bias, layer.activation)
-        assert extract_projection(state, x).tobytes() == expected.tobytes()
+        state = init_network(build_layer_specs(16, 10, hidden, projection_dim=16), seed=1)
+        for rows in [1, 7, 1023, 1024, 1025, 1040, 2049, 20000]:
+            x = np.random.default_rng(2).normal(size=(rows, 16))
+            expected = x
+            for layer in state.layers[:-1]:
+                expected = apply_layer(expected, layer.weights, layer.bias, layer.activation)
+            assert extract_projection(state, x).tobytes() == expected.tobytes(), rows
+
+    def test_peak_memory_is_the_output_plus_one_block(self):
+        # the whole-pool layers of 128 and 64 units held 12 times the output
+        state = init_network(build_layer_specs(16, 10, (128, 64), projection_dim=16), seed=1)
+        x = np.random.default_rng(2).normal(size=(20000, 16))
+        tracemalloc.start()
+        try:
+            at_call = tracemalloc.get_traced_memory()[0]
+            out = extract_projection(state, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - at_call < 3 * out.nbytes
 
     def test_zero_weights_relu_projects_to_zero(self):
         state = init_network(
@@ -565,6 +584,28 @@ class TestFinalAssignment:
         assert len(model.inertia_history) == iterations + 1
         raw = clusters_ckpt_path(cfg).read_bytes()
         assert hashlib.sha256(raw).hexdigest() == self.CLUSTERS_SHA256[seed]
+
+
+class TestClusterStage:
+    def test_the_pool_is_released_before_the_fit(self, tmp_path, monkeypatch):
+        cfg = ExperimentConfig(out_dir=tmp_path)
+        run_generate(cfg)
+        run_pretrain(cfg)
+        pools = []
+        real_load, real_fit = harness.load_dataset, harness.kmeans_fit
+
+        def load(path):
+            dataset = real_load(path)
+            pools.append(weakref.ref(dataset.features))
+            return dataset
+
+        def fit(*args, **kwargs):
+            assert [pool() is None for pool in pools] == [True]
+            return real_fit(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "load_dataset", load)
+        monkeypatch.setattr(harness, "kmeans_fit", fit)
+        run_cluster(cfg)
 
 
 class TestPseudoLabel:
