@@ -365,4 +365,8 @@ def load_cluster_model(path) -> ClusterModel:
     seed = manifest_value(pairs, "seed", path, int)
     history = manifest_value(pairs, "inertia_history", path, _parse_floats)
     (centroids,), (labels,) = unpack_blob(blob, path, [(k, p)], [m])
+    if m < k:
+        raise ValidationError(f"{path}: m = {m} samples cannot fill k = {k} clusters")
+    if labels.min(initial=0) < 0 or labels.max(initial=0) >= k:
+        raise ValidationError(f"{path}: labels must lie in [0, {k})")
     return ClusterModel(centroids, seed, history, labels)

@@ -38,8 +38,7 @@ FIELDS = {
     "lr": ("base_lr", float),
     "batch": ("batch_size", int),
     "momentum": ("momentum", float),
-    "ridge": ("crc.ridge", float),
-    "epsilon": ("crc.epsilon", float),
+    "ridge": ("ridge", float),
     "ratios": ("ratios", int_list),
 }
 

@@ -199,6 +199,7 @@ def load_dataset(path) -> LabeledSet | UnlabeledSet:
     class_count = manifest_value(pairs, "class_count", path, int)
     labeled = manifest_value(pairs, "labeled", path, int)
     (features,), labels = unpack_blob(blob, path, [(n, d)], [n] if labeled else [])
-    if not labeled:
-        return UnlabeledSet(features)
-    return LabeledSet(features, labels[0], class_count)
+    try:
+        return LabeledSet(features, labels[0], class_count) if labeled else UnlabeledSet(features)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None

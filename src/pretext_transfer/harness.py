@@ -39,12 +39,11 @@ from .data import (
     subset,
 )
 from .dictionary import (
-    CRCConfig,
     build_dictionary,
     load_dictionary,
     save_dictionary,
     unit_class_probabilities,
-    unit_test_columns,
+    unit_columns,
 )
 from .errors import ConfigError, ValidationError
 from .manifest import write_text_file
@@ -88,7 +87,7 @@ class ExperimentConfig:
     base_lr: float = TrainConfig.base_lr
     batch_size: int = TrainConfig.batch_size
     momentum: float = TrainConfig.momentum
-    crc: CRCConfig = CRCConfig()
+    ridge: float = 1e-3
     ratios: tuple[int, ...] = ALLOWED_RATIOS
     fold_count: int = 5
     # Read by no stage: every stage runs in the calling process. `perfbench`
@@ -133,6 +132,8 @@ class ExperimentConfig:
             raise ConfigError("cluster stage: kmeans_max_iters must be >= 1")
         if not (math.isfinite(self.kmeans_tol) and self.kmeans_tol >= 0):
             raise ConfigError("cluster stage: kmeans_tol must be >= 0 and finite")
+        if not (math.isfinite(self.ridge) and self.ridge > 0):
+            raise ConfigError("ridge must be > 0 and finite")
 
 
 def derive_seed(master_seed: int, *parts) -> int:
@@ -248,7 +249,7 @@ STAGES = {
     "dict": ("build per-cell feature dictionaries for the fused method", "dict.ckpt",
              ("generate", "prt"), ("fold_count",)),
     "evaluate": ("score every configured cell and write the reports", "report.csv",
-                 ("generate", "tl", "dict", "prt"), ("crc",)),
+                 ("generate", "tl", "dict", "prt"), ("ridge",)),
 }
 
 
@@ -428,7 +429,7 @@ def _evaluate_cell(cfg: ExperimentConfig, test: LabeledSet, test_unit: np.ndarra
     m2 = load_checkpoint(cell_path(cfg, ratio, fold, "prt_tl"))
     rho = forward(m2, test.features)
     fdict = load_dictionary(cell_path(cfg, ratio, fold, "dict"))
-    q = unit_class_probabilities(fdict, test_unit, cfg.crc)
+    q = unit_class_probabilities(fdict, test_unit, cfg.ridge)
     return [row(METHOD_TL, forward(tl, test.features).argmax(axis=1)),
             row(METHOD_PRT_TL, rho.argmax(axis=1)),
             row(METHOD_ALL, fuse_predict(rho, q)[0])]
@@ -442,7 +443,7 @@ def run_evaluate(cfg: ExperimentConfig) -> MetricsReport:
     rows = []
     for fold in range(cfg.fold_count):  # every ratio of a fold shares its test set
         test = subset(target, folds.test_indices[fold])
-        test_unit = unit_test_columns(extract_projection(m1, test.features), cfg.projection_dim)
+        test_unit = unit_columns(extract_projection(m1, test.features))
         for ratio in cfg.ratios:
             rows.extend(_evaluate_cell(cfg, test, test_unit, ratio, fold))
     report = aggregate_folds(rows)  # groups keep fold order, so the bytes do not change

@@ -87,7 +87,7 @@ def test_benchmark_config_fields_exist(tmp_path):
     experiment_fields = {f.name for f in fields(ExperimentConfig)}
     # `methods` is gone from ExperimentConfig. child.py converts a tuple field
     # only when a job sets it, and no workload sets `methods`; the benchmark
-    # change of ROADMAP item 7 drops it from TUPLE_FIELDS.
+    # change of ROADMAP item 8 drops it from TUPLE_FIELDS.
     assert set(tuple_fields) - {"methods"} <= experiment_fields
     cfg = ExperimentConfig(
         out_dir=str(tmp_path),

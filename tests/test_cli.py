@@ -54,8 +54,7 @@ EVERY_KEY = {
     "lr": ("0.001", "base_lr", 0.001),
     "batch": ("8", "batch_size", 8),
     "momentum": ("0.5", "momentum", 0.5),
-    "ridge": ("0.01", "crc.ridge", 0.01),
-    "epsilon": ("1e-9", "crc.epsilon", 1e-9),
+    "ridge": ("0.01", "ridge", 0.01),
     "ratios": ("25,75", "ratios", (25, 75)),
 }
 
@@ -69,7 +68,6 @@ NON_FINITE_MESSAGES = {
     "shift": "shift must be >= 0 and finite",
     "noise": "noise must be > 0 and finite",
     "ridge": "ridge must be > 0 and finite",
-    "epsilon": "epsilon must be > 0 and finite",
 }
 
 
@@ -226,8 +224,9 @@ class TestCliDispatch:
 
     def test_workers_key_exits_1_before_writing(self, config_file, tmp_path, capsys):
         # every stage runs in one process, so a worker count would do nothing;
-        # every run scores all three methods, so there is nothing to select
-        for key, line in [("workers", "workers = 2"), ("methods", "methods = TL")]:
+        # every run scores all three methods, so there is nothing to select;
+        # CRC adds a fixed 1e-12 to its residuals, so ridge is its one setting
+        for key, line in [("workers", "workers = 2"), ("methods", "methods = TL"), ("epsilon", "epsilon = 1e-9")]:
             config_file.write_text(MINI_CFG + line + "\n")
             out = tmp_path / key
             assert main(["run-all", "--config", str(config_file), "--out", str(out)]) == 1

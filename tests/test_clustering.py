@@ -28,10 +28,13 @@ from pretext_transfer.errors import ShapeError, ValidationError
 from pretext_transfer.harness import (
     ExperimentConfig,
     build_layer_specs,
+    cell_path,
     clusters_ckpt_path,
     run_cluster,
+    run_dict,
     run_generate,
     run_pretrain,
+    run_prt,
 )
 from pretext_transfer.network import (
     Layer,
@@ -584,6 +587,20 @@ class TestFinalAssignment:
         assert len(model.inertia_history) == iterations + 1
         raw = clusters_ckpt_path(cfg).read_bytes()
         assert hashlib.sha256(raw).hexdigest() == self.CLUSTERS_SHA256[seed]
+
+    # the 25 dict.ckpt files of the default seed-0 run, concatenated in
+    # ratios x folds order; their columns follow from these clusters
+    DICTS_SHA256 = "b503381c19f755774f4064372099dbb43c13e20409b6f05510b8500a14297f14"
+
+    def test_default_run_dictionaries_keep_their_bytes(self, tmp_path):
+        cfg = ExperimentConfig(out_dir=tmp_path)
+        for run in (run_generate, run_pretrain, run_cluster, run_prt, run_dict):
+            run(cfg)
+        digest = hashlib.sha256()
+        for ratio in cfg.ratios:
+            for fold in range(cfg.fold_count):
+                digest.update(cell_path(cfg, ratio, fold, "dict").read_bytes())
+        assert digest.hexdigest() == self.DICTS_SHA256
 
 
 class TestClusterStage:

@@ -5,23 +5,24 @@ from hypothesis import strategies as st
 
 from pretext_transfer.data import LabeledSet
 from pretext_transfer.dictionary import (
-    CRCConfig,
     FeatureDictionary,
     build_dictionary,
     class_probabilities,
     load_dictionary,
     save_dictionary,
     unit_class_probabilities,
-    unit_test_columns,
+    unit_columns,
 )
 from pretext_transfer.errors import ConfigError, ShapeError, ValidationError
+from pretext_transfer.harness import ExperimentConfig
 from pretext_transfer.manifest import write_artifact
 from pretext_transfer.network import (
     Layer,
     NetworkState,
 )
 
-CFG = CRCConfig()
+RIDGE = ExperimentConfig.ridge  # the default setting
+EPSILON = 1e-12
 
 
 def identity_projection_state(dim):
@@ -39,15 +40,15 @@ def random_dictionary(rng, p, counts):
     return FeatureDictionary(columns, tuple(counts))
 
 
-def oracle_code(fdict, y, cfg):
+def oracle_code(fdict, y, ridge):
     """Normal equations solved by explicit matrix inversion."""
     y_unit = y / np.linalg.norm(y)
     d = fdict.columns
     n = d.shape[1]
-    return np.linalg.inv(d.T @ d + cfg.ridge * np.eye(n)) @ (d.T @ y_unit)
+    return np.linalg.inv(d.T @ d + ridge * np.eye(n)) @ (d.T @ y_unit)
 
 
-def oracle_probability(fdict, alpha, y, cfg):
+def oracle_probability(fdict, alpha, y):
     """Residuals recomputed via explicit per-class masking of the code vector."""
     y_unit = y / np.linalg.norm(y)
     weights = []
@@ -56,7 +57,7 @@ def oracle_probability(fdict, alpha, y, cfg):
         masked = np.zeros_like(alpha)
         masked[start:start + count] = alpha[start:start + count]
         residual = np.linalg.norm(y_unit - fdict.columns @ masked)
-        weights.append(1.0 / (residual + cfg.epsilon) ** 2)
+        weights.append(1.0 / (residual + EPSILON) ** 2)
         start += count
     weights = np.array(weights)
     return weights / weights.sum()
@@ -84,6 +85,14 @@ class TestBuildDictionary:
         fdict = build_dictionary(identity_projection_state(7), train)
         assert np.allclose(np.linalg.norm(fdict.columns, axis=0), 1.0, atol=1e-9)
 
+    def test_columns_grouped_by_class_in_sample_order(self):
+        features = np.arange(1.0, 13.0).reshape(6, 2)
+        train = LabeledSet(features, np.array([1, 0, 1, 2, 0, 1]), 3)
+        fdict = build_dictionary(identity_projection_state(2), train)
+        unit = features / np.linalg.norm(features, axis=1)[:, None]
+        assert fdict.class_counts == (2, 3, 1)
+        assert np.array_equal(fdict.columns, unit[[1, 4, 0, 2, 5, 3]].T)
+
     def test_empty_class_named_in_error(self):
         train = LabeledSet(np.random.default_rng(0).normal(size=(5, 3)), np.zeros(5, dtype=int), 2)
         with pytest.raises(ValidationError, match="class 1"):
@@ -96,13 +105,13 @@ class TestBuildDictionary:
             build_dictionary(identity_projection_state(2), train)
 
 
-def q_one(fdict, y, cfg=CFG):
+def q_one(fdict, y, ridge=RIDGE):
     """class_probabilities of a one-row batch."""
-    return class_probabilities(fdict, np.asarray(y, dtype=np.float64)[None, :], cfg)[0]
+    return class_probabilities(fdict, np.asarray(y, dtype=np.float64)[None, :], ridge)[0]
 
 
-def oracle_q(fdict, y, cfg=CFG):
-    return oracle_probability(fdict, oracle_code(fdict, y, cfg), y, cfg)
+def oracle_q(fdict, y, ridge=RIDGE):
+    return oracle_probability(fdict, oracle_code(fdict, y, ridge), y)
 
 
 class TestCrcCode:
@@ -110,38 +119,36 @@ class TestCrcCode:
         # y is class 0's only column, at any scale: class 0 reconstructs it exactly
         u = np.array([0.6, 0.8, 0.0])
         fdict = FeatureDictionary(np.array([u, [0.0, 0.0, 1.0]]).T, (1, 1))
-        cfg = CRCConfig(ridge=1e-10)
-        q = q_one(fdict, u, cfg)
+        q = q_one(fdict, u, 1e-10)
         assert q[0] > 1 - 1e-9
-        assert np.array_equal(q_one(fdict, 5 * u, cfg), q)
+        assert np.array_equal(q_one(fdict, 5 * u, 1e-10), q)
 
     def test_matches_inversion_oracle(self):
         rng = np.random.default_rng(2)
         fdict = random_dictionary(rng, p=8, counts=[3, 2])
         y = rng.normal(size=8)
-        cfg = CRCConfig(ridge=0.001)
-        assert np.allclose(q_one(fdict, y, cfg), oracle_q(fdict, y, cfg), atol=1e-8)
+        assert np.allclose(q_one(fdict, y, 0.001), oracle_q(fdict, y, 0.001), atol=1e-8)
 
     def test_large_ridge_shrinks_codes(self):
         # codes near zero leave every class the whole unit vector as residual
         rng = np.random.default_rng(3)
         fdict = random_dictionary(rng, p=10, counts=[4, 4])
-        q = q_one(fdict, rng.normal(size=10), CRCConfig(ridge=1e6))
+        q = q_one(fdict, rng.normal(size=10), 1e6)
         assert np.allclose(q, [0.5, 0.5], atol=1e-4)
 
     def test_dimension_mismatch(self):
         fdict = random_dictionary(np.random.default_rng(0), p=5, counts=[2, 2])
         with pytest.raises(ShapeError):
-            class_probabilities(fdict, np.ones((1, 4)), CFG)
+            class_probabilities(fdict, np.ones((1, 4)), RIDGE)
         with pytest.raises(ShapeError):
-            class_probabilities(fdict, np.ones(5), CFG)
+            class_probabilities(fdict, np.ones(5), RIDGE)
 
     def test_zero_vector_rejected(self):
         fdict = random_dictionary(np.random.default_rng(0), p=5, counts=[2, 2])
         with pytest.raises(ValidationError):
             q_one(fdict, np.zeros(5))
         with pytest.raises(ValidationError):
-            class_probabilities(fdict, np.array([np.ones(5), np.zeros(5)]), CFG)
+            class_probabilities(fdict, np.array([np.ones(5), np.zeros(5)]), RIDGE)
 
 
 class TestCrcProbability:
@@ -156,7 +163,7 @@ class TestCrcProbability:
         )
         fdict = FeatureDictionary(columns, (2, 1))
         y = np.array([0.6, 0.8, 0.0])
-        q = q_one(fdict, y, CRCConfig(ridge=1e-9, epsilon=1e-12))
+        q = q_one(fdict, y, 1e-9)
         assert q[0] > 0.999999
         assert q.sum() == pytest.approx(1.0, abs=1e-9)
 
@@ -221,24 +228,24 @@ class TestBatchProbabilities:
         rng = np.random.default_rng(7)
         fdict = random_dictionary(rng, p=9, counts=[5, 4, 2])
         batch = rng.normal(size=(12, 9))
-        q_batch = class_probabilities(fdict, batch, CFG)
+        q_batch = class_probabilities(fdict, batch, RIDGE)
         for i in range(12):
             assert np.allclose(q_batch[i], q_one(fdict, batch[i]), atol=1e-10)
             assert np.allclose(q_batch[i], oracle_q(fdict, batch[i]), atol=1e-9)
 
 
-def codes_form_q(fdict, batch, cfg=CFG):
+def codes_form_q(fdict, batch, ridge=RIDGE):
     """The former scoring: the same push-through solve, then the [N, n] codes
     D^T s and each class's reconstruction D_c codes_c."""
     y_unit = (batch / np.linalg.norm(batch, axis=1)[:, None]).T
     d = fdict.columns
-    solved = np.linalg.solve(d @ d.T + cfg.ridge * np.eye(d.shape[0]), y_unit)
+    solved = np.linalg.solve(d @ d.T + ridge * np.eye(d.shape[0]), y_unit)
     codes = d.T @ solved
     bounds = np.cumsum((0, *fdict.class_counts))
     weights = np.empty((batch.shape[0], fdict.class_count))
     for c, (start, stop) in enumerate(zip(bounds[:-1], bounds[1:])):
         recon = d[:, start:stop] @ codes[start:stop]
-        weights[:, c] = (np.linalg.norm(y_unit - recon, axis=0) + cfg.epsilon) ** -2
+        weights[:, c] = (np.linalg.norm(y_unit - recon, axis=0) + EPSILON) ** -2
     return weights / weights.sum(axis=1, keepdims=True)
 
 
@@ -251,7 +258,7 @@ class TestClassGramReconstruction:
         rng = np.random.default_rng(seed)
         fdict = random_dictionary(rng, p=16, counts=[349, 35])
         batch = rng.normal(size=(140, 16))
-        q = class_probabilities(fdict, batch, CFG)
+        q = class_probabilities(fdict, batch, RIDGE)
         assert np.abs(q - codes_form_q(fdict, batch)).max() <= 1e-12
 
     @pytest.mark.parametrize("seed", range(4))
@@ -261,14 +268,14 @@ class TestClassGramReconstruction:
         twice = np.concatenate([base.columns, base.columns[:, 60:]], axis=1)
         fdict = FeatureDictionary(twice, (60, 50))
         batch = rng.normal(size=(140, 16))
-        q = class_probabilities(fdict, batch, CFG)
+        q = class_probabilities(fdict, batch, RIDGE)
         assert np.abs(q - codes_form_q(fdict, batch)).max() <= 1e-12
 
     def test_several_classes_and_a_single_column_class(self):
         rng = np.random.default_rng(20)
         fdict = random_dictionary(rng, p=9, counts=[1, 40, 7, 3])
         batch = rng.normal(size=(33, 9))
-        q = class_probabilities(fdict, batch, CFG)
+        q = class_probabilities(fdict, batch, RIDGE)
         assert np.abs(q - codes_form_q(fdict, batch)).max() <= 1e-12
 
 
@@ -277,22 +284,26 @@ class TestUnitColumns:
         rng = np.random.default_rng(21)
         fdict = random_dictionary(rng, p=8, counts=[5, 3])
         batch = rng.normal(size=(10, 8)) * rng.uniform(0.1, 10, size=(10, 1))
-        y_unit = unit_test_columns(batch, 8)
+        y_unit = unit_columns(batch)
         assert y_unit.shape == (8, 10)
         assert np.allclose(np.linalg.norm(y_unit, axis=0), 1.0, atol=1e-12)
-        assert np.array_equal(unit_class_probabilities(fdict, y_unit, CFG), class_probabilities(fdict, batch, CFG))
+        assert np.array_equal(unit_class_probabilities(fdict, y_unit, RIDGE), class_probabilities(fdict, batch, RIDGE))
 
     def test_dictionary_of_another_width_rejected(self):
         fdict = random_dictionary(np.random.default_rng(0), p=5, counts=[2, 2])
         with pytest.raises(ShapeError, match="5 columns"):
-            unit_class_probabilities(fdict, unit_test_columns(np.ones((3, 4)), 4), CFG)
+            unit_class_probabilities(fdict, unit_columns(np.ones((3, 4))), RIDGE)
 
     def test_shape_checked_before_values(self):
-        # a batch of the wrong width is named as such even when it holds NaN
-        with pytest.raises(ShapeError, match="6 columns"):
-            unit_test_columns(np.full((2, 4), np.nan), 6)
+        # a batch that is not a matrix is named as such even when it holds NaN
+        with pytest.raises(ShapeError, match="2-d matrix"):
+            unit_columns(np.full(6, np.nan))
         with pytest.raises(ValidationError, match="non-finite"):
-            unit_test_columns(np.full((2, 6), np.nan), 6)
+            unit_columns(np.full((2, 6), np.nan))
+
+    def test_zero_norm_row_named(self):
+        with pytest.raises(ValidationError, match="zero-norm feature row 1"):
+            unit_columns(np.array([[1.0, 2.0], [0.0, 0.0], [0.0, 0.0]]))
 
 
 class TestSolveResidualCheck:
@@ -311,11 +322,11 @@ class TestSolveResidualCheck:
             return real_solve(a, b) + 1e-6
 
         monkeypatch.setattr(np.linalg, "solve", recording)
-        class_probabilities(fdict, batch, CFG)
+        class_probabilities(fdict, batch, RIDGE)
         assert systems == [(6, 6)]  # one p x p system, not N x N (N = 7)
         monkeypatch.setattr(np.linalg, "solve", off_by_a_little)
         with pytest.raises(ValidationError, match="residual"):
-            class_probabilities(fdict, batch, CFG)
+            class_probabilities(fdict, batch, RIDGE)
 
     def test_tiny_ridge_on_rank_deficient_dictionary_names_ridge(self):
         # 3 columns span 3 of 16 dimensions, so D D^T + ridge I has 13
@@ -323,7 +334,7 @@ class TestSolveResidualCheck:
         rng = np.random.default_rng(4)
         fdict = random_dictionary(rng, p=16, counts=[2, 1])
         with pytest.raises(ValidationError, match=r"ridge = 1e-12; raise the ridge setting"):
-            class_probabilities(fdict, rng.normal(size=(4, 16)), CRCConfig(ridge=1e-12))
+            class_probabilities(fdict, rng.normal(size=(4, 16)), 1e-12)
 
 
 class TestDictionarySerialization:
@@ -359,14 +370,15 @@ class TestDictionarySerialization:
 
 
 class TestConfig:
+    """The ridge is CRC's one setting, an ``ExperimentConfig`` field."""
+
     def test_invalid_hyperparameters(self):
-        with pytest.raises(ConfigError):
-            CRCConfig(ridge=0.0)
-        with pytest.raises(ConfigError):
-            CRCConfig(epsilon=0.0)
+        for ridge in (0.0, -1e-3):
+            with pytest.raises(ConfigError, match="ridge must be > 0"):
+                ExperimentConfig(out_dir="out", ridge=ridge)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=["nan", "inf", "-inf"])
-    @pytest.mark.parametrize("field", ["ridge", "epsilon"])
+    @pytest.mark.parametrize("field", ["ridge"])
     def test_non_finite_setting_rejected(self, field, value):
         with pytest.raises(ConfigError, match=f"{field} must be .* finite"):
-            CRCConfig(**{field: value})
+            ExperimentConfig(out_dir="out", **{field: value})

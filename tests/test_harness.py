@@ -9,7 +9,6 @@ import pytest
 
 import pretext_transfer.harness as harness
 from pretext_transfer.data import SynthConfig
-from pretext_transfer.dictionary import CRCConfig
 from pretext_transfer.errors import ConfigError, ValidationError
 from pretext_transfer.harness import (
     STAGES,
@@ -110,7 +109,7 @@ KEYED_CHANGES = {
     "base_lr": 1e-3,
     "batch_size": 8,
     "momentum": 0.5,
-    "crc": CRCConfig(ridge=0.01),
+    "ridge": 0.01,
     "fold_count": 3,
     "kmeans_max_iters": 50,
     "kmeans_tol": 1e-5,
@@ -297,18 +296,18 @@ class TestEvaluateOncePerFold:
         cfg = dataclasses.replace(base, out_dir=tmp_path / "run")
         shutil.copytree(base.out_dir, cfg.out_dir)
         projected, normalized = [], []
-        real_projection, real_columns = harness.extract_projection, harness.unit_test_columns
+        real_projection, real_columns = harness.extract_projection, harness.unit_columns
 
         def projection(model, samples):
             projected.append(len(samples))
             return real_projection(model, samples)
 
-        def columns(features, feature_dim):
+        def columns(features):
             normalized.append(len(features))
-            return real_columns(features, feature_dim)
+            return real_columns(features)
 
         monkeypatch.setattr(harness, "extract_projection", projection)
-        monkeypatch.setattr(harness, "unit_test_columns", columns)
+        monkeypatch.setattr(harness, "unit_columns", columns)
         assert run_evaluate(cfg) == report
         assert len(cfg.ratios) > 1
         assert len(projected) == len(normalized) == cfg.fold_count

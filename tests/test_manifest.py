@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import pretext_transfer
-from pretext_transfer.clustering import kmeans_fit, load_cluster_model, save_cluster_model
+from pretext_transfer.clustering import ClusterModel, kmeans_fit, load_cluster_model, save_cluster_model
 from pretext_transfer.data import LabeledSet, UnlabeledSet, load_dataset, save_dataset
 from pretext_transfer.dictionary import FeatureDictionary, load_dictionary, save_dictionary
 from pretext_transfer.errors import ValidationError
@@ -129,6 +129,27 @@ class TestBlobLayout:
         path.write_bytes(b"\xff" + path.read_bytes()[1:])
         with pytest.raises(ValidationError, match=f"{path}: manifest is not UTF-8"):
             load(path)
+
+    @pytest.mark.parametrize("codec, value, error", [
+        ("labeled-dataset", np.array(2, "<i4"), r"labels must lie in \[0, 2\)"),
+        ("unlabeled-dataset", np.array(np.nan, "<f8"), "features contain non-finite values"),
+        ("clusters", np.array(2, "<i4"), r"labels must lie in \[0, 2\)"),
+        ("clusters", np.array(-1, "<i4"), r"labels must lie in \[0, 2\)"),
+    ], ids=["label-over-class-count", "nan-feature", "label-over-k", "negative-label"])
+    def test_invalid_contents_name_the_file(self, tmp_path, codec, value, error):
+        """The blob's last element overwritten with an invalid value."""
+        artifact, save, load, last_width = CODECS[codec]
+        path = tmp_path / "artifact"
+        save(artifact, path)
+        path.write_bytes(path.read_bytes()[:-last_width] + value.tobytes())
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: {error}"):
+            load(path)
+
+    def test_fewer_samples_than_clusters_rejected(self, tmp_path):
+        path = tmp_path / "clusters.ckpt"
+        save_cluster_model(ClusterModel(np.zeros((3, 2)), 0, [1.0], np.array([0, 1])), path)
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: m = 2 samples cannot fill k = 3"):
+            load_cluster_model(path)
 
     def test_negative_dimension_rejected(self):
         # (-2, -3) and (-1, 0) multiply out to sizes a blob could match
