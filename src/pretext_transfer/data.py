@@ -20,6 +20,16 @@ _MEAN_SCALE = 3.0
 _TARGET_PAIR_GAP = 3.0
 
 
+def _feature_matrix(features) -> np.ndarray:
+    """A dataset's features: a non-empty 2-D matrix of finite values."""
+    features = np.asarray(features, dtype=np.float64)
+    if features.ndim != 2 or features.shape[0] < 1:
+        raise ValidationError("features must be a non-empty 2-d matrix")
+    if not np.isfinite(features).all():
+        raise ValidationError("features contain non-finite values")
+    return features
+
+
 @dataclass
 class LabeledSet:
     features: np.ndarray  # [n, d]
@@ -27,10 +37,8 @@ class LabeledSet:
     class_count: int
 
     def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
+        self.features = _feature_matrix(self.features)
         self.labels = np.asarray(self.labels)
-        if self.features.ndim != 2 or self.features.shape[0] < 1:
-            raise ValidationError("features must be a non-empty 2-d matrix")
         if self.labels.shape != (self.features.shape[0],):
             raise ValidationError("labels must align with features")
         if not np.issubdtype(self.labels.dtype, np.integer):
@@ -49,11 +57,7 @@ class UnlabeledSet:
     features: np.ndarray  # [m, d]
 
     def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
-        if self.features.ndim != 2 or self.features.shape[0] < 1:
-            raise ValidationError("features must be a non-empty 2-d matrix")
-        if not np.isfinite(self.features).all():
-            raise ValidationError("features contain non-finite values")
+        self.features = _feature_matrix(self.features)
 
     def __len__(self) -> int:
         return self.features.shape[0]

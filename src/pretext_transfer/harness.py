@@ -53,7 +53,6 @@ from .metrics import (
     MetricsReport,
     aggregate_folds,
     compute_metrics,
-    confusion_counts,
     fuse_predict,
     render_folds_csv,
     render_report_csv,
@@ -351,6 +350,9 @@ def run_cluster(cfg: ExperimentConfig) -> ClusterModel:
 def _load_pseudo(cfg: ExperimentConfig) -> LabeledSet:
     cluster_model = load_cluster_model(clusters_ckpt_path(cfg))
     unlabeled = load_dataset(data_path(cfg, "unlabeled"))
+    if len(cluster_model.labels) != len(unlabeled):
+        raise ValidationError(f"{clusters_ckpt_path(cfg)} holds {len(cluster_model.labels)} pseudo-labels, "
+                              f"but {data_path(cfg, 'unlabeled')} holds {len(unlabeled)} rows")
     return LabeledSet(unlabeled.features, cluster_model.labels, cluster_model.k)
 
 
@@ -421,9 +423,7 @@ def _evaluate_cell(cfg: ExperimentConfig, test: LabeledSet, test_unit: np.ndarra
     """The cell's TL, PRT+TL and All rows; ``test_unit`` is the fold's test
     projection as CRC's unit columns."""
     def row(method: str, predictions: np.ndarray) -> FoldMetrics:
-        counts = confusion_counts(predictions, test.labels, POSITIVE_CLASS)
-        values = compute_metrics(counts)
-        return FoldMetrics(fold, ratio, method, values.sen, values.spe, values.f1, values.acc)
+        return FoldMetrics(fold, ratio, method, compute_metrics(predictions, test.labels, POSITIVE_CLASS))
 
     tl = load_checkpoint(cell_path(cfg, ratio, fold, "tl"))
     m2 = load_checkpoint(cell_path(cfg, ratio, fold, "prt_tl"))

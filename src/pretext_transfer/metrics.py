@@ -16,24 +16,11 @@ _ENTRY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class ConfusionCounts:
-    tp: int
-    tn: int
-    fp: int
-    fn: int
-
-    @property
-    def total(self) -> int:
-        return self.tp + self.tn + self.fp + self.fn
-
-
-@dataclass(frozen=True)
 class MetricValues:
-    """sen/spe/acc in percent, ppv/f1 as fractions; degenerate marks 0/0 cases."""
+    """sen/spe/acc in percent, f1 as a fraction; degenerate marks 0/0 cases."""
 
     sen: float
     spe: float
-    ppv: float
     f1: float
     acc: float
     degenerate: bool = False
@@ -44,10 +31,7 @@ class FoldMetrics:
     fold: int
     ratio: int
     method: str
-    sen: float
-    spe: float
-    f1: float
-    acc: float
+    values: MetricValues
 
 
 @dataclass(frozen=True)
@@ -91,26 +75,22 @@ def fuse_predict(rho, q) -> tuple[np.ndarray, np.ndarray]:
     return fused.argmax(axis=1), fused
 
 
-def confusion_counts(predictions, truth, positive_class: int) -> ConfusionCounts:
-    pred = np.asarray(predictions)
-    true = np.asarray(truth)
-    if pred.shape != true.shape or pred.ndim != 1:
-        raise ShapeError("predictions and truth must be equal-length vectors")
-    # one tally of 2 * (truth is positive) + (prediction is positive)
-    cells = 2 * (true == positive_class) + (pred == positive_class)
-    tn, fp, fn, tp = np.bincount(cells, minlength=4).tolist()
-    return ConfusionCounts(tp=tp, tn=tn, fp=fp, fn=fn)
-
-
-def compute_metrics(counts: ConfusionCounts) -> MetricValues:
-    """Sensitivity, specificity, precision, F1 and accuracy from a 2x2 tally.
+def compute_metrics(predictions, truth, positive_class: int) -> MetricValues:
+    """Sensitivity, specificity, F1 and accuracy of a prediction vector.
 
     Ratios with a zero denominator come back as 0 with the degenerate flag set,
     which keeps fold aggregation total-order safe when a fold predicts a single
     class exclusively.
     """
-    if counts.total < 1:
-        raise ValidationError("confusion counts are empty")
+    pred = np.asarray(predictions)
+    true = np.asarray(truth)
+    if pred.shape != true.shape or pred.ndim != 1:
+        raise ShapeError("predictions and truth must be equal-length vectors")
+    if pred.size < 1:
+        raise ValidationError("predictions and truth are empty")
+    # one tally of 2 * (truth is positive) + (prediction is positive)
+    cells = 2 * (true == positive_class) + (pred == positive_class)
+    tn, fp, fn, tp = np.bincount(cells, minlength=4).tolist()
     degenerate = False
 
     def ratio(num: int, den: int) -> float:
@@ -120,22 +100,16 @@ def compute_metrics(counts: ConfusionCounts) -> MetricValues:
             return 0.0
         return num / den
 
-    tpr = ratio(counts.tp, counts.tp + counts.fn)
-    spe_fraction = ratio(counts.tn, counts.tn + counts.fp)
-    ppv = ratio(counts.tp, counts.tp + counts.fp)
+    tpr = ratio(tp, tp + fn)
+    spe_fraction = ratio(tn, tn + fp)
+    ppv = ratio(tp, tp + fp)
     if ppv + tpr > 0:
         f1 = 2.0 * ppv * tpr / (ppv + tpr)
     else:
         degenerate = True
         f1 = 0.0
-    acc = (counts.tp + counts.tn) / counts.total * 100.0
-    return MetricValues(tpr * 100.0, spe_fraction * 100.0, ppv, f1, acc, degenerate)
-
-
-def _method_rank(method: str) -> tuple[int, str]:
-    if method in METHOD_ORDER:
-        return (METHOD_ORDER.index(method), "")
-    return (len(METHOD_ORDER), method)
+    acc = (tp + tn) / pred.size * 100.0
+    return MetricValues(tpr * 100.0, spe_fraction * 100.0, f1, acc, degenerate)
 
 
 def aggregate_folds(rows: list[FoldMetrics]) -> MetricsReport:
@@ -146,13 +120,13 @@ def aggregate_folds(rows: list[FoldMetrics]) -> MetricsReport:
     for row in rows:
         groups.setdefault((row.ratio, row.method), []).append(row)
     aggregated: dict[tuple[int, str, str], AggregateCell] = {}
-    for ratio, method in sorted(groups, key=lambda k: (k[0], _method_rank(k[1]))):
+    for ratio, method in sorted(groups, key=lambda k: (k[0], METHOD_ORDER.index(k[1]))):
         members = groups[(ratio, method)]
         for metric in METRIC_ORDER:
-            values = np.array([getattr(row, metric) for row in members])
+            values = np.array([getattr(row.values, metric) for row in members])
             std = float(values.std(ddof=1)) if values.size > 1 else 0.0
             aggregated[(ratio, method, metric)] = AggregateCell(float(values.mean()), std)
-    ordered_rows = sorted(rows, key=lambda r: (r.ratio, _method_rank(r.method), r.fold))
+    ordered_rows = sorted(rows, key=lambda r: (r.ratio, METHOD_ORDER.index(r.method), r.fold))
     return MetricsReport(ordered_rows, aggregated)
 
 
@@ -166,9 +140,8 @@ def render_report_csv(report: MetricsReport) -> str:
 def render_folds_csv(report: MetricsReport) -> str:
     lines = ["ratio,method,fold,sen,spe,f1,acc"]
     for row in report.per_fold:
-        lines.append(
-            f"{row.ratio},{row.method},{row.fold},{row.sen!r},{row.spe!r},{row.f1!r},{row.acc!r}"
-        )
+        v = row.values
+        lines.append(f"{row.ratio},{row.method},{row.fold},{v.sen!r},{v.spe!r},{v.f1!r},{v.acc!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -182,7 +155,7 @@ def _cell_text(report: MetricsReport, ratio: int, method: str, metric: str, deci
 def render_report_text(report: MetricsReport) -> str:
     """Aligned tables: SEN/SPE/F1 with methods across columns, then accuracy."""
     ratios = sorted({key[0] for key in report.aggregated})
-    methods = sorted({key[1] for key in report.aggregated}, key=_method_rank)
+    methods = sorted({key[1] for key in report.aggregated}, key=METHOD_ORDER.index)
     width = 13
     out = []
 

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import functools
 from pathlib import Path
 
@@ -7,6 +8,7 @@ import pytest
 
 import pretext_transfer.harness as harness
 from pretext_transfer.cli import build_parser, main
+from pretext_transfer.clustering import load_cluster_model, save_cluster_model
 from pretext_transfer.config import FIELDS, build_experiment_config, parse_config_file
 from pretext_transfer.errors import ConfigError
 from pretext_transfer.harness import STAGES, ExperimentConfig
@@ -316,6 +318,21 @@ class TestCliDispatch:
         assert main(["pretrain", *base]) == 1
         assert "another seed or other data settings" in capsys.readouterr().err
         assert not (out / "source.ckpt").exists()
+
+    def test_pseudo_labels_of_another_pool_size_exit_1(self, config_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        base = ["--config", str(config_file), "--out", str(out)]
+        for command in ("generate", "pretrain", "cluster"):
+            assert main([command, *base]) == 0, command
+        clusters = out / "clusters.ckpt"
+        model = load_cluster_model(clusters)
+        save_cluster_model(dataclasses.replace(model, labels=model.labels[:-1]), clusters)
+        capsys.readouterr()
+        assert main(["prt", *base]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"error: {clusters} holds 79 pseudo-labels, "
+                                    f"but {out / 'unlabeled.bin'} holds 80 rows"]
+        assert not (out / "prt.ckpt").exists()
 
     def test_checkpoint_with_group_tags_exits_1(self, config_file, tmp_path, capsys):
         # checkpoints once tagged every layer "representation" or "classification"

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -203,6 +204,18 @@ class TestDatasetFiles:
         loaded = load_dataset(path)
         assert isinstance(loaded, UnlabeledSet)
         assert np.array_equal(loaded.features, unlabeled.features)
+
+    def test_non_finite_labeled_feature_names_the_file(self, tmp_path):
+        _, _, target = generate_domains(SMALL, seed=3)
+        path = tmp_path / "target.bin"
+        save_dataset(target, path)
+        raw = path.read_bytes()
+        # the blob holds the <f8 features, then the <i4 labels; patch the first feature
+        start = len(raw) - target.features.size * 8 - target.labels.size * 4
+        assert raw[start:start + 8] == target.features[0, 0].astype("<f8").tobytes()
+        path.write_bytes(raw[:start] + np.array(np.nan, "<f8").tobytes() + raw[start + 8:])
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: features contain non-finite values$"):
+            load_dataset(path)
 
 
 class TestLabeledSet:

@@ -186,7 +186,7 @@ class TestGridRun:
         assert len(report.per_fold) == len(METHOD_ORDER) * len(cfg.ratios) * cfg.fold_count
         for row in report.per_fold:
             for metric in ("sen", "spe", "f1", "acc"):
-                assert np.isfinite(getattr(row, metric))
+                assert np.isfinite(getattr(row.values, metric))
 
     def test_artifacts_persisted(self, mini_run):
         cfg, _ = mini_run

@@ -8,11 +8,10 @@ from hypothesis import strategies as st
 from pretext_transfer.errors import ShapeError, ValidationError
 from pretext_transfer.metrics import (
     AggregateCell,
-    ConfusionCounts,
     FoldMetrics,
+    MetricValues,
     aggregate_folds,
     compute_metrics,
-    confusion_counts,
     fuse_predict,
     render_folds_csv,
     render_report_csv,
@@ -22,14 +21,25 @@ from pretext_transfer.metrics import (
 
 
 def oracle_metrics(tp, tn, fp, fn):
-    """Independent re-implementation of the metric formulas in plain Python."""
+    """Independent re-implementation of the metric formulas in plain Python:
+    (sen, spe, f1, acc) of a 2x2 tally."""
     sen = tp / (tp + fn) * 100.0 if tp + fn else 0.0
     spe = tn / (tn + fp) * 100.0 if tn + fp else 0.0
     ppv = tp / (tp + fp) if tp + fp else 0.0
     tpr = tp / (tp + fn) if tp + fn else 0.0
     f1 = 2.0 * ppv * tpr / (ppv + tpr) if ppv + tpr else 0.0
     acc = (tp + tn) / (tp + tn + fp + fn) * 100.0
-    return sen, spe, ppv, f1, acc
+    return sen, spe, f1, acc
+
+
+def figures(values):
+    return values.sen, values.spe, values.f1, values.acc
+
+
+def tally_vectors(tp, tn, fp, fn):
+    """(predictions, truth), class 1 positive, that tally to the given counts."""
+    counts = [tp, tn, fp, fn]
+    return np.repeat([1, 0, 1, 0], counts), np.repeat([1, 0, 0, 1], counts)
 
 
 def oracle_fuse(rho_row, q_row):
@@ -117,23 +127,59 @@ class TestFusePredict:
             fuse_predict(*args)
 
 
-class TestConfusionCounts:
+class TestComputeMetrics:
+    def test_perfect_counts(self):
+        values = compute_metrics(*tally_vectors(tp=3, tn=2, fp=0, fn=0), positive_class=1)
+        assert values.sen == 100.0 and values.spe == 100.0
+        assert values.f1 == 1.0 and values.acc == 100.0
+        assert not values.degenerate
+
+    def test_table_shaped_worked_example(self):
+        values = compute_metrics(*tally_vectors(tp=62, fn=38, tn=81, fp=19), positive_class=1)
+        assert values.sen == pytest.approx(62.0, abs=1e-12)
+        assert values.spe == pytest.approx(81.0, abs=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 500), st.integers(0, 500), st.integers(0, 500), st.integers(0, 500)
+    )
+    def test_matches_formula_oracle(self, tp, tn, fp, fn):
+        if tp + tn + fp + fn == 0:
+            return
+        values = compute_metrics(*tally_vectors(tp, tn, fp, fn), positive_class=1)
+        sen, spe, f1, acc = oracle_metrics(tp, tn, fp, fn)
+        assert math.isclose(values.sen, sen, abs_tol=1e-12)
+        assert math.isclose(values.spe, spe, abs_tol=1e-12)
+        assert math.isclose(values.f1, f1, abs_tol=1e-12)
+        assert math.isclose(values.acc, acc, abs_tol=1e-12)
+        assert 0.0 <= values.sen <= 100.0
+        assert 0.0 <= values.spe <= 100.0
+        assert 0.0 <= values.acc <= 100.0
+        assert 0.0 <= values.f1 <= 1.0
+
+    def test_zero_denominator_flags(self):
+        values = compute_metrics(*tally_vectors(tp=0, tn=5, fp=0, fn=0), positive_class=1)
+        assert values.sen == 0.0 and values.degenerate
+        assert values.spe == 100.0
+
+    def test_empty_counts_rejected(self):
+        with pytest.raises(ValidationError):
+            compute_metrics([], [], positive_class=1)
+
     def test_perfect_predictor(self):
         truth = np.array([1, 1, 1, 0, 0])
-        counts = confusion_counts(truth, truth, positive_class=1)
-        assert (counts.tp, counts.tn, counts.fp, counts.fn) == (3, 2, 0, 0)
+        assert figures(compute_metrics(truth, truth, positive_class=1)) == oracle_metrics(3, 2, 0, 0)
 
     def test_complemented_predictions(self):
         truth = np.array([1, 1, 1, 0, 0])
-        counts = confusion_counts(1 - truth, truth, positive_class=1)
-        assert (counts.tp, counts.tn) == (0, 0)
-        assert counts.fp == 2 and counts.fn == 3
+        values = compute_metrics(1 - truth, truth, positive_class=1)
+        assert figures(values) == oracle_metrics(tp=0, tn=0, fp=2, fn=3)
+        assert values.degenerate
 
     def test_matches_element_loop_oracle(self):
         rng = np.random.default_rng(2)
         pred = rng.integers(0, 2, size=100)
         truth = rng.integers(0, 2, size=100)
-        counts = confusion_counts(pred, truth, positive_class=1)
         tp = tn = fp = fn = 0
         for p, t in zip(pred, truth):
             if p == 1 and t == 1:
@@ -144,22 +190,21 @@ class TestConfusionCounts:
                 fp += 1
             else:
                 fn += 1
-        assert (counts.tp, counts.tn, counts.fp, counts.fn) == (tp, tn, fp, fn)
-        assert counts.total == 100
+        assert figures(compute_metrics(pred, truth, positive_class=1)) == oracle_metrics(tp, tn, fp, fn)
 
     def test_positive_class_mapping(self):
         pred = np.array([0, 0, 1])
         truth = np.array([0, 1, 1])
-        counts = confusion_counts(pred, truth, positive_class=0)
-        assert (counts.tp, counts.tn, counts.fp, counts.fn) == (1, 1, 1, 0)
+        values = compute_metrics(pred, truth, positive_class=0)
+        assert figures(values) == oracle_metrics(tp=1, tn=1, fp=1, fn=0)
 
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):
-            confusion_counts(np.zeros(3, dtype=int), np.zeros(4, dtype=int), 1)
+            compute_metrics(np.zeros(3, dtype=int), np.zeros(4, dtype=int), 1)
 
     def test_matrix_rejected(self):
         with pytest.raises(ShapeError):
-            confusion_counts(np.zeros((2, 2), dtype=int), np.zeros((2, 2), dtype=int), 1)
+            compute_metrics(np.zeros((2, 2), dtype=int), np.zeros((2, 2), dtype=int), 1)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -175,61 +220,25 @@ class TestConfusionCounts:
     @example(([0, 2, 0], [2, 0, 0]), 1)  # no positive at all among three classes
     def test_matches_four_masked_sums(self, vectors, positive_class):
         pred, truth = (np.array(v, dtype=np.int64) for v in vectors)
+        if pred.size == 0:
+            with pytest.raises(ValidationError):
+                compute_metrics(pred, truth, positive_class)
+            return
         pred_pos, true_pos = pred == positive_class, truth == positive_class
-        counts = confusion_counts(pred, truth, positive_class)
-        assert (counts.tp, counts.tn, counts.fp, counts.fn) == (
+        values = compute_metrics(pred, truth, positive_class)
+        assert figures(values) == oracle_metrics(
             int(np.sum(pred_pos & true_pos)),
             int(np.sum(~pred_pos & ~true_pos)),
             int(np.sum(pred_pos & ~true_pos)),
             int(np.sum(~pred_pos & true_pos)),
         )
-        assert all(type(v) is int for v in (counts.tp, counts.tn, counts.fp, counts.fn))
-
-
-class TestComputeMetrics:
-    def test_perfect_counts(self):
-        values = compute_metrics(ConfusionCounts(tp=3, tn=2, fp=0, fn=0))
-        assert values.sen == 100.0 and values.spe == 100.0
-        assert values.f1 == 1.0 and values.acc == 100.0
-        assert not values.degenerate
-
-    def test_table_shaped_worked_example(self):
-        values = compute_metrics(ConfusionCounts(tp=62, fn=38, tn=81, fp=19))
-        assert values.sen == pytest.approx(62.0, abs=1e-12)
-        assert values.spe == pytest.approx(81.0, abs=1e-12)
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        st.integers(0, 500), st.integers(0, 500), st.integers(0, 500), st.integers(0, 500)
-    )
-    def test_matches_formula_oracle(self, tp, tn, fp, fn):
-        if tp + tn + fp + fn == 0:
-            return
-        values = compute_metrics(ConfusionCounts(tp, tn, fp, fn))
-        sen, spe, ppv, f1, acc = oracle_metrics(tp, tn, fp, fn)
-        assert math.isclose(values.sen, sen, abs_tol=1e-12)
-        assert math.isclose(values.spe, spe, abs_tol=1e-12)
-        assert math.isclose(values.ppv, ppv, abs_tol=1e-12)
-        assert math.isclose(values.f1, f1, abs_tol=1e-12)
-        assert math.isclose(values.acc, acc, abs_tol=1e-12)
-        assert 0.0 <= values.sen <= 100.0
-        assert 0.0 <= values.spe <= 100.0
-        assert 0.0 <= values.acc <= 100.0
-        assert 0.0 <= values.f1 <= 1.0
-
-    def test_zero_denominator_flags(self):
-        values = compute_metrics(ConfusionCounts(tp=0, tn=5, fp=0, fn=0))
-        assert values.sen == 0.0 and values.degenerate
-        assert values.spe == 100.0
-
-    def test_empty_counts_rejected(self):
-        with pytest.raises(ValidationError):
-            compute_metrics(ConfusionCounts(0, 0, 0, 0))
+        # Python floats, whose repr() in folds.csv is a plain number
+        assert all(type(v) is float for v in figures(values))
 
 
 def rows_for(values, ratio=50, method="TL"):
     return [
-        FoldMetrics(fold=i, ratio=ratio, method=method, sen=v, spe=v, f1=v / 100, acc=v)
+        FoldMetrics(fold=i, ratio=ratio, method=method, values=MetricValues(sen=v, spe=v, f1=v / 100, acc=v))
         for i, v in enumerate(values)
     ]
 
