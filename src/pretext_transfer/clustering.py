@@ -6,9 +6,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError, ValidationError
+from .data import feature_matrix
+from .errors import ValidationError
 from .manifest import manifest_value, read_artifact, unpack_blob, write_artifact
-from .network import NetworkState, apply_layer, as_batch
+from .network import NetworkState, apply_layer
 
 # Rows per assignment block. It bounds the per-block temporaries: with all
 # 20000 rows of the pseudo-label pool in one product they added about 3 MB of
@@ -51,7 +52,7 @@ def extract_projection(model: NetworkState, samples) -> np.ndarray:
     """Activation of the last representation layer (the one before the head),
     used as the low-dim projection; computed in row blocks (see ``_CHUNK``)
     with the bits of the whole-batch layers."""
-    x = as_batch(model, samples)
+    x = feature_matrix(samples, model.input_dim)
     layers = model.layers[:-1]
     m = x.shape[0]
     out = np.empty((m, layers[-1].weights.shape[0]))
@@ -63,17 +64,6 @@ def extract_projection(model: NetworkState, samples) -> np.ndarray:
             z = apply_layer(z, layer.weights, layer.bias, layer.activation)
         out[rows] = z
     return out
-
-
-def _check_features(features) -> np.ndarray:
-    # C order: NumPy's sum over a row reduces in a different order when the
-    # row is not contiguous, so the assignment would depend on memory layout
-    x = np.ascontiguousarray(features, dtype=np.float64)
-    if x.ndim != 2:
-        raise ShapeError(f"features must be a 2-d matrix, got shape {x.shape}")
-    if not np.isfinite(x).all():
-        raise ValidationError("features contain non-finite values")
-    return x
 
 
 def _direct_assign(x: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -307,7 +297,7 @@ def kmeans_fit(
     rounding of the difference, at most eps/2 of ℓ, cannot raise the result
     above ℓ - M. An infinite or NaN shift makes every ℓ -inf or NaN.
     """
-    x = _check_features(features)
+    x = feature_matrix(features)
     if k < 2:
         raise ValidationError("k must be >= 2")
     if x.shape[0] < k:

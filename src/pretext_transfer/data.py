@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError, ShapeError, ValidationError
 from .manifest import manifest_value, read_artifact, unpack_blob, write_artifact
 
 POSITIVE_CLASS = 1
@@ -20,14 +20,22 @@ _MEAN_SCALE = 3.0
 _TARGET_PAIR_GAP = 3.0
 
 
-def _feature_matrix(features) -> np.ndarray:
-    """A dataset's features: a non-empty 2-D matrix of finite values."""
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2 or features.shape[0] < 1:
-        raise ValidationError("features must be a non-empty 2-d matrix")
-    if not np.isfinite(features).all():
+def feature_matrix(values, width: int | None = None) -> np.ndarray:
+    """The package's one check of a feature batch: a non-empty, C-ordered
+    float64 matrix of finite values, ``width`` columns wide when a width is
+    given. Every dataset, network input, k-means fit and CRC batch passes it.
+
+    C order because NumPy sums a non-contiguous row in another order, so the
+    k-means assignment's bits would depend on memory layout.
+    """
+    x = np.ascontiguousarray(values, dtype=np.float64)
+    if x.ndim != 2 or x.shape[0] < 1:
+        raise ShapeError(f"features must be a non-empty 2-d matrix, got shape {x.shape}")
+    if width is not None and x.shape[1] != width:
+        raise ShapeError(f"features have {x.shape[1]} columns, expected {width}")
+    if not np.isfinite(x).all():
         raise ValidationError("features contain non-finite values")
-    return features
+    return x
 
 
 @dataclass
@@ -37,7 +45,7 @@ class LabeledSet:
     class_count: int
 
     def __post_init__(self):
-        self.features = _feature_matrix(self.features)
+        self.features = feature_matrix(self.features)
         self.labels = np.asarray(self.labels)
         if self.labels.shape != (self.features.shape[0],):
             raise ValidationError("labels must align with features")
@@ -57,7 +65,7 @@ class UnlabeledSet:
     features: np.ndarray  # [m, d]
 
     def __post_init__(self):
-        self.features = _feature_matrix(self.features)
+        self.features = feature_matrix(self.features)
 
     def __len__(self) -> int:
         return self.features.shape[0]

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clustering import extract_projection
-from .data import LabeledSet
+from .data import LabeledSet, feature_matrix
 from .errors import ShapeError, ValidationError
 from .manifest import manifest_value, read_artifact, unpack_blob, write_artifact
 from .network import NetworkState
@@ -60,11 +60,7 @@ def unit_columns(features) -> np.ndarray:
     """The rows of a feature matrix [n, p] as unit-norm columns [p, n]: a
     dictionary's columns, or a test batch normalized once for every dictionary
     it is scored against with ``unit_class_probabilities``."""
-    y = np.asarray(features, dtype=np.float64)
-    if y.ndim != 2:
-        raise ShapeError(f"features must be a 2-d matrix, got shape {y.shape}")
-    if not np.isfinite(y).all():
-        raise ValidationError("features contain non-finite values")
+    y = feature_matrix(features)
     norms = np.linalg.norm(y, axis=1)
     bad = np.flatnonzero(norms <= _ZERO_NORM)
     if bad.size:
@@ -133,4 +129,6 @@ def load_dictionary(path) -> FeatureDictionary:
     p = manifest_value(pairs, "p", path, int)
     counts = manifest_value(pairs, "class_counts", path, _parse_counts)
     (columns,), _ = unpack_blob(blob, path, [(p, sum(counts))])
+    if not np.isfinite(columns).all():
+        raise ValidationError(f"{path}: columns contain non-finite values")
     return FeatureDictionary(columns, counts)

@@ -146,9 +146,7 @@ def render_folds_csv(report: MetricsReport) -> str:
 
 
 def _cell_text(report: MetricsReport, ratio: int, method: str, metric: str, decimals: int) -> str:
-    cell = report.aggregated.get((ratio, method, metric))
-    if cell is None:
-        return "-"
+    cell = report.aggregated[ratio, method, metric]
     return f"{cell.mean:.{decimals}f}±{cell.std:.{decimals}f}"
 
 

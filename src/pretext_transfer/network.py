@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LabeledSet
-from .errors import ConfigError, ShapeError, TrainingDiverged, ValidationError
+from .data import LabeledSet, feature_matrix
+from .errors import ConfigError, TrainingDiverged, ValidationError
 from .manifest import manifest_values, read_artifact, unpack_blob, write_artifact
 
 ACTIVATIONS = ("relu", "identity")
@@ -118,20 +118,6 @@ def init_network(specs: list[LayerSpec], seed: int = 0) -> NetworkState:
     return NetworkState(layers)
 
 
-def as_batch(state: NetworkState, inputs) -> np.ndarray:
-    """Validate a sample matrix against the network input contract."""
-    x = np.asarray(inputs, dtype=np.float64)
-    if x.ndim != 2:
-        raise ShapeError(f"inputs must be a 2-d matrix, got shape {x.shape}")
-    if x.shape[1] != state.input_dim:
-        raise ShapeError(
-            f"input dimension {x.shape[1]} does not match network input {state.input_dim}"
-        )
-    if not np.isfinite(x).all():
-        raise ValidationError("inputs contain non-finite values")
-    return x
-
-
 def apply_layer(x: np.ndarray, weights: np.ndarray, bias: np.ndarray, activation: str) -> np.ndarray:
     """The package's one dense layer: ``activation(x @ weights.T + bias)`` as
     a new array; x is only read. It takes a [rows, in] batch with one layer's
@@ -150,7 +136,7 @@ def apply_layer(x: np.ndarray, weights: np.ndarray, bias: np.ndarray, activation
 def forward(state: NetworkState, inputs) -> np.ndarray:
     """Class probabilities, one row per sample, rows summing to 1. The softmax
     runs in place in the logits, which the last layer allocated."""
-    z = as_batch(state, inputs)
+    z = feature_matrix(inputs, state.input_dim)
     for layer in state.layers:
         z = apply_layer(z, layer.weights, layer.bias, layer.activation)
     z -= z.max(axis=1, keepdims=True)
@@ -310,7 +296,7 @@ def train(
     specs = layer_specs(sessions[0].state)
     if any(layer_specs(session.state) != specs for session in sessions[1:]):
         raise ConfigError("lockstep sessions must share their layer specs")
-    xs = [as_batch(session.state, session.features) for session in sessions]
+    xs = [feature_matrix(session.features, session.state.input_dim) for session in sessions]
     ys = [LabeledSet(x, session.labels, session.state.label_count).labels for session, x in zip(sessions, xs)]
     order = sorted(range(len(sessions)), key=lambda i: xs[i].shape[0], reverse=True)
     sessions, xs, ys = ([seq[i] for i in order] for seq in (sessions, xs, ys))
@@ -406,4 +392,6 @@ def load_checkpoint(path) -> NetworkState:
         raise ValidationError(f"{path}: {exc}") from None
     shapes = [shape for s in specs for shape in ((s.output_dim, s.input_dim), (s.output_dim,))]
     arrays, _ = unpack_blob(blob, path, shapes)
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ValidationError(f"{path}: parameters contain non-finite values")
     return NetworkState([Layer(w, b, s.activation) for w, b, s in zip(arrays[::2], arrays[1::2], specs)])

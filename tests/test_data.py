@@ -4,19 +4,23 @@ import re
 import numpy as np
 import pytest
 
+from pretext_transfer.clustering import extract_projection, kmeans_fit
 from pretext_transfer.data import (
     POSITIVE_CLASS,
     LabeledSet,
     SynthConfig,
     UnlabeledSet,
     apply_imbalance,
+    feature_matrix,
     generate_domains,
     load_dataset,
     make_folds,
     save_dataset,
     subset,
 )
-from pretext_transfer.errors import ConfigError, ValidationError
+from pretext_transfer.dictionary import unit_columns
+from pretext_transfer.errors import ConfigError, ShapeError, ValidationError
+from pretext_transfer.network import LayerSpec, Session, TrainConfig, forward, init_network, train
 
 SMALL = SynthConfig(
     source_class_count=4,
@@ -232,3 +236,47 @@ class TestSubset:
         picked = subset(target, np.array([0, 5, 40]))
         assert np.array_equal(picked.features, target.features[[0, 5, 40]])
         assert np.array_equal(picked.labels, target.labels[[0, 5, 40]])
+
+
+_NET = init_network([LayerSpec(4, 3, "relu"), LayerSpec(3, 2, "identity")])
+
+# entry point -> (call on a feature batch, whether it expects a width of 4)
+FEATURE_ENTRY_POINTS = {
+    "LabeledSet": (lambda x: LabeledSet(x, np.zeros(len(x), dtype=np.int64), 2), False),
+    "UnlabeledSet": (UnlabeledSet, False),
+    "forward": (lambda x: forward(_NET, x), True),
+    "extract_projection": (lambda x: extract_projection(_NET, x), True),
+    "kmeans_fit": (lambda x: kmeans_fit(x, k=2), False),
+    "unit_columns": (unit_columns, False),
+    "train": (lambda x: train([Session(_NET, x, np.zeros(len(x), dtype=np.int64), 0)], TrainConfig(epochs=1), 1.0),
+              True),
+}
+
+# bad batch -> (batch, exception type, message)
+BAD_BATCHES = {
+    "vector": (np.ones(4), ShapeError, "features must be a non-empty 2-d matrix, got shape (4,)"),
+    "empty": (np.ones((0, 4)), ShapeError, "features must be a non-empty 2-d matrix, got shape (0, 4)"),
+    "nan": (np.full((4, 4), np.nan), ValidationError, "features contain non-finite values"),
+    "wrong-width": (np.ones((4, 3)), ShapeError, "features have 3 columns, expected 4"),
+}
+
+
+class TestFeatureMatrix:
+    @pytest.mark.parametrize("entry, batch", [
+        (entry, batch) for entry, (_, has_width) in FEATURE_ENTRY_POINTS.items()
+        for batch in BAD_BATCHES if has_width or batch != "wrong-width"
+    ])
+    def test_every_entry_point_refuses_alike(self, entry, batch):
+        """Each entry point refuses a bad batch with feature_matrix's own type and message."""
+        call, _ = FEATURE_ENTRY_POINTS[entry]
+        x, error, message = BAD_BATCHES[batch]
+        with pytest.raises(ValidationError) as excinfo:
+            call(x)
+        assert type(excinfo.value) is error
+        assert str(excinfo.value) == message
+
+    def test_returns_a_c_ordered_copy_of_a_strided_batch(self):
+        x = np.arange(12.0).reshape(3, 4).T
+        y = feature_matrix(x, 3)
+        assert y.flags.c_contiguous and np.array_equal(y, x)
+        assert feature_matrix(y) is y

@@ -135,7 +135,10 @@ class TestBlobLayout:
         ("unlabeled-dataset", np.array(np.nan, "<f8"), "features contain non-finite values"),
         ("clusters", np.array(2, "<i4"), r"labels must lie in \[0, 2\)"),
         ("clusters", np.array(-1, "<i4"), r"labels must lie in \[0, 2\)"),
-    ], ids=["label-over-class-count", "nan-feature", "label-over-k", "negative-label"])
+        ("checkpoint", np.array(np.nan, "<f8"), "parameters contain non-finite values"),
+        ("dictionary", np.array(np.nan, "<f8"), "columns contain non-finite values"),
+    ], ids=["label-over-class-count", "nan-feature", "label-over-k", "negative-label", "nan-parameter",
+            "nan-column"])
     def test_invalid_contents_name_the_file(self, tmp_path, codec, value, error):
         """The blob's last element overwritten with an invalid value."""
         artifact, save, load, last_width = CODECS[codec]
