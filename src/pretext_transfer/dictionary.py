@@ -86,7 +86,7 @@ def unit_class_probabilities(fdict: FeatureDictionary, y_unit: np.ndarray, ridge
     normalized to sum to 1.
     """
     if y_unit.shape[0] != fdict.feature_dim:
-        raise ShapeError(f"features must be a matrix with {fdict.feature_dim} columns")
+        raise ShapeError(f"features have {y_unit.shape[0]} columns, expected {fdict.feature_dim}")
     d = fdict.columns
     gram = d @ d.T + ridge * np.eye(d.shape[0])  # [p, p]
     solved = np.linalg.solve(gram, y_unit)

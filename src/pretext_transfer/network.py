@@ -6,8 +6,8 @@ that each training call is given (zero freezes it), and it can be swapped.
 States are value objects: the public functions return new NetworkState
 objects and leave their arguments unchanged.
 `train` runs sessions of one architecture in lockstep under one TrainConfig;
-a session brings only its start, data and shuffle seed. It orders them by
-row count, largest first, copies their parameters into one private
+a session brings only its start, labelled set and shuffle seed. It orders
+them by row count, largest first, copies their parameters into one private
 [sessions, parameters] buffer, and at every step trains each run of adjacent
 sessions that share a batch size on a slice of that buffer. A step is two
 kernels that work in place on that slice: `loss_and_grad`, whose forward
@@ -247,11 +247,10 @@ def replace_head(state: NetworkState, new_label_count: int, init_seed: int) -> N
 
 @dataclass(frozen=True)
 class Session:
-    """One run of ``train``: a starting state, its samples and labels, and its shuffle seed."""
+    """One run of ``train``: a starting state, its labelled set, and its shuffle seed."""
 
     state: NetworkState
-    features: np.ndarray
-    labels: np.ndarray
+    data: LabeledSet
     seed: int
 
 
@@ -280,8 +279,9 @@ def train(
     per session, in the caller's order.
 
     Every session trains under ``config``, with the head at ``head_multiplier``
-    times the base rate, and the sessions must share their layer specs.
-    Inputs are validated once. Training runs on a private [sessions,
+    times the base rate, and the sessions must share their layer specs. A
+    session's set must have as many classes as its network outputs; its batch
+    is read once, for the width. Training runs on a private [sessions,
     parameters] copy, so the callers' states are never modified; frozen layers
     (a zero rate) get no gradients and their parameters come back bit-identical. The
     copy holds the sessions largest first (a stable sort by row count), so at
@@ -296,8 +296,12 @@ def train(
     specs = layer_specs(sessions[0].state)
     if any(layer_specs(session.state) != specs for session in sessions[1:]):
         raise ConfigError("lockstep sessions must share their layer specs")
-    xs = [feature_matrix(session.features, session.state.input_dim) for session in sessions]
-    ys = [LabeledSet(x, session.labels, session.state.label_count).labels for session, x in zip(sessions, xs)]
+    for session in sessions:
+        if session.data.class_count != session.state.label_count:
+            raise ConfigError(f"training data has {session.data.class_count} classes, "
+                              f"but the network outputs {session.state.label_count}")
+    xs = [feature_matrix(session.data.features, session.state.input_dim) for session in sessions]
+    ys = [session.data.labels for session in sessions]
     order = sorted(range(len(sessions)), key=lambda i: xs[i].shape[0], reverse=True)
     sessions, xs, ys = ([seq[i] for i in order] for seq in (sessions, xs, ys))
     sizes = [x.shape[0] for x in xs]

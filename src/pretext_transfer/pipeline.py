@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import LabeledSet
-from .errors import ConfigError, TrainingDiverged, ValidationError
+from .errors import TrainingDiverged
 from .manifest import write_text_file
 from .network import (
     LayerSpec,
@@ -60,13 +60,7 @@ def pretrain_source(
     The stage's rule is a head multiplier of 1: every layer trains at the base
     learning rate. ``seed`` seeds both the initialisation and the shuffle.
     """
-    state = init_network(specs, seed)
-    if source_data.class_count != state.label_count:
-        raise ValidationError(
-            f"source data has {source_data.class_count} classes but the network "
-            f"outputs {state.label_count}"
-        )
-    session = Session(state, source_data.features, source_data.labels, seed)
+    session = Session(init_network(specs, seed), source_data, seed)
     [(state, losses)] = _train_stage("source", [session], cfg, 1.0)
     train_accuracy = accuracy(state, source_data.features, source_data.labels)
     if train_accuracy < SOURCE_ACCURACY_GATE:
@@ -87,14 +81,9 @@ def prt_train(
     The stage's rule is a head multiplier of 0: the head (the last layer)
     stays bit-identical and every other layer trains at the base learning
     rate. The pseudo-label cluster count must equal the source model's label
-    count so the fixed head can be reused as-is.
+    count so the fixed head can be reused as-is; ``train`` refuses any other.
     """
-    if pseudo.class_count != source_model.label_count:
-        raise ConfigError(
-            f"pseudo-label cluster count {pseudo.class_count} must equal the "
-            f"source model label count {source_model.label_count}"
-        )
-    session = Session(source_model, pseudo.features, pseudo.labels, seed)
+    session = Session(source_model, pseudo, seed)
     [(state, losses)] = _train_stage("prt", [session], cfg, 0.0)
     write_run_log(log_path, losses)
     return state
@@ -126,7 +115,7 @@ def tl_train(sessions: Sequence[TlSession], cfg: TrainConfig) -> list[NetworkSta
             logger.warning("tl stage: class %d has no training samples", c)
         warnings.append(tuple(f"warning: class {c} has no training samples" for c in empty))
         start = replace_head(session.m1, target_train.class_count, session.head_seed)
-        runs.append(Session(start, target_train.features, target_train.labels, session.seed))
+        runs.append(Session(start, target_train, session.seed))
     results = _train_stage("tl", runs, cfg, TL_HEAD_MULTIPLIER)
     for session, (_, losses), notes in zip(sessions, results, warnings):
         write_run_log(session.log_path, losses, notes)

@@ -291,7 +291,7 @@ class TestUnitColumns:
 
     def test_dictionary_of_another_width_rejected(self):
         fdict = random_dictionary(np.random.default_rng(0), p=5, counts=[2, 2])
-        with pytest.raises(ShapeError, match="5 columns"):
+        with pytest.raises(ShapeError, match="^features have 4 columns, expected 5$"):
             unit_class_probabilities(fdict, unit_columns(np.ones((3, 4))), RIDGE)
 
     def test_shape_checked_before_values(self):

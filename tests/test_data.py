@@ -18,7 +18,7 @@ from pretext_transfer.data import (
     save_dataset,
     subset,
 )
-from pretext_transfer.dictionary import unit_columns
+from pretext_transfer.dictionary import FeatureDictionary, unit_class_probabilities, unit_columns
 from pretext_transfer.errors import ConfigError, ShapeError, ValidationError
 from pretext_transfer.network import LayerSpec, Session, TrainConfig, forward, init_network, train
 
@@ -239,6 +239,7 @@ class TestSubset:
 
 
 _NET = init_network([LayerSpec(4, 3, "relu"), LayerSpec(3, 2, "identity")])
+_DICT = FeatureDictionary(unit_columns(np.eye(4)), (2, 2))
 
 # entry point -> (call on a feature batch, whether it expects a width of 4)
 FEATURE_ENTRY_POINTS = {
@@ -248,8 +249,9 @@ FEATURE_ENTRY_POINTS = {
     "extract_projection": (lambda x: extract_projection(_NET, x), True),
     "kmeans_fit": (lambda x: kmeans_fit(x, k=2), False),
     "unit_columns": (unit_columns, False),
-    "train": (lambda x: train([Session(_NET, x, np.zeros(len(x), dtype=np.int64), 0)], TrainConfig(epochs=1), 1.0),
-              True),
+    "unit_class_probabilities": (lambda x: unit_class_probabilities(_DICT, unit_columns(x), 1.0), True),
+    "train": (lambda x: train([Session(_NET, LabeledSet(x, np.zeros(len(x), dtype=np.int64), 2), 0)],
+                              TrainConfig(epochs=1), 1.0), True),
 }
 
 # bad batch -> (batch, exception type, message)

@@ -5,7 +5,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from pretext_transfer import data, network
 from pretext_transfer.clustering import extract_projection
+from pretext_transfer.data import LabeledSet
 from pretext_transfer.errors import ConfigError, ShapeError, TrainingDiverged, ValidationError
 from pretext_transfer.harness import build_layer_specs
 from pretext_transfer.manifest import write_artifact
@@ -53,7 +55,7 @@ TWO_HIDDEN_SPECS = [
 
 def train_one(state, x, y, cfg, seed=0, head_multiplier=1.0):
     """train() of a single session."""
-    [result] = train([Session(state, x, y, seed)], cfg, head_multiplier)
+    [result] = train([Session(state, LabeledSet(x, y, state.label_count), seed)], cfg, head_multiplier)
     return result
 
 
@@ -288,7 +290,7 @@ class TestLossAndGrad:
                 assert got.tobytes() == (full.tobytes() if needed else np.full_like(got, 7.0).tobytes())
 
     def test_out_of_range_label(self):
-        # the kernel trusts its labels; train validates them before any step
+        # the kernel trusts its labels; the session's set refuses them where it is built
         with pytest.raises(ValidationError):
             train_one(small_state(), np.zeros((2, 4)), np.array([0, 3]), TrainConfig(epochs=1))
 
@@ -539,7 +541,8 @@ def lockstep_sessions(sizes, batch_size, specs=THREE_LAYER_SPECS):
     sessions = []
     for i, n in enumerate(sizes):
         x, y = three_class_data(n, seed=10 + i)
-        sessions.append(Session(init_network(specs, seed=i), x, y, seed=20 + i))
+        state = init_network(specs, seed=i)
+        sessions.append(Session(state, LabeledSet(x, y, state.label_count), seed=20 + i))
     return sessions, TrainConfig(epochs=3, batch_size=batch_size, base_lr=0.05, momentum=0.9)
 
 
@@ -552,7 +555,7 @@ class TestLockstepTrain:
         results = train(sessions, cfg, multiplier)
         assert len(results) == len(sessions)
         for session, (trained, history) in zip(sessions, results):
-            run = (session.state, session.features, session.labels, cfg, session.seed, multiplier)
+            run = (session.state, session.data.features, session.data.labels, cfg, session.seed, multiplier)
             alone, alone_history = train_one(*run)
             expected, mean_losses = reference_train(*run)
             assert state_bytes(trained) == state_bytes(alone) == state_bytes(expected)
@@ -561,14 +564,16 @@ class TestLockstepTrain:
     def test_two_hidden_layers(self):
         sessions, cfg = lockstep_sessions([21, 16, 9], 8, specs=TWO_HIDDEN_SPECS)
         for session, (trained, _) in zip(sessions, train(sessions, cfg, 10.0)):
-            expected, _ = reference_train(session.state, session.features, session.labels, cfg, session.seed, 10.0)
+            expected, _ = reference_train(session.state, session.data.features, session.data.labels, cfg,
+                                          session.seed, 10.0)
             assert state_bytes(trained) == state_bytes(expected)
 
     @pytest.mark.parametrize("sizes, bad", [([24, 24], 1), ([16, 24], 0)], ids=["second", "shorter-first"])
     def test_one_diverging_session_raises(self, sizes, bad):
         # the error names the session by its place in the caller's list
         sessions, cfg = lockstep_sessions(sizes, 8)
-        sessions[bad] = replace(sessions[bad], features=sessions[bad].features * 1e300)
+        scaled = replace(sessions[bad].data, features=sessions[bad].data.features * 1e300)
+        sessions[bad] = replace(sessions[bad], data=scaled)
         with pytest.raises(TrainingDiverged, match=f"session {bad}"):
             train(sessions, cfg, 10.0)
 
@@ -579,9 +584,25 @@ class TestLockstepTrain:
         # of the scaled sessions; the error names the first in the caller's list
         sessions, cfg = lockstep_sessions(sizes, 8)
         for i in bad:
-            sessions[i] = replace(sessions[i], features=sessions[i].features * 1e10)
+            scaled = replace(sessions[i].data, features=sessions[i].data.features * 1e10)
+            sessions[i] = replace(sessions[i], data=scaled)
         with pytest.raises(TrainingDiverged, match=f"non-finite values at epoch 0 in session {bad[0]}$"):
             train(sessions, replace(cfg, base_lr=1e300), 10.0)
+
+    def test_reads_each_batch_once(self, monkeypatch):
+        # one feature_matrix call per session, for the width: the set's own
+        # check ran when it was built, before train
+        sessions, cfg = lockstep_sessions([16, 9, 12], 8)
+        original, calls = data.feature_matrix, []
+
+        def counted(values, width=None):
+            calls.append(width)
+            return original(values, width)
+
+        monkeypatch.setattr(network, "feature_matrix", counted)
+        monkeypatch.setattr(data, "feature_matrix", counted)
+        train(sessions, cfg, 10.0)
+        assert calls == [4, 4, 4]
 
     def test_sessions_share_specs_and_hyperparameters(self):
         # the hyperparameters are the call's one config; the specs are checked

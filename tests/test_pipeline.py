@@ -6,7 +6,7 @@ import pytest
 
 from pretext_transfer.clustering import extract_projection, kmeans_fit
 from pretext_transfer.data import LabeledSet, SynthConfig, generate_domains
-from pretext_transfer.errors import ConfigError, ValidationError
+from pretext_transfer.errors import ConfigError
 from pretext_transfer.harness import ExperimentConfig, _train_config, build_layer_specs
 from pretext_transfer.network import (
     LayerSpec,
@@ -66,7 +66,7 @@ def pseudo(source_model, domains):
 
 def train_one(state, x, y, cfg, seed, head_multiplier):
     """train() of a single session."""
-    [result] = train([Session(state, x, y, seed)], cfg, head_multiplier)
+    [result] = train([Session(state, LabeledSet(x, y, state.label_count), seed)], cfg, head_multiplier)
     return result
 
 
@@ -121,6 +121,21 @@ class TestStageRules:
         expected, _ = train_one(init_network(SPECS, 5), source.features, source.labels, cfg, 5, 1.0)
         assert state_bytes(model) == state_bytes(expected)
 
+    @pytest.mark.parametrize("entry", ["pretrain_source", "prt_train", "train"])
+    def test_one_class_count_rule(self, source_model, pseudo, entry):
+        # train alone checks that a set has as many classes as the head is wide
+        bad = LabeledSet(pseudo.features, pseudo.labels, class_count=5)
+        cfg = TrainConfig(epochs=1)
+        calls = {
+            "pretrain_source": lambda: pretrain_source(SPECS, bad, cfg, seed=0),
+            "prt_train": lambda: prt_train(source_model, bad, cfg, seed=0),
+            "train": lambda: train([Session(source_model, bad, 0)], cfg, 1.0),
+        }
+        with pytest.raises(ConfigError) as excinfo:
+            calls[entry]()
+        assert type(excinfo.value) is ConfigError
+        assert str(excinfo.value) == "training data has 5 classes, but the network outputs 4"
+
     def test_spec_defaults(self, tmp_path):
         cfg = ExperimentConfig(out_dir=tmp_path)
         source = _train_config(cfg, cfg.source_epochs, base_lr=cfg.source_lr)
@@ -154,16 +169,6 @@ class TestPretrainSource:
         source, _, _ = domains
         assert accuracy(source_model, source.features, source.labels) >= 0.9
 
-    def test_class_count_mismatch_rejected(self, domains):
-        source, _, _ = domains
-        bad = LabeledSet(source.features, source.labels, class_count=4)
-        specs = [
-            LayerSpec(5, 8, "relu"),
-            LayerSpec(8, 3, "identity"),
-        ]
-        with pytest.raises(ValidationError):
-            pretrain_source(specs, bad, TrainConfig(epochs=1, base_lr=1e-2), seed=0)
-
 
 class TestPrtTrain:
     def test_classifier_bit_identical_across_seeds(self, source_model, pseudo):
@@ -187,11 +192,6 @@ class TestPrtTrain:
     def test_loss_decreases_on_pseudo_task(self, source_model, pseudo):
         _, history = train_one(source_model, pseudo.features, pseudo.labels, TrainConfig(epochs=15), 0, 0.0)
         assert history[-1] < history[0]
-
-    def test_cluster_count_mismatch_is_config_error(self, source_model, pseudo):
-        bad = LabeledSet(pseudo.features, pseudo.labels, class_count=5)
-        with pytest.raises(ConfigError):
-            prt_train(source_model, bad, TrainConfig(epochs=1), seed=0)
 
     def test_run_log_lines(self, source_model, pseudo, tmp_path):
         log = tmp_path / "prt.log"
