@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
 from pathlib import Path
 
+from .data import SynthConfig
 from .errors import ConfigError
 from .harness import ExperimentConfig
 
@@ -14,7 +14,7 @@ def int_list(raw: str) -> tuple[int, ...]:
     return tuple(int(part) for part in raw.split(",") if part.strip())
 
 
-# file key -> (ExperimentConfig field, or "<nested config>.<field>", parser).
+# file key -> (ExperimentConfig field, or "synth.<SynthConfig field>", parser).
 # Every default comes from the dataclasses; only the output directory has a
 # default here, because ExperimentConfig requires one.
 FIELDS = {
@@ -92,14 +92,6 @@ def build_experiment_config(
     }
     values.update((field, value) for field, value in overrides.items() if value is not None)
 
-    top: dict[str, object] = {}
-    nested: dict[str, dict[str, object]] = {}
-    for field, value in values.items():
-        group, _, leaf = field.partition(".")
-        if leaf:
-            nested.setdefault(group, {})[leaf] = value
-        else:
-            top[field] = value
-    for group, group_values in nested.items():
-        top[group] = replace(getattr(ExperimentConfig, group), **group_values)
-    return ExperimentConfig(**top)
+    synth_values = {field.removeprefix("synth."): values.pop(field)
+                    for field in list(values) if field.startswith("synth.")}
+    return ExperimentConfig(synth=SynthConfig(**synth_values), **values)

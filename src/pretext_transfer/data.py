@@ -1,4 +1,4 @@
-"""Synthetic two-domain data, dataset files, sequential folds and imbalance."""
+"""Synthetic two-domain data, dataset files, and the fold protocol: test folds and training rows."""
 
 from __future__ import annotations
 
@@ -72,14 +72,6 @@ class UnlabeledSet:
 
 
 @dataclass(frozen=True)
-class FoldPlan:
-    """Per-fold train/test index arrays; test blocks are contiguous per class."""
-
-    train_indices: tuple[np.ndarray, ...]
-    test_indices: tuple[np.ndarray, ...]
-
-
-@dataclass(frozen=True)
 class SynthConfig:
     source_class_count: int = 10
     dim: int = 16
@@ -147,48 +139,36 @@ def generate_domains(cfg: SynthConfig, seed: int = 0) -> tuple[LabeledSet, Unlab
     return source, UnlabeledSet(pool), target
 
 
-def make_folds(dataset: LabeledSet, fold_count: int) -> FoldPlan:
-    """Cut each class, in stored order, into contiguous near-equal test blocks."""
-    if fold_count < 1:
-        raise ValidationError("fold_count must be >= 1")
-    per_class_blocks: list[list[np.ndarray]] = []
+def make_folds(dataset: LabeledSet, fold_count: int) -> tuple[np.ndarray, ...]:
+    """Each fold's test rows, ascending: every class, in stored order, cut into
+    ``fold_count`` contiguous near-equal blocks, the larger blocks first."""
+    if fold_count < 2:
+        raise ValidationError("fold_count must be >= 2: with one fold every training split is empty")
+    per_class = []
     for c in range(dataset.class_count):
         idx = np.flatnonzero(dataset.labels == c)
         if idx.size < fold_count:
-            raise ValidationError(
-                f"class {c} has {idx.size} samples, fewer than fold_count={fold_count}"
-            )
-        base, remainder = divmod(idx.size, fold_count)
-        sizes = [base + 1 if k < remainder else base for k in range(fold_count)]
-        bounds = np.cumsum([0] + sizes)
-        per_class_blocks.append([idx[bounds[k]:bounds[k + 1]] for k in range(fold_count)])
-
-    all_indices = np.arange(len(dataset))
-    test_indices = []
-    train_indices = []
-    for k in range(fold_count):
-        test = np.sort(np.concatenate([blocks[k] for blocks in per_class_blocks]))
-        test_indices.append(test)
-        train_indices.append(np.setdiff1d(all_indices, test, assume_unique=True))
-    return FoldPlan(tuple(train_indices), tuple(test_indices))
+            raise ValidationError(f"class {c} has {idx.size} samples, fewer than fold_count={fold_count}")
+        per_class.append(np.array_split(idx, fold_count))
+    return tuple(np.sort(np.concatenate(blocks)) for blocks in zip(*per_class))
 
 
 def subset(dataset: LabeledSet, indices: np.ndarray) -> LabeledSet:
     return LabeledSet(dataset.features[indices], dataset.labels[indices], dataset.class_count)
 
 
-def apply_imbalance(train: LabeledSet, positive_class: int, keep_percent: int) -> LabeledSet:
-    """Keep the first ceil(n_pos * percent / 100) positives; negatives untouched."""
+def train_rows(dataset: LabeledSet, test_rows: np.ndarray, positive_class: int, keep_percent: int) -> np.ndarray:
+    """The rows outside ``test_rows``, ascending, with every negative and only
+    the first ceil(n_pos * keep_percent / 100) positives in stored order."""
     if keep_percent not in ALLOWED_RATIOS:
         raise ValidationError(f"keep_percent must be one of {ALLOWED_RATIOS}")
-    positive_positions = np.flatnonzero(train.labels == positive_class)
-    if positive_positions.size == 0:
-        raise ValidationError(f"positive class {positive_class} has no samples")
-    keep = -(-positive_positions.size * keep_percent // 100)  # ceiling division
-    drop = positive_positions[keep:]
-    mask = np.ones(len(train), dtype=bool)
-    mask[drop] = False
-    return LabeledSet(train.features[mask], train.labels[mask], train.class_count)
+    keep = np.ones(len(dataset), dtype=bool)
+    keep[test_rows] = False
+    positives = np.flatnonzero(keep & (dataset.labels == positive_class))
+    if positives.size == 0:
+        raise ValidationError(f"positive class {positive_class} has no samples outside the test rows")
+    keep[positives[-(-positives.size * keep_percent // 100):]] = False  # ceiling division
+    return np.flatnonzero(keep)
 
 
 def save_dataset(dataset: LabeledSet | UnlabeledSet, path) -> None:

@@ -129,6 +129,4 @@ def load_dictionary(path) -> FeatureDictionary:
     p = manifest_value(pairs, "p", path, int)
     counts = manifest_value(pairs, "class_counts", path, _parse_counts)
     (columns,), _ = unpack_blob(blob, path, [(p, sum(counts))])
-    if not np.isfinite(columns).all():
-        raise ValidationError(f"{path}: columns contain non-finite values")
     return FeatureDictionary(columns, counts)

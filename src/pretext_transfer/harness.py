@@ -27,16 +27,15 @@ from .clustering import (
 from .data import (
     ALLOWED_RATIOS,
     POSITIVE_CLASS,
-    FoldPlan,
     LabeledSet,
     SynthConfig,
     UnlabeledSet,
-    apply_imbalance,
     generate_domains,
     load_dataset,
     make_folds,
     save_dataset,
     subset,
+    train_rows,
 )
 from .dictionary import (
     build_dictionary,
@@ -371,14 +370,13 @@ def run_prt(cfg: ExperimentConfig) -> None:
     save_checkpoint(model, prt_ckpt_path(cfg))
 
 
-def _load_target(cfg: ExperimentConfig) -> tuple[LabeledSet, FoldPlan]:
+def _load_target(cfg: ExperimentConfig) -> tuple[LabeledSet, tuple[np.ndarray, ...]]:
     target = load_dataset(data_path(cfg, "target"))
     return target, make_folds(target, cfg.fold_count)
 
 
-def _cell_train_set(target: LabeledSet, folds: FoldPlan, ratio: int, fold: int) -> LabeledSet:
-    train_set = subset(target, folds.train_indices[fold])
-    return apply_imbalance(train_set, POSITIVE_CLASS, ratio)
+def _cell_train_set(target: LabeledSet, folds: tuple[np.ndarray, ...], ratio: int, fold: int) -> LabeledSet:
+    return subset(target, train_rows(target, folds[fold], POSITIVE_CLASS, ratio))
 
 
 @_stage
@@ -442,7 +440,7 @@ def run_evaluate(cfg: ExperimentConfig) -> MetricsReport:
     m1 = load_checkpoint(prt_ckpt_path(cfg))
     rows = []
     for fold in range(cfg.fold_count):  # every ratio of a fold shares its test set
-        test = subset(target, folds.test_indices[fold])
+        test = subset(target, folds[fold])
         test_unit = unit_columns(extract_projection(m1, test.features))
         for ratio in cfg.ratios:
             rows.extend(_evaluate_cell(cfg, test, test_unit, ratio, fold))

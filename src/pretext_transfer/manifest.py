@@ -3,9 +3,10 @@
 An artifact (checkpoint, cluster model, dictionary, dataset) is UTF-8
 ``key = value`` manifest lines, key order kept and repeats allowed, ended by a
 blank line, then a blob of little-endian float64 blocks followed by int32
-blocks; ``unpack_blob`` is the blob's only reader. Artifacts and text outputs
-(reports, the run manifest, logs) land through a sibling temp file and a
-rename, so a crash mid-write leaves any previous file intact.
+blocks; ``unpack_blob`` is the blob's only reader, and it refuses a non-finite
+float. Artifacts and text outputs (reports, the run manifest, logs) land
+through a sibling temp file and a rename, so a crash mid-write leaves any
+previous file intact.
 """
 
 from __future__ import annotations
@@ -90,7 +91,8 @@ def unpack_blob(
     blob: bytes, path, float_shapes: list[tuple[int, ...]], int_lengths: list[int] = ()
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Split a blob into copied float64 arrays and int64 vectors, in the order
-    written; their shapes and lengths must account for every byte."""
+    written; their shapes and lengths must account for every byte, and every
+    float must be finite."""
     blocks = [(_FLOAT, np.float64, tuple(shape)) for shape in float_shapes]
     blocks += [(_INT, np.int64, (length,)) for length in int_lengths]
     if any(dim < 0 for *_, shape in blocks for dim in shape) or len(blob) != sum(
@@ -102,6 +104,8 @@ def unpack_blob(
         count = math.prod(shape)
         arrays.append(np.frombuffer(blob, dtype, count, offset).reshape(shape).astype(kind))
         offset += count * dtype.itemsize
+    if not all(np.isfinite(a).all() for a in arrays[:len(float_shapes)]):
+        raise ValidationError(f"{path}: blob holds non-finite values")
     return arrays[:len(float_shapes)], arrays[len(float_shapes):]
 
 

@@ -396,6 +396,4 @@ def load_checkpoint(path) -> NetworkState:
         raise ValidationError(f"{path}: {exc}") from None
     shapes = [shape for s in specs for shape in ((s.output_dim, s.input_dim), (s.output_dim,))]
     arrays, _ = unpack_blob(blob, path, shapes)
-    if not all(np.isfinite(a).all() for a in arrays):
-        raise ValidationError(f"{path}: parameters contain non-finite values")
     return NetworkState([Layer(w, b, s.activation) for w, b, s in zip(arrays[::2], arrays[1::2], specs)])

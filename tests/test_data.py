@@ -10,13 +10,13 @@ from pretext_transfer.data import (
     LabeledSet,
     SynthConfig,
     UnlabeledSet,
-    apply_imbalance,
     feature_matrix,
     generate_domains,
     load_dataset,
     make_folds,
     save_dataset,
     subset,
+    train_rows,
 )
 from pretext_transfer.dictionary import FeatureDictionary, unit_class_probabilities, unit_columns
 from pretext_transfer.errors import ConfigError, ShapeError, ValidationError
@@ -110,32 +110,31 @@ class TestMakeFolds:
         return LabeledSet(features, labels, len(counts))
 
     def test_even_division(self):
-        plan = make_folds(self.grouped_set([10, 10]), 5)
-        for test_idx in plan.test_indices:
+        for test_idx in make_folds(self.grouped_set([10, 10]), 5):
             assert test_idx.size == 4  # 2 per class per fold
 
     def test_349_block_sizes(self):
         dataset = self.grouped_set([349, 349])
-        plan = make_folds(dataset, 5)
         per_class_sizes = []
-        for test_idx in plan.test_indices:
+        for test_idx in make_folds(dataset, 5):
             labels = dataset.labels[test_idx]
             per_class_sizes.append((int((labels == 0).sum()), int((labels == 1).sum())))
         assert per_class_sizes == [(70, 70), (70, 70), (70, 70), (70, 70), (69, 69)]
 
     def test_partition_property(self):
         dataset = self.grouped_set([13, 8, 11])
-        plan = make_folds(dataset, 4)
-        seen = np.concatenate(plan.test_indices)
+        folds = make_folds(dataset, 4)
+        seen = np.concatenate(folds)
         assert np.array_equal(np.sort(seen), np.arange(len(dataset)))
-        for train_idx, test_idx in zip(plan.train_indices, plan.test_indices):
+        for test_idx in folds:
+            assert np.array_equal(test_idx, np.sort(test_idx))
+            train_idx = train_rows(dataset, test_idx, POSITIVE_CLASS, 100)
             assert np.intersect1d(train_idx, test_idx).size == 0
             assert train_idx.size + test_idx.size == len(dataset)
 
     def test_test_blocks_are_contiguous_per_class(self):
         dataset = self.grouped_set([12, 9])
-        plan = make_folds(dataset, 3)
-        for test_idx in plan.test_indices:
+        for test_idx in make_folds(dataset, 3):
             for c in range(2):
                 class_positions = test_idx[dataset.labels[test_idx] == c]
                 assert np.array_equal(
@@ -146,6 +145,15 @@ class TestMakeFolds:
         with pytest.raises(ValidationError):
             make_folds(self.grouped_set([3, 10]), 4)
 
+    @pytest.mark.parametrize("fold_count", [1, 0])
+    def test_fewer_than_two_folds_refused(self, fold_count):
+        with pytest.raises(ValidationError, match="^fold_count must be >= 2: with one fold every training split"):
+            make_folds(self.grouped_set([10, 10]), fold_count)
+
+
+# a cell's training rows when no row is held out for testing
+NO_TEST_ROWS = np.array([], dtype=np.intp)
+
 
 class TestApplyImbalance:
     def imbalanced_input(self, negatives=30, positives=280):
@@ -153,41 +161,67 @@ class TestApplyImbalance:
         features = np.arange(labels.size, dtype=float)[:, None]
         return LabeledSet(features, labels, 2)
 
+    def cut(self, dataset, ratio, test_rows=NO_TEST_ROWS):
+        return subset(dataset, train_rows(dataset, test_rows, POSITIVE_CLASS, ratio))
+
     def test_ceiling_retention(self):
-        train = self.imbalanced_input(positives=280)
-        out = apply_imbalance(train, POSITIVE_CLASS, 10)
+        out = self.cut(self.imbalanced_input(positives=280), 10)
         assert int((out.labels == 1).sum()) == 28
         assert int((out.labels == 0).sum()) == 30
 
     def test_keeps_first_positives_in_stored_order(self):
-        train = self.imbalanced_input(negatives=4, positives=8)
-        out = apply_imbalance(train, POSITIVE_CLASS, 25)  # ceil(2.0) = 2
+        out = self.cut(self.imbalanced_input(negatives=4, positives=8), 25)  # ceil(2.0) = 2
         kept_positive_rows = out.features[out.labels == 1].ravel()
         assert kept_positive_rows.tolist() == [4.0, 5.0]
 
     def test_hundred_percent_is_identity(self):
         train = self.imbalanced_input()
-        out = apply_imbalance(train, POSITIVE_CLASS, 100)
+        out = self.cut(train, 100)
         assert np.array_equal(out.features, train.features)
         assert np.array_equal(out.labels, train.labels)
 
     def test_negatives_fixed_for_every_ratio(self):
         train = self.imbalanced_input(negatives=57, positives=91)
         for ratio in (10, 25, 50, 75, 100):
-            out = apply_imbalance(train, POSITIVE_CLASS, ratio)
+            out = self.cut(train, ratio)
             assert int((out.labels == 0).sum()) == 57
             expected = -(-91 * ratio // 100)
             assert int((out.labels == 1).sum()) == expected
 
     def test_ratio_outside_allowed_set(self):
         with pytest.raises(ValidationError):
-            apply_imbalance(self.imbalanced_input(), POSITIVE_CLASS, 33)
+            self.cut(self.imbalanced_input(), 33)
 
     def test_empty_positive_class(self):
         labels = np.zeros(10, dtype=int)
         train = LabeledSet(np.zeros((10, 2)), labels, 2)
         with pytest.raises(ValidationError):
-            apply_imbalance(train, POSITIVE_CLASS, 50)
+            self.cut(train, 50)
+
+    def test_positives_only_in_the_test_rows_refused(self):
+        dataset = self.imbalanced_input(negatives=6, positives=3)
+        with pytest.raises(ValidationError, match="^positive class 1 has no samples outside the test rows$"):
+            self.cut(dataset, 100, np.array([6, 7, 8]))
+
+    def test_keeps_negatives_and_first_positives_outside_the_test_rows(self):
+        # rows 0-3 are negatives, 4-11 positives; the test rows take one of
+        # each, so 6 positives remain and 50% keeps the first 3 of them
+        dataset = self.imbalanced_input(negatives=4, positives=8)
+        rows = train_rows(dataset, np.array([1, 6, 7]), POSITIVE_CLASS, 50)
+        assert rows.tolist() == [0, 2, 3, 4, 5, 8]
+
+    @pytest.mark.parametrize("ratio", [10, 25, 50, 75, 100])
+    def test_never_returns_a_test_row(self, ratio):
+        dataset = self.imbalanced_input(negatives=23, positives=17)
+        for test_idx in make_folds(dataset, 4):
+            rows = train_rows(dataset, test_idx, POSITIVE_CLASS, ratio)
+            assert np.intersect1d(rows, test_idx).size == 0
+            assert np.array_equal(rows, np.sort(rows))
+            outside = np.setdiff1d(np.arange(len(dataset)), test_idx)
+            negatives = outside[dataset.labels[outside] == 0]
+            positives = outside[dataset.labels[outside] == 1]
+            kept = positives[:-(-positives.size * ratio // 100)]
+            assert np.array_equal(rows, np.sort(np.concatenate([negatives, kept])))
 
 
 class TestDatasetFiles:
@@ -218,7 +252,7 @@ class TestDatasetFiles:
         start = len(raw) - target.features.size * 8 - target.labels.size * 4
         assert raw[start:start + 8] == target.features[0, 0].astype("<f8").tobytes()
         path.write_bytes(raw[:start] + np.array(np.nan, "<f8").tobytes() + raw[start + 8:])
-        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: features contain non-finite values$"):
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: blob holds non-finite values$"):
             load_dataset(path)
 
 

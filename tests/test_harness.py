@@ -288,6 +288,32 @@ class TestTlOncePerRatio:
         assert calls.read_text().splitlines() == ["6", "6", "6"]
 
 
+class TestEachStageLoadsOnce:
+    def test_each_stage_loads_its_data_and_cuts_its_folds_once(self, tmp_path, monkeypatch):
+        # every stage hands the data and folds it loaded to all of its cells
+        stage, calls = [None], {"load_dataset": [], "make_folds": []}
+
+        def recording_stage(name, run):
+            def recorded(cfg):
+                stage[0] = name
+                return run(cfg)
+            return recorded
+
+        def recording_call(name, call):
+            def recorded(*args):
+                calls[name].append(stage[0])
+                return call(*args)
+            return recorded
+
+        for name in STAGES:
+            monkeypatch.setattr(harness, f"run_{name}", recording_stage(name, getattr(harness, f"run_{name}")))
+        for name in calls:
+            monkeypatch.setattr(harness, name, recording_call(name, getattr(harness, name)))
+        run_experiment(mini_config(tmp_path / "run", ratios=(10, 25, 100), fold_count=3))
+        assert calls == {"load_dataset": ["pretrain", "cluster", "prt", "tl", "dict", "evaluate"],
+                         "make_folds": ["tl", "dict", "evaluate"]}
+
+
 class TestEvaluateOncePerFold:
     def test_each_fold_projected_once_for_all_ratios(self, mini_run, tmp_path, monkeypatch):
         # every ratio's cell of a fold shares its test set, so the fold's PRT

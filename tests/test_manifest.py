@@ -130,21 +130,26 @@ class TestBlobLayout:
         with pytest.raises(ValidationError, match=f"{path}: manifest is not UTF-8"):
             load(path)
 
-    @pytest.mark.parametrize("codec, value, error", [
-        ("labeled-dataset", np.array(2, "<i4"), r"labels must lie in \[0, 2\)"),
-        ("unlabeled-dataset", np.array(np.nan, "<f8"), "features contain non-finite values"),
-        ("clusters", np.array(2, "<i4"), r"labels must lie in \[0, 2\)"),
-        ("clusters", np.array(-1, "<i4"), r"labels must lie in \[0, 2\)"),
-        ("checkpoint", np.array(np.nan, "<f8"), "parameters contain non-finite values"),
-        ("dictionary", np.array(np.nan, "<f8"), "columns contain non-finite values"),
-    ], ids=["label-over-class-count", "nan-feature", "label-over-k", "negative-label", "nan-parameter",
-            "nan-column"])
-    def test_invalid_contents_name_the_file(self, tmp_path, codec, value, error):
-        """The blob's last element overwritten with an invalid value."""
-        artifact, save, load, last_width = CODECS[codec]
+    @pytest.mark.parametrize("codec, value, tail, error", [
+        ("labeled-dataset", np.array(2, "<i4"), 0, r"labels must lie in \[0, 2\)"),
+        ("unlabeled-dataset", np.array(np.nan, "<f8"), 0, "blob holds non-finite values"),
+        ("clusters", np.array(2, "<i4"), 0, r"labels must lie in \[0, 2\)"),
+        ("clusters", np.array(-1, "<i4"), 0, r"labels must lie in \[0, 2\)"),
+        ("clusters", np.array(np.nan, "<f8"), 10 * 4, "blob holds non-finite values"),
+        ("checkpoint", np.array(np.nan, "<f8"), 0, "blob holds non-finite values"),
+        ("dictionary", np.array(np.nan, "<f8"), 0, "blob holds non-finite values"),
+    ], ids=["label-over-class-count", "nan-feature", "label-over-k", "negative-label", "nan-centroid",
+            "nan-parameter", "nan-column"])
+    def test_invalid_contents_name_the_file(self, tmp_path, codec, value, tail, error):
+        """The blob element that ends ``tail`` bytes before its end overwritten
+        with an invalid value: the last one, or for ``nan-centroid`` the last
+        centroid value, which the 10 int32 pseudo-labels follow."""
+        artifact, save, load, _ = CODECS[codec]
         path = tmp_path / "artifact"
         save(artifact, path)
-        path.write_bytes(path.read_bytes()[:-last_width] + value.tobytes())
+        raw = path.read_bytes()
+        end = len(raw) - tail
+        path.write_bytes(raw[:end - value.nbytes] + value.tobytes() + raw[end:])
         with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: {error}"):
             load(path)
 
