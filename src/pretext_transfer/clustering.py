@@ -304,8 +304,8 @@ def kmeans_fit(
         raise ValidationError(f"need at least k={k} samples, got {x.shape[0]}")
     if max_iters < 1:
         raise ValidationError("max_iters must be >= 1")
-    if not tol >= 0:  # NaN fails this test too
-        raise ValidationError("tol must be >= 0")
+    if not 0 <= tol < np.inf:  # NaN and inf fail it too
+        raise ValidationError("tol must be >= 0 and finite")
     rng = np.random.default_rng(seed)
     centroids = _plus_plus_seed(x, k, rng)
     x_norms = _row_norms(x)

@@ -1,7 +1,8 @@
 """Training stages: source pretraining, representation-only transfer, and
 conventional transfer with an aggressive classifier learning rate. A stage
-is given one ``TrainConfig`` and its seeds, and passes ``train`` its own head
-multiplier: 1 for source, 0 for PRT and ``TL_HEAD_MULTIPLIER`` for TL."""
+is given one ``TrainConfig`` and its seeds, builds its sessions and passes
+``_train_stage`` its own head multiplier: 1 for source, 0 for PRT and
+``TL_HEAD_MULTIPLIER`` for TL."""
 
 from __future__ import annotations
 
@@ -9,8 +10,6 @@ import logging
 from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
 
 from .data import LabeledSet
 from .errors import TrainingDiverged
@@ -32,24 +31,21 @@ TL_HEAD_MULTIPLIER = 10.0
 SOURCE_ACCURACY_GATE = 0.9
 
 
-def write_run_log(path, losses: list[float], warnings: tuple[str, ...] = ()) -> None:
-    """The warnings, then one ``epoch loss`` line per epoch: the epoch index
-    and its mean training loss. Nothing in it depends on timing, so a rerun
-    writes the same bytes."""
-    if path is None:
-        return
-    lines = list(warnings)
-    lines.extend(f"{epoch} {loss:.12g}" for epoch, loss in enumerate(losses))
-    write_text_file(path, "\n".join(lines) + "\n")
-
-
 def _train_stage(
-    stage: str, sessions: list[Session], cfg: TrainConfig, head_multiplier: float
-) -> list[tuple[NetworkState, list[float]]]:
+    stage: str, sessions: list[Session], cfg: TrainConfig, head_multiplier: float, log_paths: Sequence
+) -> list[NetworkState]:
+    """Every training stage's one path: one lockstep ``train`` call, whose
+    divergence error names the stage, then the run log of each session whose
+    path is not ``None``: one ``epoch loss`` line per epoch, the epoch index and
+    its mean training loss, so a rerun writes the same bytes."""
     try:
-        return train(sessions, cfg, head_multiplier)
+        results = train(sessions, cfg, head_multiplier)
     except TrainingDiverged as exc:
         raise TrainingDiverged(f"{stage} stage: {exc}") from exc
+    for path, (_, losses) in zip(log_paths, results):
+        if path is not None:
+            write_text_file(path, "\n".join(f"{epoch} {loss:.12g}" for epoch, loss in enumerate(losses)) + "\n")
+    return [state for state, _ in results]
 
 
 def pretrain_source(
@@ -60,8 +56,7 @@ def pretrain_source(
     The stage's rule is a head multiplier of 1: every layer trains at the base
     learning rate. ``seed`` seeds both the initialisation and the shuffle.
     """
-    session = Session(init_network(specs, seed), source_data, seed)
-    [(state, losses)] = _train_stage("source", [session], cfg, 1.0)
+    [state] = _train_stage("source", [Session(init_network(specs, seed), source_data, seed)], cfg, 1.0, [log_path])
     train_accuracy = accuracy(state, source_data.features, source_data.labels)
     if train_accuracy < SOURCE_ACCURACY_GATE:
         logger.warning(
@@ -69,7 +64,6 @@ def pretrain_source(
             train_accuracy,
             SOURCE_ACCURACY_GATE,
         )
-    write_run_log(log_path, losses)
     return state
 
 
@@ -83,9 +77,7 @@ def prt_train(
     rate. The pseudo-label cluster count must equal the source model's label
     count so the fixed head can be reused as-is; ``train`` refuses any other.
     """
-    session = Session(source_model, pseudo, seed)
-    [(state, losses)] = _train_stage("prt", [session], cfg, 0.0)
-    write_run_log(log_path, losses)
+    [state] = _train_stage("prt", [Session(source_model, pseudo, seed)], cfg, 0.0, [log_path])
     return state
 
 
@@ -94,7 +86,7 @@ class TlSession:
     """One conventional-transfer session: the model it starts from, its target
     training set, the seeds of its shuffle and of its new head, and its run log."""
 
-    m1: NetworkState
+    start: NetworkState
     target_train: LabeledSet
     seed: int
     head_seed: int
@@ -107,16 +99,6 @@ def tl_train(sessions: Sequence[TlSession], cfg: TrainConfig) -> list[NetworkSta
 
     The stage's rule is a head multiplier of ``TL_HEAD_MULTIPLIER``.
     """
-    runs, warnings = [], []
-    for session in sessions:
-        target_train = session.target_train
-        empty = np.flatnonzero(np.bincount(target_train.labels, minlength=target_train.class_count) == 0)
-        for c in empty:
-            logger.warning("tl stage: class %d has no training samples", c)
-        warnings.append(tuple(f"warning: class {c} has no training samples" for c in empty))
-        start = replace_head(session.m1, target_train.class_count, session.head_seed)
-        runs.append(Session(start, target_train, session.seed))
-    results = _train_stage("tl", runs, cfg, TL_HEAD_MULTIPLIER)
-    for session, (_, losses), notes in zip(sessions, results, warnings):
-        write_run_log(session.log_path, losses, notes)
-    return [state for state, _ in results]
+    runs = [Session(replace_head(s.start, s.target_train.class_count, s.head_seed), s.target_train, s.seed)
+            for s in sessions]
+    return _train_stage("tl", runs, cfg, TL_HEAD_MULTIPLIER, [s.log_path for s in sessions])

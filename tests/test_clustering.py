@@ -187,11 +187,13 @@ class TestKmeansFit:
         with pytest.raises(ValidationError, match="overflow"):
             kmeans_fit(np.array([[1e200], [0.0], [1.0], [2.0]]), k=2, seed=0)
 
-    def test_nan_tol_rejected(self):
-        # NaN would pass a `tol < 0` test and never meet `shift < tol`
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_nan_tol_rejected(self, tol):
+        # NaN would pass a `tol < 0` test and never meet `shift < tol`; inf
+        # would meet it after the first Lloyd iteration, whatever the fit
         points, _ = two_blobs(20)
-        with pytest.raises(ValidationError, match="tol must be >= 0"):
-            kmeans_fit(points, k=2, seed=0, tol=float("nan"))
+        with pytest.raises(ValidationError, match="^tol must be >= 0 and finite$"):
+            kmeans_fit(points, k=2, seed=0, tol=tol)
 
 
 class TestKmeansAssign:

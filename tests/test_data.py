@@ -3,9 +3,12 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pretext_transfer.clustering import extract_projection, kmeans_fit
 from pretext_transfer.data import (
+    ALLOWED_RATIOS,
     POSITIVE_CLASS,
     LabeledSet,
     SynthConfig,
@@ -209,6 +212,22 @@ class TestApplyImbalance:
         dataset = self.imbalanced_input(negatives=4, positives=8)
         rows = train_rows(dataset, np.array([1, 6, 7]), POSITIVE_CLASS, 50)
         assert rows.tolist() == [0, 2, 3, 4, 5, 8]
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_every_cell_keeps_both_classes(self, data):
+        # the TL stage trains every cell as it comes, so no fold and ratio may
+        # leave a class out of the training rows, whatever the row order
+        fold_count = data.draw(st.integers(2, 8), label="fold_count")
+        negatives = data.draw(st.integers(fold_count, 30), label="negatives")
+        positives = data.draw(st.integers(fold_count, 30), label="positives")
+        labels = np.repeat([0, 1], [negatives, positives])
+        labels = labels[data.draw(st.permutations(range(labels.size)), label="order")]
+        dataset = LabeledSet(np.zeros((labels.size, 1)), labels, 2)
+        for test_idx in make_folds(dataset, fold_count):
+            for ratio in ALLOWED_RATIOS:
+                kept = dataset.labels[train_rows(dataset, test_idx, POSITIVE_CLASS, ratio)]
+                assert np.array_equal(np.unique(kept), [0, 1])
 
     @pytest.mark.parametrize("ratio", [10, 25, 50, 75, 100])
     def test_never_returns_a_test_row(self, ratio):
