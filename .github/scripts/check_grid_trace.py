@@ -19,6 +19,7 @@ EQUAL = {
     "clustering.extract_projection.calls": 31,
     "metrics.compute_metrics.calls": 75,
     "metrics.fuse_predict.calls": 25,
+    "dictionary.class_probabilities.calls": 25,
     "data.make_folds.calls": 3,
     "data.load_dataset.calls": 6,
 }

@@ -157,16 +157,16 @@ def subset(dataset: LabeledSet, indices: np.ndarray) -> LabeledSet:
     return LabeledSet(dataset.features[indices], dataset.labels[indices], dataset.class_count)
 
 
-def train_rows(dataset: LabeledSet, test_rows: np.ndarray, positive_class: int, keep_percent: int) -> np.ndarray:
-    """The rows outside ``test_rows``, ascending, with every negative and only
-    the first ceil(n_pos * keep_percent / 100) positives in stored order."""
+def train_rows(dataset: LabeledSet, test_rows: np.ndarray, keep_percent: int) -> np.ndarray:
+    """The rows outside ``test_rows``, ascending, with every negative and only the
+    first ceil(n_pos * keep_percent / 100) ``POSITIVE_CLASS`` rows in stored order."""
     if keep_percent not in ALLOWED_RATIOS:
         raise ValidationError(f"keep_percent must be one of {ALLOWED_RATIOS}")
     keep = np.ones(len(dataset), dtype=bool)
     keep[test_rows] = False
-    positives = np.flatnonzero(keep & (dataset.labels == positive_class))
+    positives = np.flatnonzero(keep & (dataset.labels == POSITIVE_CLASS))
     if positives.size == 0:
-        raise ValidationError(f"positive class {positive_class} has no samples outside the test rows")
+        raise ValidationError(f"positive class {POSITIVE_CLASS} has no samples outside the test rows")
     keep[positives[-(-positives.size * keep_percent // 100):]] = False  # ceiling division
     return np.flatnonzero(keep)
 

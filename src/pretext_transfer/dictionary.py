@@ -59,7 +59,7 @@ def build_dictionary(m1: NetworkState, train: LabeledSet) -> FeatureDictionary:
 def unit_columns(features) -> np.ndarray:
     """The rows of a feature matrix [n, p] as unit-norm columns [p, n]: a
     dictionary's columns, or a test batch normalized once for every dictionary
-    it is scored against with ``unit_class_probabilities``."""
+    it is scored against with ``class_probabilities``."""
     y = feature_matrix(features)
     norms = np.linalg.norm(y, axis=1)
     bad = np.flatnonzero(norms <= _ZERO_NORM)
@@ -68,7 +68,7 @@ def unit_columns(features) -> np.ndarray:
     return (y / norms[:, None]).T
 
 
-def unit_class_probabilities(fdict: FeatureDictionary, y_unit: np.ndarray, ridge: float) -> np.ndarray:
+def class_probabilities(fdict: FeatureDictionary, y_unit: np.ndarray, ridge: float) -> np.ndarray:
     """Class probabilities for each column of ``y_unit`` [p, n], a batch of
     unit-norm rows as ``unit_columns`` returns it.
 
@@ -90,7 +90,8 @@ def unit_class_probabilities(fdict: FeatureDictionary, y_unit: np.ndarray, ridge
     d = fdict.columns
     gram = d @ d.T + ridge * np.eye(d.shape[0])  # [p, p]
     solved = np.linalg.solve(gram, y_unit)
-    if np.linalg.norm(gram @ solved - y_unit) > _SOLVE_TOL * max(1.0, np.linalg.norm(y_unit)):
+    # written so that a NaN residual, which compares False, fails the check
+    if not np.linalg.norm(gram @ solved - y_unit) <= _SOLVE_TOL * max(1.0, np.linalg.norm(y_unit)):
         raise ValidationError(
             "push-through solve exceeded the residual tolerance: the dictionary "
             f"is too ill-conditioned for ridge = {ridge!r}; raise the ridge setting"
@@ -102,14 +103,6 @@ def unit_class_probabilities(fdict: FeatureDictionary, y_unit: np.ndarray, ridge
         recon = (block @ block.T) @ solved  # D_c alpha_c, with alpha_c = D_c^T solved
         weights[:, c] = (np.linalg.norm(y_unit - recon, axis=0) + _EPSILON) ** -2
     return weights / weights.sum(axis=1, keepdims=True)
-
-
-def class_probabilities(fdict: FeatureDictionary, features, ridge: float) -> np.ndarray:
-    """``unit_class_probabilities`` of the rows of a feature batch [n, p].
-
-    No stage calls it; it is kept as the name the benchmark traces.
-    """
-    return unit_class_probabilities(fdict, unit_columns(features), ridge)
 
 
 def save_dictionary(fdict: FeatureDictionary, path) -> None:

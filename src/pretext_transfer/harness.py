@@ -39,9 +39,9 @@ from .data import (
 )
 from .dictionary import (
     build_dictionary,
+    class_probabilities,
     load_dictionary,
     save_dictionary,
-    unit_class_probabilities,
     unit_columns,
 )
 from .errors import ConfigError, ValidationError
@@ -376,7 +376,7 @@ def _load_target(cfg: ExperimentConfig) -> tuple[LabeledSet, tuple[np.ndarray, .
 
 
 def _cell_train_set(target: LabeledSet, folds: tuple[np.ndarray, ...], ratio: int, fold: int) -> LabeledSet:
-    return subset(target, train_rows(target, folds[fold], POSITIVE_CLASS, ratio))
+    return subset(target, train_rows(target, folds[fold], ratio))
 
 
 @_stage
@@ -427,7 +427,7 @@ def _evaluate_cell(cfg: ExperimentConfig, test: LabeledSet, test_unit: np.ndarra
     m2 = load_checkpoint(cell_path(cfg, ratio, fold, "prt_tl"))
     rho = forward(m2, test.features)
     fdict = load_dictionary(cell_path(cfg, ratio, fold, "dict"))
-    q = unit_class_probabilities(fdict, test_unit, cfg.ridge)
+    q = class_probabilities(fdict, test_unit, cfg.ridge)
     return [row(METHOD_TL, forward(tl, test.features).argmax(axis=1)),
             row(METHOD_PRT_TL, rho.argmax(axis=1)),
             row(METHOD_ALL, fuse_predict(rho, q)[0])]

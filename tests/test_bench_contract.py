@@ -9,11 +9,13 @@ never imported or changed.
 """
 
 import ast
+import functools
 import importlib
 import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
@@ -22,7 +24,7 @@ import pytest
 from pretext_transfer import harness
 from pretext_transfer.clustering import ClusterModel
 from pretext_transfer.data import SynthConfig
-from pretext_transfer.harness import ExperimentConfig
+from pretext_transfer.harness import ExperimentConfig, run_experiment
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SRC = PERFBENCH.parent / "src"
@@ -104,3 +106,35 @@ def test_benchmark_config_fields_exist(tmp_path):
 def test_traced_work_counts_read_existing_fields():
     # tracing.py records kmeans iterations from ClusterModel.inertia_history
     assert "inertia_history" in {f.name for f in fields(ClusterModel)}
+
+
+def test_every_traced_function_runs_in_a_grid(tmp_path, monkeypatch):
+    """A traced name that no stage calls reads zero in every benchmark record;
+    a small grid must call each one. Each function is wrapped wherever a loaded
+    package module binds it, as tracing.install wraps it."""
+    calls = Counter()
+
+    def counting(name, fn):
+        @functools.wraps(fn)
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    modules = [m for n, m in list(sys.modules.items()) if n.split(".")[0] == "pretext_transfer"]
+    for module, functions in TRACED.items():
+        defining = importlib.import_module(f"pretext_transfer.{module}")
+        for function in functions:
+            original = getattr(defining, function)
+            counted = counting(f"{module}.{function}", original)
+            for loaded in modules:
+                for attr in [a for a, value in vars(loaded).items() if value is original]:
+                    monkeypatch.setattr(loaded, attr, counted)
+    run_experiment(ExperimentConfig(
+        out_dir=tmp_path, master_seed=1, hidden=(8,), projection_dim=6, source_epochs=1, prt_epochs=1,
+        tl_epochs=1, ratios=(100,), fold_count=2,
+        synth=SynthConfig(source_class_count=4, dim=6, samples_per_class=12, unlabeled_size=80,
+                          positives=20, negatives=20),
+    ))
+    traced = [f"{module}.{function}" for module, functions in TRACED.items() for function in functions]
+    assert [name for name in traced if calls[name] == 0] == []

@@ -10,7 +10,6 @@ from pretext_transfer.dictionary import (
     class_probabilities,
     load_dictionary,
     save_dictionary,
-    unit_class_probabilities,
     unit_columns,
 )
 from pretext_transfer.errors import ConfigError, ShapeError, ValidationError
@@ -105,9 +104,15 @@ class TestBuildDictionary:
             build_dictionary(identity_projection_state(2), train)
 
 
+def batch_q(fdict, batch, ridge=RIDGE):
+    """class_probabilities of the rows of a feature batch [n, p], normalized by
+    unit_columns as run_evaluate normalizes a test fold."""
+    return class_probabilities(fdict, unit_columns(batch), ridge)
+
+
 def q_one(fdict, y, ridge=RIDGE):
-    """class_probabilities of a one-row batch."""
-    return class_probabilities(fdict, np.asarray(y, dtype=np.float64)[None, :], ridge)[0]
+    """batch_q of a one-row batch."""
+    return batch_q(fdict, np.asarray(y, dtype=np.float64)[None, :], ridge)[0]
 
 
 def oracle_q(fdict, y, ridge=RIDGE):
@@ -139,16 +144,16 @@ class TestCrcCode:
     def test_dimension_mismatch(self):
         fdict = random_dictionary(np.random.default_rng(0), p=5, counts=[2, 2])
         with pytest.raises(ShapeError):
-            class_probabilities(fdict, np.ones((1, 4)), RIDGE)
+            batch_q(fdict, np.ones((1, 4)))
         with pytest.raises(ShapeError):
-            class_probabilities(fdict, np.ones(5), RIDGE)
+            batch_q(fdict, np.ones(5))
 
     def test_zero_vector_rejected(self):
         fdict = random_dictionary(np.random.default_rng(0), p=5, counts=[2, 2])
         with pytest.raises(ValidationError):
             q_one(fdict, np.zeros(5))
         with pytest.raises(ValidationError):
-            class_probabilities(fdict, np.array([np.ones(5), np.zeros(5)]), RIDGE)
+            batch_q(fdict, np.array([np.ones(5), np.zeros(5)]))
 
 
 class TestCrcProbability:
@@ -228,7 +233,7 @@ class TestBatchProbabilities:
         rng = np.random.default_rng(7)
         fdict = random_dictionary(rng, p=9, counts=[5, 4, 2])
         batch = rng.normal(size=(12, 9))
-        q_batch = class_probabilities(fdict, batch, RIDGE)
+        q_batch = batch_q(fdict, batch)
         for i in range(12):
             assert np.allclose(q_batch[i], q_one(fdict, batch[i]), atol=1e-10)
             assert np.allclose(q_batch[i], oracle_q(fdict, batch[i]), atol=1e-9)
@@ -258,7 +263,7 @@ class TestClassGramReconstruction:
         rng = np.random.default_rng(seed)
         fdict = random_dictionary(rng, p=16, counts=[349, 35])
         batch = rng.normal(size=(140, 16))
-        q = class_probabilities(fdict, batch, RIDGE)
+        q = batch_q(fdict, batch)
         assert np.abs(q - codes_form_q(fdict, batch)).max() <= 1e-12
 
     @pytest.mark.parametrize("seed", range(4))
@@ -268,14 +273,14 @@ class TestClassGramReconstruction:
         twice = np.concatenate([base.columns, base.columns[:, 60:]], axis=1)
         fdict = FeatureDictionary(twice, (60, 50))
         batch = rng.normal(size=(140, 16))
-        q = class_probabilities(fdict, batch, RIDGE)
+        q = batch_q(fdict, batch)
         assert np.abs(q - codes_form_q(fdict, batch)).max() <= 1e-12
 
     def test_several_classes_and_a_single_column_class(self):
         rng = np.random.default_rng(20)
         fdict = random_dictionary(rng, p=9, counts=[1, 40, 7, 3])
         batch = rng.normal(size=(33, 9))
-        q = class_probabilities(fdict, batch, RIDGE)
+        q = batch_q(fdict, batch)
         assert np.abs(q - codes_form_q(fdict, batch)).max() <= 1e-12
 
 
@@ -287,12 +292,13 @@ class TestUnitColumns:
         y_unit = unit_columns(batch)
         assert y_unit.shape == (8, 10)
         assert np.allclose(np.linalg.norm(y_unit, axis=0), 1.0, atol=1e-12)
-        assert np.array_equal(unit_class_probabilities(fdict, y_unit, RIDGE), class_probabilities(fdict, batch, RIDGE))
+        by_hand = (batch / np.linalg.norm(batch, axis=1)[:, None]).T
+        assert np.array_equal(class_probabilities(fdict, y_unit, RIDGE), class_probabilities(fdict, by_hand, RIDGE))
 
     def test_dictionary_of_another_width_rejected(self):
         fdict = random_dictionary(np.random.default_rng(0), p=5, counts=[2, 2])
         with pytest.raises(ShapeError, match="^features have 4 columns, expected 5$"):
-            unit_class_probabilities(fdict, unit_columns(np.ones((3, 4))), RIDGE)
+            class_probabilities(fdict, unit_columns(np.ones((3, 4))), RIDGE)
 
     def test_shape_checked_before_values(self):
         # a batch that is not a matrix is named as such even when it holds NaN
@@ -322,11 +328,11 @@ class TestSolveResidualCheck:
             return real_solve(a, b) + 1e-6
 
         monkeypatch.setattr(np.linalg, "solve", recording)
-        class_probabilities(fdict, batch, RIDGE)
+        batch_q(fdict, batch)
         assert systems == [(6, 6)]  # one p x p system, not N x N (N = 7)
         monkeypatch.setattr(np.linalg, "solve", off_by_a_little)
         with pytest.raises(ValidationError, match="residual"):
-            class_probabilities(fdict, batch, RIDGE)
+            batch_q(fdict, batch)
 
     def test_tiny_ridge_on_rank_deficient_dictionary_names_ridge(self):
         # 3 columns span 3 of 16 dimensions, so D D^T + ridge I has 13
@@ -334,7 +340,13 @@ class TestSolveResidualCheck:
         rng = np.random.default_rng(4)
         fdict = random_dictionary(rng, p=16, counts=[2, 1])
         with pytest.raises(ValidationError, match=r"ridge = 1e-12; raise the ridge setting"):
-            class_probabilities(fdict, rng.normal(size=(4, 16)), 1e-12)
+            batch_q(fdict, rng.normal(size=(4, 16)), 1e-12)
+
+    def test_nan_ridge_fails_residual_check(self):
+        # a NaN residual compares False against any bound; the check still refuses it
+        fdict = random_dictionary(np.random.default_rng(4), p=6, counts=[2, 1])
+        with pytest.raises(ValidationError, match="^push-through solve exceeded the residual tolerance.*ridge = nan;"):
+            class_probabilities(fdict, unit_columns(np.ones((2, 6))), float("nan"))
 
 
 class TestDictionarySerialization:

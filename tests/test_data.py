@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from pretext_transfer.clustering import extract_projection, kmeans_fit
 from pretext_transfer.data import (
     ALLOWED_RATIOS,
-    POSITIVE_CLASS,
     LabeledSet,
     SynthConfig,
     UnlabeledSet,
@@ -21,7 +20,7 @@ from pretext_transfer.data import (
     subset,
     train_rows,
 )
-from pretext_transfer.dictionary import FeatureDictionary, unit_class_probabilities, unit_columns
+from pretext_transfer.dictionary import FeatureDictionary, class_probabilities, unit_columns
 from pretext_transfer.errors import ConfigError, ShapeError, ValidationError
 from pretext_transfer.network import LayerSpec, Session, TrainConfig, forward, init_network, train
 
@@ -131,7 +130,7 @@ class TestMakeFolds:
         assert np.array_equal(np.sort(seen), np.arange(len(dataset)))
         for test_idx in folds:
             assert np.array_equal(test_idx, np.sort(test_idx))
-            train_idx = train_rows(dataset, test_idx, POSITIVE_CLASS, 100)
+            train_idx = train_rows(dataset, test_idx, 100)
             assert np.intersect1d(train_idx, test_idx).size == 0
             assert train_idx.size + test_idx.size == len(dataset)
 
@@ -165,7 +164,7 @@ class TestApplyImbalance:
         return LabeledSet(features, labels, 2)
 
     def cut(self, dataset, ratio, test_rows=NO_TEST_ROWS):
-        return subset(dataset, train_rows(dataset, test_rows, POSITIVE_CLASS, ratio))
+        return subset(dataset, train_rows(dataset, test_rows, ratio))
 
     def test_ceiling_retention(self):
         out = self.cut(self.imbalanced_input(positives=280), 10)
@@ -210,7 +209,7 @@ class TestApplyImbalance:
         # rows 0-3 are negatives, 4-11 positives; the test rows take one of
         # each, so 6 positives remain and 50% keeps the first 3 of them
         dataset = self.imbalanced_input(negatives=4, positives=8)
-        rows = train_rows(dataset, np.array([1, 6, 7]), POSITIVE_CLASS, 50)
+        rows = train_rows(dataset, np.array([1, 6, 7]), 50)
         assert rows.tolist() == [0, 2, 3, 4, 5, 8]
 
     @settings(max_examples=150, deadline=None)
@@ -226,14 +225,14 @@ class TestApplyImbalance:
         dataset = LabeledSet(np.zeros((labels.size, 1)), labels, 2)
         for test_idx in make_folds(dataset, fold_count):
             for ratio in ALLOWED_RATIOS:
-                kept = dataset.labels[train_rows(dataset, test_idx, POSITIVE_CLASS, ratio)]
+                kept = dataset.labels[train_rows(dataset, test_idx, ratio)]
                 assert np.array_equal(np.unique(kept), [0, 1])
 
     @pytest.mark.parametrize("ratio", [10, 25, 50, 75, 100])
     def test_never_returns_a_test_row(self, ratio):
         dataset = self.imbalanced_input(negatives=23, positives=17)
         for test_idx in make_folds(dataset, 4):
-            rows = train_rows(dataset, test_idx, POSITIVE_CLASS, ratio)
+            rows = train_rows(dataset, test_idx, ratio)
             assert np.intersect1d(rows, test_idx).size == 0
             assert np.array_equal(rows, np.sort(rows))
             outside = np.setdiff1d(np.arange(len(dataset)), test_idx)
@@ -302,7 +301,7 @@ FEATURE_ENTRY_POINTS = {
     "extract_projection": (lambda x: extract_projection(_NET, x), True),
     "kmeans_fit": (lambda x: kmeans_fit(x, k=2), False),
     "unit_columns": (unit_columns, False),
-    "unit_class_probabilities": (lambda x: unit_class_probabilities(_DICT, unit_columns(x), 1.0), True),
+    "class_probabilities": (lambda x: class_probabilities(_DICT, unit_columns(x), 1.0), True),
     "train": (lambda x: train([Session(_NET, LabeledSet(x, np.zeros(len(x), dtype=np.int64), 2), 0)],
                               TrainConfig(epochs=1), 1.0), True),
 }

@@ -477,7 +477,7 @@ class TestOneBlasThread:
     def test_each_stage_runs_on_one_thread_and_restores_the_count(self, two_blas_threads, tmp_path,
                                                                    monkeypatch):
         pretrain = record_blas_threads(monkeypatch, "pretrain_source")
-        crc = record_blas_threads(monkeypatch, "unit_class_probabilities")
+        crc = record_blas_threads(monkeypatch, "class_probabilities")
         cfg = mini_config(tmp_path)
         for stage in (run_generate, run_pretrain, run_cluster, run_prt, run_tl, run_dict, run_evaluate):
             stage(cfg)
@@ -487,7 +487,7 @@ class TestOneBlasThread:
 
     def test_nested_stages_keep_the_limit(self, two_blas_threads, tmp_path, monkeypatch):
         pretrain = record_blas_threads(monkeypatch, "pretrain_source")
-        crc = record_blas_threads(monkeypatch, "unit_class_probabilities")
+        crc = record_blas_threads(monkeypatch, "class_probabilities")
         run_experiment(mini_config(tmp_path))
         assert pretrain == [1]
         assert crc and set(crc) == {1}

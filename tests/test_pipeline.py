@@ -303,10 +303,6 @@ class TestTlTrain:
             assert state_bytes(model) == state_bytes(alone)
             assert session.log_path.read_text() == alone_log.read_text()
 
-    def test_empty_training_set_rejected(self, source_model):
-        with pytest.raises(Exception):
-            LabeledSet(np.zeros((0, 5)), np.zeros(0, dtype=int), 2)
-
     def test_composes_with_prt(self, source_model, pseudo, domains):
         _, _, target = domains
         for hidden in ((8,), (12, 6)):
