@@ -319,11 +319,13 @@ def kmeans_fit(
         new_centroids = _update_means(x_cols, labels, k, centroids, sq_dists)
         shift = np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max()
         _lower_bounds(lower, shift, x.shape[1])
+        # a subnormal move can square to a shift of 0, so compare the centroids
+        moved = not np.array_equal(new_centroids, centroids)
         centroids = new_centroids
         if shift < tol:
             break
     # when no centroid moved, the loop's last assignment is already final
-    if shift != 0:
+    if moved:
         labels, sq_dists = _bounded_assign(x, centroids, x_norms, labels, sq_dists, lower)
     history.append(float(sq_dists.sum()))
     return ClusterModel(centroids, seed, history, labels)

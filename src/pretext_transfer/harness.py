@@ -9,13 +9,22 @@ report byte for byte."""
 from __future__ import annotations
 
 import ctypes
-import hashlib
 import math
 from dataclasses import dataclass
 from functools import cache, wraps
 from pathlib import Path
 
 import numpy as np
+
+# CPython's builtin SHA-256, the one hashlib falls back to: importing hashlib
+# maps OpenSSL's libcrypto, which a stage that draws no random number never needs
+try:
+    from _sha2 import sha256  # Python 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 from .clustering import (
     ClusterModel,
@@ -137,7 +146,7 @@ class ExperimentConfig:
 def derive_seed(master_seed: int, *parts) -> int:
     """Stable per-stage/per-cell seed from the master seed and a label path."""
     text = ":".join([str(master_seed), *map(str, parts)])
-    digest = hashlib.sha256(text.encode("utf-8")).digest()
+    digest = sha256(text.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "little")
 
 
@@ -255,7 +264,7 @@ def stage_key(cfg: ExperimentConfig, name: str) -> str:
     """SHA-256 of the stage's name, the settings it reads and its inputs' keys."""
     _, _, inputs, keyed = STAGES[name]
     text = repr((name, [getattr(cfg, field) for field in keyed], [stage_key(cfg, dep) for dep in inputs]))
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return sha256(text.encode("utf-8")).hexdigest()
 
 
 def _read_keys(manifest: Path) -> dict[str, str]:

@@ -6,7 +6,6 @@ is given one ``TrainConfig`` and its seeds, builds its sessions and passes
 
 from __future__ import annotations
 
-import logging
 from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,8 +23,6 @@ from .network import (
     replace_head,
     train,
 )
-
-logger = logging.getLogger(__name__)
 
 TL_HEAD_MULTIPLIER = 10.0
 SOURCE_ACCURACY_GATE = 0.9
@@ -59,7 +56,9 @@ def pretrain_source(
     [state] = _train_stage("source", [Session(init_network(specs, seed), source_data, seed)], cfg, 1.0, [log_path])
     train_accuracy = accuracy(state, source_data.features, source_data.labels)
     if train_accuracy < SOURCE_ACCURACY_GATE:
-        logger.warning(
+        import logging  # only here: a module-level import maps logging on every run, for one warning
+
+        logging.getLogger(__name__).warning(
             "source pretraining accuracy %.3f is below the %.1f sanity gate",
             train_accuracy,
             SOURCE_ACCURACY_GATE,

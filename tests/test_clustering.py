@@ -4,7 +4,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pretext_transfer.clustering as clustering
@@ -428,6 +428,10 @@ class TestBoundedFit:
         max_iters=st.integers(1, 12),
         tol=st.sampled_from([0.0, 1e-7]),
     )
+    # subnormal rows: the last moves square to a shift of 0, yet the centroids
+    # changed, so the final assignment must still run
+    @example(seed=2, p=1, k=2, m=_CHUNK - 1, exponent=-160, spread=0, shifted=False,
+             duplicate_points=True, duplicate_centroids=False, max_iters=3, tol=0.0)
     def test_bit_identical_to_reference_lloyd(
         self, seed, p, k, m, exponent, spread, shifted, duplicate_points, duplicate_centroids,
         max_iters, tol,

@@ -1,7 +1,11 @@
 import ctypes
 import dataclasses
+import hashlib
+import importlib.util
 import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -163,6 +167,12 @@ class TestStageTable:
         for position, (name, (_, _, inputs, _)) in enumerate(STAGES.items()):
             assert set(inputs) <= set(list(STAGES)[:position]), name
 
+    def test_keys_are_hashlibs_digests(self, tmp_path):
+        cfg = ExperimentConfig(out_dir=tmp_path)
+        for name, (_, _, inputs, keyed) in STAGES.items():
+            text = repr((name, [getattr(cfg, field) for field in keyed], [stage_key(cfg, dep) for dep in inputs]))
+            assert stage_key(cfg, name) == hashlib.sha256(text.encode("utf-8")).hexdigest(), name
+
 
 class TestDeriveSeed:
     def test_stable_and_distinct(self):
@@ -170,6 +180,44 @@ class TestDeriveSeed:
         assert derive_seed(5, 10, 0, "TL") != derive_seed(5, 10, 1, "TL")
         assert derive_seed(5, 10, 0, "TL") != derive_seed(6, 10, 0, "TL")
         assert derive_seed(5, 10, 0, "TL") != derive_seed(5, 10, 0, "PRT+TL")
+
+    @pytest.mark.parametrize("master_seed, parts", [
+        (0, ()),
+        (5, (10, 0, "TL")),
+        (2**40, ("prt",)),
+        (-3, ("généré", 1.5)),
+    ])
+    def test_digest_is_hashlibs(self, master_seed, parts):
+        text = ":".join([str(master_seed), *map(str, parts)]).encode("utf-8")
+        assert derive_seed(master_seed, *parts) == int.from_bytes(hashlib.sha256(text).digest()[:8], "little")
+
+
+# Run in a fresh interpreter, since pytest and hypothesis import hashlib and
+# logging themselves: the modules the package adds after NumPy is loaded.
+LEAN_IMPORT = """
+import sys
+import numpy
+before = set(sys.modules)
+from pretext_transfer.harness import STAGES, ExperimentConfig, derive_seed, stage_key
+cfg = ExperimentConfig(out_dir="unused")
+[stage_key(cfg, name) for name in STAGES]
+derive_seed(0, "generate")
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+
+
+@pytest.fixture(scope="module")
+def modules_the_package_adds():
+    env = {**os.environ, "PYTHONPATH": str(Path(harness.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", LEAN_IMPORT], env=env, capture_output=True, text=True, check=True)
+    return set(done.stdout.split())
+
+
+@pytest.mark.parametrize("module", ["_hashlib", "logging"])
+def test_fresh_interpreter_maps_no_openssl_or_logging(modules_the_package_adds, module):
+    if module == "_hashlib" and not any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")):
+        pytest.skip("this Python has neither _sha2 nor _sha256, so stage keys take SHA-256 from hashlib")
+    assert module not in modules_the_package_adds
 
 
 class TestLayerSpecsBuilder:

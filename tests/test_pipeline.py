@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -168,6 +169,17 @@ class TestPretrainSource:
 
         source, _, _ = domains
         assert accuracy(source_model, source.features, source.labels) >= 0.9
+
+    def test_below_gate_logs_one_warning(self, domains, caplog):
+        # one epoch ends near 0.39 training accuracy, under the 0.9 gate
+        source, _, _ = domains
+        with caplog.at_level("WARNING"):
+            pretrain_source(SPECS, source, TrainConfig(epochs=1, base_lr=1e-2), seed=1)
+        [record] = caplog.records
+        assert (record.name, record.levelname) == ("pretext_transfer.pipeline", "WARNING")
+        assert re.fullmatch(
+            r"source pretraining accuracy 0\.\d{3} is below the 0\.9 sanity gate", record.getMessage()
+        )
 
 
 class TestPrtTrain:
