@@ -17,11 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import extract_projection
 from .data import LabeledSet, feature_matrix
 from .errors import ShapeError, ValidationError
 from .manifest import manifest_value, read_artifact, unpack_blob, write_artifact
-from .network import NetworkState
 
 _ZERO_NORM = 1e-12
 _SOLVE_TOL = 1e-8
@@ -45,10 +43,10 @@ class FeatureDictionary:
         return self.columns.shape[0]
 
 
-def build_dictionary(m1: NetworkState, train: LabeledSet) -> FeatureDictionary:
-    """The training projections as unit columns, grouped by class in ascending
-    order; within a class, columns keep their sample order."""
-    columns = unit_columns(extract_projection(m1, train.features))
+def build_dictionary(train: LabeledSet) -> FeatureDictionary:
+    """The rows of ``train``, as given, as unit columns grouped by class in
+    ascending order; within a class, columns keep their sample order."""
+    columns = unit_columns(train.features)
     class_counts = np.bincount(train.labels, minlength=train.class_count)
     if (class_counts == 0).any():
         raise ValidationError(f"class {np.flatnonzero(class_counts == 0)[0]} has no training samples")

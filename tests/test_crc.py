@@ -15,22 +15,9 @@ from pretext_transfer.dictionary import (
 from pretext_transfer.errors import ConfigError, ShapeError, ValidationError
 from pretext_transfer.harness import ExperimentConfig
 from pretext_transfer.manifest import write_artifact
-from pretext_transfer.network import (
-    Layer,
-    NetworkState,
-)
 
 RIDGE = ExperimentConfig.ridge  # the default setting
 EPSILON = 1e-12
-
-
-def identity_projection_state(dim):
-    return NetworkState(
-        layers=[
-            Layer(np.eye(dim), np.zeros(dim), "identity"),
-            Layer(np.zeros((2, dim)), np.zeros(2), "identity"),
-        ],
-    )
 
 
 def random_dictionary(rng, p, counts):
@@ -67,27 +54,27 @@ class TestBuildDictionary:
         rng = np.random.default_rng(0)
         labels = np.concatenate([np.zeros(349, dtype=int), np.ones(35, dtype=int)])
         train = LabeledSet(rng.normal(size=(384, 6)), labels, 2)
-        fdict = build_dictionary(identity_projection_state(6), train)
+        fdict = build_dictionary(train)
         assert fdict.class_counts == (349, 35)
         assert fdict.columns.shape == (6, 384)
 
     def test_single_sample_per_class_is_normalized_input(self):
         features = np.array([[3.0, 4.0], [0.0, 2.0]])
         train = LabeledSet(features, np.array([0, 1]), 2)
-        fdict = build_dictionary(identity_projection_state(2), train)
+        fdict = build_dictionary(train)
         expected = features / np.linalg.norm(features, axis=1)[:, None]
         assert np.allclose(fdict.columns, expected.T)
 
     def test_columns_unit_norm(self):
         rng = np.random.default_rng(1)
         train = LabeledSet(rng.normal(size=(50, 7)), rng.integers(0, 3, 50), 3)
-        fdict = build_dictionary(identity_projection_state(7), train)
+        fdict = build_dictionary(train)
         assert np.allclose(np.linalg.norm(fdict.columns, axis=0), 1.0, atol=1e-9)
 
     def test_columns_grouped_by_class_in_sample_order(self):
         features = np.arange(1.0, 13.0).reshape(6, 2)
         train = LabeledSet(features, np.array([1, 0, 1, 2, 0, 1]), 3)
-        fdict = build_dictionary(identity_projection_state(2), train)
+        fdict = build_dictionary(train)
         unit = features / np.linalg.norm(features, axis=1)[:, None]
         assert fdict.class_counts == (2, 3, 1)
         assert np.array_equal(fdict.columns, unit[[1, 4, 0, 2, 5, 3]].T)
@@ -95,13 +82,13 @@ class TestBuildDictionary:
     def test_empty_class_named_in_error(self):
         train = LabeledSet(np.random.default_rng(0).normal(size=(5, 3)), np.zeros(5, dtype=int), 2)
         with pytest.raises(ValidationError, match="class 1"):
-            build_dictionary(identity_projection_state(3), train)
+            build_dictionary(train)
 
     def test_zero_norm_feature_rejected(self):
         features = np.array([[1.0, 0.0], [0.0, 0.0]])
         train = LabeledSet(features, np.array([0, 1]), 2)
         with pytest.raises(ValidationError, match="zero-norm"):
-            build_dictionary(identity_projection_state(2), train)
+            build_dictionary(train)
 
 
 def batch_q(fdict, batch, ridge=RIDGE):

@@ -13,6 +13,7 @@ import pytest
 
 import pretext_transfer.harness as harness
 from pretext_transfer.data import SynthConfig
+from pretext_transfer.dictionary import FeatureDictionary, load_dictionary, save_dictionary
 from pretext_transfer.errors import ConfigError, ValidationError
 from pretext_transfer.harness import (
     STAGES,
@@ -32,6 +33,7 @@ from pretext_transfer.harness import (
     stage_key,
 )
 from pretext_transfer.metrics import METHOD_ORDER
+from pretext_transfer.network import Layer, NetworkState, load_checkpoint, save_checkpoint
 
 MINI_SYNTH = SynthConfig(
     source_class_count=4,
@@ -338,8 +340,9 @@ class TestTlOncePerRatio:
 
 class TestEachStageLoadsOnce:
     def test_each_stage_loads_its_data_and_cuts_its_folds_once(self, tmp_path, monkeypatch):
-        # every stage hands the data and folds it loaded to all of its cells
-        stage, calls = [None], {"load_dataset": [], "make_folds": []}
+        # every stage hands the data and folds it loaded, and the projection it
+        # made, to all of its cells; evaluate projects each test fold once
+        stage, calls = [None], {"load_dataset": [], "make_folds": [], "extract_projection": []}
 
         def recording_stage(name, run):
             def recorded(cfg):
@@ -359,7 +362,8 @@ class TestEachStageLoadsOnce:
             monkeypatch.setattr(harness, name, recording_call(name, getattr(harness, name)))
         run_experiment(mini_config(tmp_path / "run", ratios=(10, 25, 100), fold_count=3))
         assert calls == {"load_dataset": ["pretrain", "cluster", "prt", "tl", "dict", "evaluate"],
-                         "make_folds": ["tl", "dict", "evaluate"]}
+                         "make_folds": ["tl", "dict", "evaluate"],
+                         "extract_projection": ["cluster", "dict", "evaluate", "evaluate", "evaluate"]}
 
 
 class TestEvaluateOncePerFold:
@@ -403,6 +407,45 @@ class TestBaselineIsolation:
             assert new[name] == old[name], name
         assert ([r for r in report.per_fold if r.method == "TL"]
                 == [r for r in base_report.per_fold if r.method == "TL"])
+
+
+def add_third_output(path):
+    state = load_checkpoint(path)
+    head = state.layers[-1]
+    wider = Layer(np.vstack([head.weights, head.weights[:1]]), np.append(head.bias, 0.0), head.activation)
+    save_checkpoint(NetworkState([*state.layers[:-1], wider]), path)
+
+
+def split_off_third_class(path):
+    fdict = load_dictionary(path)
+    negatives, positives = fdict.class_counts
+    save_dictionary(FeatureDictionary(fdict.columns, (negatives, positives - 1, 1)), path)
+
+
+def drop_last_feature(path):
+    fdict = load_dictionary(path)
+    save_dictionary(FeatureDictionary(fdict.columns[:-1], fdict.class_counts), path)
+
+
+class TestEvaluateRefusesCellsThatDoNotFit:
+    # mini_config's target has 6 features and 2 classes, and PRT projects it to 6
+    @pytest.mark.parametrize("name,tamper,message", [
+        ("tl", add_third_output, "6 features and 3 classes, against 6 and 2 in the test rows"),
+        ("prt_tl", add_third_output, "6 features and 3 classes, against 6 and 2 in the test rows"),
+        ("dict", split_off_third_class, "6 features and 3 classes, against 6 and 2 in the test rows' PRT projection"),
+        ("dict", drop_last_feature, "5 features and 2 classes, against 6 and 2 in the test rows' PRT projection"),
+    ], ids=["tl-outputs", "prt_tl-outputs", "dict-classes", "dict-width"])
+    def test_the_file_is_named_and_report_kept(self, mini_run, tmp_path, name, tamper, message):
+        base, _ = mini_run
+        cfg = dataclasses.replace(base, out_dir=tmp_path / "run")
+        shutil.copytree(base.out_dir, cfg.out_dir)
+        path = cell_path(cfg, cfg.ratios[-1], cfg.fold_count - 1, name)
+        tamper(path)
+        report = (cfg.out_dir / "report.csv").read_bytes()
+        with pytest.raises(ValidationError) as err:
+            run_evaluate(cfg)
+        assert str(err.value) == f"{path}: {message}"
+        assert (cfg.out_dir / "report.csv").read_bytes() == report
 
 
 class TestMissingPrerequisites:
