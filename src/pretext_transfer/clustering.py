@@ -231,11 +231,22 @@ def _lower_bounds(lower: np.ndarray, shift: float, p: int) -> None:
     np.subtract(lower, move, out=lower)
 
 
+def _sq_dists_to(x: np.ndarray, centroid: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``((x - centroid) ** 2).sum(axis=1)`` into ``out``, bit for bit, over
+    ``_CHUNK``-row blocks, so no temporary is larger than one block."""
+    for start in range(0, x.shape[0], _CHUNK):
+        rows = slice(start, start + _CHUNK)
+        diff = x[rows] - centroid
+        out[rows] = np.square(diff, out=diff).sum(axis=1)
+    return out
+
+
 @np.errstate(over="ignore")
 def _plus_plus_seed(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     centroids = np.empty((k, x.shape[1]))
     centroids[0] = x[int(rng.integers(x.shape[0]))]
-    closest = ((x - centroids[0]) ** 2).sum(axis=1)
+    closest = _sq_dists_to(x, centroids[0], np.empty(x.shape[0]))
+    dists = np.empty(x.shape[0])
     for j in range(1, k):
         total = closest.sum()
         if not np.isfinite(total):  # closest / total would be NaN
@@ -248,7 +259,7 @@ def _plus_plus_seed(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
         else:
             idx = int(rng.integers(x.shape[0]))  # fully degenerate data
         centroids[j] = x[idx]
-        closest = np.minimum(closest, ((x - centroids[j]) ** 2).sum(axis=1))
+        np.minimum(closest, _sq_dists_to(x, centroids[j], dists), out=closest)
     return centroids
 
 

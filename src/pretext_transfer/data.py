@@ -135,7 +135,11 @@ def generate_domains(cfg: SynthConfig, seed: int = 0) -> tuple[LabeledSet, Unlab
 
     positive_fraction = cfg.positives / (cfg.positives + cfg.negatives)
     components = (rng.random(cfg.unlabeled_size) < positive_fraction).astype(np.int64)
-    pool = target_means[components] + rng.normal(0.0, cfg.noise, size=(cfg.unlabeled_size, cfg.dim))
+    # each component's mean is added into the noise in place: the bits of
+    # target_means[components] + noise, without a second pool-sized array
+    pool = rng.normal(0.0, cfg.noise, size=(cfg.unlabeled_size, cfg.dim))
+    for c, mean in enumerate(target_means):
+        np.add(mean, pool, out=pool, where=(components == c)[:, None])
     return source, UnlabeledSet(pool), target
 
 

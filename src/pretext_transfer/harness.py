@@ -317,6 +317,26 @@ def _stage(run):
     return checked
 
 
+def _check_fit(path: Path, got: tuple[int, int], fits: tuple[int, int], rows: str) -> None:
+    """Refuse the file at ``path`` unless its (features, classes) are ``fits``, those of ``rows``."""
+    if got != fits:
+        raise ValidationError(f"{path}: {got[0]} features and {got[1]} classes, "
+                              f"against {fits[0]} and {fits[1]} in the {rows}")
+
+
+def _load_network(path: Path, fits: tuple[int, int], rows: str) -> NetworkState:
+    """The checkpoint at ``path``, refused by ``_check_fit`` unless its inputs and outputs fit ``rows``."""
+    model = load_checkpoint(path)
+    _check_fit(path, (model.input_dim, model.label_count), fits, rows)
+    return model
+
+
+def _load_source_network(cfg: ExperimentConfig, path: Path) -> NetworkState:
+    """``source.ckpt`` or ``prt.ckpt``: both take the generated features and
+    give one output per source class, as the pseudo-classes are as many."""
+    return _load_network(path, (cfg.synth.dim, cfg.synth.source_class_count), "source rows")
+
+
 @_stage
 def run_generate(cfg: ExperimentConfig) -> tuple[LabeledSet, UnlabeledSet, LabeledSet]:
     """Generate the two-domain data, seeded from the master seed, and persist it."""
@@ -342,7 +362,7 @@ def run_pretrain(cfg: ExperimentConfig) -> NetworkState:
 
 @_stage
 def run_cluster(cfg: ExperimentConfig) -> ClusterModel:
-    source_model = load_checkpoint(source_ckpt_path(cfg))
+    source_model = _load_source_network(cfg, source_ckpt_path(cfg))
     # the pool goes straight into the projection, so nothing holds it during the fit
     model = kmeans_fit(
         extract_projection(source_model, load_dataset(data_path(cfg, "unlabeled")).features),
@@ -372,7 +392,7 @@ def run_prt(cfg: ExperimentConfig) -> None:
     fold or target data, so every grid cell starts its PRT+TL route and its
     dictionary from the same ``prt.ckpt``.
     """
-    source_model = load_checkpoint(source_ckpt_path(cfg))
+    source_model = _load_source_network(cfg, source_ckpt_path(cfg))
     pseudo = _load_pseudo(cfg)
     model = prt_train(source_model, pseudo, _train_config(cfg, cfg.prt_epochs),
                       derive_seed(cfg.master_seed, "prt"), log_path=cfg.out_dir / "logs" / "prt.log")
@@ -396,8 +416,8 @@ def run_tl(cfg: ExperimentConfig) -> None:
     target, folds = _load_target(cfg)
     train_cfg = _train_config(cfg, cfg.tl_epochs)
     # (method, starting model, output name)
-    routes = [(METHOD_TL, load_checkpoint(source_ckpt_path(cfg)), "tl"),
-              (METHOD_PRT_TL, load_checkpoint(prt_ckpt_path(cfg)), "prt_tl")]
+    routes = [(METHOD_TL, _load_source_network(cfg, source_ckpt_path(cfg)), "tl"),
+              (METHOD_PRT_TL, _load_source_network(cfg, prt_ckpt_path(cfg)), "prt_tl")]
     for ratio in cfg.ratios:
         sessions, paths = [], []
         for fold in range(cfg.fold_count):
@@ -419,7 +439,8 @@ def run_tl(cfg: ExperimentConfig) -> None:
 def run_dict(cfg: ExperimentConfig) -> None:
     """Each cell's dictionary over its TL training rows, cut from one PRT projection of the target."""
     target, folds = _load_target(cfg)
-    projected = replace(target, features=extract_projection(load_checkpoint(prt_ckpt_path(cfg)), target.features))
+    m1 = _load_source_network(cfg, prt_ckpt_path(cfg))
+    projected = replace(target, features=extract_projection(m1, target.features))
     for ratio, fold in _cells(cfg):
         fdict = build_dictionary(_cell_train_set(projected, folds, ratio, fold))
         save_dictionary(fdict, cell_path(cfg, ratio, fold, "dict"))
@@ -432,15 +453,12 @@ def _evaluate_cell(cfg: ExperimentConfig, test: LabeledSet, test_unit: np.ndarra
     def row(method: str, predictions: np.ndarray) -> FoldMetrics:
         return FoldMetrics(fold, ratio, method, compute_metrics(predictions, test.labels, POSITIVE_CLASS))
 
-    paths = [cell_path(cfg, ratio, fold, name) for name in ("tl", "prt_tl", "dict")]
-    tl, m2, fdict = load_checkpoint(paths[0]), load_checkpoint(paths[1]), load_dictionary(paths[2])
-    features, projected = (test.features.shape[1], test.class_count), (test_unit.shape[0], test.class_count)
-    for path, got, fits, of in [(paths[0], (tl.input_dim, tl.label_count), features, "rows"),
-                                (paths[1], (m2.input_dim, m2.label_count), features, "rows"),
-                                (paths[2], (fdict.feature_dim, fdict.class_count), projected, "rows' PRT projection")]:
-        if got != fits:
-            raise ValidationError(f"{path}: {got[0]} features and {got[1]} classes, "
-                                  f"against {fits[0]} and {fits[1]} in the test {of}")
+    widths = (test.features.shape[1], test.class_count)
+    tl, m2 = (_load_network(cell_path(cfg, ratio, fold, name), widths, "test rows") for name in ("tl", "prt_tl"))
+    path = cell_path(cfg, ratio, fold, "dict")
+    fdict = load_dictionary(path)
+    _check_fit(path, (fdict.feature_dim, fdict.class_count), (test_unit.shape[0], test.class_count),
+               "test rows' PRT projection")
     rho = forward(m2, test.features)
     q = class_probabilities(fdict, test_unit, cfg.ridge)
     return [row(METHOD_TL, forward(tl, test.features).argmax(axis=1)),
@@ -452,7 +470,7 @@ def _evaluate_cell(cfg: ExperimentConfig, test: LabeledSet, test_unit: np.ndarra
 def run_evaluate(cfg: ExperimentConfig) -> MetricsReport:
     """Score every (method, ratio, fold) cell and write the reports."""
     target, folds = _load_target(cfg)
-    m1 = load_checkpoint(prt_ckpt_path(cfg))
+    m1 = _load_source_network(cfg, prt_ckpt_path(cfg))
     rows = []
     # projected fold by fold: holding one whole-target projection, as run_dict
     # does, read reeval's peak RSS 31.22-31.23 -> 31.32-31.34 MB (2-core host, NumPy 2.4.6)

@@ -65,8 +65,10 @@ def write_artifact(
     _write_atomic(path, chunks())
 
 
-def read_artifact(path: str | Path, kind: str) -> tuple[list[tuple[str, str]], bytes]:
-    """Return the manifest as ordered (key, value) pairs plus the raw blob."""
+def read_artifact(path: str | Path, kind: str) -> tuple[list[tuple[str, str]], memoryview]:
+    """Return the manifest as ordered (key, value) pairs plus the blob, a
+    ``memoryview`` of the bytes read: a ``bytes`` slice would copy the payload
+    while the whole file is still held."""
     path = Path(path)
     raw = path.read_bytes()
     split = raw.find(_SEPARATOR)
@@ -84,11 +86,11 @@ def read_artifact(path: str | Path, kind: str) -> tuple[list[tuple[str, str]], b
         if not sep:
             raise ValidationError(f"{path}:{lineno}: malformed manifest line {line!r}")
         pairs.append((key, value))
-    return pairs, raw[split + len(_SEPARATOR):]
+    return pairs, memoryview(raw)[split + len(_SEPARATOR):]
 
 
 def unpack_blob(
-    blob: bytes, path, float_shapes: list[tuple[int, ...]], int_lengths: list[int] = ()
+    blob: bytes | memoryview, path, float_shapes: list[tuple[int, ...]], int_lengths: list[int] = ()
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Split a blob into copied float64 arrays and int64 vectors, in the order
     written; their shapes and lengths must account for every byte, and every

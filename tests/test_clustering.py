@@ -181,6 +181,32 @@ class TestKmeansFit:
         with pytest.raises(ValidationError):
             kmeans_fit(np.zeros((3, 2)), k=4, seed=0)
 
+    # row counts on both sides of one and two seeding blocks
+    @pytest.mark.parametrize("rows", [1, 1023, 1024, 1025, 2049, 20000])
+    def test_seeding_has_the_bits_of_the_whole_array(self, rows):
+        x = np.random.default_rng(rows).normal(size=(rows, 16)) * 10.0
+        k = min(rows, 10)
+        rng = np.random.default_rng(3)
+        expected = np.empty((k, 16))
+        expected[0] = x[int(rng.integers(rows))]
+        closest = ((x - expected[0]) ** 2).sum(axis=1)
+        for j in range(1, k):
+            expected[j] = x[int(rng.choice(rows, p=closest / closest.sum()))]
+            closest = np.minimum(closest, ((x - expected[j]) ** 2).sum(axis=1))
+        assert _plus_plus_seed(x, k, np.random.default_rng(3)).tobytes() == expected.tobytes()
+
+    def test_seeding_holds_no_copy_of_the_features(self):
+        # whole-array distances held two temporaries as large as the features
+        x = np.random.default_rng(2).normal(size=(20000, 16))
+        tracemalloc.start()
+        try:
+            at_call = tracemalloc.get_traced_memory()[0]
+            _plus_plus_seed(x, 10, np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - at_call < x.nbytes + _CHUNK * x.itemsize * x.shape[1]
+
     def test_overflowing_seeding_weights_rejected(self):
         # finite features whose squared distances overflow: the k-means++
         # weights would be inf / inf

@@ -9,9 +9,12 @@ from hypothesis import strategies as st
 from pretext_transfer.clustering import extract_projection, kmeans_fit
 from pretext_transfer.data import (
     ALLOWED_RATIOS,
+    _MEAN_SCALE,
+    _TARGET_PAIR_GAP,
     LabeledSet,
     SynthConfig,
     UnlabeledSet,
+    _unit,
     feature_matrix,
     generate_domains,
     load_dataset,
@@ -85,6 +88,29 @@ class TestGenerateDomains:
             assert np.array_equal(a.features, b.features)
         third = generate_domains(SMALL, seed=4)
         assert not np.array_equal(first[0].features, third[0].features)
+
+    @staticmethod
+    def reference_pool(cfg, seed):
+        """``target_means[components] + noise`` from generate_domains's draws, in its order."""
+        rng = np.random.default_rng(seed)
+        means = rng.normal(0.0, _MEAN_SCALE * cfg.noise, size=(cfg.source_class_count, cfg.dim))
+        means[1] = means[0] + _TARGET_PAIR_GAP * cfg.noise * _unit(rng.normal(size=cfg.dim))
+        for _ in range(cfg.source_class_count):
+            rng.normal(0.0, cfg.noise, size=(cfg.samples_per_class, cfg.dim))
+        target_means = means[:2] + cfg.shift * _unit(rng.normal(size=cfg.dim))
+        rng.normal(0.0, cfg.noise, size=(cfg.negatives, cfg.dim))
+        rng.normal(0.0, cfg.noise, size=(cfg.positives, cfg.dim))
+        positive_fraction = cfg.positives / (cfg.positives + cfg.negatives)
+        components = (rng.random(cfg.unlabeled_size) < positive_fraction).astype(np.int64)
+        return target_means[components] + rng.normal(0.0, cfg.noise, size=(cfg.unlabeled_size, cfg.dim))
+
+    # the pool adds each component's mean into its noise in place
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("size", [1, 7, 1500, 20000])
+    def test_pool_has_the_bits_of_means_plus_noise(self, size, seed):
+        cfg = SynthConfig(unlabeled_size=size)
+        _, unlabeled, _ = generate_domains(cfg, seed)
+        assert unlabeled.features.tobytes() == self.reference_pool(cfg, seed).tobytes()
 
     def test_finite_everywhere(self):
         for part in generate_domains(SMALL, seed=3):

@@ -427,6 +427,13 @@ def drop_last_feature(path):
     save_dictionary(FeatureDictionary(fdict.columns[:-1], fdict.class_counts), path)
 
 
+def take_eight_inputs(path):
+    state = load_checkpoint(path)
+    first = state.layers[0]
+    wider = np.hstack([first.weights, np.zeros((first.weights.shape[0], 8 - first.weights.shape[1]))])
+    save_checkpoint(NetworkState([Layer(wider, first.bias, first.activation), *state.layers[1:]]), path)
+
+
 class TestEvaluateRefusesCellsThatDoNotFit:
     # mini_config's target has 6 features and 2 classes, and PRT projects it to 6
     @pytest.mark.parametrize("name,tamper,message", [
@@ -446,6 +453,25 @@ class TestEvaluateRefusesCellsThatDoNotFit:
             run_evaluate(cfg)
         assert str(err.value) == f"{path}: {message}"
         assert (cfg.out_dir / "report.csv").read_bytes() == report
+
+    # every stage that reads prt.ckpt or source.ckpt names it; mini_config's
+    # source rows have 6 features and 4 classes
+    @pytest.mark.parametrize("stage,name", [(run_tl, "prt"), (run_dict, "prt"), (run_evaluate, "prt"),
+                                            (run_tl, "source")],
+                             ids=["tl-prt", "dict-prt", "evaluate-prt", "tl-source"])
+    def test_a_network_of_other_width_is_named(self, mini_run, tmp_path, stage, name):
+        base, _ = mini_run
+        cfg = dataclasses.replace(base, out_dir=tmp_path / "run")
+        shutil.copytree(base.out_dir, cfg.out_dir)
+        path = cfg.out_dir / f"{name}.ckpt"
+        take_eight_inputs(path)
+        before = tree_bytes(cfg.out_dir)
+        with pytest.raises(ValidationError) as err:
+            stage(cfg)
+        assert str(err.value) == f"{path}: 8 features and 4 classes, against 6 and 4 in the source rows"
+        after = tree_bytes(cfg.out_dir)
+        del before["manifest.txt"], after["manifest.txt"]  # the stage's key leaves it while it runs
+        assert after == before
 
 
 class TestMissingPrerequisites:

@@ -26,6 +26,7 @@ class TestWriteArtifact:
         write_artifact(path, "thing", [("n", 2)], [np.array([1.5, -2.0])], [np.array([3, 4])])
         pairs, blob = read_artifact(path, "thing")
         assert pairs == [("n", "2")]
+        assert isinstance(blob, memoryview)  # a view of the bytes read, not a copy
         assert blob == np.array([1.5, -2.0], dtype="<f8").tobytes() + np.array([3, 4], dtype="<i4").tobytes()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a.bin"]
 
