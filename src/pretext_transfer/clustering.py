@@ -9,7 +9,7 @@ import numpy as np
 from .data import feature_matrix
 from .errors import ValidationError
 from .manifest import manifest_value, read_artifact, unpack_blob, write_artifact
-from .network import NetworkState, apply_layer
+from .network import NetworkState, apply_layer, relu
 
 # Rows per assignment block. It bounds the per-block temporaries: with all
 # 20000 rows of the pseudo-label pool in one product they added about 3 MB of
@@ -60,8 +60,8 @@ def extract_projection(model: NetworkState, samples) -> np.ndarray:
     for b in range(blocks):
         rows = slice(b * _CHUNK, m if b == blocks - 1 else (b + 1) * _CHUNK)
         z = x[rows]
-        for layer in layers:
-            z = apply_layer(z, layer.weights, layer.bias, layer.activation)
+        for k, layer in enumerate(layers):
+            z = apply_layer(z, layer.weights, layer.bias, relu(k, len(model.layers)))
         out[rows] = z
     return out
 

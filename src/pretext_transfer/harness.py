@@ -67,13 +67,12 @@ from .metrics import (
     render_report_text,
 )
 from .network import (
-    LayerSpec,
     NetworkState,
     TrainConfig,
     forward,
     load_checkpoint,
     save_checkpoint,
-    validate_layer_specs,
+    validate_widths,
 )
 from .pipeline import TlSession, pretrain_source, prt_train, tl_train
 
@@ -125,8 +124,7 @@ class ExperimentConfig:
         if not self.hidden:
             raise ConfigError("need at least one hidden representation layer")
         try:
-            validate_layer_specs(build_layer_specs(self.synth.dim, self.synth.source_class_count,
-                                                   self.hidden, self.projection_dim))
+            validate_widths((self.synth.dim, *self.hidden, self.projection_dim, self.synth.source_class_count))
         except ConfigError as exc:
             raise ConfigError(f"hidden/projection_dim: {exc}") from exc
         for stage, epochs, lr in [("source", self.source_epochs, self.source_lr),
@@ -148,19 +146,6 @@ def derive_seed(master_seed: int, *parts) -> int:
     text = ":".join([str(master_seed), *map(str, parts)])
     digest = sha256(text.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "little")
-
-
-def build_layer_specs(
-    input_dim: int, label_count: int, hidden: tuple[int, ...], projection_dim: int
-) -> list[LayerSpec]:
-    specs = []
-    prev = input_dim
-    for width in hidden:
-        specs.append(LayerSpec(prev, width, "relu"))
-        prev = width
-    specs.append(LayerSpec(prev, projection_dim, "identity"))
-    specs.append(LayerSpec(projection_dim, label_count, "identity"))
-    return specs
 
 
 def _train_config(cfg: ExperimentConfig, epochs: int, base_lr: float | None = None) -> TrainConfig:
@@ -350,11 +335,9 @@ def run_generate(cfg: ExperimentConfig) -> tuple[LabeledSet, UnlabeledSet, Label
 @_stage
 def run_pretrain(cfg: ExperimentConfig) -> NetworkState:
     source = load_dataset(data_path(cfg, "source"))
-    specs = build_layer_specs(
-        source.features.shape[1], source.class_count, cfg.hidden, cfg.projection_dim
-    )
+    widths = (source.features.shape[1], *cfg.hidden, cfg.projection_dim, source.class_count)
     train_cfg = _train_config(cfg, cfg.source_epochs, base_lr=cfg.source_lr)
-    model = pretrain_source(specs, source, train_cfg, derive_seed(cfg.master_seed, "source"),
+    model = pretrain_source(widths, source, train_cfg, derive_seed(cfg.master_seed, "source"),
                             log_path=cfg.out_dir / "logs" / "source.log")
     save_checkpoint(model, source_ckpt_path(cfg))
     return model
@@ -375,11 +358,16 @@ def run_cluster(cfg: ExperimentConfig) -> ClusterModel:
     return model
 
 
-def _load_pseudo(cfg: ExperimentConfig) -> LabeledSet:
-    cluster_model = load_cluster_model(clusters_ckpt_path(cfg))
+def _load_pseudo(cfg: ExperimentConfig, source_model: NetworkState) -> LabeledSet:
+    """The unlabeled set under its pseudo-labels, one per row and one class per source class."""
+    path = clusters_ckpt_path(cfg)
+    cluster_model = load_cluster_model(path)
+    if cluster_model.k != source_model.label_count:
+        raise ValidationError(f"{path}: k = {cluster_model.k} pseudo-classes, against "
+                              f"{source_model.label_count} source classes in {source_ckpt_path(cfg)}")
     unlabeled = load_dataset(data_path(cfg, "unlabeled"))
     if len(cluster_model.labels) != len(unlabeled):
-        raise ValidationError(f"{clusters_ckpt_path(cfg)} holds {len(cluster_model.labels)} pseudo-labels, "
+        raise ValidationError(f"{path} holds {len(cluster_model.labels)} pseudo-labels, "
                               f"but {data_path(cfg, 'unlabeled')} holds {len(unlabeled)} rows")
     return LabeledSet(unlabeled.features, cluster_model.labels, cluster_model.k)
 
@@ -393,7 +381,7 @@ def run_prt(cfg: ExperimentConfig) -> None:
     dictionary from the same ``prt.ckpt``.
     """
     source_model = _load_source_network(cfg, source_ckpt_path(cfg))
-    pseudo = _load_pseudo(cfg)
+    pseudo = _load_pseudo(cfg, source_model)
     model = prt_train(source_model, pseudo, _train_config(cfg, cfg.prt_epochs),
                       derive_seed(cfg.master_seed, "prt"), log_path=cfg.out_dir / "logs" / "prt.log")
     save_checkpoint(model, prt_ckpt_path(cfg))

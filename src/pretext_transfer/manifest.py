@@ -111,18 +111,14 @@ def unpack_blob(
     return arrays[:len(float_shapes)], arrays[len(float_shapes):]
 
 
-def manifest_values(pairs: list[tuple[str, str]], key: str, path: str | Path, parse) -> list:
-    """``parse`` of every value of ``key``, in file order; a ValueError from
-    ``parse`` becomes a ValidationError that names the file and the key."""
+def manifest_value(pairs: list[tuple[str, str]], key: str, path: str | Path, parse):
+    """``parse`` of the first value of ``key``, which must be present; a
+    ValueError from ``parse`` becomes a ValidationError that names the file
+    and the key."""
+    value = next((value for k, value in pairs if k == key), None)
+    if value is None:
+        raise ValidationError(f"{path}: manifest is missing key '{key}'")
     try:
-        return [parse(value) for k, value in pairs if k == key]
+        return parse(value)
     except ValueError as exc:
         raise ValidationError(f"{path}: bad value for '{key}': {exc}") from None
-
-
-def manifest_value(pairs: list[tuple[str, str]], key: str, path: str | Path, parse):
-    """``parse`` of the first value of ``key``, which must be present."""
-    values = manifest_values(pairs, key, path, parse)
-    if not values:
-        raise ValidationError(f"{path}: manifest is missing key '{key}'")
-    return values[0]

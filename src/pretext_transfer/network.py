@@ -1,7 +1,10 @@
 """Dense feed-forward classifier with momentum SGD.
 
-The last layer is the classification layer (the head); every layer before it
-is a representation layer. The head trains at base_lr times a head multiplier
+A network is its widths, ``(input, *hidden, projection, labels)``: layer k of
+L maps widths[k] to widths[k + 1], and applies ReLU exactly when k < L - 2
+(``relu``), so the projection layer and the head are linear. The last layer
+is the classification layer (the head); every layer before it is a
+representation layer. The head trains at base_lr times a head multiplier
 that each training call is given (zero freezes it), and it can be swapped.
 States are value objects: the public functions return new NetworkState
 objects and leave their arguments unchanged.
@@ -28,18 +31,7 @@ import numpy as np
 
 from .data import LabeledSet, feature_matrix
 from .errors import ConfigError, TrainingDiverged, ValidationError
-from .manifest import manifest_values, read_artifact, unpack_blob, write_artifact
-
-ACTIVATIONS = ("relu", "identity")
-
-
-@dataclass(frozen=True)
-class LayerSpec:
-    """Shape and activation of one dense layer."""
-
-    input_dim: int
-    output_dim: int
-    activation: str
+from .manifest import manifest_value, read_artifact, unpack_blob, write_artifact
 
 
 @dataclass(frozen=True)
@@ -64,16 +56,15 @@ class TrainConfig:
 class Layer:
     weights: np.ndarray  # [output_dim, input_dim]
     bias: np.ndarray  # [output_dim]
-    activation: str
-
-    @property
-    def spec(self) -> LayerSpec:
-        return LayerSpec(self.weights.shape[1], self.weights.shape[0], self.activation)
 
 
 @dataclass
 class NetworkState:
     layers: list[Layer]
+
+    @property
+    def widths(self) -> tuple[int, ...]:
+        return (self.input_dim, *(layer.weights.shape[0] for layer in self.layers))
 
     @property
     def input_dim(self) -> int:
@@ -84,51 +75,42 @@ class NetworkState:
         return self.layers[-1].weights.shape[0]
 
 
-def validate_layer_specs(specs: list[LayerSpec]) -> None:
-    if len(specs) < 2:
-        raise ConfigError("network needs at least one representation layer and a head")
-    for i, spec in enumerate(specs):
-        if spec.input_dim < 1 or spec.output_dim < 1:
-            raise ConfigError(f"layer {i}: dimensions must be positive")
-        if spec.activation not in ACTIVATIONS:
-            raise ConfigError(f"layer {i}: unknown activation '{spec.activation}'")
-        if i and specs[i - 1].output_dim != spec.input_dim:
-            raise ConfigError(
-                f"layer {i}: input_dim {spec.input_dim} does not chain with "
-                f"previous output_dim {specs[i - 1].output_dim}"
-            )
-    if specs[-1].activation != "identity":
-        raise ConfigError("the head (final layer) must have identity activation")
+def relu(k: int, layer_count: int) -> bool:
+    """Whether layer k of ``layer_count`` applies ReLU: every layer before the projection layer does."""
+    return k < layer_count - 2
 
 
-def layer_specs(state: NetworkState) -> list[LayerSpec]:
-    return [layer.spec for layer in state.layers]
+def validate_widths(widths: Sequence[int]) -> None:
+    """Refuse widths that describe no network, naming the first bad position."""
+    if len(widths) < 3:
+        raise ConfigError(f"a network needs at least 3 widths (input, projection, labels), got {len(widths)}")
+    for i, width in enumerate(widths):
+        if width < 1:
+            raise ConfigError(f"width {i} must be >= 1, got {width}")
 
 
-def init_network(specs: list[LayerSpec], seed: int = 0) -> NetworkState:
+def init_network(widths: Sequence[int], seed: int = 0) -> NetworkState:
     """Seeded Gaussian init, std 1/sqrt(input_dim), zero bias."""
-    specs = list(specs)
-    validate_layer_specs(specs)
+    validate_widths(widths)
     rng = np.random.default_rng(seed)
     layers = []
-    for spec in specs:
-        scale = 1.0 / np.sqrt(spec.input_dim)
-        weights = rng.normal(0.0, scale, size=(spec.output_dim, spec.input_dim))
-        layers.append(Layer(weights, np.zeros(spec.output_dim), spec.activation))
+    for input_dim, output_dim in zip(widths, widths[1:]):
+        weights = rng.normal(0.0, 1.0 / np.sqrt(input_dim), size=(output_dim, input_dim))
+        layers.append(Layer(weights, np.zeros(output_dim)))
     return NetworkState(layers)
 
 
-def apply_layer(x: np.ndarray, weights: np.ndarray, bias: np.ndarray, activation: str) -> np.ndarray:
-    """The package's one dense layer: ``activation(x @ weights.T + bias)`` as
+def apply_layer(x: np.ndarray, weights: np.ndarray, bias: np.ndarray, relu: bool) -> np.ndarray:
+    """The package's one dense layer: ``x @ weights.T + bias``, through ReLU when ``relu``, as
     a new array; x is only read. It takes a [rows, in] batch with one layer's
     [out, in] weights and [out] bias, or a [sessions, rows, in] stack with
     [sessions, out, in] weights and [sessions, out] biases. The bias and the
-    activation go into the product in place, so a layer holds one output-sized
+    ReLU go into the product in place, so a layer holds one output-sized
     array at a time, with the same bits as ``np.maximum(x @ W.T + b, 0.0)``.
     A stack of one gives the 2-D call's bits."""
     z = np.matmul(x, weights.swapaxes(-1, -2))
     z += bias[..., None, :]
-    if activation == "relu":
+    if relu:
         np.maximum(z, 0.0, out=z)
     return z
 
@@ -137,26 +119,26 @@ def forward(state: NetworkState, inputs) -> np.ndarray:
     """Class probabilities, one row per sample, rows summing to 1. The softmax
     runs in place in the logits, which the last layer allocated."""
     z = feature_matrix(inputs, state.input_dim)
-    for layer in state.layers:
-        z = apply_layer(z, layer.weights, layer.bias, layer.activation)
+    for k, layer in enumerate(state.layers):
+        z = apply_layer(z, layer.weights, layer.bias, relu(k, len(state.layers)))
     z -= z.max(axis=1, keepdims=True)
     np.exp(z, out=z)
     z /= z.sum(axis=1, keepdims=True)
     return z
 
 
-def _flat_views(buffer: np.ndarray, specs: list[LayerSpec]) -> tuple[list, list]:
+def _flat_views(buffer: np.ndarray, widths: tuple[int, ...]) -> tuple[list, list]:
     """Per-layer weight and bias views over the last axis of a buffer laid out
     weights-then-bias, layer by layer; leading axes (sessions) are kept."""
     lead = buffer.shape[:-1]
     weights, biases = [], []
     offset = 0
-    for spec in specs:
-        w_size = spec.output_dim * spec.input_dim
-        weights.append(buffer[..., offset:offset + w_size].reshape(*lead, spec.output_dim, spec.input_dim))
+    for input_dim, output_dim in zip(widths, widths[1:]):
+        w_size = output_dim * input_dim
+        weights.append(buffer[..., offset:offset + w_size].reshape(*lead, output_dim, input_dim))
         offset += w_size
-        biases.append(buffer[..., offset:offset + spec.output_dim])
-        offset += spec.output_dim
+        biases.append(buffer[..., offset:offset + output_dim])
+        offset += output_dim
     return weights, biases
 
 
@@ -164,7 +146,7 @@ def _flatten(weights, biases) -> np.ndarray:
     return np.concatenate([a.ravel() for pair in zip(weights, biases) for a in pair], dtype=np.float64)
 
 
-def loss_and_grad(weights, biases, activations, x, y, grad_w, grad_b, needs_grad) -> np.ndarray:
+def loss_and_grad(weights, biases, x, y, grad_w, grad_b, needs_grad) -> np.ndarray:
     """Mean softmax cross-entropy of each batch in a stack: session s has the
     batch (x[s], y[s]) and the parameters weights[k][s], biases[k][s]. Writes
     the gradient of every layer k with needs_grad[k] into grad_w[k]/grad_b[k],
@@ -177,9 +159,10 @@ def loss_and_grad(weights, biases, activations, x, y, grad_w, grad_b, needs_grad
     the other sessions. Inputs are trusted: callers validate them.
     """
     sessions, n = y.shape
+    layer_count = len(weights)
     outputs = [x]
-    for w, b, activation in zip(weights, biases, activations):
-        outputs.append(apply_layer(outputs[-1], w, b, activation))
+    for k, (w, b) in enumerate(zip(weights, biases)):
+        outputs.append(apply_layer(outputs[-1], w, b, relu(k, layer_count)))
     z = outputs[-1]
     z_max = z.max(axis=2, keepdims=True)
     delta = np.exp(z - z_max)
@@ -190,19 +173,19 @@ def loss_and_grad(weights, biases, activations, x, y, grad_w, grad_b, needs_grad
     delta /= total[:, :, None]
     delta[index] -= 1.0
     delta /= n
-    for k in range(len(weights) - 1, -1, -1):
+    for k in range(layer_count - 1, -1, -1):
         if needs_grad[k]:
             np.matmul(delta.swapaxes(-1, -2), outputs[k], out=grad_w[k])
             delta.sum(axis=1, out=grad_b[k])
         if k:
             delta = np.matmul(delta, weights[k])
-            if activations[k - 1] == "relu":
+            if relu(k - 1, layer_count):
                 delta *= outputs[k] > 0.0
     return losses
 
 
 def _step_layout(
-    specs: list[LayerSpec], config: TrainConfig, head_multiplier: float
+    widths: tuple[int, ...], config: TrainConfig, head_multiplier: float
 ) -> tuple[np.ndarray, slice, list[bool]]:
     """The one reading of the rates: per-element learning rates of the flat
     layout, the span of the layers that train, and per layer whether it
@@ -212,11 +195,11 @@ def _step_layout(
     head at base_lr * head_multiplier; only the head can be frozen, so the
     layers that train are a prefix and the span starts at 0.
     """
-    validate_layer_specs(specs)
+    validate_widths(widths)
     if not (math.isfinite(head_multiplier) and head_multiplier >= 0):  # NaN would freeze every layer
         raise ConfigError(f"head_multiplier must be >= 0 and finite, got {head_multiplier}")
-    rates = [config.base_lr] * (len(specs) - 1) + [config.base_lr * head_multiplier]
-    sizes = [spec.output_dim * (spec.input_dim + 1) for spec in specs]
+    rates = [config.base_lr] * (len(widths) - 2) + [config.base_lr * head_multiplier]
+    sizes = [output_dim * (input_dim + 1) for input_dim, output_dim in zip(widths, widths[1:])]
     trains = [rate > 0 for rate in rates]
     return np.repeat(rates, sizes), slice(0, sum(itertools.compress(sizes, trains))), trains
 
@@ -242,7 +225,7 @@ def replace_head(state: NetworkState, new_label_count: int, init_seed: int) -> N
         raise ValidationError("new_label_count must be >= 2")
     head = state.layers[-1]
     weights = np.random.default_rng(init_seed).normal(0.0, 0.01, size=(new_label_count, head.weights.shape[1]))
-    return NetworkState([*state.layers[:-1], Layer(weights, np.zeros(new_label_count), head.activation)])
+    return NetworkState([*state.layers[:-1], Layer(weights, np.zeros(new_label_count))])
 
 
 @dataclass(frozen=True)
@@ -279,7 +262,7 @@ def train(
     per session, in the caller's order.
 
     Every session trains under ``config``, with the head at ``head_multiplier``
-    times the base rate, and the sessions must share their layer specs. A
+    times the base rate, and the sessions must share their widths. A
     session's set must have as many classes as its network outputs; its batch
     is read once, for the width. Training runs on a private [sessions,
     parameters] copy, so the callers' states are never modified; frozen layers
@@ -293,9 +276,9 @@ def train(
     sessions = list(sessions)
     if not sessions:
         raise ConfigError("train needs at least one session")
-    specs = layer_specs(sessions[0].state)
-    if any(layer_specs(session.state) != specs for session in sessions[1:]):
-        raise ConfigError("lockstep sessions must share their layer specs")
+    widths = sessions[0].state.widths
+    if any(session.state.widths != widths for session in sessions[1:]):
+        raise ConfigError("lockstep sessions must share their widths")
     for session in sessions:
         if session.data.class_count != session.state.label_count:
             raise ConfigError(f"training data has {session.data.class_count} classes, "
@@ -305,14 +288,13 @@ def train(
     order = sorted(range(len(sessions)), key=lambda i: xs[i].shape[0], reverse=True)
     sessions, xs, ys = ([seq[i] for i in order] for seq in (sessions, xs, ys))
     sizes = [x.shape[0] for x in xs]
-    lr, trainable, needs_grad = _step_layout(specs, config, head_multiplier)
+    lr, trainable, needs_grad = _step_layout(widths, config, head_multiplier)
     params = np.stack([
         _flatten([l.weights for l in session.state.layers], [l.bias for l in session.state.layers])
         for session in sessions
     ])
     grads = np.zeros_like(params)
     velocity = np.zeros_like(params)
-    activations = [spec.activation for spec in specs]
     lr_t = lr[trainable]
     views = {}
 
@@ -325,10 +307,10 @@ def train(
         key = (members.start, members.stop)
         if key not in views:
             part, part_grads = params[members], grads[members]
-            views[key] = (*_flat_views(part, specs), *_flat_views(part_grads, specs),
+            views[key] = (*_flat_views(part, widths), *_flat_views(part_grads, widths),
                           part[:, trainable], velocity[members, trainable], part_grads[:, trainable])
         weights, biases, grad_w, grad_b, part_p, part_v, part_g = views[key]
-        losses = loss_and_grad(weights, biases, activations, x, y, grad_w, grad_b, needs_grad)
+        losses = loss_and_grad(weights, biases, x, y, grad_w, grad_b, needs_grad)
         if not np.isfinite(losses).all():
             bad = first_bad(members, np.isfinite(losses))
             raise TrainingDiverged(
@@ -365,9 +347,7 @@ def train(
                 history.append(float(total / n))
     results = [None] * len(sessions)
     for i, row, history in zip(order, params, histories):
-        weights, biases = _flat_views(row, specs)
-        layers = [Layer(w, b, spec.activation) for w, b, spec in zip(weights, biases, specs)]
-        results[i] = (NetworkState(layers), history)
+        results[i] = (NetworkState([Layer(w, b) for w, b in zip(*_flat_views(row, widths))]), history)
     return results
 
 
@@ -376,24 +356,18 @@ def accuracy(state: NetworkState, inputs, labels) -> float:
 
 
 def save_checkpoint(state: NetworkState, path) -> None:
-    fields = [("layer", f"{s.input_dim} {s.output_dim} {s.activation}") for s in layer_specs(state)]
     arrays = [a for layer in state.layers for a in (layer.weights, layer.bias)]
-    write_artifact(path, "checkpoint", fields, arrays)
-
-
-def _parse_layer(line: str) -> LayerSpec:
-    in_dim, out_dim, activation = line.split()
-    return LayerSpec(int(in_dim), int(out_dim), activation)
+    write_artifact(path, "checkpoint", [("widths", " ".join(map(str, state.widths)))], arrays)
 
 
 def load_checkpoint(path) -> NetworkState:
-    """Rebuild a state from its layer lines and blob; other manifest lines are ignored."""
+    """Rebuild a state from its widths line and blob; other manifest lines are ignored."""
     pairs, blob = read_artifact(path, "checkpoint")
-    specs = manifest_values(pairs, "layer", path, _parse_layer)
+    widths = manifest_value(pairs, "widths", path, lambda value: tuple(map(int, value.split())))
     try:
-        validate_layer_specs(specs)
+        validate_widths(widths)
     except ConfigError as exc:
         raise ValidationError(f"{path}: {exc}") from None
-    shapes = [shape for s in specs for shape in ((s.output_dim, s.input_dim), (s.output_dim,))]
+    shapes = [shape for n_in, n_out in zip(widths, widths[1:]) for shape in ((n_out, n_in), (n_out,))]
     arrays, _ = unpack_blob(blob, path, shapes)
-    return NetworkState([Layer(w, b, s.activation) for w, b, s in zip(arrays[::2], arrays[1::2], specs)])
+    return NetworkState([Layer(w, b) for w, b in zip(arrays[::2], arrays[1::2])])

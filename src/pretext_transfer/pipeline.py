@@ -14,7 +14,6 @@ from .data import LabeledSet
 from .errors import TrainingDiverged
 from .manifest import write_text_file
 from .network import (
-    LayerSpec,
     NetworkState,
     Session,
     TrainConfig,
@@ -46,14 +45,14 @@ def _train_stage(
 
 
 def pretrain_source(
-    specs: list[LayerSpec], source_data: LabeledSet, cfg: TrainConfig, seed: int, log_path=None
+    widths: tuple[int, ...], source_data: LabeledSet, cfg: TrainConfig, seed: int, log_path=None
 ) -> NetworkState:
     """Supervised training of a fresh network, the stand-in for an off-the-shelf source model.
 
     The stage's rule is a head multiplier of 1: every layer trains at the base
     learning rate. ``seed`` seeds both the initialisation and the shuffle.
     """
-    [state] = _train_stage("source", [Session(init_network(specs, seed), source_data, seed)], cfg, 1.0, [log_path])
+    [state] = _train_stage("source", [Session(init_network(widths, seed), source_data, seed)], cfg, 1.0, [log_path])
     train_accuracy = accuracy(state, source_data.features, source_data.labels)
     if train_accuracy < SOURCE_ACCURACY_GATE:
         import logging  # only here: a module-level import maps logging on every run, for one warning

@@ -185,8 +185,8 @@ class TestCliDispatch:
         ("source_lr = 0", "source stage: base_lr must be positive"),
         ("batch = 0", "stage: batch_size must be >= 1"),
         ("momentum = 1", "stage: momentum must lie in [0, 1)"),
-        ("hidden = 0", "hidden/projection_dim: layer 0: dimensions must be positive"),
-        ("projection_dim = 0", "hidden/projection_dim: layer 1: dimensions must be positive"),
+        ("hidden = 0", "hidden/projection_dim: width 1 must be >= 1, got 0"),
+        ("projection_dim = 0", "hidden/projection_dim: width 2 must be >= 1, got 0"),
         *((f"{key} = {value}", message) for key, message in NON_FINITE_MESSAGES.items() for value in NON_FINITE),
     ], ids=["tl_epochs", "prt_epochs", "source_lr", "batch", "momentum", "hidden", "projection_dim",
             *(f"{key}-{value}" for key in NON_FINITE_MESSAGES for value in NON_FINITE)])
@@ -335,46 +335,27 @@ class TestCliDispatch:
         assert not (out / "prt.ckpt").exists()
 
     def test_checkpoint_with_group_tags_exits_1(self, config_file, tmp_path, capsys):
-        # checkpoints once tagged every layer "representation" or "classification"
+        # checkpoints once named every layer's shape and activation on a
+        # `layer =` line, and before that also tagged it "representation" or
+        # "classification"; neither has the widths line
         out = tmp_path / "out"
         base = ["--config", str(config_file), "--out", str(out)]
         for command in ("generate", "pretrain", "cluster", "prt"):
             assert main([command, *base]) == 0, command
         source = out / "source.ckpt"
         header, blob = source.read_bytes().split(b"\n\n", 1)
-        lines = header.decode().splitlines()
-        layers = [i for i, line in enumerate(lines) if line.startswith("layer = ")]
-        for i in layers:
-            lines[i] += " classification" if i == layers[-1] else " representation"
-        source.write_bytes("\n".join(lines).encode() + b"\n\n" + blob)
-        capsys.readouterr()
-        assert main(["tl", *base]) == 1
-        err = capsys.readouterr().err
-        errors = [line for line in err.splitlines() if line.startswith("error: ")]
-        assert len(errors) == 1 and errors[0].startswith(f"error: {source}: bad value for 'layer'")
-        assert "Traceback" not in err
-        assert list(out.rglob("tl.ckpt")) == []
-
-    def test_checkpoint_with_a_relu_head_exits_1(self, config_file, tmp_path, capsys):
-        # the layer lines parse, but the network they describe breaks the head rule
-        out = tmp_path / "out"
-        base = ["--config", str(config_file), "--out", str(out)]
-        for command in ("generate", "pretrain", "cluster", "prt"):
-            assert main([command, *base]) == 0, command
-        source = out / "source.ckpt"
-        header, blob = source.read_bytes().split(b"\n\n", 1)
-        lines = header.decode().splitlines()
-        head = max(i for i, line in enumerate(lines) if line.startswith("layer = "))
-        assert lines[head].endswith(" identity")
-        lines[head] = lines[head].removesuffix(" identity") + " relu"
-        source.write_bytes("\n".join(lines).encode() + b"\n\n" + blob)
-        capsys.readouterr()
-        assert main(["tl", *base]) == 1
-        err = capsys.readouterr().err
-        errors = [line for line in err.splitlines() if line.startswith("error: ")]
-        assert errors == [f"error: {source}: the head (final layer) must have identity activation"]
-        assert "Traceback" not in err
-        assert list(out.rglob("tl.ckpt")) == []
+        assert header == b"checkpoint v1\nwidths = 6 8 6 4"
+        for tags in (["relu", "identity", "identity"],
+                     ["relu representation", "identity representation", "identity classification"]):
+            lines = [f"layer = {n_in} {n_out} {tag}" for n_in, n_out, tag in zip((6, 8, 6), (8, 6, 4), tags)]
+            source.write_bytes("\n".join(["checkpoint v1", *lines]).encode() + b"\n\n" + blob)
+            capsys.readouterr()
+            assert main(["tl", *base]) == 1
+            err = capsys.readouterr().err
+            errors = [line for line in err.splitlines() if line.startswith("error: ")]
+            assert errors == [f"error: {source}: manifest is missing key 'widths'"]
+            assert "Traceback" not in err
+            assert list(out.rglob("tl.ckpt")) == []
 
     def test_staged_subcommands_produce_report(self, config_file, tmp_path):
         out = tmp_path / "staged"

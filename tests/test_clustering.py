@@ -27,7 +27,6 @@ from pretext_transfer.data import LabeledSet
 from pretext_transfer.errors import ShapeError, ValidationError
 from pretext_transfer.harness import (
     ExperimentConfig,
-    build_layer_specs,
     cell_path,
     clusters_ckpt_path,
     run_cluster,
@@ -38,7 +37,6 @@ from pretext_transfer.harness import (
 )
 from pretext_transfer.network import (
     Layer,
-    LayerSpec,
     NetworkState,
     apply_layer,
     init_network,
@@ -48,8 +46,8 @@ from pretext_transfer.network import (
 def identity_rep_state(dim=3, label_count=2):
     return NetworkState(
         layers=[
-            Layer(np.eye(dim), np.zeros(dim), "identity"),
-            Layer(np.zeros((label_count, dim)), np.zeros(label_count), "identity"),
+            Layer(np.eye(dim), np.zeros(dim)),
+            Layer(np.zeros((label_count, dim)), np.zeros(label_count)),
         ],
     )
 
@@ -71,14 +69,7 @@ class TestExtractProjection:
         assert np.array_equal(extract_projection(state, x), x)
 
     def test_projection_width_matches_last_representation_layer(self):
-        state = init_network(
-            [
-                LayerSpec(4, 7, "relu"),
-                LayerSpec(7, 5, "identity"),
-                LayerSpec(5, 3, "identity"),
-            ],
-            seed=0,
-        )
+        state = init_network((4, 7, 5, 3), seed=0)
         out = extract_projection(state, np.zeros((6, 4)))
         assert out.shape == (6, 5)
 
@@ -86,17 +77,17 @@ class TestExtractProjection:
     # give other bits than the whole-batch layers at 1025, 1040 and 2049 rows
     @pytest.mark.parametrize("hidden", [(8,), (8, 6), (32,), (64, 32), (128, 64)])
     def test_applies_every_layer_but_the_head(self, hidden):
-        state = init_network(build_layer_specs(16, 10, hidden, projection_dim=16), seed=1)
+        state = init_network((16, *hidden, 16, 10), seed=1)
         for rows in [1, 7, 1023, 1024, 1025, 1040, 2049, 20000]:
             x = np.random.default_rng(2).normal(size=(rows, 16))
             expected = x
-            for layer in state.layers[:-1]:
-                expected = apply_layer(expected, layer.weights, layer.bias, layer.activation)
+            for k, layer in enumerate(state.layers[:-1]):  # ReLU on the hidden layers, not the projection
+                expected = apply_layer(expected, layer.weights, layer.bias, k < len(hidden))
             assert extract_projection(state, x).tobytes() == expected.tobytes(), rows
 
     def test_peak_memory_is_the_output_plus_one_block(self):
         # the whole-pool layers of 128 and 64 units held 12 times the output
-        state = init_network(build_layer_specs(16, 10, (128, 64), projection_dim=16), seed=1)
+        state = init_network((16, 128, 64, 16, 10), seed=1)
         x = np.random.default_rng(2).normal(size=(20000, 16))
         tracemalloc.start()
         try:
@@ -108,13 +99,7 @@ class TestExtractProjection:
         assert peak - at_call < 3 * out.nbytes
 
     def test_zero_weights_relu_projects_to_zero(self):
-        state = init_network(
-            [
-                LayerSpec(3, 4, "relu"),
-                LayerSpec(4, 2, "identity"),
-            ],
-            seed=0,
-        )
+        state = init_network((3, 4, 4, 2), seed=0)  # a ReLU layer, the projection and the head
         state.layers[0].weights[:] = 0.0
         out = extract_projection(state, np.random.default_rng(0).normal(size=(4, 3)))
         assert np.array_equal(out, np.zeros((4, 4)))

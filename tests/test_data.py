@@ -25,7 +25,7 @@ from pretext_transfer.data import (
 )
 from pretext_transfer.dictionary import FeatureDictionary, class_probabilities, unit_columns
 from pretext_transfer.errors import ConfigError, ShapeError, ValidationError
-from pretext_transfer.network import LayerSpec, Session, TrainConfig, forward, init_network, train
+from pretext_transfer.network import Session, TrainConfig, forward, init_network, train
 
 SMALL = SynthConfig(
     source_class_count=4,
@@ -316,7 +316,7 @@ class TestSubset:
         assert np.array_equal(picked.labels, target.labels[[0, 5, 40]])
 
 
-_NET = init_network([LayerSpec(4, 3, "relu"), LayerSpec(3, 2, "identity")])
+_NET = init_network((4, 3, 2))
 _DICT = FeatureDictionary(unit_columns(np.eye(4)), (2, 2))
 
 # entry point -> (call on a feature batch, whether it expects a width of 4)

@@ -12,14 +12,15 @@ import numpy as np
 import pytest
 
 import pretext_transfer.harness as harness
+from pretext_transfer.clustering import kmeans_fit, save_cluster_model
 from pretext_transfer.data import SynthConfig
 from pretext_transfer.dictionary import FeatureDictionary, load_dictionary, save_dictionary
 from pretext_transfer.errors import ConfigError, ValidationError
 from pretext_transfer.harness import (
     STAGES,
     ExperimentConfig,
-    build_layer_specs,
     cell_path,
+    clusters_ckpt_path,
     derive_seed,
     prt_ckpt_path,
     run_cluster,
@@ -222,12 +223,14 @@ def test_fresh_interpreter_maps_no_openssl_or_logging(modules_the_package_adds, 
     assert module not in modules_the_package_adds
 
 
-class TestLayerSpecsBuilder:
-    def test_shapes_and_groups(self):
-        specs = build_layer_specs(6, 4, hidden=(8, 7), projection_dim=5)
-        assert [(s.input_dim, s.output_dim) for s in specs] == [(6, 8), (8, 7), (7, 5), (5, 4)]
+class TestNetworkWidths:
+    def test_pretrain_builds_input_hidden_projection_labels(self, tmp_path):
         # three representation layers (two hidden and the projection), then the head
-        assert [s.activation for s in specs] == ["relu", "relu", "identity", "identity"]
+        cfg = mini_config(tmp_path, hidden=(8, 7), projection_dim=5)
+        run_generate(cfg)
+        assert run_pretrain(cfg).widths == (6, 8, 7, 5, 4)
+        header = (cfg.out_dir / "source.ckpt").read_bytes().split(b"\n\n")[0]
+        assert header == b"checkpoint v1\nwidths = 6 8 7 5 4"
 
 
 class TestGridRun:
@@ -412,7 +415,7 @@ class TestBaselineIsolation:
 def add_third_output(path):
     state = load_checkpoint(path)
     head = state.layers[-1]
-    wider = Layer(np.vstack([head.weights, head.weights[:1]]), np.append(head.bias, 0.0), head.activation)
+    wider = Layer(np.vstack([head.weights, head.weights[:1]]), np.append(head.bias, 0.0))
     save_checkpoint(NetworkState([*state.layers[:-1], wider]), path)
 
 
@@ -431,7 +434,7 @@ def take_eight_inputs(path):
     state = load_checkpoint(path)
     first = state.layers[0]
     wider = np.hstack([first.weights, np.zeros((first.weights.shape[0], 8 - first.weights.shape[1]))])
-    save_checkpoint(NetworkState([Layer(wider, first.bias, first.activation), *state.layers[1:]]), path)
+    save_checkpoint(NetworkState([Layer(wider, first.bias), *state.layers[1:]]), path)
 
 
 class TestEvaluateRefusesCellsThatDoNotFit:
@@ -469,6 +472,24 @@ class TestEvaluateRefusesCellsThatDoNotFit:
         with pytest.raises(ValidationError) as err:
             stage(cfg)
         assert str(err.value) == f"{path}: 8 features and 4 classes, against 6 and 4 in the source rows"
+        after = tree_bytes(cfg.out_dir)
+        del before["manifest.txt"], after["manifest.txt"]  # the stage's key leaves it while it runs
+        assert after == before
+
+
+class TestPrtRefusesClustersThatDoNotFit:
+    def test_a_cluster_model_of_other_k_is_named(self, mini_run, tmp_path):
+        # mini_config's source model outputs 4 classes, and its pool holds 80 rows
+        base, _ = mini_run
+        cfg = dataclasses.replace(base, out_dir=tmp_path / "run")
+        shutil.copytree(base.out_dir, cfg.out_dir)
+        path = clusters_ckpt_path(cfg)
+        save_cluster_model(kmeans_fit(np.random.default_rng(0).normal(size=(80, 6)), k=3, seed=0), path)
+        before = tree_bytes(cfg.out_dir)
+        with pytest.raises(ValidationError) as err:
+            run_prt(cfg)
+        source = cfg.out_dir / "source.ckpt"
+        assert str(err.value) == f"{path}: k = 3 pseudo-classes, against 4 source classes in {source}"
         after = tree_bytes(cfg.out_dir)
         del before["manifest.txt"], after["manifest.txt"]  # the stage's key leaves it while it runs
         assert after == before

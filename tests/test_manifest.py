@@ -12,12 +12,7 @@ from pretext_transfer.data import LabeledSet, UnlabeledSet, load_dataset, save_d
 from pretext_transfer.dictionary import FeatureDictionary, load_dictionary, save_dictionary
 from pretext_transfer.errors import ValidationError
 from pretext_transfer.manifest import read_artifact, unpack_blob, write_artifact, write_text_file
-from pretext_transfer.network import (
-    LayerSpec,
-    init_network,
-    load_checkpoint,
-    save_checkpoint,
-)
+from pretext_transfer.network import init_network, load_checkpoint, save_checkpoint
 
 
 class TestWriteArtifact:
@@ -85,7 +80,7 @@ CODECS = {
     ),
     "unlabeled-dataset": (UnlabeledSet(_RNG.normal(size=(5, 3))), save_dataset, load_dataset, 8),
     "checkpoint": (
-        init_network([LayerSpec(3, 4, "relu"), LayerSpec(4, 2, "identity")]),
+        init_network((3, 4, 2)),
         save_checkpoint,
         load_checkpoint,
         8,

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -9,11 +10,9 @@ from pretext_transfer import data, network
 from pretext_transfer.clustering import extract_projection
 from pretext_transfer.data import LabeledSet
 from pretext_transfer.errors import ConfigError, ShapeError, TrainingDiverged, ValidationError
-from pretext_transfer.harness import build_layer_specs
 from pretext_transfer.manifest import write_artifact
 from pretext_transfer.network import (
     Layer,
-    LayerSpec,
     NetworkState,
     Session,
     TrainConfig,
@@ -24,33 +23,20 @@ from pretext_transfer.network import (
     apply_layer,
     forward,
     init_network,
-    layer_specs,
     load_checkpoint,
     loss_and_grad,
+    relu,
     replace_head,
     save_checkpoint,
     sgd_update,
     train,
-    validate_layer_specs,
+    validate_widths,
 )
 
-TWO_LAYER_SPECS = [
-    LayerSpec(4, 6, "relu"),
-    LayerSpec(6, 3, "identity"),
-]
-
-THREE_LAYER_SPECS = [
-    LayerSpec(4, 8, "relu"),
-    LayerSpec(8, 5, "identity"),
-    LayerSpec(5, 3, "identity"),
-]
-TWO_HIDDEN_SPECS = [
-    LayerSpec(4, 8, "relu"),
-    LayerSpec(8, 6, "relu"),
-    LayerSpec(6, 5, "relu"),
-    LayerSpec(5, 4, "identity"),
-    LayerSpec(4, 3, "identity"),
-]
+# (input, *hidden, projection, labels): layer k of L is ReLU exactly when k < L - 2
+TWO_LAYER_WIDTHS = (4, 6, 3)  # a projection and a head, both linear
+THREE_LAYER_WIDTHS = (4, 8, 5, 3)  # one ReLU hidden layer
+TWO_HIDDEN_WIDTHS = (4, 8, 6, 5, 4, 3)  # three ReLU hidden layers
 
 
 def train_one(state, x, y, cfg, seed=0, head_multiplier=1.0):
@@ -59,8 +45,8 @@ def train_one(state, x, y, cfg, seed=0, head_multiplier=1.0):
     return result
 
 
-def small_state(seed=0, specs=None):
-    return init_network(specs or TWO_LAYER_SPECS, seed=seed)
+def small_state(seed=0, widths=TWO_LAYER_WIDTHS):
+    return init_network(widths, seed=seed)
 
 
 def flatten_params(state):
@@ -80,7 +66,7 @@ def stacked_loss_and_grad(state, x, y, needs_grad=None, fill=0.0):
     grad_b = [np.full((1, *l.bias.shape), fill) for l in state.layers]
     (loss,) = loss_and_grad(
         [l.weights[None] for l in state.layers], [l.bias[None] for l in state.layers],
-        [l.activation for l in state.layers], x[None], y[None], grad_w, grad_b,
+        x[None], y[None], grad_w, grad_b,
         needs_grad or [True] * len(state.layers),
     )
     return float(loss), grad_w, grad_b
@@ -123,11 +109,7 @@ def max_relative_error(analytic, numeric):
 
 class TestForward:
     def test_zero_network_is_uniform(self):
-        specs = [
-            LayerSpec(3, 4, "relu"),
-            LayerSpec(4, 4, "identity"),
-        ]
-        state = small_state(specs=specs)
+        state = small_state(widths=(3, 4, 4))
         for layer in state.layers:
             layer.weights[:] = 0.0
             layer.bias[:] = 0.0
@@ -137,8 +119,8 @@ class TestForward:
     def test_identity_layer_matches_hand_softmax(self):
         state = NetworkState(
             layers=[
-                Layer(np.eye(2), np.zeros(2), "identity"),
-                Layer(np.eye(2), np.zeros(2), "identity"),
+                Layer(np.eye(2), np.zeros(2)),
+                Layer(np.eye(2), np.zeros(2)),
             ],
         )
         probs = forward(state, np.array([[1.0, 0.0]]))
@@ -162,17 +144,14 @@ class TestForward:
             forward(small_state(), np.array([[np.nan, 0.0, 0.0, 0.0]]))
 
 
-# the experiment's default network: 16 features, hidden 32, projection 16, 10 classes
-DEFAULT_SPECS = [
-    LayerSpec(16, 32, "relu"),
-    LayerSpec(32, 16, "identity"),
-    LayerSpec(16, 10, "identity"),
-]
+# the experiment's default network: 16 features, hidden 32, projection 16, 10
+# classes; its one hidden layer, layer 0, is the only ReLU layer
+DEFAULT_WIDTHS = (16, 32, 16, 10)
 
 
-def reference_layer(layer, x):
+def reference_layer(layer, x, is_relu):
     z = x @ layer.weights.T + layer.bias
-    return np.maximum(z, 0.0) if layer.activation == "relu" else z
+    return np.maximum(z, 0.0) if is_relu else z
 
 
 class TestInPlaceKernels:
@@ -181,11 +160,11 @@ class TestInPlaceKernels:
 
     @pytest.mark.parametrize("rows", [1, 7, 256, 1000])
     def test_apply_layer_bit_identical_to_reference(self, rows):
-        state = init_network(DEFAULT_SPECS, seed=rows)
+        state = init_network(DEFAULT_WIDTHS, seed=rows)
         x = np.random.default_rng(rows).normal(scale=3.0, size=(rows, 16))
-        for layer in state.layers:
-            got = apply_layer(x, layer.weights, layer.bias, layer.activation)
-            expected = reference_layer(layer, x)
+        for k, layer in enumerate(state.layers):
+            got = apply_layer(x, layer.weights, layer.bias, k == 0)
+            expected = reference_layer(layer, x, k == 0)
             assert got.tobytes() == expected.tobytes()
             x = expected
 
@@ -193,31 +172,34 @@ class TestInPlaceKernels:
     def test_stack_of_one_equals_the_2d_call(self, rows):
         # every layer shape of the experiment's networks at hidden = 32 and
         # 64,32, with the source head (10 classes) and the TL head (2)
-        specs = {spec for hidden in ((32,), (64, 32)) for classes in (10, 2)
-                 for spec in build_layer_specs(16, classes, hidden, projection_dim=16)}
-        assert len(specs) == 6
+        shapes = set()
+        for widths in [(16, *hidden, 16, classes) for hidden in ((32,), (64, 32)) for classes in (10, 2)]:
+            count = len(widths) - 1
+            shapes |= {(widths[k], widths[k + 1], relu(k, count)) for k in range(count)}
+        assert len(shapes) == 6
         rng = np.random.default_rng(rows)
-        for spec in sorted(specs, key=lambda spec: (spec.input_dim, spec.output_dim)):
-            weights = rng.normal(size=(spec.output_dim, spec.input_dim))
-            bias = rng.normal(size=spec.output_dim)
-            x = rng.normal(scale=3.0, size=(rows, spec.input_dim))
-            flat = apply_layer(x, weights, bias, spec.activation)
-            stacked = apply_layer(x[None], weights[None], bias[None], spec.activation)
-            assert stacked.shape == (1, rows, spec.output_dim)
-            assert stacked.tobytes() == flat.tobytes(), spec
+        for shape in sorted(shapes):
+            input_dim, output_dim, is_relu = shape
+            weights = rng.normal(size=(output_dim, input_dim))
+            bias = rng.normal(size=output_dim)
+            x = rng.normal(scale=3.0, size=(rows, input_dim))
+            flat = apply_layer(x, weights, bias, is_relu)
+            stacked = apply_layer(x[None], weights[None], bias[None], is_relu)
+            assert stacked.shape == (1, rows, output_dim)
+            assert stacked.tobytes() == flat.tobytes(), shape
 
     @pytest.mark.parametrize("rows", [1, 7, 256, 1000])
     def test_forward_bit_identical_to_reference(self, rows):
-        state = init_network(DEFAULT_SPECS, seed=rows)
+        state = init_network(DEFAULT_WIDTHS, seed=rows)
         x = np.random.default_rng(rows).normal(scale=3.0, size=(rows, 16))
         z = x
-        for layer in state.layers:
-            z = reference_layer(layer, z)
+        for k, layer in enumerate(state.layers):
+            z = reference_layer(layer, z, k == 0)
         e = np.exp(z - z.max(axis=1, keepdims=True))
         assert forward(state, x).tobytes() == (e / e.sum(axis=1, keepdims=True)).tobytes()
 
     def test_c_ordered_float64_input_unchanged(self):
-        state = init_network(DEFAULT_SPECS, seed=1)
+        state = init_network(DEFAULT_WIDTHS, seed=1)
         x = np.random.default_rng(1).normal(size=(50, 16))
         kept = x.copy()
         for fn in (forward, extract_projection):
@@ -230,7 +212,7 @@ class TestInPlaceKernels:
         # the hidden and projection outputs must coexist for one product; any
         # further full-size temporary (a bias sum, an activation copy) breaks this
         rows = 20000
-        state = init_network(DEFAULT_SPECS, seed=0)
+        state = init_network(DEFAULT_WIDTHS, seed=0)
         x = np.random.default_rng(0).normal(size=(rows, 16))
         needed = rows * (32 + 16) * x.itemsize
         tracemalloc.start()
@@ -247,11 +229,7 @@ class TestLossAndGrad:
     """The step's gradient kernel, on a stack of one session."""
 
     def test_uniform_loss_is_ln2(self):
-        specs = [
-            LayerSpec(3, 4, "relu"),
-            LayerSpec(4, 2, "identity"),
-        ]
-        state = small_state(specs=specs)
+        state = small_state(widths=(3, 4, 2))
         for layer in state.layers:
             layer.weights[:] = 0.0
             layer.bias[:] = 0.0
@@ -261,26 +239,28 @@ class TestLossAndGrad:
     def test_perfect_prediction_zero_loss(self):
         state = NetworkState(
             layers=[
-                Layer(np.eye(2), np.zeros(2), "identity"),
-                Layer(np.array([[1000.0, 0.0], [0.0, 1000.0]]), np.zeros(2), "identity"),
+                Layer(np.eye(2), np.zeros(2)),
+                Layer(np.array([[1000.0, 0.0], [0.0, 1000.0]]), np.zeros(2)),
             ],
         )
         loss, _, _ = stacked_loss_and_grad(state, np.array([[1.0, 0.0]]), np.array([0]))
         assert loss == 0.0
 
     def test_gradients_match_finite_differences(self):
-        # relu and identity hidden layers and the head: every layer is checked
-        state = init_network(TWO_HIDDEN_SPECS, seed=11)
-        rng = np.random.default_rng(5)
-        x = rng.normal(size=(8, 4))
-        y = rng.integers(0, 3, size=8)
-        loss, grad_w, grad_b = stacked_loss_and_grad(state, x, y)
-        assert loss == pytest.approx(reference_loss(state, x, y), rel=1e-12)
-        analytic = [g[0] for pair in zip(grad_w, grad_b) for g in pair]
-        assert max_relative_error(analytic, numeric_gradient(state, x, y)) < 1e-4
+        # ReLU hidden layers, the linear projection and the head, at L = 2, 3
+        # and 5 layers: every layer is checked
+        for widths in (TWO_LAYER_WIDTHS, THREE_LAYER_WIDTHS, TWO_HIDDEN_WIDTHS):
+            state = init_network(widths, seed=11)
+            rng = np.random.default_rng(5)
+            x = rng.normal(size=(8, 4))
+            y = rng.integers(0, 3, size=8)
+            loss, grad_w, grad_b = stacked_loss_and_grad(state, x, y)
+            assert loss == pytest.approx(reference_loss(state, x, y), rel=1e-12)
+            analytic = [g[0] for pair in zip(grad_w, grad_b) for g in pair]
+            assert max_relative_error(analytic, numeric_gradient(state, x, y)) < 1e-4, widths
 
     def test_layers_without_needs_grad_keep_their_buffers(self):
-        state = init_network(THREE_LAYER_SPECS, seed=4)
+        state = init_network(THREE_LAYER_WIDTHS, seed=4)
         x, y = three_class_data(8)
         _, full_w, full_b = stacked_loss_and_grad(state, x, y)
         needs_grad = [True, False, True]
@@ -298,7 +278,7 @@ class TestLossAndGrad:
 class TestSgdUpdate:
     """The step's update kernel, alone and with the rates of _step_layout."""
 
-    ONE_PARAM_SPECS = [LayerSpec(1, 1, "identity"), LayerSpec(1, 2, "identity")]
+    ONE_PARAM_WIDTHS = (1, 1, 2)
 
     def test_vanilla_step(self):
         params = np.array([1.0])
@@ -312,35 +292,35 @@ class TestSgdUpdate:
             sgd_update(params, velocity, np.ones(1), np.array([0.1]), 0.9)  # the gradients are overwritten
         assert params[0] == pytest.approx(-0.29, abs=1e-15)
 
-    def unit_step(self, specs, cfg, head_multiplier, params):
+    def unit_step(self, widths, cfg, head_multiplier, params):
         """One step of unit gradients over the trainable span of params, as train takes it."""
-        lr, trainable, _ = _step_layout(specs, cfg, head_multiplier)
+        lr, trainable, _ = _step_layout(widths, cfg, head_multiplier)
         sgd_update(params[trainable], np.zeros_like(params)[trainable], np.ones_like(params)[trainable],
                    lr[trainable], cfg.momentum)
 
     def test_classifier_multiplier_wiring(self):
         # the head trains at head_multiplier * base_lr, the representation at base_lr
         cfg = TrainConfig(epochs=1, base_lr=0.25, momentum=0.0)
-        params = np.zeros(sum(s.output_dim * (s.input_dim + 1) for s in self.ONE_PARAM_SPECS))
-        self.unit_step(self.ONE_PARAM_SPECS, cfg, 10.0, params)
-        weights, biases = _flat_views(params, self.ONE_PARAM_SPECS)
+        params = np.zeros(2 + 4)  # weight and bias of the 1 -> 1 layer, then of the 1 -> 2 head
+        self.unit_step(self.ONE_PARAM_WIDTHS, cfg, 10.0, params)
+        weights, biases = _flat_views(params, self.ONE_PARAM_WIDTHS)
         assert weights[0][0, 0] == -0.25 and biases[0][0] == -0.25
         assert (weights[1] == -2.5).all() and (biases[1] == -2.5).all()
 
     def test_frozen_group_is_bit_identical(self):
         # a zero multiplier leaves the head out of the trainable span, the only
         # part of the buffer that train's update writes
-        specs = layer_specs(small_state())
-        lr, trainable, trains = _step_layout(specs, TrainConfig(epochs=1), 0.0)
-        head = specs[-1].output_dim * (specs[-1].input_dim + 1)
+        widths = small_state().widths
+        lr, trainable, trains = _step_layout(widths, TrainConfig(epochs=1), 0.0)
+        head = widths[-1] * (widths[-2] + 1)
         assert trains == [True, False]
         assert (trainable.start, trainable.stop) == (0, lr.size - head)
 
     def test_every_trainable_element_moves(self):
-        state = init_network(THREE_LAYER_SPECS, seed=0)
+        state = init_network(THREE_LAYER_WIDTHS, seed=0)
         params = _flatten([l.weights for l in state.layers], [l.bias for l in state.layers])
-        self.unit_step(THREE_LAYER_SPECS, TrainConfig(epochs=1, base_lr=0.1, momentum=0.0), 0.0, params)
-        weights, biases = _flat_views(params, THREE_LAYER_SPECS)
+        self.unit_step(THREE_LAYER_WIDTHS, TrainConfig(epochs=1, base_lr=0.1, momentum=0.0), 0.0, params)
+        weights, biases = _flat_views(params, THREE_LAYER_WIDTHS)
         last = len(state.layers) - 1
         for k, layer in enumerate(state.layers):
             for old, updated in [(layer.weights, weights[k]), (layer.bias, biases[k])]:
@@ -386,13 +366,7 @@ class TestReplaceHead:
         assert (new.layers[1].bias == 0).all()
 
     def test_new_output_width(self):
-        state = init_network(
-            [
-                LayerSpec(4, 6, "relu"),
-                LayerSpec(6, 10, "identity"),
-            ],
-            seed=0,
-        )
+        state = init_network((4, 6, 10), seed=0)
         new = replace_head(state, 2, init_seed=0)
         probs = forward(new, np.zeros((3, 4)))
         assert probs.shape == (3, 2)
@@ -413,13 +387,9 @@ class TestTrain:
         return x, y
 
     def test_loss_decreases_on_separable_data(self):
-        specs = [
-            LayerSpec(4, 8, "relu"),
-            LayerSpec(8, 2, "identity"),
-        ]
         x, y = self.separable_data()
         cfg = TrainConfig(epochs=15, batch_size=16, base_lr=0.05, momentum=0.9)
-        state, history = train_one(init_network(specs, seed=1), x, y, cfg, seed=1)
+        state, history = train_one(init_network((4, 8, 2), seed=1), x, y, cfg, seed=1)
         assert history[-1] < history[0]
         assert accuracy(state, x, y) > 0.9
 
@@ -451,12 +421,13 @@ def three_class_data(n, seed=4):
     return x, y
 
 
-# (layer specs, rows, head multiplier)
+# (widths, rows, head multiplier)
 ORACLE_CASES = {
-    "prt": (THREE_LAYER_SPECS, 32, 0.0),
-    "tl": (THREE_LAYER_SPECS, 32, 10.0),
-    "two-hidden-layers": (TWO_HIDDEN_SPECS, 32, 10.0),
-    "partial-last-batch": (THREE_LAYER_SPECS, 29, 0.0),
+    "prt": (THREE_LAYER_WIDTHS, 32, 0.0),
+    "tl": (THREE_LAYER_WIDTHS, 32, 10.0),
+    "two-hidden-layers": (TWO_HIDDEN_WIDTHS, 32, 10.0),
+    "no-hidden-layer": (TWO_LAYER_WIDTHS, 32, 10.0),
+    "partial-last-batch": (THREE_LAYER_WIDTHS, 29, 0.0),
 }
 ORACLE_CONFIG = TrainConfig(epochs=4, batch_size=8, base_lr=0.05, momentum=0.9)
 
@@ -464,9 +435,10 @@ ORACLE_CONFIG = TrainConfig(epochs=4, batch_size=8, base_lr=0.05, momentum=0.9)
 def reference_train(state, x, y, cfg, seed, head_multiplier):
     """One session trained alone with 2-d arithmetic, batch by batch: the
     single-session loop that train() generalises, kept as the reference for
-    its results."""
-    layers = [(l.weights.copy(), l.bias.copy(), l.activation) for l in state.layers]
-    velocity = [(np.zeros_like(w), np.zeros_like(b)) for w, b, _ in layers]
+    its results. Layer k of L applies ReLU exactly when k < L - 2."""
+    layers = [(l.weights.copy(), l.bias.copy()) for l in state.layers]
+    is_relu = [k < len(layers) - 2 for k in range(len(layers))]
+    velocity = [(np.zeros_like(w), np.zeros_like(b)) for w, b in layers]
     # the representation layers at base_lr, the head (last layer) at its own rate
     rates = [cfg.base_lr] * (len(layers) - 1) + [cfg.base_lr * head_multiplier]
     rng = np.random.default_rng(seed)
@@ -478,10 +450,10 @@ def reference_train(state, x, y, cfg, seed, head_multiplier):
         for start in range(0, len(y), cfg.batch_size):
             xb, yb = x_epoch[start:start + cfg.batch_size], y_epoch[start:start + cfg.batch_size]
             outputs = [xb]
-            for w, b, activation in layers:
+            for (w, b), relu_k in zip(layers, is_relu):
                 out = outputs[-1] @ w.T
                 out += b
-                if activation == "relu":
+                if relu_k:
                     np.maximum(out, 0.0, out=out)
                 outputs.append(out)
             z = outputs[-1]
@@ -494,11 +466,11 @@ def reference_train(state, x, y, cfg, seed, head_multiplier):
             delta[rows, yb] -= 1.0
             delta /= len(yb)
             for k in reversed(range(len(layers))):
-                w, b, _ = layers[k]
+                w, b = layers[k]
                 grad_w, grad_b = delta.T @ outputs[k], np.sum(delta, axis=0)
                 if k:
                     delta = delta @ w
-                    if layers[k - 1][2] == "relu":
+                    if is_relu[k - 1]:
                         delta *= outputs[k] > 0.0
                 if rates[k] == 0.0:
                     continue
@@ -509,16 +481,16 @@ def reference_train(state, x, y, cfg, seed, head_multiplier):
                     param += vel
             total += loss * len(yb)
         mean_losses.append(total / len(y))
-    trained = NetworkState([Layer(w, b, a) for w, b, a in layers])
+    trained = NetworkState([Layer(w, b) for w, b in layers])
     return trained, mean_losses
 
 
 class TestTrainMatchesReference:
     @pytest.mark.parametrize("case", list(ORACLE_CASES))
     def test_single_session_bit_identical_to_reference(self, case):
-        specs, n, multiplier = ORACLE_CASES[case]
+        widths, n, multiplier = ORACLE_CASES[case]
         x, y = three_class_data(n)
-        state = init_network(specs, seed=2)
+        state = init_network(widths, seed=2)
         trained, history = train_one(state, x, y, ORACLE_CONFIG, 6, multiplier)
         expected, mean_losses = reference_train(state, x, y, ORACLE_CONFIG, 6, multiplier)
         assert state_bytes(trained) == state_bytes(expected)
@@ -536,12 +508,12 @@ LOCKSTEP_CASES = {
 STAGE_RULES = {"tl": 10.0, "prt": 0.0}
 
 
-def lockstep_sessions(sizes, batch_size, specs=THREE_LAYER_SPECS):
+def lockstep_sessions(sizes, batch_size, widths=THREE_LAYER_WIDTHS):
     """Sessions with their own start, data and seed, and the one config they train under."""
     sessions = []
     for i, n in enumerate(sizes):
         x, y = three_class_data(n, seed=10 + i)
-        state = init_network(specs, seed=i)
+        state = init_network(widths, seed=i)
         sessions.append(Session(state, LabeledSet(x, y, state.label_count), seed=20 + i))
     return sessions, TrainConfig(epochs=3, batch_size=batch_size, base_lr=0.05, momentum=0.9)
 
@@ -562,7 +534,7 @@ class TestLockstepTrain:
             assert history == alone_history == mean_losses
 
     def test_two_hidden_layers(self):
-        sessions, cfg = lockstep_sessions([21, 16, 9], 8, specs=TWO_HIDDEN_SPECS)
+        sessions, cfg = lockstep_sessions([21, 16, 9], 8, widths=TWO_HIDDEN_WIDTHS)
         for session, (trained, _) in zip(sessions, train(sessions, cfg, 10.0)):
             expected, _ = reference_train(session.state, session.data.features, session.data.labels, cfg,
                                           session.seed, 10.0)
@@ -605,11 +577,11 @@ class TestLockstepTrain:
         assert calls == [4, 4, 4]
 
     def test_sessions_share_specs_and_hyperparameters(self):
-        # the hyperparameters are the call's one config; the specs are checked
+        # the hyperparameters are the call's one config; the widths are checked
         (first, second), cfg = lockstep_sessions([16, 16], 8)
         train([first, second], cfg, 10.0)  # seeds, data and starting parameters may differ
         with pytest.raises(ConfigError):
-            train([first, replace(second, state=init_network(TWO_HIDDEN_SPECS, seed=0))], cfg, 10.0)
+            train([first, replace(second, state=init_network(TWO_HIDDEN_WIDTHS, seed=0))], cfg, 10.0)
         with pytest.raises(ConfigError):
             train([], cfg, 10.0)
 
@@ -618,7 +590,7 @@ class TestTrainLeavesInputAlone:
     def setup_method(self):
         self.x, self.y = three_class_data(30)
         self.cfg = TrainConfig(epochs=2, batch_size=8, base_lr=0.05)
-        self.state = init_network(THREE_LAYER_SPECS, seed=3)
+        self.state = init_network(THREE_LAYER_WIDTHS, seed=3)
 
     def test_input_arrays_unchanged(self):
         before = state_bytes(self.state)
@@ -643,29 +615,22 @@ class TestTrainLeavesInputAlone:
 
 
 class TestSpecsValidation:
-    def test_chained_dims_required(self):
-        with pytest.raises(ConfigError):
-            validate_layer_specs(
-                [
-                    LayerSpec(4, 6, "relu"),
-                    LayerSpec(5, 3, "identity"),
-                ]
-            )
+    def test_widths_named_by_position(self):
+        for widths, position in [((0, 6, 3), 0), ((4, 6, 0, 3), 2), ((4, 6, 5, -1), 3)]:
+            with pytest.raises(ConfigError, match=f"^width {position} must be >= 1"):
+                validate_widths(widths)
 
     def test_final_layer_contract(self):
-        with pytest.raises(ConfigError):
-            validate_layer_specs(
-                [
-                    LayerSpec(4, 6, "relu"),
-                    LayerSpec(6, 3, "relu"),
-                ]
-            )
+        # the projection layer and the head are linear, every layer before them ReLU
+        for layer_count in (2, 3, 5):
+            flags = [relu(k, layer_count) for k in range(layer_count)]
+            assert flags == [True] * (layer_count - 2) + [False, False]
 
     def test_both_groups_required(self):
         # the head is the last layer, and at least one representation layer precedes it
-        for specs in ([], [LayerSpec(4, 3, "identity")]):
-            with pytest.raises(ConfigError, match="at least one representation layer and a head"):
-                validate_layer_specs(specs)
+        for widths in ([], [4], [4, 3]):
+            with pytest.raises(ConfigError, match="at least 3 widths"):
+                validate_widths(widths)
 
 
 class TestCheckpoint:
@@ -680,26 +645,45 @@ class TestCheckpoint:
         loaded = load_checkpoint(path)
         assert state_bytes(loaded) == state_bytes(state)
         assert loaded.label_count == state.label_count
-        assert [l.spec for l in loaded.layers] == [l.spec for l in state.layers]
+        assert loaded.widths == state.widths
 
     def test_loads_format_with_copied_fields(self, tmp_path):
         # checkpoints once also stored label_count, seed and params lines
         state = small_state(seed=21)
         fields = [("label_count", 3), ("seed", 21)]
-        fields += [("layer", f"{s.input_dim} {s.output_dim} {s.activation}") for s in layer_specs(state)]
+        fields.append(("widths", " ".join(map(str, state.widths))))
         fields.append(("params", sum(l.weights.size + l.bias.size for l in state.layers)))
         path = tmp_path / "model.ckpt"
         write_artifact(path, "checkpoint", fields, [a for l in state.layers for a in (l.weights, l.bias)])
         assert state_bytes(load_checkpoint(path)) == state_bytes(state)
 
-    def test_refuses_layer_lines_with_a_group_tag(self, tmp_path):
-        # checkpoints once tagged every layer "representation" or "classification"
+    def refuses_as_missing_widths(self, tmp_path, tags):
         state = small_state(seed=21)
-        tags = ["representation"] * (len(state.layers) - 1) + ["classification"]
-        fields = [("layer", f"{s.input_dim} {s.output_dim} {s.activation} {tag}")
-                  for s, tag in zip(layer_specs(state), tags)]
+        fields = [("layer", f"{w} {v} identity{tag}") for w, v, tag in zip(state.widths, state.widths[1:], tags)]
         path = tmp_path / "model.ckpt"
         write_artifact(path, "checkpoint", fields, [a for l in state.layers for a in (l.weights, l.bias)])
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: manifest is missing key 'widths'$"):
+            load_checkpoint(path)
+
+    def test_refuses_layer_lines(self, tmp_path):
+        # checkpoints once named every layer's shape and activation
+        self.refuses_as_missing_widths(tmp_path, ["", ""])
+
+    def test_refuses_layer_lines_with_a_group_tag(self, tmp_path):
+        # before that, they also tagged every layer "representation" or "classification"
+        self.refuses_as_missing_widths(tmp_path, [" representation", " classification"])
+
+    def test_refuses_a_widths_line_that_is_not_integers(self, tmp_path):
+        state = small_state(seed=21)
+        path = tmp_path / "model.ckpt"
+        write_artifact(path, "checkpoint", [("widths", "4 6 three")],
+                       [a for l in state.layers for a in (l.weights, l.bias)])
         with pytest.raises(ValidationError) as excinfo:
             load_checkpoint(path)
-        assert str(excinfo.value).startswith(f"{path}: bad value for 'layer'")
+        assert str(excinfo.value).startswith(f"{path}: bad value for 'widths'")
+
+    def test_refuses_widths_that_describe_no_network(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        write_artifact(path, "checkpoint", [("widths", "4 0 3")], [])
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: width 1 must be >= 1, got 0$"):
+            load_checkpoint(path)

@@ -8,9 +8,8 @@ import pytest
 from pretext_transfer.clustering import extract_projection, kmeans_fit
 from pretext_transfer.data import LabeledSet, SynthConfig, generate_domains
 from pretext_transfer.errors import ConfigError
-from pretext_transfer.harness import ExperimentConfig, _train_config, build_layer_specs
+from pretext_transfer.harness import ExperimentConfig, _train_config
 from pretext_transfer.network import (
-    LayerSpec,
     Session,
     TrainConfig,
     _flat_views,
@@ -18,18 +17,13 @@ from pretext_transfer.network import (
     _step_layout,
     forward,
     init_network,
-    layer_specs,
     replace_head,
     sgd_update,
     train,
 )
 from pretext_transfer.pipeline import TL_HEAD_MULTIPLIER, TlSession, pretrain_source, prt_train, tl_train
 
-SPECS = [
-    LayerSpec(5, 16, "relu"),
-    LayerSpec(16, 8, "identity"),
-    LayerSpec(8, 4, "identity"),
-]
+WIDTHS = (5, 16, 8, 4)
 
 SYNTH = SynthConfig(
     source_class_count=4,
@@ -51,7 +45,7 @@ def domains():
 @pytest.fixture(scope="module")
 def source_model(domains):
     source, _, _ = domains
-    return pretrain_source(SPECS, source, TrainConfig(epochs=20, base_lr=1e-2), seed=1)
+    return pretrain_source(WIDTHS, source, TrainConfig(epochs=20, base_lr=1e-2), seed=1)
 
 
 def pseudo_label(model, features, k, seed):
@@ -118,8 +112,8 @@ class TestStageRules:
     def test_source_is_plain(self, domains):
         source, _, _ = domains
         cfg = TrainConfig(epochs=2, base_lr=1e-2)
-        model = pretrain_source(SPECS, source, cfg, seed=5)
-        expected, _ = train_one(init_network(SPECS, 5), source.features, source.labels, cfg, 5, 1.0)
+        model = pretrain_source(WIDTHS, source, cfg, seed=5)
+        expected, _ = train_one(init_network(WIDTHS, 5), source.features, source.labels, cfg, 5, 1.0)
         assert state_bytes(model) == state_bytes(expected)
 
     @pytest.mark.parametrize("entry", ["pretrain_source", "prt_train", "train"])
@@ -128,7 +122,7 @@ class TestStageRules:
         bad = LabeledSet(pseudo.features, pseudo.labels, class_count=5)
         cfg = TrainConfig(epochs=1)
         calls = {
-            "pretrain_source": lambda: pretrain_source(SPECS, bad, cfg, seed=0),
+            "pretrain_source": lambda: pretrain_source(WIDTHS, bad, cfg, seed=0),
             "prt_train": lambda: prt_train(source_model, bad, cfg, seed=0),
             "train": lambda: train([Session(source_model, bad, 0)], cfg, 1.0),
         }
@@ -152,8 +146,8 @@ class TestPretrainSource:
     def test_label_count_and_determinism(self, domains):
         source, _, _ = domains
         cfg = TrainConfig(epochs=5, base_lr=1e-2)
-        first = pretrain_source(SPECS, source, cfg, seed=3)
-        second = pretrain_source(SPECS, source, cfg, seed=3)
+        first = pretrain_source(WIDTHS, source, cfg, seed=3)
+        second = pretrain_source(WIDTHS, source, cfg, seed=3)
         assert first.label_count == 4
         assert representation_bytes(first) == representation_bytes(second)
         assert head_bytes(first) == head_bytes(second)
@@ -174,7 +168,7 @@ class TestPretrainSource:
         # one epoch ends near 0.39 training accuracy, under the 0.9 gate
         source, _, _ = domains
         with caplog.at_level("WARNING"):
-            pretrain_source(SPECS, source, TrainConfig(epochs=1, base_lr=1e-2), seed=1)
+            pretrain_source(WIDTHS, source, TrainConfig(epochs=1, base_lr=1e-2), seed=1)
         [record] = caplog.records
         assert (record.name, record.levelname) == ("pretext_transfer.pipeline", "WARNING")
         assert re.fullmatch(
@@ -192,7 +186,7 @@ class TestPrtTrain:
 
     def test_only_the_head_stays_at_two_hidden_layers(self, domains):
         source, unlabeled, _ = domains
-        base = pretrain_source(build_layer_specs(5, 4, hidden=(8, 6), projection_dim=3), source,
+        base = pretrain_source((5, 8, 6, 3, 4), source,
                                TrainConfig(epochs=2, base_lr=1e-2), seed=1)
         pseudo_set = pseudo_label(base, unlabeled.features, k=4, seed=0)
         m1 = prt_train(base, pseudo_set, TrainConfig(epochs=2), seed=3)
@@ -271,14 +265,14 @@ class TestTlTrain:
     def test_one_step_lr_wiring(self, source_model):
         # unit gradients, zero momentum: at TL's multiplier the head moves exactly 10x as far
         cfg = TrainConfig(epochs=1, base_lr=0.25, momentum=0.0)
-        specs = layer_specs(source_model)
-        lr, trainable, _ = _step_layout(specs, cfg, TL_HEAD_MULTIPLIER)
+        widths = source_model.widths
+        lr, trainable, _ = _step_layout(widths, cfg, TL_HEAD_MULTIPLIER)
         params = _flatten([l.weights for l in source_model.layers], [l.bias for l in source_model.layers])
         before, velocity = params.copy(), np.zeros_like(params)
         sgd_update(params[trainable], velocity[trainable], np.ones_like(params)[trainable],
                    lr[trainable], cfg.momentum)
-        for k, (step_w, step_b) in enumerate(zip(*_flat_views(velocity, specs))):
-            expected = -2.5 if k == len(specs) - 1 else -0.25
+        for k, (step_w, step_b) in enumerate(zip(*_flat_views(velocity, widths))):
+            expected = -2.5 if k == len(widths) - 2 else -0.25
             assert (step_w == expected).all() and (step_b == expected).all()
         assert np.array_equal(params, before + velocity)
         assert 2.5 == 10.0 * 0.25
@@ -318,14 +312,8 @@ class TestTlTrain:
     def test_composes_with_prt(self, source_model, pseudo, domains):
         _, _, target = domains
         for hidden in ((8,), (12, 6)):
-            specs = []
-            prev = 5
-            for width in hidden:
-                specs.append(LayerSpec(prev, width, "relu"))
-                prev = width
-            specs.append(LayerSpec(prev, 4, "identity"))
             base = pretrain_source(
-                specs, generate_domains(SYNTH, seed=7)[0], TrainConfig(epochs=2, base_lr=1e-2), seed=0
+                (5, *hidden, 4), generate_domains(SYNTH, seed=7)[0], TrainConfig(epochs=2, base_lr=1e-2), seed=0
             )
             pseudo_set = pseudo_label(base, generate_domains(SYNTH, seed=7)[1].features, k=4, seed=0)
             m1 = prt_train(base, pseudo_set, TrainConfig(epochs=1), seed=0)
