@@ -9,7 +9,7 @@ import numpy as np
 from .data import feature_matrix
 from .errors import ValidationError
 from .manifest import manifest_value, read_artifact, unpack_blob, write_artifact
-from .network import NetworkState, apply_layer, relu
+from .network import NetworkState, apply_layer, flat_views, relu
 
 # Rows per assignment block. It bounds the per-block temporaries: with all
 # 20000 rows of the pseudo-label pool in one product they added about 3 MB of
@@ -53,15 +53,15 @@ def extract_projection(model: NetworkState, samples) -> np.ndarray:
     used as the low-dim projection; computed in row blocks (see ``_CHUNK``)
     with the bits of the whole-batch layers."""
     x = feature_matrix(samples, model.input_dim)
-    layers = model.layers[:-1]
+    weights, biases = flat_views(model.params, model.widths)
     m = x.shape[0]
-    out = np.empty((m, layers[-1].weights.shape[0]))
+    out = np.empty((m, model.widths[-2]))
     blocks = max(m // _CHUNK, 1)
     for b in range(blocks):
         rows = slice(b * _CHUNK, m if b == blocks - 1 else (b + 1) * _CHUNK)
         z = x[rows]
-        for k, layer in enumerate(layers):
-            z = apply_layer(z, layer.weights, layer.bias, relu(k, len(model.layers)))
+        for k, (w, bias) in enumerate(zip(weights[:-1], biases[:-1])):
+            z = apply_layer(z, w, bias, relu(k, len(weights)))
         out[rows] = z
     return out
 

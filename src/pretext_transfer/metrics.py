@@ -64,9 +64,9 @@ def validate_probability_rows(values, name: str = "probabilities") -> np.ndarray
     return v
 
 
-def fuse_predict(rho, q) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise mean of two [n, C] batches of probability rows, and each row's
-    argmax, lowest index on ties."""
+def fuse_predict(rho, q) -> tuple[np.ndarray, np.ndarray]:  # (labels [n], fused [n, C])
+    """Each row's argmax of the row-wise mean of two [n, C] batches of
+    probability rows, lowest index on ties, and that mean itself."""
     rho = validate_probability_rows(rho, "rho")
     q = validate_probability_rows(q, "q")
     if rho.shape != q.shape:

@@ -1,23 +1,24 @@
 """Dense feed-forward classifier with momentum SGD.
 
-A network is its widths, ``(input, *hidden, projection, labels)``: layer k of
-L maps widths[k] to widths[k + 1], and applies ReLU exactly when k < L - 2
-(``relu``), so the projection layer and the head are linear. The last layer
-is the classification layer (the head); every layer before it is a
-representation layer. The head trains at base_lr times a head multiplier
-that each training call is given (zero freezes it), and it can be swapped.
+A network is its widths, ``(input, *hidden, projection, labels)``, and one
+parameter vector (``NetworkState``): layer k of L maps widths[k] to
+widths[k + 1], and applies ReLU exactly when k < L - 2 (``relu``), so the
+projection layer and the head are linear. The last layer is the
+classification layer (the head); every layer before it is a representation
+layer. The head trains at base_lr times a head multiplier that each training
+call is given (zero freezes it), and it can be swapped.
 States are value objects: the public functions return new NetworkState
 objects and leave their arguments unchanged.
 `train` runs sessions of one architecture in lockstep under one TrainConfig;
 a session brings only its start, labelled set and shuffle seed. It orders
-them by row count, largest first, copies their parameters into one private
-[sessions, parameters] buffer, and at every step trains each run of adjacent
-sessions that share a batch size on a slice of that buffer. A step is two
-kernels that work in place on that slice: `loss_and_grad`, whose forward
-pass is `apply_layer` on the stack, writes the gradients, and `sgd_update`
-takes the momentum step. It never changes the caller's arrays. `apply_layer`
-is the one dense layer: inference calls it on 2-D batches, and the cluster
-stage and the dictionary read projections from it.
+them by row count, largest first, stacks their parameter vectors into one
+private [sessions, parameters] buffer, and at every step trains each run of
+adjacent sessions that share a batch size on a slice of that buffer. A step
+is two kernels that work in place on that slice: `loss_and_grad`, whose
+forward pass is `apply_layer` on the stack, writes the gradients, and
+`sgd_update` takes the momentum step. It never changes the caller's arrays.
+`apply_layer` is the one dense layer: inference calls it on 2-D batches, and
+the cluster stage and the dictionary read projections from it.
 """
 
 from __future__ import annotations
@@ -53,26 +54,22 @@ class TrainConfig:
 
 
 @dataclass
-class Layer:
-    weights: np.ndarray  # [output_dim, input_dim]
-    bias: np.ndarray  # [output_dim]
-
-
-@dataclass
 class NetworkState:
-    layers: list[Layer]
+    """A network's widths and its parameters as one [P] float64 vector: each
+    layer's [out, in] weights, then its [out] bias, layer by layer
+    (``flat_views`` reads it). The head is the last out·(in+1) values, and a
+    checkpoint's blob is this vector."""
 
-    @property
-    def widths(self) -> tuple[int, ...]:
-        return (self.input_dim, *(layer.weights.shape[0] for layer in self.layers))
+    widths: tuple[int, ...]
+    params: np.ndarray
 
     @property
     def input_dim(self) -> int:
-        return self.layers[0].weights.shape[1]
+        return self.widths[0]
 
     @property
     def label_count(self) -> int:
-        return self.layers[-1].weights.shape[0]
+        return self.widths[-1]
 
 
 def relu(k: int, layer_count: int) -> bool:
@@ -92,12 +89,12 @@ def validate_widths(widths: Sequence[int]) -> None:
 def init_network(widths: Sequence[int], seed: int = 0) -> NetworkState:
     """Seeded Gaussian init, std 1/sqrt(input_dim), zero bias."""
     validate_widths(widths)
+    widths = tuple(map(int, widths))
     rng = np.random.default_rng(seed)
-    layers = []
-    for input_dim, output_dim in zip(widths, widths[1:]):
-        weights = rng.normal(0.0, 1.0 / np.sqrt(input_dim), size=(output_dim, input_dim))
-        layers.append(Layer(weights, np.zeros(output_dim)))
-    return NetworkState(layers)
+    params = np.zeros(sum(_layer_sizes(widths)))
+    for weights in flat_views(params, widths)[0]:
+        weights[...] = rng.normal(0.0, 1.0 / np.sqrt(weights.shape[1]), size=weights.shape)
+    return NetworkState(widths, params)
 
 
 def apply_layer(x: np.ndarray, weights: np.ndarray, bias: np.ndarray, relu: bool) -> np.ndarray:
@@ -119,17 +116,23 @@ def forward(state: NetworkState, inputs) -> np.ndarray:
     """Class probabilities, one row per sample, rows summing to 1. The softmax
     runs in place in the logits, which the last layer allocated."""
     z = feature_matrix(inputs, state.input_dim)
-    for k, layer in enumerate(state.layers):
-        z = apply_layer(z, layer.weights, layer.bias, relu(k, len(state.layers)))
+    weights, biases = flat_views(state.params, state.widths)
+    for k, (w, b) in enumerate(zip(weights, biases)):
+        z = apply_layer(z, w, b, relu(k, len(weights)))
     z -= z.max(axis=1, keepdims=True)
     np.exp(z, out=z)
     z /= z.sum(axis=1, keepdims=True)
     return z
 
 
-def _flat_views(buffer: np.ndarray, widths: tuple[int, ...]) -> tuple[list, list]:
-    """Per-layer weight and bias views over the last axis of a buffer laid out
-    weights-then-bias, layer by layer; leading axes (sessions) are kept."""
+def _layer_sizes(widths: Sequence[int]) -> list[int]:
+    """Each layer's parameter count, out·(in+1)."""
+    return [output_dim * (input_dim + 1) for input_dim, output_dim in zip(widths, widths[1:])]
+
+
+def flat_views(buffer: np.ndarray, widths: Sequence[int]) -> tuple[list, list]:
+    """Per-layer weight and bias views over the last axis of a buffer in the
+    parameter layout of ``NetworkState``; leading axes (sessions) are kept."""
     lead = buffer.shape[:-1]
     weights, biases = [], []
     offset = 0
@@ -140,10 +143,6 @@ def _flat_views(buffer: np.ndarray, widths: tuple[int, ...]) -> tuple[list, list
         biases.append(buffer[..., offset:offset + output_dim])
         offset += output_dim
     return weights, biases
-
-
-def _flatten(weights, biases) -> np.ndarray:
-    return np.concatenate([a.ravel() for pair in zip(weights, biases) for a in pair], dtype=np.float64)
 
 
 def loss_and_grad(weights, biases, x, y, grad_w, grad_b, needs_grad) -> np.ndarray:
@@ -199,7 +198,7 @@ def _step_layout(
     if not (math.isfinite(head_multiplier) and head_multiplier >= 0):  # NaN would freeze every layer
         raise ConfigError(f"head_multiplier must be >= 0 and finite, got {head_multiplier}")
     rates = [config.base_lr] * (len(widths) - 2) + [config.base_lr * head_multiplier]
-    sizes = [output_dim * (input_dim + 1) for input_dim, output_dim in zip(widths, widths[1:])]
+    sizes = _layer_sizes(widths)
     trains = [rate > 0 for rate in rates]
     return np.repeat(rates, sizes), slice(0, sum(itertools.compress(sizes, trains))), trains
 
@@ -223,9 +222,10 @@ def replace_head(state: NetworkState, new_label_count: int, init_seed: int) -> N
     """
     if new_label_count < 2:
         raise ValidationError("new_label_count must be >= 2")
-    head = state.layers[-1]
-    weights = np.random.default_rng(init_seed).normal(0.0, 0.01, size=(new_label_count, head.weights.shape[1]))
-    return NetworkState([*state.layers[:-1], Layer(weights, np.zeros(new_label_count))])
+    representation = state.params[:-_layer_sizes(state.widths)[-1]]
+    weights = np.random.default_rng(init_seed).normal(0.0, 0.01, size=(new_label_count, state.widths[-2]))
+    return NetworkState((*state.widths[:-1], new_label_count),
+                        np.concatenate([representation, weights.ravel(), np.zeros(new_label_count)]))
 
 
 @dataclass(frozen=True)
@@ -289,10 +289,7 @@ def train(
     sessions, xs, ys = ([seq[i] for i in order] for seq in (sessions, xs, ys))
     sizes = [x.shape[0] for x in xs]
     lr, trainable, needs_grad = _step_layout(widths, config, head_multiplier)
-    params = np.stack([
-        _flatten([l.weights for l in session.state.layers], [l.bias for l in session.state.layers])
-        for session in sessions
-    ])
+    params = np.stack([session.state.params for session in sessions])
     grads = np.zeros_like(params)
     velocity = np.zeros_like(params)
     lr_t = lr[trainable]
@@ -307,7 +304,7 @@ def train(
         key = (members.start, members.stop)
         if key not in views:
             part, part_grads = params[members], grads[members]
-            views[key] = (*_flat_views(part, widths), *_flat_views(part_grads, widths),
+            views[key] = (*flat_views(part, widths), *flat_views(part_grads, widths),
                           part[:, trainable], velocity[members, trainable], part_grads[:, trainable])
         weights, biases, grad_w, grad_b, part_p, part_v, part_g = views[key]
         losses = loss_and_grad(weights, biases, x, y, grad_w, grad_b, needs_grad)
@@ -347,7 +344,7 @@ def train(
                 history.append(float(total / n))
     results = [None] * len(sessions)
     for i, row, history in zip(order, params, histories):
-        results[i] = (NetworkState([Layer(w, b) for w, b in zip(*_flat_views(row, widths))]), history)
+        results[i] = (NetworkState(widths, row), history)
     return results
 
 
@@ -356,8 +353,7 @@ def accuracy(state: NetworkState, inputs, labels) -> float:
 
 
 def save_checkpoint(state: NetworkState, path) -> None:
-    arrays = [a for layer in state.layers for a in (layer.weights, layer.bias)]
-    write_artifact(path, "checkpoint", [("widths", " ".join(map(str, state.widths)))], arrays)
+    write_artifact(path, "checkpoint", [("widths", " ".join(map(str, state.widths)))], [state.params])
 
 
 def load_checkpoint(path) -> NetworkState:
@@ -368,6 +364,5 @@ def load_checkpoint(path) -> NetworkState:
         validate_widths(widths)
     except ConfigError as exc:
         raise ValidationError(f"{path}: {exc}") from None
-    shapes = [shape for n_in, n_out in zip(widths, widths[1:]) for shape in ((n_out, n_in), (n_out,))]
-    arrays, _ = unpack_blob(blob, path, shapes)
-    return NetworkState([Layer(w, b) for w, b in zip(arrays[::2], arrays[1::2])])
+    [params], _ = unpack_blob(blob, path, [(sum(_layer_sizes(widths)),)])
+    return NetworkState(widths, params)

@@ -36,20 +36,18 @@ from pretext_transfer.harness import (
     run_prt,
 )
 from pretext_transfer.network import (
-    Layer,
     NetworkState,
     apply_layer,
+    flat_views,
     init_network,
 )
 
 
 def identity_rep_state(dim=3, label_count=2):
-    return NetworkState(
-        layers=[
-            Layer(np.eye(dim), np.zeros(dim)),
-            Layer(np.zeros((label_count, dim)), np.zeros(label_count)),
-        ],
-    )
+    """An identity projection layer, then a zero head; every bias zero."""
+    params = np.zeros(dim * (dim + 1) + label_count * (dim + 1))
+    params[:dim * dim] = np.eye(dim).ravel()
+    return NetworkState((dim, dim, label_count), params)
 
 
 def two_blobs(n=60, seed=0):
@@ -81,8 +79,9 @@ class TestExtractProjection:
         for rows in [1, 7, 1023, 1024, 1025, 1040, 2049, 20000]:
             x = np.random.default_rng(2).normal(size=(rows, 16))
             expected = x
-            for k, layer in enumerate(state.layers[:-1]):  # ReLU on the hidden layers, not the projection
-                expected = apply_layer(expected, layer.weights, layer.bias, k < len(hidden))
+            weights, biases = flat_views(state.params, state.widths)
+            for k in range(len(weights) - 1):  # ReLU on the hidden layers, not the projection
+                expected = apply_layer(expected, weights[k], biases[k], k < len(hidden))
             assert extract_projection(state, x).tobytes() == expected.tobytes(), rows
 
     def test_peak_memory_is_the_output_plus_one_block(self):
@@ -100,7 +99,7 @@ class TestExtractProjection:
 
     def test_zero_weights_relu_projects_to_zero(self):
         state = init_network((3, 4, 4, 2), seed=0)  # a ReLU layer, the projection and the head
-        state.layers[0].weights[:] = 0.0
+        flat_views(state.params, state.widths)[0][0][:] = 0.0
         out = extract_projection(state, np.random.default_rng(0).normal(size=(4, 3)))
         assert np.array_equal(out, np.zeros((4, 4)))
 

@@ -34,7 +34,7 @@ from pretext_transfer.harness import (
     stage_key,
 )
 from pretext_transfer.metrics import METHOD_ORDER
-from pretext_transfer.network import Layer, NetworkState, load_checkpoint, save_checkpoint
+from pretext_transfer.network import NetworkState, flat_views, load_checkpoint, save_checkpoint
 
 MINI_SYNTH = SynthConfig(
     source_class_count=4,
@@ -414,9 +414,10 @@ class TestBaselineIsolation:
 
 def add_third_output(path):
     state = load_checkpoint(path)
-    head = state.layers[-1]
-    wider = Layer(np.vstack([head.weights, head.weights[:1]]), np.append(head.bias, 0.0))
-    save_checkpoint(NetworkState([*state.layers[:-1], wider]), path)
+    weights, biases = flat_views(state.params, state.widths)
+    head, bias = weights[-1], biases[-1]
+    params = np.concatenate([state.params[:-head.size - bias.size], head.ravel(), head[0], bias, [0.0]])
+    save_checkpoint(NetworkState((*state.widths[:-1], 3), params), path)
 
 
 def split_off_third_class(path):
@@ -432,9 +433,10 @@ def drop_last_feature(path):
 
 def take_eight_inputs(path):
     state = load_checkpoint(path)
-    first = state.layers[0]
-    wider = np.hstack([first.weights, np.zeros((first.weights.shape[0], 8 - first.weights.shape[1]))])
-    save_checkpoint(NetworkState([Layer(wider, first.bias), *state.layers[1:]]), path)
+    first = flat_views(state.params, state.widths)[0][0]
+    wider = np.hstack([first, np.zeros((first.shape[0], 8 - first.shape[1]))])
+    params = np.concatenate([wider.ravel(), state.params[first.size:]])
+    save_checkpoint(NetworkState((8, *state.widths[1:]), params), path)
 
 
 class TestEvaluateRefusesCellsThatDoNotFit:

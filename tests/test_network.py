@@ -10,17 +10,15 @@ from pretext_transfer import data, network
 from pretext_transfer.clustering import extract_projection
 from pretext_transfer.data import LabeledSet
 from pretext_transfer.errors import ConfigError, ShapeError, TrainingDiverged, ValidationError
-from pretext_transfer.manifest import write_artifact
+from pretext_transfer.manifest import read_artifact, write_artifact
 from pretext_transfer.network import (
-    Layer,
     NetworkState,
     Session,
     TrainConfig,
-    _flat_views,
-    _flatten,
     _step_layout,
     accuracy,
     apply_layer,
+    flat_views,
     forward,
     init_network,
     load_checkpoint,
@@ -49,27 +47,25 @@ def small_state(seed=0, widths=TWO_LAYER_WIDTHS):
     return init_network(widths, seed=seed)
 
 
-def flatten_params(state):
-    return np.concatenate(
-        [np.concatenate([l.weights.ravel(), l.bias.ravel()]) for l in state.layers]
-    )
+def layers(state):
+    """Each layer's (weights, bias) views of the state's parameter vector."""
+    return list(zip(*flat_views(state.params, state.widths)))
 
 
-def state_bytes(state):
-    return b"".join(l.weights.tobytes() + l.bias.tobytes() for l in state.layers)
+def head(state):
+    """The head's parameters: the last out·(in+1) values of the vector."""
+    return state.params[-state.label_count * (state.widths[-2] + 1):]
 
 
 def stacked_loss_and_grad(state, x, y, needs_grad=None, fill=0.0):
-    """loss_and_grad on a stack of one session: its loss and per-layer
-    gradient buffers, which start filled with ``fill``."""
-    grad_w = [np.full((1, *l.weights.shape), fill) for l in state.layers]
-    grad_b = [np.full((1, *l.bias.shape), fill) for l in state.layers]
+    """loss_and_grad on a stack of one session: its loss and its gradient in
+    the parameter layout, a buffer that starts filled with ``fill``."""
+    grads = np.full(state.params.size, fill)
     (loss,) = loss_and_grad(
-        [l.weights[None] for l in state.layers], [l.bias[None] for l in state.layers],
-        x[None], y[None], grad_w, grad_b,
-        needs_grad or [True] * len(state.layers),
+        *flat_views(state.params[None], state.widths), x[None], y[None],
+        *flat_views(grads[None], state.widths), needs_grad or [True] * (len(state.widths) - 1),
     )
-    return float(loss), grad_w, grad_b
+    return float(loss), grads
 
 
 def reference_loss(state, x, y):
@@ -79,50 +75,34 @@ def reference_loss(state, x, y):
 
 def numeric_gradient(state, x, y, step=1e-5):
     """Central finite differences of reference_loss over every parameter, the gradient oracle."""
-    grads = []
-    for layer in state.layers:
-        for arr_name in ("weights", "bias"):
-            arr = getattr(layer, arr_name)
-            grad = np.zeros_like(arr)
-            it = np.nditer(arr, flags=["multi_index"])
-            for _ in it:
-                idx = it.multi_index
-                original = arr[idx]
-                arr[idx] = original + step
-                loss_plus = reference_loss(state, x, y)
-                arr[idx] = original - step
-                loss_minus = reference_loss(state, x, y)
-                arr[idx] = original
-                grad[idx] = (loss_plus - loss_minus) / (2 * step)
-            grads.append(grad)
-    return grads
+    params = state.params
+    grad = np.zeros_like(params)
+    for i, original in enumerate(params.copy()):
+        params[i] = original + step
+        loss_plus = reference_loss(state, x, y)
+        params[i] = original - step
+        loss_minus = reference_loss(state, x, y)
+        params[i] = original
+        grad[i] = (loss_plus - loss_minus) / (2 * step)
+    return grad
 
 
 def max_relative_error(analytic, numeric):
     # the 1e-3 floor guards against fp noise on near-zero entries
-    worst = 0.0
-    for a, n in zip(analytic, numeric):
-        denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), 1e-3)
-        worst = max(worst, float((np.abs(a - n) / denom).max()))
-    return worst
+    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-3)
+    return float((np.abs(analytic - numeric) / denom).max())
 
 
 class TestForward:
     def test_zero_network_is_uniform(self):
         state = small_state(widths=(3, 4, 4))
-        for layer in state.layers:
-            layer.weights[:] = 0.0
-            layer.bias[:] = 0.0
+        state.params[:] = 0.0
         probs = forward(state, np.random.default_rng(0).normal(size=(5, 3)))
         assert np.allclose(probs, 0.25)
 
     def test_identity_layer_matches_hand_softmax(self):
-        state = NetworkState(
-            layers=[
-                Layer(np.eye(2), np.zeros(2)),
-                Layer(np.eye(2), np.zeros(2)),
-            ],
-        )
+        # each layer's weights (the 2 x 2 identity), then its zero bias
+        state = NetworkState((2, 2, 2), np.array([1.0, 0, 0, 1, 0, 0] * 2))
         probs = forward(state, np.array([[1.0, 0.0]]))
         expected = np.array([math.e / (math.e + 1.0), 1.0 / (math.e + 1.0)])
         assert np.allclose(probs[0], expected, atol=1e-9)
@@ -149,8 +129,8 @@ class TestForward:
 DEFAULT_WIDTHS = (16, 32, 16, 10)
 
 
-def reference_layer(layer, x, is_relu):
-    z = x @ layer.weights.T + layer.bias
+def reference_layer(weights, bias, x, is_relu):
+    z = x @ weights.T + bias
     return np.maximum(z, 0.0) if is_relu else z
 
 
@@ -162,9 +142,9 @@ class TestInPlaceKernels:
     def test_apply_layer_bit_identical_to_reference(self, rows):
         state = init_network(DEFAULT_WIDTHS, seed=rows)
         x = np.random.default_rng(rows).normal(scale=3.0, size=(rows, 16))
-        for k, layer in enumerate(state.layers):
-            got = apply_layer(x, layer.weights, layer.bias, k == 0)
-            expected = reference_layer(layer, x, k == 0)
+        for k, (w, b) in enumerate(layers(state)):
+            got = apply_layer(x, w, b, k == 0)
+            expected = reference_layer(w, b, x, k == 0)
             assert got.tobytes() == expected.tobytes()
             x = expected
 
@@ -193,8 +173,8 @@ class TestInPlaceKernels:
         state = init_network(DEFAULT_WIDTHS, seed=rows)
         x = np.random.default_rng(rows).normal(scale=3.0, size=(rows, 16))
         z = x
-        for k, layer in enumerate(state.layers):
-            z = reference_layer(layer, z, k == 0)
+        for k, (w, b) in enumerate(layers(state)):
+            z = reference_layer(w, b, z, k == 0)
         e = np.exp(z - z.max(axis=1, keepdims=True))
         assert forward(state, x).tobytes() == (e / e.sum(axis=1, keepdims=True)).tobytes()
 
@@ -230,20 +210,14 @@ class TestLossAndGrad:
 
     def test_uniform_loss_is_ln2(self):
         state = small_state(widths=(3, 4, 2))
-        for layer in state.layers:
-            layer.weights[:] = 0.0
-            layer.bias[:] = 0.0
-        loss, _, _ = stacked_loss_and_grad(state, np.ones((6, 3)), np.array([0, 1, 0, 1, 1, 0]))
+        state.params[:] = 0.0
+        loss, _ = stacked_loss_and_grad(state, np.ones((6, 3)), np.array([0, 1, 0, 1, 1, 0]))
         assert loss == pytest.approx(math.log(2), abs=1e-12)
 
     def test_perfect_prediction_zero_loss(self):
-        state = NetworkState(
-            layers=[
-                Layer(np.eye(2), np.zeros(2)),
-                Layer(np.array([[1000.0, 0.0], [0.0, 1000.0]]), np.zeros(2)),
-            ],
-        )
-        loss, _, _ = stacked_loss_and_grad(state, np.array([[1.0, 0.0]]), np.array([0]))
+        # an identity layer, then a head of weights 1000 times the identity, zero biases
+        state = NetworkState((2, 2, 2), np.array([1.0, 0, 0, 1, 0, 0, 1000, 0, 0, 1000, 0, 0]))
+        loss, _ = stacked_loss_and_grad(state, np.array([[1.0, 0.0]]), np.array([0]))
         assert loss == 0.0
 
     def test_gradients_match_finite_differences(self):
@@ -254,20 +228,19 @@ class TestLossAndGrad:
             rng = np.random.default_rng(5)
             x = rng.normal(size=(8, 4))
             y = rng.integers(0, 3, size=8)
-            loss, grad_w, grad_b = stacked_loss_and_grad(state, x, y)
+            loss, grads = stacked_loss_and_grad(state, x, y)
             assert loss == pytest.approx(reference_loss(state, x, y), rel=1e-12)
-            analytic = [g[0] for pair in zip(grad_w, grad_b) for g in pair]
-            assert max_relative_error(analytic, numeric_gradient(state, x, y)) < 1e-4, widths
+            assert max_relative_error(grads, numeric_gradient(state, x, y)) < 1e-4, widths
 
     def test_layers_without_needs_grad_keep_their_buffers(self):
         state = init_network(THREE_LAYER_WIDTHS, seed=4)
         x, y = three_class_data(8)
-        _, full_w, full_b = stacked_loss_and_grad(state, x, y)
+        _, full = stacked_loss_and_grad(state, x, y)
         needs_grad = [True, False, True]
-        _, grad_w, grad_b = stacked_loss_and_grad(state, x, y, needs_grad, fill=7.0)
+        _, grads = stacked_loss_and_grad(state, x, y, needs_grad, fill=7.0)
         for k, needed in enumerate(needs_grad):
-            for got, full in ((grad_w[k], full_w[k]), (grad_b[k], full_b[k])):
-                assert got.tobytes() == (full.tobytes() if needed else np.full_like(got, 7.0).tobytes())
+            for got, whole in zip(flat_views(grads, state.widths), flat_views(full, state.widths)):
+                assert got[k].tobytes() == (whole[k].tobytes() if needed else np.full_like(got[k], 7.0).tobytes())
 
     def test_out_of_range_label(self):
         # the kernel trusts its labels; the session's set refuses them where it is built
@@ -303,7 +276,7 @@ class TestSgdUpdate:
         cfg = TrainConfig(epochs=1, base_lr=0.25, momentum=0.0)
         params = np.zeros(2 + 4)  # weight and bias of the 1 -> 1 layer, then of the 1 -> 2 head
         self.unit_step(self.ONE_PARAM_WIDTHS, cfg, 10.0, params)
-        weights, biases = _flat_views(params, self.ONE_PARAM_WIDTHS)
+        weights, biases = flat_views(params, self.ONE_PARAM_WIDTHS)
         assert weights[0][0, 0] == -0.25 and biases[0][0] == -0.25
         assert (weights[1] == -2.5).all() and (biases[1] == -2.5).all()
 
@@ -318,12 +291,12 @@ class TestSgdUpdate:
 
     def test_every_trainable_element_moves(self):
         state = init_network(THREE_LAYER_WIDTHS, seed=0)
-        params = _flatten([l.weights for l in state.layers], [l.bias for l in state.layers])
+        params = state.params.copy()
         self.unit_step(THREE_LAYER_WIDTHS, TrainConfig(epochs=1, base_lr=0.1, momentum=0.0), 0.0, params)
-        weights, biases = _flat_views(params, THREE_LAYER_WIDTHS)
-        last = len(state.layers) - 1
-        for k, layer in enumerate(state.layers):
-            for old, updated in [(layer.weights, weights[k]), (layer.bias, biases[k])]:
+        weights, biases = flat_views(params, THREE_LAYER_WIDTHS)
+        last = len(weights) - 1
+        for k, (old_w, old_b) in enumerate(layers(state)):
+            for old, updated in [(old_w, weights[k]), (old_b, biases[k])]:
                 if k == last:
                     assert updated.tobytes() == old.tobytes()
                 else:
@@ -353,17 +326,30 @@ class TestTrainConfig:
     def test_zero_multiplier_is_accepted(self):
         state = small_state()
         trained, _ = train_one(state, np.eye(4), np.array([0, 1, 2, 0]), TrainConfig(epochs=1), head_multiplier=0.0)
-        assert state_bytes(NetworkState(trained.layers[-1:])) == state_bytes(NetworkState(state.layers[-1:]))
-        assert state_bytes(trained) != state_bytes(state)
+        assert head(trained).tobytes() == head(state).tobytes()
+        assert trained.params.tobytes() != state.params.tobytes()
 
 
 class TestReplaceHead:
     def test_reinit_contract(self):
         state = small_state(seed=9)
         new = replace_head(state, 3, init_seed=4)
-        assert new.layers[0].weights.tobytes() == state.layers[0].weights.tobytes()
-        assert new.layers[1].weights.tobytes() != state.layers[1].weights.tobytes()
-        assert (new.layers[1].bias == 0).all()
+        (old_w, _), (old_head, _) = layers(state)
+        (new_w, _), (new_head, new_bias) = layers(new)
+        assert new_w.tobytes() == old_w.tobytes()
+        assert new_head.tobytes() != old_head.tobytes()
+        assert (new_bias == 0).all()
+
+    @pytest.mark.parametrize("labels", [2, 3])
+    def test_result_shares_no_memory_with_its_source(self, labels):
+        # the source has 3 labels: a head of the same width is a new head too
+        state = init_network(THREE_LAYER_WIDTHS, seed=9)
+        kept = state.params.tobytes()
+        new = replace_head(state, labels, init_seed=4)
+        representation = state.params.size - head(state).size
+        assert new.params[:representation].tobytes() == state.params[:representation].tobytes()
+        new.params[...] = 7.0
+        assert state.params.tobytes() == kept
 
     def test_new_output_width(self):
         state = init_network((4, 6, 10), seed=0)
@@ -398,14 +384,14 @@ class TestTrain:
         cfg = TrainConfig(epochs=3, batch_size=8, base_lr=0.01, momentum=0.9)
         first, _ = train_one(small_state(seed=5), x, y, cfg, seed=5)
         second, _ = train_one(small_state(seed=5), x, y, cfg, seed=5)
-        assert state_bytes(first) == state_bytes(second)
+        assert first.params.tobytes() == second.params.tobytes()
 
     def test_partial_last_batch_used(self):
         x, y = self.separable_data(11)  # 22 samples, batch 16 -> partial batch of 6
         cfg = TrainConfig(epochs=1, batch_size=16, base_lr=0.01)
         state, history = train_one(small_state(seed=0), x, y, cfg)
         assert len(history) == 1
-        assert state_bytes(state) != state_bytes(small_state(seed=0))
+        assert state.params.tobytes() != small_state(seed=0).params.tobytes()
 
     def test_divergence_raises(self):
         x, y = self.separable_data(10)
@@ -436,7 +422,8 @@ def reference_train(state, x, y, cfg, seed, head_multiplier):
     """One session trained alone with 2-d arithmetic, batch by batch: the
     single-session loop that train() generalises, kept as the reference for
     its results. Layer k of L applies ReLU exactly when k < L - 2."""
-    layers = [(l.weights.copy(), l.bias.copy()) for l in state.layers]
+    params = state.params.copy()
+    layers = list(zip(*flat_views(params, state.widths)))
     is_relu = [k < len(layers) - 2 for k in range(len(layers))]
     velocity = [(np.zeros_like(w), np.zeros_like(b)) for w, b in layers]
     # the representation layers at base_lr, the head (last layer) at its own rate
@@ -481,8 +468,7 @@ def reference_train(state, x, y, cfg, seed, head_multiplier):
                     param += vel
             total += loss * len(yb)
         mean_losses.append(total / len(y))
-    trained = NetworkState([Layer(w, b) for w, b in layers])
-    return trained, mean_losses
+    return NetworkState(state.widths, params), mean_losses
 
 
 class TestTrainMatchesReference:
@@ -493,7 +479,7 @@ class TestTrainMatchesReference:
         state = init_network(widths, seed=2)
         trained, history = train_one(state, x, y, ORACLE_CONFIG, 6, multiplier)
         expected, mean_losses = reference_train(state, x, y, ORACLE_CONFIG, 6, multiplier)
-        assert state_bytes(trained) == state_bytes(expected)
+        assert trained.params.tobytes() == expected.params.tobytes()
         assert history == mean_losses
 
 
@@ -530,7 +516,7 @@ class TestLockstepTrain:
             run = (session.state, session.data.features, session.data.labels, cfg, session.seed, multiplier)
             alone, alone_history = train_one(*run)
             expected, mean_losses = reference_train(*run)
-            assert state_bytes(trained) == state_bytes(alone) == state_bytes(expected)
+            assert trained.params.tobytes() == alone.params.tobytes() == expected.params.tobytes()
             assert history == alone_history == mean_losses
 
     def test_two_hidden_layers(self):
@@ -538,7 +524,7 @@ class TestLockstepTrain:
         for session, (trained, _) in zip(sessions, train(sessions, cfg, 10.0)):
             expected, _ = reference_train(session.state, session.data.features, session.data.labels, cfg,
                                           session.seed, 10.0)
-            assert state_bytes(trained) == state_bytes(expected)
+            assert trained.params.tobytes() == expected.params.tobytes()
 
     @pytest.mark.parametrize("sizes, bad", [([24, 24], 1), ([16, 24], 0)], ids=["second", "shorter-first"])
     def test_one_diverging_session_raises(self, sizes, bad):
@@ -593,25 +579,23 @@ class TestTrainLeavesInputAlone:
         self.state = init_network(THREE_LAYER_WIDTHS, seed=3)
 
     def test_input_arrays_unchanged(self):
-        before = state_bytes(self.state)
+        before = self.state.params.tobytes()
         train_one(self.state, self.x, self.y, self.cfg, 1, 0.0)
-        assert state_bytes(self.state) == before
+        assert self.state.params.tobytes() == before
 
     def test_frozen_layers_bit_identical_to_input(self):
         trained, _ = train_one(self.state, self.x, self.y, self.cfg, 1, 0.0)
-        last = len(self.state.layers) - 1
-        for k, (old, new) in enumerate(zip(self.state.layers, trained.layers)):
-            same = old.weights.tobytes() + old.bias.tobytes() == new.weights.tobytes() + new.bias.tobytes()
+        last = len(self.state.widths) - 2
+        for k, (old, new) in enumerate(zip(layers(self.state), layers(trained))):
+            same = old[0].tobytes() + old[1].tobytes() == new[0].tobytes() + new[1].tobytes()
             assert same == (k == last)
 
     def test_mutating_result_does_not_leak_into_next_call(self):
         first, _ = train_one(self.state, self.x, self.y, self.cfg, 1, 0.0)
-        first_bytes = state_bytes(first)
-        for layer in first.layers:
-            layer.weights[...] = 7.0
-            layer.bias[...] = -7.0
+        first_bytes = first.params.tobytes()
+        first.params[...] = 7.0
         second, _ = train_one(self.state, self.x, self.y, self.cfg, 1, 0.0)
-        assert state_bytes(second) == first_bytes
+        assert second.params.tobytes() == first_bytes
 
 
 class TestSpecsValidation:
@@ -625,6 +609,12 @@ class TestSpecsValidation:
         for layer_count in (2, 3, 5):
             flags = [relu(k, layer_count) for k in range(layer_count)]
             assert flags == [True] * (layer_count - 2) + [False, False]
+
+    def test_widths_are_a_tuple_of_ints(self):
+        # train compares widths by equality, so a list or NumPy integers stay out
+        state = init_network([4, np.int64(6), 3])
+        assert state.widths == (4, 6, 3)
+        assert type(state.widths) is tuple and all(type(width) is int for width in state.widths)
 
     def test_both_groups_required(self):
         # the head is the last layer, and at least one representation layer precedes it
@@ -643,25 +633,46 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         save_checkpoint(state, path)
         loaded = load_checkpoint(path)
-        assert state_bytes(loaded) == state_bytes(state)
+        assert loaded.params.tobytes() == state.params.tobytes()
         assert loaded.label_count == state.label_count
         assert loaded.widths == state.widths
+        assert all(type(width) is int for width in loaded.widths)
+
+    @pytest.mark.parametrize("widths", [(4, 3, 2), (4, 6, 5, 3), (4, 8, 6, 5, 3)])
+    def test_blob_is_the_parameter_vector(self, tmp_path, widths):
+        # read as each layer's [out, in] weights, then its [out] bias, the
+        # blob gives the state's own outputs
+        pairs = list(zip(widths, widths[1:]))
+        state = NetworkState(widths, np.random.default_rng(5).normal(size=sum(o * (i + 1) for i, o in pairs)))
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(state, path)
+        blob = bytes(read_artifact(path, "checkpoint")[1])
+        assert blob == state.params.tobytes()
+        values, offset = np.frombuffer(blob, "<f8"), 0
+        x = z = np.random.default_rng(6).normal(size=(5, widths[0]))
+        for k, (n_in, n_out) in enumerate(pairs):
+            weights = values[offset:offset + n_out * n_in].reshape(n_out, n_in)
+            offset += n_out * n_in
+            z = reference_layer(weights, values[offset:offset + n_out], z, relu(k, len(pairs)))
+            offset += n_out
+        e = np.exp(z - z.max(axis=1, keepdims=True))
+        assert np.allclose(forward(state, x), e / e.sum(axis=1, keepdims=True), rtol=1e-12, atol=0.0)
 
     def test_loads_format_with_copied_fields(self, tmp_path):
         # checkpoints once also stored label_count, seed and params lines
         state = small_state(seed=21)
         fields = [("label_count", 3), ("seed", 21)]
         fields.append(("widths", " ".join(map(str, state.widths))))
-        fields.append(("params", sum(l.weights.size + l.bias.size for l in state.layers)))
+        fields.append(("params", state.params.size))
         path = tmp_path / "model.ckpt"
-        write_artifact(path, "checkpoint", fields, [a for l in state.layers for a in (l.weights, l.bias)])
-        assert state_bytes(load_checkpoint(path)) == state_bytes(state)
+        write_artifact(path, "checkpoint", fields, [state.params])
+        assert load_checkpoint(path).params.tobytes() == state.params.tobytes()
 
     def refuses_as_missing_widths(self, tmp_path, tags):
         state = small_state(seed=21)
         fields = [("layer", f"{w} {v} identity{tag}") for w, v, tag in zip(state.widths, state.widths[1:], tags)]
         path = tmp_path / "model.ckpt"
-        write_artifact(path, "checkpoint", fields, [a for l in state.layers for a in (l.weights, l.bias)])
+        write_artifact(path, "checkpoint", fields, [state.params])
         with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: manifest is missing key 'widths'$"):
             load_checkpoint(path)
 
@@ -676,8 +687,7 @@ class TestCheckpoint:
     def test_refuses_a_widths_line_that_is_not_integers(self, tmp_path):
         state = small_state(seed=21)
         path = tmp_path / "model.ckpt"
-        write_artifact(path, "checkpoint", [("widths", "4 6 three")],
-                       [a for l in state.layers for a in (l.weights, l.bias)])
+        write_artifact(path, "checkpoint", [("widths", "4 6 three")], [state.params])
         with pytest.raises(ValidationError) as excinfo:
             load_checkpoint(path)
         assert str(excinfo.value).startswith(f"{path}: bad value for 'widths'")

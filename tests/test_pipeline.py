@@ -12,9 +12,8 @@ from pretext_transfer.harness import ExperimentConfig, _train_config
 from pretext_transfer.network import (
     Session,
     TrainConfig,
-    _flat_views,
-    _flatten,
     _step_layout,
+    flat_views,
     forward,
     init_network,
     replace_head,
@@ -71,20 +70,18 @@ def tl_one(start, target_train, cfg, seed, head_seed, log_path=None):
     return model
 
 
-def layers_bytes(layers):
-    return b"".join(l.weights.tobytes() + l.bias.tobytes() for l in layers)
+def head_size(state):
+    return state.label_count * (state.widths[-2] + 1)
 
 
-def representation_bytes(state):
-    return layers_bytes(state.layers[:-1])
+def representation(state):
+    """The representation layers' parameters: all of the vector but the head."""
+    return state.params[:-head_size(state)]
 
 
-def head_bytes(state):
-    return layers_bytes(state.layers[-1:])
-
-
-def state_bytes(state):
-    return layers_bytes(state.layers)
+def head(state):
+    """The head's parameters: the last out·(in+1) values of the vector."""
+    return state.params[-head_size(state):]
 
 
 class TestStageRules:
@@ -93,10 +90,10 @@ class TestStageRules:
     def test_prt_must_freeze_classifier(self, source_model, pseudo):
         cfg = TrainConfig(epochs=2)
         m1 = prt_train(source_model, pseudo, cfg, seed=3)
-        assert head_bytes(m1) == head_bytes(source_model)
-        assert representation_bytes(m1) != representation_bytes(source_model)
+        assert head(m1).tobytes() == head(source_model).tobytes()
+        assert representation(m1).tobytes() != representation(source_model).tobytes()
         expected, _ = train_one(source_model, pseudo.features, pseudo.labels, cfg, 3, 0.0)
-        assert state_bytes(m1) == state_bytes(expected)
+        assert m1.params.tobytes() == expected.params.tobytes()
 
     def test_tl_requires_ten_times_head_lr_and_no_freezing(self, source_model, domains):
         _, _, target = domains
@@ -106,15 +103,15 @@ class TestStageRules:
         expected, _ = train_one(start, target.features, target.labels, cfg, 4, 10.0)
         plain, _ = train_one(start, target.features, target.labels, cfg, 4, 1.0)
         assert TL_HEAD_MULTIPLIER == 10.0
-        assert state_bytes(m2) == state_bytes(expected)
-        assert head_bytes(m2) != head_bytes(plain)
+        assert m2.params.tobytes() == expected.params.tobytes()
+        assert head(m2).tobytes() != head(plain).tobytes()
 
     def test_source_is_plain(self, domains):
         source, _, _ = domains
         cfg = TrainConfig(epochs=2, base_lr=1e-2)
         model = pretrain_source(WIDTHS, source, cfg, seed=5)
         expected, _ = train_one(init_network(WIDTHS, 5), source.features, source.labels, cfg, 5, 1.0)
-        assert state_bytes(model) == state_bytes(expected)
+        assert model.params.tobytes() == expected.params.tobytes()
 
     @pytest.mark.parametrize("entry", ["pretrain_source", "prt_train", "train"])
     def test_one_class_count_rule(self, source_model, pseudo, entry):
@@ -149,8 +146,8 @@ class TestPretrainSource:
         first = pretrain_source(WIDTHS, source, cfg, seed=3)
         second = pretrain_source(WIDTHS, source, cfg, seed=3)
         assert first.label_count == 4
-        assert representation_bytes(first) == representation_bytes(second)
-        assert head_bytes(first) == head_bytes(second)
+        assert representation(first).tobytes() == representation(second).tobytes()
+        assert head(first).tobytes() == head(second).tobytes()
 
     def test_loss_beats_uniform_baseline(self, domains, source_model):
         source, _, _ = domains
@@ -180,8 +177,8 @@ class TestPrtTrain:
     def test_classifier_bit_identical_across_seeds(self, source_model, pseudo):
         for seed in range(5):
             m1 = prt_train(source_model, pseudo, TrainConfig(epochs=3), seed)
-            assert head_bytes(m1) == head_bytes(source_model)
-            assert representation_bytes(m1) != representation_bytes(source_model)
+            assert head(m1).tobytes() == head(source_model).tobytes()
+            assert representation(m1).tobytes() != representation(source_model).tobytes()
             assert m1.label_count == source_model.label_count
 
     def test_only_the_head_stays_at_two_hidden_layers(self, domains):
@@ -190,10 +187,10 @@ class TestPrtTrain:
                                TrainConfig(epochs=2, base_lr=1e-2), seed=1)
         pseudo_set = pseudo_label(base, unlabeled.features, k=4, seed=0)
         m1 = prt_train(base, pseudo_set, TrainConfig(epochs=2), seed=3)
-        assert len(m1.layers) == 4
-        for k, (old, new) in enumerate(zip(base.layers, m1.layers)):
-            assert (old.weights.tobytes() == new.weights.tobytes()) == (k == 3)
-            assert (old.bias.tobytes() == new.bias.tobytes()) == (k == 3)
+        assert len(m1.widths) == 5
+        for old, new in zip(flat_views(base.params, base.widths), flat_views(m1.params, m1.widths)):
+            for k in range(4):
+                assert (old[k].tobytes() == new[k].tobytes()) == (k == 3)
 
     def test_loss_decreases_on_pseudo_task(self, source_model, pseudo):
         _, history = train_one(source_model, pseudo.features, pseudo.labels, TrainConfig(epochs=15), 0, 0.0)
@@ -211,7 +208,7 @@ class TestPrtTrain:
 
 
 def sha256(state):
-    return hashlib.sha256(state_bytes(state)).hexdigest()
+    return hashlib.sha256(state.params.tobytes()).hexdigest()
 
 
 class TestPinnedStages:
@@ -267,11 +264,11 @@ class TestTlTrain:
         cfg = TrainConfig(epochs=1, base_lr=0.25, momentum=0.0)
         widths = source_model.widths
         lr, trainable, _ = _step_layout(widths, cfg, TL_HEAD_MULTIPLIER)
-        params = _flatten([l.weights for l in source_model.layers], [l.bias for l in source_model.layers])
+        params = source_model.params.copy()
         before, velocity = params.copy(), np.zeros_like(params)
         sgd_update(params[trainable], velocity[trainable], np.ones_like(params)[trainable],
                    lr[trainable], cfg.momentum)
-        for k, (step_w, step_b) in enumerate(zip(*_flat_views(velocity, widths))):
+        for k, (step_w, step_b) in enumerate(zip(*flat_views(velocity, widths))):
             expected = -2.5 if k == len(widths) - 2 else -0.25
             assert (step_w == expected).all() and (step_b == expected).all()
         assert np.array_equal(params, before + velocity)
@@ -281,13 +278,10 @@ class TestTlTrain:
         _, _, target = domains
         m2 = tl_one(source_model, target, TrainConfig(epochs=7), seed=6, head_seed=11)
         start = replace_head(source_model, 2, init_seed=11)
-        def mean_move(before, after):
-            deltas = [np.abs(a.weights - b.weights).sum() + np.abs(a.bias - b.bias).sum()
-                      for a, b in zip(before, after)]
-            return sum(deltas) / sum(l.weights.size + l.bias.size for l in before)
+        def mean_move(part):
+            return np.abs(part(m2) - part(start)).mean()
 
-        head = len(start.layers) - 1
-        assert mean_move(start.layers[:head], m2.layers[:head]) < mean_move(start.layers[head:], m2.layers[head:])
+        assert mean_move(representation) < mean_move(head)
 
     def test_lockstep_sessions_match_sessions_alone(self, source_model, pseudo, domains, tmp_path):
         # each session keeps its own start, data, seeds and log
@@ -306,7 +300,7 @@ class TestTlTrain:
         for i, (session, model) in enumerate(zip(sessions, models)):
             alone_log = tmp_path / f"alone{i}.log"
             alone = tl_one(session.start, session.target_train, cfg, session.seed, session.head_seed, alone_log)
-            assert state_bytes(model) == state_bytes(alone)
+            assert model.params.tobytes() == alone.params.tobytes()
             assert session.log_path.read_text() == alone_log.read_text()
 
     def test_composes_with_prt(self, source_model, pseudo, domains):
