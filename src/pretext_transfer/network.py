@@ -16,7 +16,8 @@ private [sessions, parameters] buffer, and at every step trains each run of
 adjacent sessions that share a batch size on a slice of that buffer. A step
 is two kernels that work in place on that slice: `loss_and_grad`, whose
 forward pass is `apply_layer` on the stack, writes the gradients, and
-`sgd_update` takes the momentum step. It never changes the caller's arrays.
+`sgd_update` takes the momentum step; neither checks its figures. `train`
+checks for divergence once per epoch, and never changes the caller's arrays.
 `apply_layer` is the one dense layer: inference calls it on 2-D batches, and
 the cluster stage and the dictionary read projections from it.
 """
@@ -206,13 +207,13 @@ def _step_layout(
 def sgd_update(params: np.ndarray, velocity: np.ndarray, grads: np.ndarray, lr: np.ndarray, momentum: float) -> None:
     """One momentum-SGD step in place on arrays of one shape, ``lr`` broadcast
     over their last axis: velocity <- momentum * velocity - lr * grads, then
-    params <- params + velocity; grads is overwritten."""
+    params <- params + velocity; grads is overwritten. It is the arithmetic
+    alone: non-finite values pass through, and ``train`` checks for them once
+    per epoch."""
     grads *= lr
     velocity *= momentum
     velocity -= grads
     params += velocity
-    if not np.isfinite(params).all():
-        raise TrainingDiverged("parameter update produced non-finite values")
 
 
 def replace_head(state: NetworkState, new_label_count: int, init_seed: int) -> NetworkState:
@@ -272,6 +273,14 @@ def train(
     and take that step together; a session with fewer batches sits out the
     extra steps, its velocity untouched. Each session's result is
     bit-identical to training it alone.
+
+    A step is its group's two kernels, ``loss_and_grad`` and ``sgd_update``.
+    Divergence is checked once, after each epoch's steps: ``TrainingDiverged``
+    names the epoch and every session, in the caller's order, whose epoch
+    loss total or parameters are not finite, so every loss and parameter it
+    returns is finite. A non-finite loss makes its total non-finite, and a
+    non-finite parameter stays so under later updates, so a session is named
+    at the epoch in which it diverged.
     """
     sessions = list(sessions)
     if not sessions:
@@ -294,41 +303,13 @@ def train(
     velocity = np.zeros_like(params)
     lr_t = lr[trainable]
     views = {}
-
-    def first_bad(members: slice, finite: np.ndarray) -> int:
-        """The row in members of the first session, in the caller's order, that is not finite."""
-        return min(np.flatnonzero(~finite), key=lambda row: order[members.start + row])
-
-    def step(epoch, members: slice, x, y) -> np.ndarray:
-        """One batch for the sessions in members; returns their losses."""
-        key = (members.start, members.stop)
-        if key not in views:
-            part, part_grads = params[members], grads[members]
-            views[key] = (*flat_views(part, widths), *flat_views(part_grads, widths),
-                          part[:, trainable], velocity[members, trainable], part_grads[:, trainable])
-        weights, biases, grad_w, grad_b, part_p, part_v, part_g = views[key]
-        losses = loss_and_grad(weights, biases, x, y, grad_w, grad_b, needs_grad)
-        if not np.isfinite(losses).all():
-            bad = first_bad(members, np.isfinite(losses))
-            raise TrainingDiverged(
-                f"training diverged at epoch {epoch} in session {order[members.start + bad]} (loss={losses[bad]})"
-            )
-        try:
-            sgd_update(part_p, part_v, part_g, lr_t, config.momentum)
-        except TrainingDiverged:
-            bad = first_bad(members, np.isfinite(part_p).all(axis=1))
-            raise TrainingDiverged(
-                f"parameter update produced non-finite values at epoch {epoch} in session {order[members.start + bad]}"
-            ) from None
-        return losses
-
     schedule = _step_groups(sizes, config.batch_size)
     x_epoch = np.zeros((len(sessions), sizes[0], xs[0].shape[1]))
     y_epoch = np.zeros((len(sessions), sizes[0]), dtype=np.int64)
     rngs = [np.random.default_rng(session.seed) for session in sessions]
     histories = [[] for _ in sessions]
-    # an overflow or NaN reaches a step's loss or parameter check, which raises
-    # TrainingDiverged; NumPy's own warning would only precede that error
+    # an overflow or NaN stays silent until the epoch's divergence check
+    # raises TrainingDiverged; NumPy's own warning would only precede that error
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(config.epochs):
             for i, (rng, x, y) in enumerate(zip(rngs, xs, ys)):
@@ -338,8 +319,20 @@ def train(
             totals = np.zeros(len(sessions))
             for start, groups in schedule:
                 for size, members in groups:
+                    key = (members.start, members.stop)
+                    if key not in views:
+                        part, part_grads = params[members], grads[members]
+                        views[key] = (*flat_views(part, widths), *flat_views(part_grads, widths),
+                                      part[:, trainable], velocity[members, trainable], part_grads[:, trainable])
+                    weights, biases, grad_w, grad_b, part_p, part_v, part_g = views[key]
                     rows = slice(start, start + size)
-                    totals[members] += step(epoch, members, x_epoch[members, rows], y_epoch[members, rows]) * size
+                    totals[members] += loss_and_grad(weights, biases, x_epoch[members, rows],
+                                                     y_epoch[members, rows], grad_w, grad_b, needs_grad) * size
+                    sgd_update(part_p, part_v, part_g, lr_t, config.momentum)
+            diverged = ~(np.isfinite(totals) & np.isfinite(params).all(axis=1))
+            if diverged.any():
+                names = ", ".join(map(str, sorted(order[row] for row in np.flatnonzero(diverged))))
+                raise TrainingDiverged(f"training diverged at epoch {epoch} in session {names}")
             for history, total, n in zip(histories, totals, sizes):
                 history.append(float(total / n))
     results = [None] * len(sessions)

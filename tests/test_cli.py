@@ -301,6 +301,8 @@ class TestCliDispatch:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: tl stage: "), err
         assert list(out.rglob("tl.ckpt")) == []
+        assert list(out.rglob("tl.log")) == list(out.rglob("prt_tl.log")) == []
+        assert "tl" not in dict(line.split(" = ") for line in (out / "manifest.txt").read_text().splitlines())
 
     def test_mixed_seed_sequence_exits_1_at_pretrain(self, config_file, tmp_path, capsys):
         out = tmp_path / "out"

@@ -250,6 +250,12 @@ class TestCertifiedAssign:
         duplicate_points=st.booleans(),
         duplicate_centroids=st.booleans(),
     )
+    # the strategy's floor, where every square underflows, and -154, where
+    # the squared distances cross from normal to subnormal
+    @example(seed=0, p=3, k=4, m=_CHUNK + 1, exponent=-160, spread=0, shifted=True,
+             centroids_from_points=False, duplicate_points=False, duplicate_centroids=False)
+    @example(seed=1, p=3, k=4, m=_CHUNK + 1, exponent=-154, spread=1, shifted=False,
+             centroids_from_points=True, duplicate_points=False, duplicate_centroids=False)
     def test_bit_identical_to_direct_formula(
         self, seed, p, k, m, exponent, spread, shifted, centroids_from_points, duplicate_points,
         duplicate_centroids,
@@ -380,6 +386,10 @@ class TestUpdateMeans:
         exponent=st.integers(-150, 150),
         spread=st.integers(0, 8),
     )
+    # the strategy's floor, and -154, where the rows' squared distances cross
+    # from normal to subnormal in the fit that calls this update
+    @example(seed=0, p=3, k=4, extra_rows=40, used=2, exponent=-150, spread=0)
+    @example(seed=1, p=3, k=4, extra_rows=40, used=4, exponent=-154, spread=1)
     def test_bit_identical_to_add_at(self, seed, p, k, extra_rows, used, exponent, spread):
         # only `used` clusters receive samples, so up to k - 1 are empty;
         # each row scaled on its own by up to 10**spread
@@ -480,6 +490,10 @@ class TestBoundedFit:
         ulps=st.integers(-4, 4),
         reach=st.floats(1.5, 4.0),
     )
+    # the strategy's floor, where every square underflows, and -154, where
+    # the squared distances cross from normal to subnormal
+    @example(seed=0, p=2, k=3, m=_CHUNK + 1, exponent=-160, shifted=False, ulps=0, reach=2.0)
+    @example(seed=1, p=2, k=3, m=_CHUNK + 1, exponent=-154, shifted=True, ulps=1, reach=1.5)
     def test_tight_bound_at_a_near_tie(self, seed, p, k, m, exponent, shifted, ulps, reach):
         # the only move carries centroid j straight toward row i, so the
         # triangle inequality lowers i's bound to i's new distance to j, which

@@ -258,6 +258,13 @@ class TestSgdUpdate:
         sgd_update(params, np.zeros(1), np.array([0.5]), np.array([0.1]), 0.0)
         assert params[0] == pytest.approx(0.95, abs=1e-15)
 
+    def test_non_finite_gradients_pass_through(self):
+        # the update is arithmetic alone: train checks for divergence once per epoch
+        params, velocity = np.zeros(3), np.zeros(3)
+        sgd_update(params, velocity, np.array([np.nan, np.inf, 1.0]), np.full(3, 0.1), 0.9)
+        assert np.isnan(params[0]) and params[1] == -np.inf and params[2] == -0.1
+        assert np.array_equal(velocity, params, equal_nan=True)
+
     def test_momentum_two_steps(self):
         # v1 = -0.1, theta1 = -0.1; v2 = 0.9*(-0.1) - 0.1 = -0.19, theta2 = -0.29
         params, velocity = np.zeros(1), np.zeros(1)
@@ -535,17 +542,74 @@ class TestLockstepTrain:
         with pytest.raises(TrainingDiverged, match=f"session {bad}"):
             train(sessions, cfg, 10.0)
 
-    @pytest.mark.parametrize("sizes, bad", [([24, 24], [1]), ([16, 24], [0]), ([16, 24], [0, 1])],
+    @pytest.mark.parametrize("sizes, bad", [([8, 8], [1]), ([6, 8], [0]), ([6, 8], [0, 1])],
                              ids=["second", "shorter-first", "both"])
     def test_one_overflowing_session_raises(self, sizes, bad):
-        # every loss stays finite and the first step overflows the parameters
-        # of the scaled sessions; the error names the first in the caller's list
+        # one step per epoch (rows <= batch): every loss stays finite and the
+        # step overflows the parameters of the scaled sessions alone; the
+        # epoch's check names each of them, in the caller's order
         sessions, cfg = lockstep_sessions(sizes, 8)
         for i in bad:
             scaled = replace(sessions[i].data, features=sessions[i].data.features * 1e10)
             sessions[i] = replace(sessions[i], data=scaled)
-        with pytest.raises(TrainingDiverged, match=f"non-finite values at epoch 0 in session {bad[0]}$"):
+        names = ", ".join(map(str, bad))
+        with pytest.raises(TrainingDiverged, match=f"^training diverged at epoch 0 in session {names}$"):
             train(sessions, replace(cfg, base_lr=1e300), 10.0)
+
+    @staticmethod
+    def poison_steps(monkeypatch, rows_by_call):
+        """Make sgd_update's call n (from 1) write inf into the gradients of
+        row rows_by_call[n] of its group, so that session diverges at that step."""
+        calls = []
+
+        def poisoned(params, velocity, grads, lr, momentum):
+            calls.append(None)
+            if len(calls) in rows_by_call:
+                grads[rows_by_call[len(calls)]] = np.inf
+            sgd_update(params, velocity, grads, lr, momentum)
+
+        monkeypatch.setattr(network, "sgd_update", poisoned)
+        return calls
+
+    def test_divergence_in_the_last_step_is_refused(self, monkeypatch):
+        # 16 and 24 rows in batches of 8: three steps per epoch, and the third
+        # trains only the 24-row session; its last step of the last epoch diverges
+        sessions, cfg = lockstep_sessions([16, 24], 8)
+        calls = self.poison_steps(monkeypatch, {3 * cfg.epochs: 0})
+        with pytest.raises(TrainingDiverged, match=f"^training diverged at epoch {cfg.epochs - 1} in session 1$"):
+            train(sessions, cfg, 10.0)
+        assert len(calls) == 3 * cfg.epochs
+
+    def test_sessions_diverging_at_different_steps_are_all_named(self, monkeypatch):
+        # largest first, the buffer holds the caller's sessions 1, 2, 0; in
+        # epoch 1, session 0 diverges at the first step and session 2 at the
+        # last, which trains only sessions 1 and 2
+        sessions, cfg = lockstep_sessions([16, 24, 24], 8)
+        self.poison_steps(monkeypatch, {4: 2, 6: 1})
+        with pytest.raises(TrainingDiverged, match="^training diverged at epoch 1 in session 0, 2$"):
+            train(sessions, cfg, 10.0)
+
+    def test_infinite_loss_with_finite_parameters_is_refused(self):
+        # widths (1, 1, 2): the projection maps x = 1 to 1e300, and the head's
+        # weight of -1e10 for the true class makes its logit -inf, so the loss
+        # is +inf while every gradient, and so every parameter, stays finite
+        state = NetworkState((1, 1, 2), np.array([1e300, 0.0, -1e10, 0.0, 0.0, 0.0]))
+        with np.errstate(over="ignore"):
+            loss, grads = stacked_loss_and_grad(state, np.ones((1, 1)), np.zeros(1, dtype=np.int64))
+        assert loss == np.inf and np.isfinite(grads).all()
+        with pytest.raises(TrainingDiverged, match="^training diverged at epoch 0 in session 0$"):
+            train_one(state, np.ones((1, 1)), np.zeros(1, dtype=np.int64), TrainConfig(epochs=1, base_lr=1e-3))
+
+    def test_mean_loss_beyond_float64_is_refused(self):
+        # as above with a true-class logit of -1e308 and a frozen head: each of
+        # the two one-row steps has a finite loss of 1e308, but the epoch's
+        # total overflows, and train never returns an infinite history value
+        state = NetworkState((1, 1, 2), np.array([1e300, 0.0, -1e8, 0.0, 0.0, 0.0]))
+        loss, grads = stacked_loss_and_grad(state, np.ones((1, 1)), np.zeros(1, dtype=np.int64))
+        assert loss == 1e308 and np.isfinite(grads).all()
+        with pytest.raises(TrainingDiverged, match="^training diverged at epoch 0 in session 0$"):
+            train_one(state, np.ones((2, 1)), np.zeros(2, dtype=np.int64),
+                      TrainConfig(epochs=1, batch_size=1, base_lr=1e-3), head_multiplier=0.0)
 
     def test_reads_each_batch_once(self, monkeypatch):
         # one feature_matrix call per session, for the width: the set's own
