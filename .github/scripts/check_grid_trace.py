@@ -16,7 +16,7 @@ EQUAL = {
     "pipeline.tl_train.calls": 5,
     "network.loss_and_grad.calls": 3530,
     "network.sgd_update.calls": 3530,
-    "clustering.extract_projection.calls": 7,
+    "clustering.extract_projection.calls": 3,
     "metrics.compute_metrics.calls": 75,
     "metrics.fuse_predict.calls": 25,
     "dictionary.class_probabilities.calls": 25,

@@ -87,7 +87,7 @@ def build_experiment_config(
     overrides = {
         "master_seed": seed,
         "out_dir": out,
-        "ratios": None if ratios is None else tuple(ratios),
+        "ratios": ratios,
         "fold_count": folds,
     }
     values.update((field, value) for field, value in overrides.items() if value is not None)

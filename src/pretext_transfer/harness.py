@@ -1,10 +1,9 @@
 """Experiment grid orchestration: data generation, one pre-text representation
 transfer (PRT) per master seed, conventional transfer (TL) with every session
 of a ratio (each fold, both routes) trained in lockstep, per-cell dictionaries
-cut from one projection of the target, evaluation of TL / PRT+TL / All with
-each test fold projected and normalized once for all its ratios, and report
-writing. Every random stream derives from the master seed, so a rerun with the
-same seed reproduces the report byte for byte."""
+and test folds each cut from one PRT projection of the target, evaluation of
+TL / PRT+TL / All, and report writing. Every random stream derives from the
+master seed, so a rerun with the same seed reproduces the report byte for byte."""
 
 from __future__ import annotations
 
@@ -104,6 +103,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "out_dir", Path(self.out_dir))
+        for field in ("hidden", "ratios"):  # stage keys hash repr(): (32,), never [32] or (np.int64(32),)
+            object.__setattr__(self, field, tuple(map(int, getattr(self, field))))
         if not self.ratios:
             raise ConfigError("ratios must not be empty")
         bad_ratios = set(self.ratios) - set(ALLOWED_RATIOS)
@@ -459,12 +460,10 @@ def run_evaluate(cfg: ExperimentConfig) -> MetricsReport:
     """Score every (method, ratio, fold) cell and write the reports."""
     target, folds = _load_target(cfg)
     m1 = _load_source_network(cfg, prt_ckpt_path(cfg))
+    unit = unit_columns(extract_projection(m1, target.features))
     rows = []
-    # projected fold by fold: holding one whole-target projection, as run_dict
-    # does, read reeval's peak RSS 31.22-31.23 -> 31.32-31.34 MB (2-core host, NumPy 2.4.6)
     for fold in range(cfg.fold_count):  # every ratio of a fold shares its test set
-        test = subset(target, folds[fold])
-        test_unit = unit_columns(extract_projection(m1, test.features))
+        test, test_unit = subset(target, folds[fold]), unit[:, folds[fold]]
         for ratio in cfg.ratios:
             rows.extend(_evaluate_cell(cfg, test, test_unit, ratio, fold))
     report = aggregate_folds(rows)  # groups keep fold order, so the bytes do not change

@@ -9,8 +9,10 @@ never imported or changed.
 """
 
 import ast
+import csv
 import functools
 import importlib
+import io
 import json
 import os
 import subprocess
@@ -22,7 +24,7 @@ from pathlib import Path
 import pytest
 
 from pretext_transfer import harness
-from pretext_transfer.clustering import ClusterModel
+from pretext_transfer.clustering import ClusterModel, load_cluster_model
 from pretext_transfer.data import SynthConfig
 from pretext_transfer.harness import ExperimentConfig, run_experiment
 
@@ -108,10 +110,10 @@ def test_traced_work_counts_read_existing_fields():
     assert "inertia_history" in {f.name for f in fields(ClusterModel)}
 
 
-def test_every_traced_function_runs_in_a_grid(tmp_path, monkeypatch):
-    """A traced name that no stage calls reads zero in every benchmark record;
-    a small grid must call each one. Each function is wrapped wherever a loaded
-    package module binds it, as tracing.install wraps it."""
+def traced_calls(monkeypatch, cfg: ExperimentConfig) -> Counter:
+    """Run ``cfg``'s grid and count the calls of every traced function. Each
+    one is wrapped wherever a loaded package module binds it, as
+    tracing.install wraps it."""
     calls = Counter()
 
     def counting(name, fn):
@@ -130,11 +132,59 @@ def test_every_traced_function_runs_in_a_grid(tmp_path, monkeypatch):
             for loaded in modules:
                 for attr in [a for a, value in vars(loaded).items() if value is original]:
                     monkeypatch.setattr(loaded, attr, counted)
-    run_experiment(ExperimentConfig(
-        out_dir=tmp_path, master_seed=1, hidden=(8,), projection_dim=6, source_epochs=1, prt_epochs=1,
-        tl_epochs=1, ratios=(100,), fold_count=2,
+    run_experiment(cfg)
+    return calls
+
+
+def small_grid(out_dir: Path) -> ExperimentConfig:
+    return ExperimentConfig(
+        out_dir=out_dir, master_seed=1, hidden=(8,), projection_dim=6, source_epochs=1, prt_epochs=1,
+        tl_epochs=1, ratios=(10, 100), fold_count=2,
         synth=SynthConfig(source_class_count=4, dim=6, samples_per_class=12, unlabeled_size=80,
                           positives=20, negatives=20),
-    ))
+    )
+
+
+def test_every_traced_function_runs_in_a_grid(tmp_path, monkeypatch):
+    """A traced name that no stage calls reads zero in every benchmark record;
+    a small grid must call each one."""
+    calls = traced_calls(monkeypatch, small_grid(tmp_path))
     traced = [f"{module}.{function}" for module, functions in TRACED.items() for function in functions]
     assert [name for name in traced if calls[name] == 0] == []
+
+
+def test_default_grid_makes_the_counts_ci_checks(tmp_path, monkeypatch):
+    """The traced counts that CI's `grid` step checks, from the default grid at
+    the seed that step runs; the script is read here, never imported or changed."""
+    script = ast.parse((PERFBENCH.parent / ".github" / "scripts" / "check_grid_trace.py").read_text())
+    expected = {name: value for name, value in assigned_literal(script, "EQUAL").items()
+                if name.endswith(".calls")}
+    calls = traced_calls(monkeypatch, ExperimentConfig(out_dir=tmp_path, master_seed=11))
+    assert {name: calls[name.removesuffix(".calls")] for name in expected} == expected
+
+
+@pytest.fixture(scope="module")
+def grid_outputs(tmp_path_factory) -> Path:
+    out_dir = tmp_path_factory.mktemp("grid")
+    run_experiment(small_grid(out_dir))
+    return out_dir
+
+
+def test_clusters_file_keeps_the_inertia_line_the_benchmark_reads(grid_outputs):
+    # perfbench/run.py::cluster_inertia reads `inertia = …` from the header,
+    # though the package derives the inertia from its history
+    path = grid_outputs / "clusters.ckpt"
+    header = path.read_bytes().split(b"\n\n", 1)[0].decode()
+    values = [line.removeprefix("inertia = ") for line in header.splitlines() if line.startswith("inertia = ")]
+    assert values == [repr(load_cluster_model(path).inertia_history[-1])]
+
+
+def test_report_keeps_the_columns_the_benchmark_reads(grid_outputs):
+    # perfbench/run.py::report_quality averages each method's `acc` means and
+    # reads All's `sen` mean at ratio 10
+    rows = list(csv.DictReader(io.StringIO((grid_outputs / "report.csv").read_text())))
+    assert {"ratio", "method", "metric", "mean"} <= set(rows[0])
+    means = {(int(r["ratio"]), r["method"], r["metric"]): float(r["mean"]) for r in rows}
+    for method in ("TL", "PRT+TL", "All"):
+        assert {ratio for ratio, m, metric in means if (m, metric) == (method, "acc")} == {10, 100}
+    assert 0 <= means[10, "All", "sen"] <= 100

@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 import pretext_transfer.harness as harness
-from pretext_transfer.clustering import kmeans_fit, save_cluster_model
+from pretext_transfer.clustering import extract_projection, kmeans_fit, save_cluster_model
 from pretext_transfer.data import SynthConfig
-from pretext_transfer.dictionary import FeatureDictionary, load_dictionary, save_dictionary
+from pretext_transfer.dictionary import FeatureDictionary, load_dictionary, save_dictionary, unit_columns
 from pretext_transfer.errors import ConfigError, ValidationError
 from pretext_transfer.harness import (
     STAGES,
@@ -169,6 +169,15 @@ class TestStageTable:
     def test_table_lists_earlier_stages_only(self):
         for position, (name, (_, _, inputs, _)) in enumerate(STAGES.items()):
             assert set(inputs) <= set(list(STAGES)[:position]), name
+
+    def test_equal_widths_and_ratios_give_equal_keys(self, tmp_path):
+        # keys hash repr(): a list, or NumPy ints, must key as the tuple of ints does
+        configs = [mini_config(tmp_path, hidden=hidden, ratios=ratios) for hidden, ratios in [
+            ((8, 7), (10, 100)), ([8, 7], [10, 100]), (tuple(np.array([8, 7])), tuple(np.array([10, 100])))]]
+        for cfg in configs:
+            assert (cfg.hidden, cfg.ratios) == ((8, 7), (10, 100))
+            assert {type(value) for value in (*cfg.hidden, *cfg.ratios)} == {int}
+        assert [stage_keys(cfg) for cfg in configs[1:]] == [stage_keys(configs[0])] * 2
 
     def test_keys_are_hashlibs_digests(self, tmp_path):
         cfg = ExperimentConfig(out_dir=tmp_path)
@@ -344,7 +353,7 @@ class TestTlOncePerRatio:
 class TestEachStageLoadsOnce:
     def test_each_stage_loads_its_data_and_cuts_its_folds_once(self, tmp_path, monkeypatch):
         # every stage hands the data and folds it loaded, and the projection it
-        # made, to all of its cells; evaluate projects each test fold once
+        # made, to all of its cells
         stage, calls = [None], {"load_dataset": [], "make_folds": [], "extract_projection": []}
 
         def recording_stage(name, run):
@@ -366,13 +375,13 @@ class TestEachStageLoadsOnce:
         run_experiment(mini_config(tmp_path / "run", ratios=(10, 25, 100), fold_count=3))
         assert calls == {"load_dataset": ["pretrain", "cluster", "prt", "tl", "dict", "evaluate"],
                          "make_folds": ["tl", "dict", "evaluate"],
-                         "extract_projection": ["cluster", "dict", "evaluate", "evaluate", "evaluate"]}
+                         "extract_projection": ["cluster", "dict", "evaluate"]}
 
 
-class TestEvaluateOncePerFold:
-    def test_each_fold_projected_once_for_all_ratios(self, mini_run, tmp_path, monkeypatch):
-        # every ratio's cell of a fold shares its test set, so the fold's PRT
-        # projection and CRC normalization are computed once, not once per cell
+class TestEvaluateProjectsOnce:
+    def test_target_projected_and_normalized_once_for_all_cells(self, mini_run, tmp_path, monkeypatch):
+        # every cell's test fold is cut from one PRT projection of the whole
+        # target, normalized once, as run_dict cuts every cell's training rows
         base, report = mini_run
         cfg = dataclasses.replace(base, out_dir=tmp_path / "run")
         shutil.copytree(base.out_dir, cfg.out_dir)
@@ -390,8 +399,25 @@ class TestEvaluateOncePerFold:
         monkeypatch.setattr(harness, "extract_projection", projection)
         monkeypatch.setattr(harness, "unit_columns", columns)
         assert run_evaluate(cfg) == report
-        assert len(cfg.ratios) > 1
-        assert len(projected) == len(normalized) == cfg.fold_count
+        assert len(cfg.ratios) > 1 and cfg.fold_count > 1
+        assert projected == normalized == [MINI_SYNTH.positives + MINI_SYNTH.negatives]
+
+    @pytest.mark.parametrize("hidden", [(32,), (64, 32)], ids=["32", "64,32"])
+    def test_fold_slices_are_the_per_fold_projections(self, tmp_path, hidden):
+        # at the default sizes, each test fold's columns of the whole target's
+        # unit projection are the bytes, and the layout, that projecting and
+        # normalizing the fold alone gives
+        cfg = ExperimentConfig(out_dir=tmp_path, hidden=hidden)
+        for run in (run_generate, run_pretrain, run_cluster, run_prt):
+            run(cfg)
+        target, folds = harness._load_target(cfg)
+        m1 = load_checkpoint(prt_ckpt_path(cfg))
+        unit = unit_columns(extract_projection(m1, target.features))
+        for rows in folds:
+            alone = unit_columns(extract_projection(m1, target.features[rows]))
+            sliced = unit[:, rows]
+            assert sliced.strides == alone.strides
+            assert sliced.tobytes() == alone.tobytes()
 
 
 class TestBaselineIsolation:
