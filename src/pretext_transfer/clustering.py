@@ -361,12 +361,12 @@ def _parse_floats(raw: str) -> list[float]:
 def load_cluster_model(path) -> ClusterModel:
     """The ``inertia`` line is written for readers of the file; the model takes
     its inertia from the last ``inertia_history`` entry."""
-    pairs, blob = read_artifact(path, "clusters")
-    k = manifest_value(pairs, "k", path, int)
-    p = manifest_value(pairs, "p", path, int)
-    m = manifest_value(pairs, "m", path, int)
-    seed = manifest_value(pairs, "seed", path, int)
-    history = manifest_value(pairs, "inertia_history", path, _parse_floats)
+    fields, blob = read_artifact(path, "clusters")
+    k = manifest_value(fields, "k", path, int)
+    p = manifest_value(fields, "p", path, int)
+    m = manifest_value(fields, "m", path, int)
+    seed = manifest_value(fields, "seed", path, int)
+    history = manifest_value(fields, "inertia_history", path, _parse_floats)
     (centroids,), (labels,) = unpack_blob(blob, path, [(k, p)], [m])
     if m < k:
         raise ValidationError(f"{path}: m = {m} samples cannot fill k = {k} clusters")

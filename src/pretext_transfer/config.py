@@ -5,7 +5,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from .data import SynthConfig
-from .errors import ConfigError
+from .errors import ValidationError
 from .harness import ExperimentConfig
 
 
@@ -44,12 +44,12 @@ FIELDS = {
 
 
 def parse_config_file(path: str | Path) -> dict[str, tuple[str, int]]:
-    """Return {key: (raw value, line number)}; raises ConfigError with the line."""
+    """Return {key: (raw value, line number)}; raises ValidationError with the line."""
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+        raise ValidationError(f"cannot read config file {path}: {exc}") from exc
     values: dict[str, tuple[str, int]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -59,11 +59,11 @@ def parse_config_file(path: str | Path) -> dict[str, tuple[str, int]]:
         key = key.strip()
         value = value.strip()
         if not sep or not key:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+            raise ValidationError(f"{path}:{lineno}: expected 'key = value'")
         if key not in FIELDS:
-            raise ConfigError(f"{path}:{lineno}: unknown key '{key}'")
+            raise ValidationError(f"{path}:{lineno}: unknown key '{key}'")
         if key in values:
-            raise ConfigError(f"{path}:{lineno}: key '{key}' repeats line {values[key][1]}")
+            raise ValidationError(f"{path}:{lineno}: key '{key}' repeats line {values[key][1]}")
         values[key] = (value, lineno)
     return values
 
@@ -83,7 +83,7 @@ def build_experiment_config(
             try:
                 values[field] = parse(raw)
             except ValueError as exc:
-                raise ConfigError(f"{config_path}:{lineno}: bad value for '{key}': {raw!r}") from exc
+                raise ValidationError(f"{config_path}:{lineno}: bad value for '{key}': {raw!r}") from exc
     overrides = {
         "master_seed": seed,
         "out_dir": out,

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError, ValidationError
+from .errors import ValidationError
 from .manifest import manifest_value, read_artifact, unpack_blob, write_artifact
 
 POSITIVE_CLASS = 1
@@ -30,9 +30,9 @@ def feature_matrix(values, width: int | None = None) -> np.ndarray:
     """
     x = np.ascontiguousarray(values, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 1:
-        raise ShapeError(f"features must be a non-empty 2-d matrix, got shape {x.shape}")
+        raise ValidationError(f"features must be a non-empty 2-d matrix, got shape {x.shape}")
     if width is not None and x.shape[1] != width:
-        raise ShapeError(f"features have {x.shape[1]} columns, expected {width}")
+        raise ValidationError(f"features have {x.shape[1]} columns, expected {width}")
     if not np.isfinite(x).all():
         raise ValidationError("features contain non-finite values")
     return x
@@ -84,15 +84,15 @@ class SynthConfig:
 
     def __post_init__(self):
         if self.source_class_count < 2:
-            raise ConfigError("source_class_count must be >= 2")
+            raise ValidationError("source_class_count must be >= 2")
         if self.dim < 1:
-            raise ConfigError("dim must be >= 1")
+            raise ValidationError("dim must be >= 1")
         if min(self.samples_per_class, self.unlabeled_size, self.positives, self.negatives) < 1:
-            raise ConfigError("all sample counts must be >= 1")
+            raise ValidationError("all sample counts must be >= 1")
         if not (math.isfinite(self.shift) and self.shift >= 0):
-            raise ConfigError("shift must be >= 0 and finite")
+            raise ValidationError("shift must be >= 0 and finite")
         if not (math.isfinite(self.noise) and self.noise > 0):
-            raise ConfigError("noise must be > 0 and finite")
+            raise ValidationError("noise must be > 0 and finite")
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
@@ -189,11 +189,11 @@ def save_dataset(dataset: LabeledSet | UnlabeledSet, path) -> None:
 
 
 def load_dataset(path) -> LabeledSet | UnlabeledSet:
-    pairs, blob = read_artifact(path, "dataset")
-    n = manifest_value(pairs, "n", path, int)
-    d = manifest_value(pairs, "d", path, int)
-    class_count = manifest_value(pairs, "class_count", path, int)
-    labeled = manifest_value(pairs, "labeled", path, int)
+    fields, blob = read_artifact(path, "dataset")
+    n = manifest_value(fields, "n", path, int)
+    d = manifest_value(fields, "d", path, int)
+    class_count = manifest_value(fields, "class_count", path, int)
+    labeled = manifest_value(fields, "labeled", path, int)
     (features,), labels = unpack_blob(blob, path, [(n, d)], [n] if labeled else [])
     try:
         return LabeledSet(features, labels[0], class_count) if labeled else UnlabeledSet(features)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import LabeledSet, feature_matrix
-from .errors import ShapeError, ValidationError
+from .errors import ValidationError
 from .manifest import manifest_value, read_artifact, unpack_blob, write_artifact
 
 _ZERO_NORM = 1e-12
@@ -84,7 +84,7 @@ def class_probabilities(fdict: FeatureDictionary, y_unit: np.ndarray, ridge: flo
     normalized to sum to 1.
     """
     if y_unit.shape[0] != fdict.feature_dim:
-        raise ShapeError(f"features have {y_unit.shape[0]} columns, expected {fdict.feature_dim}")
+        raise ValidationError(f"features have {y_unit.shape[0]} columns, expected {fdict.feature_dim}")
     d = fdict.columns
     gram = d @ d.T + ridge * np.eye(d.shape[0])  # [p, p]
     solved = np.linalg.solve(gram, y_unit)
@@ -116,8 +116,8 @@ def _parse_counts(raw: str) -> tuple[int, ...]:
 
 
 def load_dictionary(path) -> FeatureDictionary:
-    pairs, blob = read_artifact(path, "dictionary")
-    p = manifest_value(pairs, "p", path, int)
-    counts = manifest_value(pairs, "class_counts", path, _parse_counts)
+    fields, blob = read_artifact(path, "dictionary")
+    p = manifest_value(fields, "p", path, int)
+    counts = manifest_value(fields, "class_counts", path, _parse_counts)
     (columns,), _ = unpack_blob(blob, path, [(p, sum(counts))])
     return FeatureDictionary(columns, counts)

@@ -2,15 +2,7 @@
 
 
 class ValidationError(ValueError):
-    """Input data violates an operation's preconditions."""
-
-
-class ShapeError(ValidationError):
-    """Array dimensions do not match what the operation expects."""
-
-
-class ConfigError(ValidationError):
-    """A configuration value or combination of values is not usable."""
+    """Input data, a configuration value or a file violates an operation's preconditions."""
 
 
 class TrainingDiverged(ValidationError):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import ctypes
 import math
+import operator
 from dataclasses import dataclass, replace
 from functools import cache, wraps
 from pathlib import Path
@@ -52,7 +53,7 @@ from .dictionary import (
     save_dictionary,
     unit_columns,
 )
-from .errors import ConfigError, ValidationError
+from .errors import ValidationError
 from .manifest import write_text_file
 from .metrics import (
     METHOD_ORDER,
@@ -104,42 +105,45 @@ class ExperimentConfig:
     def __post_init__(self):
         object.__setattr__(self, "out_dir", Path(self.out_dir))
         for field in ("hidden", "ratios"):  # stage keys hash repr(): (32,), never [32] or (np.int64(32),)
-            object.__setattr__(self, field, tuple(map(int, getattr(self, field))))
+            try:  # operator.index refuses a float, which int() would truncate
+                object.__setattr__(self, field, tuple(map(operator.index, getattr(self, field))))
+            except TypeError as exc:
+                raise ValidationError(f"{field} must hold integers: {exc}") from None
         if not self.ratios:
-            raise ConfigError("ratios must not be empty")
+            raise ValidationError("ratios must not be empty")
         bad_ratios = set(self.ratios) - set(ALLOWED_RATIOS)
         if bad_ratios:
-            raise ConfigError(f"ratios must be a subset of {ALLOWED_RATIOS}, got {sorted(bad_ratios)}")
+            raise ValidationError(f"ratios must be a subset of {ALLOWED_RATIOS}, got {sorted(bad_ratios)}")
         if len(set(self.ratios)) != len(self.ratios):
-            raise ConfigError(f"ratios must not repeat, got {list(self.ratios)}")
+            raise ValidationError(f"ratios must not repeat, got {list(self.ratios)}")
         if self.fold_count < 2:
-            raise ConfigError("fold_count must be >= 2: with one fold every training split is empty")
+            raise ValidationError("fold_count must be >= 2: with one fold every training split is empty")
         if min(self.synth.positives, self.synth.negatives) < self.fold_count:
-            raise ConfigError(f"positives and negatives must each be >= fold_count ({self.fold_count}): "
-                              "every test fold holds both classes")
+            raise ValidationError(f"positives and negatives must each be >= fold_count ({self.fold_count}): "
+                                  "every test fold holds both classes")
         if self.synth.unlabeled_size < self.synth.source_class_count:
-            raise ConfigError(f"unlabeled_size must be >= source_class_count ({self.synth.source_class_count}): "
-                              "k-means makes one pseudo-class per source class")
+            raise ValidationError(f"unlabeled_size must be >= source_class_count ({self.synth.source_class_count}): "
+                                  "k-means makes one pseudo-class per source class")
         if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
+            raise ValidationError("workers must be >= 1")
         if not self.hidden:
-            raise ConfigError("need at least one hidden representation layer")
+            raise ValidationError("need at least one hidden representation layer")
         try:
             validate_widths((self.synth.dim, *self.hidden, self.projection_dim, self.synth.source_class_count))
-        except ConfigError as exc:
-            raise ConfigError(f"hidden/projection_dim: {exc}") from exc
+        except ValidationError as exc:
+            raise ValidationError(f"hidden/projection_dim: {exc}") from exc
         for stage, epochs, lr in [("source", self.source_epochs, self.source_lr),
                                   ("prt", self.prt_epochs, None), ("tl", self.tl_epochs, None)]:
             try:
                 _train_config(self, epochs, base_lr=lr)
-            except ConfigError as exc:
-                raise ConfigError(f"{stage} stage: {exc}") from exc
+            except ValidationError as exc:
+                raise ValidationError(f"{stage} stage: {exc}") from exc
         if self.kmeans_max_iters < 1:
-            raise ConfigError("cluster stage: kmeans_max_iters must be >= 1")
+            raise ValidationError("cluster stage: kmeans_max_iters must be >= 1")
         if not (math.isfinite(self.kmeans_tol) and self.kmeans_tol >= 0):
-            raise ConfigError("cluster stage: kmeans_tol must be >= 0 and finite")
+            raise ValidationError("cluster stage: kmeans_tol must be >= 0 and finite")
         if not (math.isfinite(self.ridge) and self.ridge > 0):
-            raise ConfigError("ridge must be > 0 and finite")
+            raise ValidationError("ridge must be > 0 and finite")
 
 
 def derive_seed(master_seed: int, *parts) -> int:
@@ -261,7 +265,7 @@ def _read_keys(manifest: Path) -> dict[str, str]:
         pairs = [line.split(" = ") for line in manifest.read_bytes().decode("utf-8").splitlines()]
     except UnicodeDecodeError:
         pairs = [[]]  # not UTF-8: refused below
-    if any(len(pair) != 2 or pair[0] not in STAGES for pair in pairs):
+    if any(len(pair) != 2 or pair[0] not in STAGES for pair in pairs) or len(dict(pairs)) < len(pairs):
         raise ValidationError(f"{manifest}: not one 'stage = key' line per finished stage; rerun generate")
     return dict(pairs)
 

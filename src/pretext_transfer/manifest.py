@@ -1,7 +1,7 @@
 """Every file the package writes, and the layout of every artifact blob.
 
 An artifact (checkpoint, cluster model, dictionary, dataset) is UTF-8
-``key = value`` manifest lines, key order kept and repeats allowed, ended by a
+``key = value`` manifest lines, one per key that a loader reads, ended by a
 blank line, then a blob of little-endian float64 blocks followed by int32
 blocks; ``unpack_blob`` is the blob's only reader, and it refuses a non-finite
 float. Artifacts and text outputs (reports, the run manifest, logs) land
@@ -65,10 +65,12 @@ def write_artifact(
     _write_atomic(path, chunks())
 
 
-def read_artifact(path: str | Path, kind: str) -> tuple[list[tuple[str, str]], memoryview]:
-    """Return the manifest as ordered (key, value) pairs plus the blob, a
+def read_artifact(path: str | Path, kind: str) -> tuple[dict[str, str | int], memoryview]:
+    """Return the manifest as a {key: value} dict plus the blob, a
     ``memoryview`` of the bytes read: a ``bytes`` slice would copy the payload
-    while the whole file is still held."""
+    while the whole file is still held. A key on more than one line maps to
+    the number of its last line, which ``manifest_value`` refuses; a loader
+    ignores the keys it does not read, such as old checkpoints' ``layer`` lines."""
     path = Path(path)
     raw = path.read_bytes()
     split = raw.find(_SEPARATOR)
@@ -80,13 +82,13 @@ def read_artifact(path: str | Path, kind: str) -> tuple[list[tuple[str, str]], m
         raise ValidationError(f"{path}: manifest is not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     if not header or header[0] != f"{kind} v1":
         raise ValidationError(f"{path}: expected a '{kind} v1' manifest")
-    pairs: list[tuple[str, str]] = []
+    fields: dict[str, str | int] = {}
     for lineno, line in enumerate(header[1:], start=2):
         key, sep, value = line.partition(" = ")
         if not sep:
             raise ValidationError(f"{path}:{lineno}: malformed manifest line {line!r}")
-        pairs.append((key, value))
-    return pairs, memoryview(raw)[split + len(_SEPARATOR):]
+        fields[key] = lineno if key in fields else value
+    return fields, memoryview(raw)[split + len(_SEPARATOR):]
 
 
 def unpack_blob(
@@ -111,14 +113,15 @@ def unpack_blob(
     return arrays[:len(float_shapes)], arrays[len(float_shapes):]
 
 
-def manifest_value(pairs: list[tuple[str, str]], key: str, path: str | Path, parse):
-    """``parse`` of the first value of ``key``, which must be present; a
+def manifest_value(fields: dict[str, str | int], key: str, path: str | Path, parse):
+    """``parse`` of the value of ``key``, which must be on exactly one line; a
     ValueError from ``parse`` becomes a ValidationError that names the file
     and the key."""
-    value = next((value for k, value in pairs if k == key), None)
-    if value is None:
+    if key not in fields:
         raise ValidationError(f"{path}: manifest is missing key '{key}'")
+    if isinstance(fields[key], int):
+        raise ValidationError(f"{path}:{fields[key]}: manifest key '{key}' repeats")
     try:
-        return parse(value)
+        return parse(fields[key])
     except ValueError as exc:
         raise ValidationError(f"{path}: bad value for '{key}': {exc}") from None

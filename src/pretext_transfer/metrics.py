@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError, ValidationError
+from .errors import ValidationError
 
 METHOD_ORDER = ("TL", "PRT+TL", "All")
 METRIC_ORDER = ("sen", "spe", "f1", "acc")
@@ -50,7 +50,7 @@ def validate_probability_rows(values, name: str = "probabilities") -> np.ndarray
     """A non-empty [n, C] batch whose every row is a probability vector."""
     v = np.asarray(values, dtype=np.float64)
     if v.ndim != 2 or v.size < 1:
-        raise ShapeError(f"{name} must be a non-empty [rows, classes] matrix")
+        raise ValidationError(f"{name} must be a non-empty [rows, classes] matrix")
     bad = np.flatnonzero(~np.isfinite(v).all(axis=1))
     if bad.size:
         raise ValidationError(f"{name} row {bad[0]} contains non-finite values")
@@ -70,7 +70,7 @@ def fuse_predict(rho, q) -> tuple[np.ndarray, np.ndarray]:  # (labels [n], fused
     rho = validate_probability_rows(rho, "rho")
     q = validate_probability_rows(q, "q")
     if rho.shape != q.shape:
-        raise ShapeError(f"shape mismatch: {rho.shape} vs {q.shape}")
+        raise ValidationError(f"shape mismatch: {rho.shape} vs {q.shape}")
     fused = (rho + q) / 2.0
     return fused.argmax(axis=1), fused
 
@@ -85,7 +85,7 @@ def compute_metrics(predictions, truth, positive_class: int) -> MetricValues:
     pred = np.asarray(predictions)
     true = np.asarray(truth)
     if pred.shape != true.shape or pred.ndim != 1:
-        raise ShapeError("predictions and truth must be equal-length vectors")
+        raise ValidationError("predictions and truth must be equal-length vectors")
     if pred.size < 1:
         raise ValidationError("predictions and truth are empty")
     # one tally of 2 * (truth is positive) + (prediction is positive)

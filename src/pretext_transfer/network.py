@@ -26,13 +26,14 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import LabeledSet, feature_matrix
-from .errors import ConfigError, TrainingDiverged, ValidationError
+from .errors import TrainingDiverged, ValidationError
 from .manifest import manifest_value, read_artifact, unpack_blob, write_artifact
 
 
@@ -45,13 +46,13 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.epochs < 1:
-            raise ConfigError("epochs must be >= 1")
+            raise ValidationError("epochs must be >= 1")
         if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
+            raise ValidationError("batch_size must be >= 1")
         if not (math.isfinite(self.base_lr) and self.base_lr > 0):
-            raise ConfigError("base_lr must be positive and finite")
+            raise ValidationError("base_lr must be positive and finite")
         if not 0.0 <= self.momentum < 1.0:
-            raise ConfigError("momentum must lie in [0, 1)")
+            raise ValidationError("momentum must lie in [0, 1)")
 
 
 @dataclass
@@ -78,19 +79,24 @@ def relu(k: int, layer_count: int) -> bool:
     return k < layer_count - 2
 
 
-def validate_widths(widths: Sequence[int]) -> None:
-    """Refuse widths that describe no network, naming the first bad position."""
+def validate_widths(widths: Sequence[int]) -> tuple[int, ...]:
+    """The widths as a tuple of Python ints; refuse widths that describe no
+    network, naming the first bad position."""
+    try:  # operator.index refuses a float, which int() would truncate
+        widths = tuple(map(operator.index, widths))
+    except TypeError as exc:
+        raise ValidationError(f"widths must be integers: {exc}") from None
     if len(widths) < 3:
-        raise ConfigError(f"a network needs at least 3 widths (input, projection, labels), got {len(widths)}")
+        raise ValidationError(f"a network needs at least 3 widths (input, projection, labels), got {len(widths)}")
     for i, width in enumerate(widths):
         if width < 1:
-            raise ConfigError(f"width {i} must be >= 1, got {width}")
+            raise ValidationError(f"width {i} must be >= 1, got {width}")
+    return widths
 
 
 def init_network(widths: Sequence[int], seed: int = 0) -> NetworkState:
     """Seeded Gaussian init, std 1/sqrt(input_dim), zero bias."""
-    validate_widths(widths)
-    widths = tuple(map(int, widths))
+    widths = validate_widths(widths)
     rng = np.random.default_rng(seed)
     params = np.zeros(sum(_layer_sizes(widths)))
     for weights in flat_views(params, widths)[0]:
@@ -197,7 +203,7 @@ def _step_layout(
     """
     validate_widths(widths)
     if not (math.isfinite(head_multiplier) and head_multiplier >= 0):  # NaN would freeze every layer
-        raise ConfigError(f"head_multiplier must be >= 0 and finite, got {head_multiplier}")
+        raise ValidationError(f"head_multiplier must be >= 0 and finite, got {head_multiplier}")
     rates = [config.base_lr] * (len(widths) - 2) + [config.base_lr * head_multiplier]
     sizes = _layer_sizes(widths)
     trains = [rate > 0 for rate in rates]
@@ -284,14 +290,14 @@ def train(
     """
     sessions = list(sessions)
     if not sessions:
-        raise ConfigError("train needs at least one session")
+        raise ValidationError("train needs at least one session")
     widths = sessions[0].state.widths
     if any(session.state.widths != widths for session in sessions[1:]):
-        raise ConfigError("lockstep sessions must share their widths")
+        raise ValidationError("lockstep sessions must share their widths")
     for session in sessions:
         if session.data.class_count != session.state.label_count:
-            raise ConfigError(f"training data has {session.data.class_count} classes, "
-                              f"but the network outputs {session.state.label_count}")
+            raise ValidationError(f"training data has {session.data.class_count} classes, "
+                                  f"but the network outputs {session.state.label_count}")
     xs = [feature_matrix(session.data.features, session.state.input_dim) for session in sessions]
     ys = [session.data.labels for session in sessions]
     order = sorted(range(len(sessions)), key=lambda i: xs[i].shape[0], reverse=True)
@@ -351,11 +357,11 @@ def save_checkpoint(state: NetworkState, path) -> None:
 
 def load_checkpoint(path) -> NetworkState:
     """Rebuild a state from its widths line and blob; other manifest lines are ignored."""
-    pairs, blob = read_artifact(path, "checkpoint")
-    widths = manifest_value(pairs, "widths", path, lambda value: tuple(map(int, value.split())))
+    fields, blob = read_artifact(path, "checkpoint")
+    widths = manifest_value(fields, "widths", path, lambda value: tuple(map(int, value.split())))
     try:
         validate_widths(widths)
-    except ConfigError as exc:
+    except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from None
     [params], _ = unpack_blob(blob, path, [(sum(_layer_sizes(widths)),)])
     return NetworkState(widths, params)

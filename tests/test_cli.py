@@ -10,7 +10,7 @@ import pretext_transfer.harness as harness
 from pretext_transfer.cli import build_parser, main
 from pretext_transfer.clustering import load_cluster_model, save_cluster_model
 from pretext_transfer.config import FIELDS, build_experiment_config, parse_config_file
-from pretext_transfer.errors import ConfigError
+from pretext_transfer.errors import ValidationError
 from pretext_transfer.harness import STAGES, ExperimentConfig
 
 MINI_CFG = """
@@ -93,19 +93,19 @@ class TestConfigParsing:
     def test_parse_failure_reports_line_number(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("dim = 6\nnot a pair\n")
-        with pytest.raises(ConfigError, match=r"bad\.cfg:2"):
+        with pytest.raises(ValidationError, match=r"bad\.cfg:2"):
             parse_config_file(path)
 
     def test_unknown_key_reports_line_number(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("# fine\nmystery = 3\n")
-        with pytest.raises(ConfigError, match=r"bad\.cfg:2.*mystery"):
+        with pytest.raises(ValidationError, match=r"bad\.cfg:2.*mystery"):
             parse_config_file(path)
 
     def test_repeated_key_names_both_lines(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("tl_epochs = 7\n# later\ntl_epochs = 2\n")
-        with pytest.raises(ConfigError, match=r"bad\.cfg:3: key 'tl_epochs' repeats line 1"):
+        with pytest.raises(ValidationError, match=r"bad\.cfg:3: key 'tl_epochs' repeats line 1"):
             parse_config_file(path)
 
     def test_overrides_beat_file_values(self, config_file, tmp_path):
@@ -438,6 +438,17 @@ class TestProvenance:
         capsys.readouterr()
         assert main(["evaluate", *base, "--folds", "3"]) == 1
         assert capsys.readouterr().err.startswith(f"error: {out / 'manifest.txt'}: tl ran with another seed")
+
+    def test_repeated_stage_line_is_refused(self, base, tmp_path, capsys):
+        # a stale key before the current one would otherwise be read as the current one alone
+        out = tmp_path / "out"
+        assert main(["generate", *base]) == 0
+        manifest = out / "manifest.txt"
+        manifest.write_bytes(b"generate = " + b"0" * 64 + b"\n" + manifest.read_bytes())
+        capsys.readouterr()
+        assert main(["pretrain", *base]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {manifest}: not one 'stage = key' line per finished stage")
+        assert not (out / "source.ckpt").exists()
 
     @pytest.mark.parametrize("content", [OLD_MANIFEST, b"generate 0123abcd\n", b"generate = \xff\xfe\n"],
                              ids=["before-stage-keys", "no-separator", "not-utf8"])

@@ -24,7 +24,7 @@ from pretext_transfer.clustering import (
     save_cluster_model,
 )
 from pretext_transfer.data import LabeledSet
-from pretext_transfer.errors import ShapeError, ValidationError
+from pretext_transfer.errors import ValidationError
 from pretext_transfer.harness import (
     ExperimentConfig,
     cell_path,
@@ -104,7 +104,7 @@ class TestExtractProjection:
         assert np.array_equal(out, np.zeros((4, 4)))
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ValidationError, match="^features have 4 columns, expected 3$"):
             extract_projection(identity_rep_state(dim=3), np.zeros((2, 4)))
 
 

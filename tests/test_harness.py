@@ -15,7 +15,7 @@ import pretext_transfer.harness as harness
 from pretext_transfer.clustering import extract_projection, kmeans_fit, save_cluster_model
 from pretext_transfer.data import SynthConfig
 from pretext_transfer.dictionary import FeatureDictionary, load_dictionary, save_dictionary, unit_columns
-from pretext_transfer.errors import ConfigError, ValidationError
+from pretext_transfer.errors import ValidationError
 from pretext_transfer.harness import (
     STAGES,
     ExperimentConfig,
@@ -79,16 +79,24 @@ def mini_run(tmp_path_factory):
 
 class TestConfigValidation:
     def test_bad_ratio_rejected(self, tmp_path):
-        with pytest.raises(ConfigError, match="subset"):
+        with pytest.raises(ValidationError, match="subset"):
             mini_config(tmp_path, ratios=(10, 33))
         # a repeated ratio would train and score every cell of it twice
-        with pytest.raises(ConfigError, match="ratios must not repeat"):
+        with pytest.raises(ValidationError, match="ratios must not repeat"):
             mini_config(tmp_path, ratios=(10, 10))
 
     def test_single_fold_rejected(self, tmp_path):
         # one fold leaves every training split empty
-        with pytest.raises(ConfigError, match="fold_count must be >= 2"):
+        with pytest.raises(ValidationError, match="fold_count must be >= 2"):
             mini_config(tmp_path, fold_count=1)
+
+    @pytest.mark.parametrize("field, value", [("hidden", (8.9, 7)), ("hidden", (np.float64(8.0),)),
+                                              ("ratios", (10.5,)), ("ratios", (np.float64(10.0),))],
+                             ids=["hidden-float", "hidden-numpy-float", "ratios-float", "ratios-numpy-float"])
+    def test_non_integral_widths_and_ratios_refused(self, tmp_path, field, value):
+        # int() would truncate 8.9 to 8 and key the stages as a genuine 8-wide run
+        with pytest.raises(ValidationError, match=f"^{field} must hold integers: "):
+            mini_config(tmp_path, **{field: value})
 
     @pytest.mark.parametrize("setting, message", [
         (dict(kmeans_max_iters=0), "cluster stage: kmeans_max_iters must be >= 1"),
@@ -98,7 +106,7 @@ class TestConfigValidation:
     ], ids=["max_iters-0", "tol-negative", "tol-nan", "tol-inf"])
     def test_bad_kmeans_setting_rejected_before_any_write(self, tmp_path, setting, message):
         out = tmp_path / "out"
-        with pytest.raises(ConfigError, match=message):
+        with pytest.raises(ValidationError, match=message):
             run_experiment(mini_config(out, **setting))
         assert not out.exists()
 

@@ -19,8 +19,8 @@ class TestWriteArtifact:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "a.bin"
         write_artifact(path, "thing", [("n", 2)], [np.array([1.5, -2.0])], [np.array([3, 4])])
-        pairs, blob = read_artifact(path, "thing")
-        assert pairs == [("n", "2")]
+        header, blob = read_artifact(path, "thing")
+        assert header == {"n": "2"}
         assert isinstance(blob, memoryview)  # a view of the bytes read, not a copy
         assert blob == np.array([1.5, -2.0], dtype="<f8").tobytes() + np.array([3, 4], dtype="<i4").tobytes()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a.bin"]
@@ -115,6 +115,19 @@ class TestBlobLayout:
         kind, newline, rest = path.read_bytes().partition(b"\n")
         path.write_bytes(kind + newline + re.sub(rb"\d", b"O", rest, count=1))
         with pytest.raises(ValidationError, match=f"{re.escape(str(path))}: bad value for"):
+            load(path)
+
+    @pytest.mark.parametrize("codec", CODECS)
+    def test_repeated_key_rejected(self, tmp_path, codec):
+        """A second line for the manifest's first key, with another value, is
+        refused at its line rather than read under either value."""
+        artifact, save, load, _ = CODECS[codec]
+        path = tmp_path / "artifact"
+        save(artifact, path)
+        kind, first, rest = path.read_bytes().split(b"\n", 2)
+        key = first.partition(b" = ")[0]
+        path.write_bytes(b"\n".join([kind, first, key + b" = 9", rest]))
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}:3: manifest key '{key.decode()}' repeats$"):
             load(path)
 
     @pytest.mark.parametrize("codec", CODECS)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pretext_transfer.errors import ShapeError, ValidationError
+from pretext_transfer.errors import ValidationError
 from pretext_transfer.metrics import (
     AggregateCell,
     FoldMetrics,
@@ -96,11 +96,11 @@ class TestFusePredict:
             assert fused[i].tolist() == row
 
     def test_length_mismatch(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ValidationError, match=r"^shape mismatch: \(1, 2\) vs \(1, 3\)$"):
             fuse_predict([[0.5, 0.5]], [[0.3, 0.3, 0.4]])
-        with pytest.raises(ShapeError):
+        with pytest.raises(ValidationError, match=r"^shape mismatch: \(2, 2\) vs \(1, 2\)$"):
             fuse_predict([[0.5, 0.5], [0.5, 0.5]], [[0.5, 0.5]])
-        with pytest.raises(ShapeError):
+        with pytest.raises(ValidationError, match=r"^rho must be a non-empty \[rows, classes\] matrix$"):
             fuse_predict([0.5, 0.5], [0.5, 0.5])
 
     def test_rejects_non_probability_vectors(self):
@@ -108,7 +108,7 @@ class TestFusePredict:
             fuse_predict([[0.9, 0.3]], [[0.5, 0.5]])
         with pytest.raises(ValidationError):
             validate_probability_rows([[1.2, -0.2]])
-        with pytest.raises(ShapeError):
+        with pytest.raises(ValidationError, match=r"^probabilities must be a non-empty \[rows, classes\] matrix$"):
             validate_probability_rows(np.zeros((0, 2)))
 
     @pytest.mark.parametrize("bad_row, message", [
@@ -199,11 +199,11 @@ class TestComputeMetrics:
         assert figures(values) == oracle_metrics(tp=1, tn=1, fp=1, fn=0)
 
     def test_length_mismatch(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ValidationError, match="^predictions and truth must be equal-length vectors$"):
             compute_metrics(np.zeros(3, dtype=int), np.zeros(4, dtype=int), 1)
 
     def test_matrix_rejected(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ValidationError, match="^predictions and truth must be equal-length vectors$"):
             compute_metrics(np.zeros((2, 2), dtype=int), np.zeros((2, 2), dtype=int), 1)
 
     @settings(max_examples=200, deadline=None)

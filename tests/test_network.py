@@ -9,7 +9,7 @@ import pytest
 from pretext_transfer import data, network
 from pretext_transfer.clustering import extract_projection
 from pretext_transfer.data import LabeledSet
-from pretext_transfer.errors import ConfigError, ShapeError, TrainingDiverged, ValidationError
+from pretext_transfer.errors import TrainingDiverged, ValidationError
 from pretext_transfer.manifest import read_artifact, write_artifact
 from pretext_transfer.network import (
     NetworkState,
@@ -116,7 +116,7 @@ class TestForward:
             assert (probs > 0).all() and (probs < 1).all()
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ValidationError, match="^features have 5 columns, expected 4$"):
             forward(small_state(), np.zeros((2, 5)))
 
     def test_non_finite_input(self):
@@ -327,7 +327,7 @@ class TestTrainConfig:
         head_multiplier = settings.pop("head_multiplier")
         state = small_state()
         x, y = np.zeros((4, 4)), np.array([0, 1, 2, 0])
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValidationError, match=f"^{next(iter(bad))} must "):
             train_one(state, x, y, TrainConfig(**settings), head_multiplier=head_multiplier)
 
     def test_zero_multiplier_is_accepted(self):
@@ -630,9 +630,9 @@ class TestLockstepTrain:
         # the hyperparameters are the call's one config; the widths are checked
         (first, second), cfg = lockstep_sessions([16, 16], 8)
         train([first, second], cfg, 10.0)  # seeds, data and starting parameters may differ
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValidationError, match="^lockstep sessions must share their widths$"):
             train([first, replace(second, state=init_network(TWO_HIDDEN_WIDTHS, seed=0))], cfg, 10.0)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValidationError, match="^train needs at least one session$"):
             train([], cfg, 10.0)
 
 
@@ -665,7 +665,7 @@ class TestTrainLeavesInputAlone:
 class TestSpecsValidation:
     def test_widths_named_by_position(self):
         for widths, position in [((0, 6, 3), 0), ((4, 6, 0, 3), 2), ((4, 6, 5, -1), 3)]:
-            with pytest.raises(ConfigError, match=f"^width {position} must be >= 1"):
+            with pytest.raises(ValidationError, match=f"^width {position} must be >= 1"):
                 validate_widths(widths)
 
     def test_final_layer_contract(self):
@@ -680,10 +680,17 @@ class TestSpecsValidation:
         assert state.widths == (4, 6, 3)
         assert type(state.widths) is tuple and all(type(width) is int for width in state.widths)
 
+    @pytest.mark.parametrize("widths", [(4, 6.5, 3), (4, np.float64(6.0), 3), (4.0, 6, 3)],
+                             ids=["float", "numpy-float", "integral-float"])
+    def test_non_integral_widths_refused(self, widths):
+        # int() would truncate 6.5 to a 6-wide layer
+        with pytest.raises(ValidationError, match="^widths must be integers: "):
+            init_network(widths)
+
     def test_both_groups_required(self):
         # the head is the last layer, and at least one representation layer precedes it
         for widths in ([], [4], [4, 3]):
-            with pytest.raises(ConfigError, match="at least 3 widths"):
+            with pytest.raises(ValidationError, match="at least 3 widths"):
                 validate_widths(widths)
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from pretext_transfer.clustering import extract_projection, kmeans_fit
 from pretext_transfer.data import LabeledSet, SynthConfig, generate_domains
-from pretext_transfer.errors import ConfigError
+from pretext_transfer.errors import ValidationError
 from pretext_transfer.harness import ExperimentConfig, _train_config
 from pretext_transfer.network import (
     Session,
@@ -123,9 +123,9 @@ class TestStageRules:
             "prt_train": lambda: prt_train(source_model, bad, cfg, seed=0),
             "train": lambda: train([Session(source_model, bad, 0)], cfg, 1.0),
         }
-        with pytest.raises(ConfigError) as excinfo:
+        with pytest.raises(ValidationError) as excinfo:
             calls[entry]()
-        assert type(excinfo.value) is ConfigError
+        assert type(excinfo.value) is ValidationError
         assert str(excinfo.value) == "training data has 5 classes, but the network outputs 4"
 
     def test_spec_defaults(self, tmp_path):
