@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, convert_fields
 from .manifest import manifest_value, read_artifact, unpack_blob, write_artifact
 
 POSITIVE_CLASS = 1
@@ -83,6 +83,7 @@ class SynthConfig:
     noise: float = 1.0
 
     def __post_init__(self):
+        convert_fields(self)
         if self.source_class_count < 2:
             raise ValidationError("source_class_count must be >= 2")
         if self.dim < 1:

@@ -8,9 +8,7 @@ master seed, so a rerun with the same seed reproduces the report byte for byte."
 from __future__ import annotations
 
 import ctypes
-import math
-import operator
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from functools import cache, wraps
 from pathlib import Path
 
@@ -33,11 +31,10 @@ from .clustering import (
     load_cluster_model,
     save_cluster_model,
 )
+from .config import ExperimentConfig, _train_config
 from .data import (
-    ALLOWED_RATIOS,
     POSITIVE_CLASS,
     LabeledSet,
-    SynthConfig,
     UnlabeledSet,
     generate_domains,
     load_dataset,
@@ -66,84 +63,10 @@ from .metrics import (
     render_report_csv,
     render_report_text,
 )
-from .network import (
-    NetworkState,
-    TrainConfig,
-    forward,
-    load_checkpoint,
-    save_checkpoint,
-    validate_widths,
-)
+from .network import NetworkState, forward, load_checkpoint, save_checkpoint
 from .pipeline import TlSession, pretrain_source, prt_train, tl_train
 
 METHOD_TL, METHOD_PRT_TL, METHOD_ALL = METHOD_ORDER
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    out_dir: Path
-    master_seed: int = 0
-    synth: SynthConfig = SynthConfig()
-    hidden: tuple[int, ...] = (32,)
-    projection_dim: int = 16
-    source_epochs: int = 30
-    source_lr: float = 1e-2
-    prt_epochs: int = 15
-    tl_epochs: int = 7
-    base_lr: float = TrainConfig.base_lr
-    batch_size: int = TrainConfig.batch_size
-    momentum: float = TrainConfig.momentum
-    ridge: float = 1e-3
-    ratios: tuple[int, ...] = ALLOWED_RATIOS
-    fold_count: int = 5
-    # Read by no stage: every stage runs in the calling process. `perfbench`
-    # still sets it, and it goes with that benchmark's `grid-par` workload.
-    workers: int = 1
-    kmeans_max_iters: int = 200
-    kmeans_tol: float = 1e-7
-
-    def __post_init__(self):
-        object.__setattr__(self, "out_dir", Path(self.out_dir))
-        for field in ("hidden", "ratios"):  # stage keys hash repr(): (32,), never [32] or (np.int64(32),)
-            try:  # operator.index refuses a float, which int() would truncate
-                object.__setattr__(self, field, tuple(map(operator.index, getattr(self, field))))
-            except TypeError as exc:
-                raise ValidationError(f"{field} must hold integers: {exc}") from None
-        if not self.ratios:
-            raise ValidationError("ratios must not be empty")
-        bad_ratios = set(self.ratios) - set(ALLOWED_RATIOS)
-        if bad_ratios:
-            raise ValidationError(f"ratios must be a subset of {ALLOWED_RATIOS}, got {sorted(bad_ratios)}")
-        if len(set(self.ratios)) != len(self.ratios):
-            raise ValidationError(f"ratios must not repeat, got {list(self.ratios)}")
-        if self.fold_count < 2:
-            raise ValidationError("fold_count must be >= 2: with one fold every training split is empty")
-        if min(self.synth.positives, self.synth.negatives) < self.fold_count:
-            raise ValidationError(f"positives and negatives must each be >= fold_count ({self.fold_count}): "
-                                  "every test fold holds both classes")
-        if self.synth.unlabeled_size < self.synth.source_class_count:
-            raise ValidationError(f"unlabeled_size must be >= source_class_count ({self.synth.source_class_count}): "
-                                  "k-means makes one pseudo-class per source class")
-        if self.workers < 1:
-            raise ValidationError("workers must be >= 1")
-        if not self.hidden:
-            raise ValidationError("need at least one hidden representation layer")
-        try:
-            validate_widths((self.synth.dim, *self.hidden, self.projection_dim, self.synth.source_class_count))
-        except ValidationError as exc:
-            raise ValidationError(f"hidden/projection_dim: {exc}") from exc
-        for stage, epochs, lr in [("source", self.source_epochs, self.source_lr),
-                                  ("prt", self.prt_epochs, None), ("tl", self.tl_epochs, None)]:
-            try:
-                _train_config(self, epochs, base_lr=lr)
-            except ValidationError as exc:
-                raise ValidationError(f"{stage} stage: {exc}") from exc
-        if self.kmeans_max_iters < 1:
-            raise ValidationError("cluster stage: kmeans_max_iters must be >= 1")
-        if not (math.isfinite(self.kmeans_tol) and self.kmeans_tol >= 0):
-            raise ValidationError("cluster stage: kmeans_tol must be >= 0 and finite")
-        if not (math.isfinite(self.ridge) and self.ridge > 0):
-            raise ValidationError("ridge must be > 0 and finite")
 
 
 def derive_seed(master_seed: int, *parts) -> int:
@@ -151,17 +74,6 @@ def derive_seed(master_seed: int, *parts) -> int:
     text = ":".join([str(master_seed), *map(str, parts)])
     digest = sha256(text.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "little")
-
-
-def _train_config(cfg: ExperimentConfig, epochs: int, base_lr: float | None = None) -> TrainConfig:
-    """The hyperparameters of one stage's training call; the stage brings its
-    own seeds and head learning-rate multiplier."""
-    return TrainConfig(
-        epochs=epochs,
-        batch_size=cfg.batch_size,
-        base_lr=cfg.base_lr if base_lr is None else base_lr,
-        momentum=cfg.momentum,
-    )
 
 
 # ---- output layout ----------------------------------------------------------

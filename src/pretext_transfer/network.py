@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import LabeledSet, feature_matrix
-from .errors import TrainingDiverged, ValidationError
+from .errors import TrainingDiverged, ValidationError, convert_fields
 from .manifest import manifest_value, read_artifact, unpack_blob, write_artifact
 
 
@@ -45,6 +45,7 @@ class TrainConfig:
     momentum: float = 0.9
 
     def __post_init__(self):
+        convert_fields(self)
         if self.epochs < 1:
             raise ValidationError("epochs must be >= 1")
         if self.batch_size < 1:

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import pretext_transfer.config as config
 import pretext_transfer.harness as harness
 from pretext_transfer.clustering import extract_projection, kmeans_fit, save_cluster_model
 from pretext_transfer.data import SynthConfig
@@ -77,6 +78,11 @@ def mini_run(tmp_path_factory):
     return cfg, report
 
 
+# every integer setting, as "<ExperimentConfig field>" or "synth.<SynthConfig field>"
+INT_FIELDS = [f"{prefix}{field.name}" for prefix, settings in [("", ExperimentConfig), ("synth.", SynthConfig)]
+              for field in dataclasses.fields(settings) if field.type == "int"]
+
+
 class TestConfigValidation:
     def test_bad_ratio_rejected(self, tmp_path):
         with pytest.raises(ValidationError, match="subset"):
@@ -90,23 +96,36 @@ class TestConfigValidation:
         with pytest.raises(ValidationError, match="fold_count must be >= 2"):
             mini_config(tmp_path, fold_count=1)
 
-    @pytest.mark.parametrize("field, value", [("hidden", (8.9, 7)), ("hidden", (np.float64(8.0),)),
-                                              ("ratios", (10.5,)), ("ratios", (np.float64(10.0),))],
-                             ids=["hidden-float", "hidden-numpy-float", "ratios-float", "ratios-numpy-float"])
+    @pytest.mark.parametrize("field, value", [
+        ("hidden", (8.9, 7)), ("hidden", (np.float64(8.0),)), ("ratios", (10.5,)), ("ratios", (np.float64(10.0),)),
+        *[(field, value) for field in INT_FIELDS for value in (5.0, np.float64(5.0))],
+    ], ids=["hidden-float", "hidden-numpy-float", "ratios-float", "ratios-numpy-float",
+            *[f"{field}-{kind}" for field in INT_FIELDS for kind in ("float", "numpy-float")]])
     def test_non_integral_widths_and_ratios_refused(self, tmp_path, field, value):
-        # int() would truncate 8.9 to 8 and key the stages as a genuine 8-wide run
-        with pytest.raises(ValidationError, match=f"^{field} must hold integers: "):
-            mini_config(tmp_path, **{field: value})
+        # int() would truncate 8.9 to 8 and key the stages as a genuine 8-wide run;
+        # every integer setting, of either dataclass, refuses a float alike
+        owner, _, name = field.rpartition(".")
+        must = "hold integers" if name in ("hidden", "ratios") else "be an integer"
+        with pytest.raises(ValidationError, match=f"^{name} must {must}: "):
+            if owner:
+                dataclasses.replace(MINI_SYNTH, **{name: value})
+            else:
+                mini_config(tmp_path, **{name: value})
 
     @pytest.mark.parametrize("setting, message", [
         (dict(kmeans_max_iters=0), "cluster stage: kmeans_max_iters must be >= 1"),
         (dict(kmeans_tol=-1.0), "cluster stage: kmeans_tol must be >= 0 and finite"),
         (dict(kmeans_tol=float("nan")), "cluster stage: kmeans_tol must be >= 0 and finite"),
         (dict(kmeans_tol=float("inf")), "cluster stage: kmeans_tol must be >= 0 and finite"),
-    ], ids=["max_iters-0", "tol-negative", "tol-nan", "tol-inf"])
+        (dict(tl_epochs=7.0), "^tl_epochs must be an integer: "),
+        # SynthConfig's own fields, built in the test, since SynthConfig refuses the float itself
+        (dict(synth=dict(unlabeled_size=1500.5)), "^unlabeled_size must be an integer: "),
+    ], ids=["max_iters-0", "tol-negative", "tol-nan", "tol-inf", "tl_epochs-float", "unlabeled_size-float"])
     def test_bad_kmeans_setting_rejected_before_any_write(self, tmp_path, setting, message):
         out = tmp_path / "out"
         with pytest.raises(ValidationError, match=message):
+            if "synth" in setting:
+                setting = {**setting, "synth": SynthConfig(**setting["synth"])}
             run_experiment(mini_config(out, **setting))
         assert not out.exists()
 
@@ -142,6 +161,15 @@ SYNTH_CHANGES = {
     "shift": 2.0,
     "noise": 0.5,
 }
+
+
+# (a setting as a NumPy scalar, or as an int for a float field; the equal Python value)
+EQUAL_SETTINGS = [
+    (dict(master_seed=np.int64(0)), dict(master_seed=0)),
+    (dict(ridge=np.float64(1e-3)), dict(ridge=1e-3)),
+    (dict(ridge=1), dict(ridge=1.0)),
+    (dict(synth=dataclasses.replace(MINI_SYNTH, shift=2)), dict(synth=dataclasses.replace(MINI_SYNTH, shift=2.0))),
+]
 
 
 def stage_keys(cfg: ExperimentConfig) -> dict[str, str]:
@@ -186,6 +214,11 @@ class TestStageTable:
             assert (cfg.hidden, cfg.ratios) == ((8, 7), (10, 100))
             assert {type(value) for value in (*cfg.hidden, *cfg.ratios)} == {int}
         assert [stage_keys(cfg) for cfg in configs[1:]] == [stage_keys(configs[0])] * 2
+
+    @pytest.mark.parametrize("name", list(STAGES))
+    def test_numpy_scalars_and_ints_for_floats_key_as_the_python_value(self, tmp_path, name):
+        for given, python in EQUAL_SETTINGS:
+            assert stage_key(mini_config(tmp_path, **given), name) == stage_key(mini_config(tmp_path, **python), name)
 
     def test_keys_are_hashlibs_digests(self, tmp_path):
         cfg = ExperimentConfig(out_dir=tmp_path)
@@ -238,6 +271,17 @@ def test_fresh_interpreter_maps_no_openssl_or_logging(modules_the_package_adds, 
     if module == "_hashlib" and not any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")):
         pytest.skip("this Python has neither _sha2 nor _sha256, so stage keys take SHA-256 from hashlib")
     assert module not in modules_the_package_adds
+
+
+def test_settings_module_does_not_import_the_stages():
+    """``config`` holds the settings and ``harness`` imports them, never the
+    other way; the benchmark reaches the settings through ``harness``."""
+    code = "import sys, pretext_transfer.config; print('pretext_transfer.harness' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(harness.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.split() == ["False"]
+    assert harness.ExperimentConfig is config.ExperimentConfig
+    assert harness._train_config is config._train_config
 
 
 class TestNetworkWidths:

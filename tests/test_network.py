@@ -320,8 +320,12 @@ class TestTrainConfig:
         # a NaN rate compares false against 0 and would freeze every layer
         dict(base_lr=math.nan), dict(base_lr=math.inf),
         dict(head_multiplier=math.nan), dict(head_multiplier=math.inf),
+        # refused here, not as a TypeError deep inside train
+        dict(epochs=2.0), dict(epochs=np.float64(2.0)), dict(batch_size=4.0), dict(batch_size=np.float64(4.0)),
+        dict(base_lr="0.01"),
     ], ids=["epochs", "batch_size", "base_lr", "multiplier", "momentum-1", "momentum-negative",
-            "base_lr-nan", "base_lr-inf", "multiplier-nan", "multiplier-inf"])
+            "base_lr-nan", "base_lr-inf", "multiplier-nan", "multiplier-inf",
+            "epochs-float", "epochs-numpy-float", "batch_size-float", "batch_size-numpy-float", "base_lr-str"])
     def test_rejects_bad_value(self, bad):
         settings = {"epochs": 1, "head_multiplier": 1.0, **bad}
         head_multiplier = settings.pop("head_multiplier")
