@@ -121,12 +121,29 @@ def _sure_nearest(
     return best, within.sum(axis=0) == 1, scores.min(axis=0)
 
 
+def _sq_dists(x: np.ndarray, centroids: np.ndarray, labels: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``((x - centroids[labels]) ** 2).sum(axis=1)`` into ``out``, with the
+    bits of ``_direct_assign``'s ufuncs and reduction over each contiguous
+    length-p row, in ``_CHUNK``-row blocks, so no temporary is larger than one
+    block; np.take gathers the same rows as centroids[labels] in less time."""
+    for start in range(0, x.shape[0], _CHUNK):
+        rows = slice(start, start + _CHUNK)
+        diff = x[rows] - np.take(centroids, labels[rows], axis=0)
+        out[rows] = np.square(diff, out=diff).sum(axis=1)
+    return out
+
+
 def _assign(
-    x: np.ndarray, centroids: np.ndarray, x_norms: np.ndarray, lower: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest centroid per row of the C-ordered ``x``, bit for bit as
-    ``_direct_assign`` finds it, from one matrix product per block; ``x_norms``
-    is ``_row_norms(x)``.
+    x: np.ndarray, centroids: np.ndarray, x_norms: np.ndarray,
+    labels: np.ndarray, sq_dists: np.ndarray, lower: np.ndarray,
+) -> None:
+    """Move ``labels`` and ``sq_dists`` in place to each row's nearest centroid
+    and its squared distance, bit for bit as ``_direct_assign(x, centroids)``,
+    for the C-ordered ``x``; ``x_norms`` is ``_row_norms(x)``, and ``lower``
+    holds each row's ℓ for these centroids (see ``kmeans_fit``). Rows that ℓ
+    does not certify go through the certificate, one matrix product per
+    gathered block of at most ``_CHUNK`` rows, which sets their ℓ; from a
+    fresh state, labels 0 and ℓ NaN, every row does.
 
     A centroid's score is ``|c|² - 2·x·c``, the squared distance less the
     row's common ``|x|²``. With S = |x| + max|c| and p features, the score plus
@@ -137,88 +154,44 @@ def _assign(
     sum. ``slack = 8·((p + 8)·eps·S² + p·tiny)`` is more than twice the whole
     bound, so when no other centroid scores within ``slack`` of the best one,
     the direct formula ranks the best one strictly first as well. Its squared
-    distance is then computed by the direct formula's own reduction over the
-    same contiguous length-p row, so the bits match. Every other row goes
+    distance is then ``_sq_dists``'s, so the bits match. Every other row goes
     through ``_direct_assign``: near and exact ties (which go to the lowest
     index), and rows whose scores or slack an overflow turned into inf or NaN.
 
-    ``lower``, when given, receives each row's bound ℓ for ``kmeans_fit``: a
-    lower bound on the exact distance from the row to every centroid but its
-    own. A sure row's ℓ² is its runner-up score plus ``|x|²`` less ``slack``.
+    A sure row's ℓ² is its runner-up score plus ``|x|²`` less ``slack``.
     The score errs by at most (p + 2)·eps/2·S² plus the underflow terms
     above, ``|x|²`` squared back from ``x_norms`` by (p + 3)·eps·S² plus
     ``tiny``, the sum and the difference round by eps/2·S² each and the square
     root by eps of ℓ²: less than half of ``slack`` in all, so ℓ² stays below
     every other centroid's exact squared distance. A negative ℓ² makes ℓ NaN,
     and a row that is not sure gets NaN.
+
+    A row keeps its label when ℓ² exceeds its ``_sq_dists`` distance to that
+    label's centroid plus its ``slack``. The direct formula's squared distance
+    to any other centroid is at least ℓ² less (p + 2)·eps/2·S² and the tiny
+    terms above, and rounding ℓ² and the sum costs at most eps·(S² + slack):
+    all within ``slack``, so the direct formula ranks the label strictly
+    first. A NaN, infinite or non-positive ℓ keeps no row.
     """
-    m, p = x.shape
-    labels = np.empty(m, dtype=np.int64)
-    sq_dists = np.empty(m)
     c_sq = np.einsum("ij,ij->i", centroids, centroids)
-    slack = _slack(x_norms, c_sq, p)
-    with np.errstate(over="ignore"):
-        neg_2c = -2.0 * centroids
-    for start in range(0, m, _CHUNK):
-        rows = slice(start, start + _CHUNK)
-        block = x[rows]
-        best, sure, runner_up = _sure_nearest(block, neg_2c, c_sq, slack[rows])
-        # the direct formula's ufuncs and row reduction, in one temporary;
-        # np.take gathers the same rows as centroids[best] in less time
-        diff = block - np.take(centroids, best, axis=0)
-        block_sq = np.square(diff, out=diff).sum(axis=1)
-        if not sure.all():
-            doubt = ~sure
-            best[doubt], block_sq[doubt] = _direct_assign(block[doubt], centroids)
-            runner_up[doubt] = np.nan
-        labels[rows] = best
-        sq_dists[rows] = block_sq
-        if lower is not None:
-            with np.errstate(over="ignore", invalid="ignore"):
-                lower[rows] = np.sqrt(runner_up + x_norms[rows] ** 2 - slack[rows])
-    return labels, sq_dists
-
-
-def _bounded_assign(
-    x: np.ndarray,
-    centroids: np.ndarray,
-    x_norms: np.ndarray,
-    labels: np.ndarray | None,
-    sq_dists: np.ndarray | None,
-    lower: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One Lloyd iteration's ``_assign(x, centroids, x_norms)``, bit for bit.
-    ``labels`` and ``sq_dists`` are the previous iteration's, or None in the
-    first; ``lower`` holds each row's ℓ for these centroids (see ``_assign``
-    and ``kmeans_fit``). All three are updated in place.
-
-    A row keeps its label when ℓ² exceeds its squared distance to that
-    label's centroid, computed with the direct formula's own ufuncs and row
-    reduction, plus its ``slack``. The direct formula's squared distance to
-    any other centroid is at least ℓ² less (p + 2)·eps/2·S² and the tiny
-    terms of ``_assign``, and rounding ℓ² and the sum costs at most
-    eps·(S² + slack): all within ``slack``, so the direct formula ranks the
-    label strictly first. A NaN, infinite or non-positive ℓ keeps no row.
-    The other rows go through ``_assign`` in gathered blocks of at most
-    ``_CHUNK`` rows, which resets their ℓ."""
-    if labels is None:
-        return _assign(x, centroids, x_norms, lower)
-    m, p = x.shape
-    for start in range(0, m, _CHUNK):
-        rows = slice(start, start + _CHUNK)
-        diff = x[rows] - np.take(centroids, labels[rows], axis=0)
-        sq_dists[rows] = np.square(diff, out=diff).sum(axis=1)
-    bar = _slack(x_norms, np.einsum("ij,ij->i", centroids, centroids), p)
-    bar += sq_dists
+    slack = _slack(x_norms, c_sq, x.shape[1])
+    _sq_dists(x, centroids, labels, sq_dists)
     with np.errstate(over="ignore", invalid="ignore"):
-        doubt = np.flatnonzero(~((lower > 0.0) & (lower < np.inf) & (lower * lower > bar)))
-    del bar  # before the gathered blocks allocate their own
+        doubt = np.flatnonzero(~((lower > 0.0) & (lower < np.inf) & (lower * lower > slack + sq_dists)))
+        neg_2c = -2.0 * centroids
     for start in range(0, doubt.size, _CHUNK):
         rows = doubt[start:start + _CHUNK]
-        bound = np.empty(rows.size)
-        labels[rows], sq_dists[rows] = _assign(x[rows], centroids, x_norms[rows], bound)
-        lower[rows] = bound
-    return labels, sq_dists
+        block = x[rows]
+        best, sure, runner_up = _sure_nearest(block, neg_2c, c_sq, slack[rows])
+        block_sq = _sq_dists(block, centroids, best, np.empty(rows.size))
+        if not sure.all():
+            unsure = ~sure
+            best[unsure], block_sq[unsure] = _direct_assign(block[unsure], centroids)
+            runner_up[unsure] = np.nan
+        labels[rows] = best
+        sq_dists[rows] = block_sq
+        with np.errstate(over="ignore", invalid="ignore"):
+            lower[rows] = np.sqrt(runner_up + x_norms[rows] ** 2 - slack[rows])
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -231,22 +204,19 @@ def _lower_bounds(lower: np.ndarray, shift: float, p: int) -> None:
     np.subtract(lower, move, out=lower)
 
 
-def _sq_dists_to(x: np.ndarray, centroid: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``((x - centroid) ** 2).sum(axis=1)`` into ``out``, bit for bit, over
-    ``_CHUNK``-row blocks, so no temporary is larger than one block."""
-    for start in range(0, x.shape[0], _CHUNK):
-        rows = slice(start, start + _CHUNK)
-        diff = x[rows] - centroid
-        out[rows] = np.square(diff, out=diff).sum(axis=1)
-    return out
-
-
 @np.errstate(over="ignore")
-def _plus_plus_seed(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _plus_plus_seed(x: np.ndarray, k: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """k-means++ seeds (Arthur & Vassilvitskii, SODA 2007) and the first
+    assignment, each row's nearest seed and its squared distance, bit for bit
+    as ``_direct_assign(x, centroids)``: every distance is ``_sq_dists``'s,
+    and a later seed takes a row only when it is strictly nearer, so ties go
+    to the lowest index."""
+    m = x.shape[0]
     centroids = np.empty((k, x.shape[1]))
-    centroids[0] = x[int(rng.integers(x.shape[0]))]
-    closest = _sq_dists_to(x, centroids[0], np.empty(x.shape[0]))
-    dists = np.empty(x.shape[0])
+    labels = np.zeros(m, dtype=np.int64)
+    centroids[0] = x[int(rng.integers(m))]
+    closest = _sq_dists(x, centroids, labels, np.empty(m))
+    dists = np.empty(m)
     for j in range(1, k):
         total = closest.sum()
         if not np.isfinite(total):  # closest / total would be NaN
@@ -255,12 +225,14 @@ def _plus_plus_seed(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
                 "overflow float64"
             )
         if total > 0.0:
-            idx = int(rng.choice(x.shape[0], p=closest / total))
+            idx = int(rng.choice(m, p=closest / total))
         else:
-            idx = int(rng.integers(x.shape[0]))  # fully degenerate data
+            idx = int(rng.integers(m))  # fully degenerate data
         centroids[j] = x[idx]
-        np.minimum(closest, _sq_dists_to(x, centroids[j], dists), out=closest)
-    return centroids
+        _sq_dists(x, centroids, np.broadcast_to(j, m), dists)
+        np.copyto(labels, j, where=dists < closest)
+        np.minimum(closest, dists, out=closest)
+    return centroids, labels, closest
 
 
 def _update_means(
@@ -293,20 +265,23 @@ def kmeans_fit(
 ) -> ClusterModel:
     """Lloyd's algorithm with k-means++ seeding and empty-cluster repair.
 
-    Every assignment is ``_assign``'s, bit for bit, but after the first one a
-    row whose label is provably still nearest skips the certificate (Hamerly,
-    *Making k-means even faster*, SDM 2010): each row carries ℓ, a lower bound
-    on its exact distance to every centroid but its own, which ``_assign``
-    sets when the row passes through it and ``_bounded_assign`` tests. When
-    the centroids move, the triangle inequality lowers each distance by at
-    most the largest exact move M, so ``_lower_bounds`` lowers ℓ by more than
-    M. The computed ``shift`` sums p rounded squares of rounded differences,
-    which lose at most (p + 2)·eps of M² and, by underflow, ``tiny`` each;
-    with the square root's eps/2, M ≤ (shift + √(p·tiny))·(1 + (p + 4)·eps).
-    ``_lower_bounds`` subtracts (shift + 2·√(p·tiny))·(1 + 2·(p + 8)·eps),
-    whose own roundings keep it above that bound, from ℓ·(1 - 2·eps), so the
-    rounding of the difference, at most eps/2 of ℓ, cannot raise the result
-    above ℓ - M. An infinite or NaN shift makes every ℓ -inf or NaN.
+    Seeding supplies the first assignment, and ``_assign`` every later one;
+    each is ``_direct_assign``'s, bit for bit. A row whose label is provably
+    still nearest skips the certificate (Hamerly, *Making k-means even
+    faster*, SDM 2010): each row carries ℓ, a lower bound on its exact
+    distance to every centroid but its own, which ``_assign`` sets when the
+    row passes through the certificate and tests at its next call. ℓ starts
+    NaN, so the first certificate, the fit's second assignment, sees every
+    row. When the centroids move, the triangle inequality lowers each
+    distance by at most the largest exact move M, so ``_lower_bounds`` lowers
+    ℓ by more than M. The computed ``shift`` sums p rounded squares of
+    rounded differences, which lose at most (p + 2)·eps of M² and, by
+    underflow, ``tiny`` each; with the square root's eps/2,
+    M ≤ (shift + √(p·tiny))·(1 + (p + 4)·eps). ``_lower_bounds`` subtracts
+    (shift + 2·√(p·tiny))·(1 + 2·(p + 8)·eps), whose own roundings keep it
+    above that bound, from ℓ·(1 - 2·eps), so the rounding of the difference,
+    at most eps/2 of ℓ, cannot raise the result above ℓ - M. An infinite or
+    NaN shift makes every ℓ -inf or NaN.
     """
     x = feature_matrix(features)
     if k < 2:
@@ -318,14 +293,12 @@ def kmeans_fit(
     if not 0 <= tol < np.inf:  # NaN and inf fail it too
         raise ValidationError("tol must be >= 0 and finite")
     rng = np.random.default_rng(seed)
-    centroids = _plus_plus_seed(x, k, rng)
+    centroids, labels, sq_dists = _plus_plus_seed(x, k, rng)
     x_norms = _row_norms(x)
     x_cols = np.ascontiguousarray(x.T)  # for _update_means, once per fit
-    lower = np.empty(x.shape[0])  # each row's ℓ, set by the first assignment
-    labels = sq_dists = None
+    lower = np.full(x.shape[0], np.nan)  # each row's ℓ
     history: list[float] = []
-    for _ in range(max_iters):
-        labels, sq_dists = _bounded_assign(x, centroids, x_norms, labels, sq_dists, lower)
+    while True:
         history.append(float(sq_dists.sum()))
         new_centroids = _update_means(x_cols, labels, k, centroids, sq_dists)
         shift = np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max()
@@ -333,11 +306,12 @@ def kmeans_fit(
         # a subnormal move can square to a shift of 0, so compare the centroids
         moved = not np.array_equal(new_centroids, centroids)
         centroids = new_centroids
-        if shift < tol:
+        if shift < tol or len(history) == max_iters:
             break
+        _assign(x, centroids, x_norms, labels, sq_dists, lower)
     # when no centroid moved, the loop's last assignment is already final
     if moved:
-        labels, sq_dists = _bounded_assign(x, centroids, x_norms, labels, sq_dists, lower)
+        _assign(x, centroids, x_norms, labels, sq_dists, lower)
     history.append(float(sq_dists.sum()))
     return ClusterModel(centroids, seed, history, labels)
 

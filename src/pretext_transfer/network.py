@@ -26,14 +26,13 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import LabeledSet, feature_matrix
-from .errors import TrainingDiverged, ValidationError, convert_fields
+from .errors import TrainingDiverged, ValidationError, convert_fields, integer
 from .manifest import manifest_value, read_artifact, unpack_blob, write_artifact
 
 
@@ -83,8 +82,8 @@ def relu(k: int, layer_count: int) -> bool:
 def validate_widths(widths: Sequence[int]) -> tuple[int, ...]:
     """The widths as a tuple of Python ints; refuse widths that describe no
     network, naming the first bad position."""
-    try:  # operator.index refuses a float, which int() would truncate
-        widths = tuple(map(operator.index, widths))
+    try:
+        widths = tuple(map(integer, widths))
     except TypeError as exc:
         raise ValidationError(f"widths must be integers: {exc}") from None
     if len(widths) < 3:

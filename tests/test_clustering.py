@@ -12,7 +12,6 @@ import pretext_transfer.harness as harness
 from pretext_transfer.clustering import (
     _CHUNK,
     _assign,
-    _bounded_assign,
     _direct_assign,
     _lower_bounds,
     _plus_plus_seed,
@@ -23,7 +22,7 @@ from pretext_transfer.clustering import (
     load_cluster_model,
     save_cluster_model,
 )
-from pretext_transfer.data import LabeledSet
+from pretext_transfer.data import LabeledSet, SynthConfig
 from pretext_transfer.errors import ValidationError
 from pretext_transfer.harness import (
     ExperimentConfig,
@@ -58,6 +57,15 @@ def two_blobs(n=60, seed=0):
     offsets = np.stack([radii * np.cos(angles), radii * np.sin(angles)], axis=1)
     centers = np.repeat(np.array([[0.0, 0.0], [10.0, 10.0]]), n, axis=0)
     return centers + offsets, np.repeat([0, 1], n)
+
+
+def fresh_assign(x, centroids):
+    """``_assign`` from a fresh state, labels 0 and ℓ NaN, which certifies
+    every row; returns the labels and squared distances."""
+    m = x.shape[0]
+    labels, sq_dists = np.zeros(m, dtype=np.int64), np.empty(m)
+    _assign(x, centroids, _row_norms(x), labels, sq_dists, np.full(m, np.nan))
+    return labels, sq_dists
 
 
 class TestExtractProjection:
@@ -177,7 +185,49 @@ class TestKmeansFit:
         for j in range(1, k):
             expected[j] = x[int(rng.choice(rows, p=closest / closest.sum()))]
             closest = np.minimum(closest, ((x - expected[j]) ** 2).sum(axis=1))
-        assert _plus_plus_seed(x, k, np.random.default_rng(3)).tobytes() == expected.tobytes()
+        assert _plus_plus_seed(x, k, np.random.default_rng(3))[0].tobytes() == expected.tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        p=st.integers(1, 40),
+        k=st.integers(2, 12),
+        m=st.integers(1, 40) | st.integers(_CHUNK - 2, _CHUNK + 2),
+        exponent=st.integers(-160, 150),
+        spread=st.integers(0, 8),
+        shifted=st.booleans(),
+        duplicate_points=st.booleans(),
+        few_distinct=st.booleans(),
+    )
+    # the strategy's floor, where every square underflows, and -154, where
+    # the squared distances cross from normal to subnormal
+    @example(seed=0, p=3, k=4, m=_CHUNK + 1, exponent=-160, spread=0, shifted=True,
+             duplicate_points=False, few_distinct=False)
+    @example(seed=1, p=3, k=4, m=_CHUNK + 1, exponent=-154, spread=1, shifted=False,
+             duplicate_points=False, few_distinct=True)
+    def test_seeding_assigns_as_the_direct_formula(
+        self, seed, p, k, m, exponent, spread, shifted, duplicate_points, few_distinct
+    ):
+        # TestCertifiedAssign's rows: near ties from the shift and duplicate
+        # points; fewer distinct rows than k make k-means++ pick duplicate
+        # seeds, which tie for every row nearest them
+        rng = np.random.default_rng(seed)
+        m = max(m, k)
+        shift = 10.0 ** (exponent + 8) if shifted else 0.0
+        x = shift + rng.normal(size=(m, p)) * 10.0 ** (exponent + rng.uniform(0, spread, (m, 1)))
+        if duplicate_points:
+            x[m // 2:] = x[0]
+        if few_distinct:
+            x = x[rng.integers(0, k - 1, size=m)]
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow is part of the data
+            try:
+                centroids, labels, sq_dists = _plus_plus_seed(x, k, np.random.default_rng(seed))
+            except ValidationError as exc:  # k-means++ weights overflow
+                assert "overflow" in str(exc)
+                return
+            direct_labels, direct_sq = _direct_assign(x, centroids)
+        assert np.array_equal(labels, direct_labels)
+        assert sq_dists.tobytes() == direct_sq.tobytes()
 
     def test_seeding_holds_no_copy_of_the_features(self):
         # whole-array distances held two temporaries as large as the features
@@ -211,7 +261,7 @@ class TestKmeansAssign:
         points, _ = two_blobs(20)
         model = kmeans_fit(points, k=2, seed=0)
         centroids = model.centroids.copy()
-        labels, _ = _assign(centroids, model.centroids, _row_norms(centroids))
+        labels, _ = fresh_assign(centroids, model.centroids)
         assert labels.tolist() == [0, 1]
 
     def test_tie_breaks_to_lowest_index(self):
@@ -220,7 +270,7 @@ class TestKmeansAssign:
         # rearrange so centroids 1 and 3 are equidistant from the probe point
         model.centroids[:] = np.array([[9.0, 9.0], [0.0, 0.0], [9.0, -9.0], [2.0, 0.0]])
         probe = np.array([[1.0, 0.0]])
-        labels, _ = _assign(probe, model.centroids, _row_norms(probe))
+        labels, _ = fresh_assign(probe, model.centroids)
         assert labels[0] == 1
 
     def test_assign_matches_fit_labels(self):
@@ -231,7 +281,7 @@ class TestKmeansAssign:
         expected = np.array(
             [int(np.argmin(((p - model.centroids) ** 2).sum(axis=1))) for p in points]
         )
-        labels, _ = _assign(points, model.centroids, _row_norms(points))
+        labels, _ = fresh_assign(points, model.centroids)
         assert np.array_equal(labels, expected)
         assert np.array_equal(model.labels, expected)
 
@@ -277,7 +327,7 @@ class TestCertifiedAssign:
         if duplicate_centroids:
             centroids[-1] = centroids[0]  # every row ties; k == 1 ties with itself
         with np.errstate(over="ignore"):  # the direct formula's own overflow
-            labels, sq_dists = _assign(x, centroids, _row_norms(x))
+            labels, sq_dists = fresh_assign(x, centroids)
             direct_labels, direct_sq = _direct_assign(x, centroids)
         assert np.array_equal(labels, direct_labels)
         assert sq_dists.tobytes() == direct_sq.tobytes()
@@ -293,7 +343,7 @@ class TestCertifiedAssign:
         monkeypatch.setattr(clustering, "_direct_assign", spy)
         centroids = np.array([[0.0, 0.0], [2.0, 0.0], [9.0, 9.0]])
         x = np.array([[0.1, 0.3], [1.0, 0.0], [8.0, 9.5]])  # row 1 ties centroids 0 and 1
-        labels, sq_dists = _assign(x, centroids, _row_norms(x))
+        labels, sq_dists = fresh_assign(x, centroids)
         assert len(sent) == 1 and np.array_equal(sent[0], x[1:2])
         assert labels.tolist() == [0, 0, 2]
         assert sq_dists[1] == 1.0
@@ -306,7 +356,7 @@ class TestCertifiedAssign:
         centroids = np.array([[1e8 - 1.5, 1e8 - 1.5], [1e8 + 2.0, 1e8 - 1.5]])
         expansion = (x**2).sum(axis=1) - 2.0 * x @ centroids.T + (centroids**2).sum(axis=1)
         assert expansion.argmin() == 0
-        labels, sq_dists = _assign(x, centroids, _row_norms(x))
+        labels, sq_dists = fresh_assign(x, centroids)
         assert labels.tolist() == [1]
         assert sq_dists.tolist() == [4.5]
 
@@ -323,7 +373,7 @@ class TestCertifiedAssign:
             x += 1e8
         centroids = x[rng.choice(20000, size=10, replace=False)]
         centroids[9] = centroids[4]
-        labels, sq_dists = _assign(x, centroids, _row_norms(x))
+        labels, sq_dists = fresh_assign(x, centroids)
         direct_labels, direct_sq = _direct_assign(x, centroids)
         assert np.array_equal(labels, direct_labels)
         assert sq_dists.tobytes() == direct_sq.tobytes()
@@ -352,7 +402,7 @@ class TestCertifiedAssign:
             centroids[k - 1] = 1e160
             x[::3] = 1e160
         with np.errstate(over="ignore", invalid="ignore"):  # the direct formula's own overflow
-            labels, _ = _assign(x, centroids, _row_norms(x))
+            labels, _ = fresh_assign(x, centroids)
             direct_labels, _ = _direct_assign(x, centroids)
         assert np.array_equal(labels, direct_labels)
         best = np.concatenate([b for b, _ in returned])
@@ -407,7 +457,7 @@ class TestUpdateMeans:
 def reference_fit(x, k, seed, max_iters, tol):
     """Lloyd's loop with the direct formula in every assignment, and a final
     assignment after the last step: what kmeans_fit must equal bit for bit."""
-    centroids = _plus_plus_seed(x, k, np.random.default_rng(seed))
+    centroids = _plus_plus_seed(x, k, np.random.default_rng(seed))[0]
     x_cols = np.ascontiguousarray(x.T)
     history = []
     for _ in range(max_iters):
@@ -511,11 +561,11 @@ class TestBoundedFit:
         old = new.copy()
         old[j] = x[i] + (new[j] - x[i]) * reach
         x_norms = _row_norms(x)
-        lower = np.empty(m)
+        labels, sq_dists, lower = np.zeros(m, dtype=np.int64), np.empty(m), np.full(m, np.nan)
         with np.errstate(over="ignore", invalid="ignore"):  # overflow is part of the data
-            labels, _ = _assign(x, old, x_norms, lower)
+            _assign(x, old, x_norms, labels, sq_dists, lower)
             _lower_bounds(lower, np.sqrt(((new - old) ** 2).sum(axis=1)).max(), p)
-            labels, sq_dists = _bounded_assign(x, new, x_norms, labels, np.empty(m), lower)
+            _assign(x, new, x_norms, labels, sq_dists, lower)
             direct_labels, direct_sq = _direct_assign(x, new)
         assert np.array_equal(labels, direct_labels)
         assert sq_dists.tobytes() == direct_sq.tobytes()
@@ -536,7 +586,7 @@ class TestBoundedFit:
         monkeypatch.setattr(clustering, "_sure_nearest", spy)
         calls = count_assign_calls(monkeypatch)
         model = kmeans_fit(x, k=10, seed=3, max_iters=30, tol=0.0)
-        assert len(calls) == 31
+        assert len(calls) == 30
         assert sum(certified) < len(x) * len(calls) / 4
         assert_fit_is(model, reference_fit(x, 10, 3, 30, 0.0))
 
@@ -565,16 +615,16 @@ class TestPinnedFit:
 
 
 def count_assign_calls(monkeypatch) -> list[int]:
-    """Wrap clustering._bounded_assign, one call per Lloyd assignment, so that
-    each call appends its row count."""
+    """Wrap clustering._assign, one call per Lloyd assignment after the one
+    seeding supplies, so that each call appends its row count."""
     calls = []
-    real = clustering._bounded_assign
+    real = clustering._assign
 
     def counting(x, *args):
         calls.append(x.shape[0])
         return real(x, *args)
 
-    monkeypatch.setattr(clustering, "_bounded_assign", counting)
+    monkeypatch.setattr(clustering, "_assign", counting)
     return calls
 
 
@@ -588,14 +638,14 @@ class TestFinalAssignment:
         calls = count_assign_calls(monkeypatch)
         model = kmeans_fit(points, k=2, seed=1)
         assert model.inertia_history[-1] == model.inertia_history[-2]
-        assert len(calls) == len(model.inertia_history) - 1
+        assert len(calls) == len(model.inertia_history) - 2
         assert np.array_equal(model.labels, _direct_assign(points, model.centroids)[0])
 
     def test_fit_stopped_while_moving_assigns_again(self, monkeypatch):
         points = np.random.default_rng(5).normal(size=(70, 4))
         calls = count_assign_calls(monkeypatch)
         model = kmeans_fit(points, k=7, seed=11, max_iters=1)
-        assert len(calls) == len(model.inertia_history) == 2
+        assert len(calls) == 1 and len(model.inertia_history) == 2
         assert model.inertia_history[1] < model.inertia_history[0]
         assert np.array_equal(model.labels, _direct_assign(points, model.centroids)[0])
 
@@ -613,10 +663,27 @@ class TestFinalAssignment:
         run_pretrain(cfg)
         calls = count_assign_calls(monkeypatch)
         model = run_cluster(cfg)
-        assert len(calls) == iterations
+        assert len(calls) == iterations - 1  # seeding supplies the first assignment
         assert len(model.inertia_history) == iterations + 1
         raw = clusters_ckpt_path(cfg).read_bytes()
         assert hashlib.sha256(raw).hexdigest() == self.CLUSTERS_SHA256[seed]
+
+    # the benchmark's pseudo-label fit, a 20000-row pool for exactly 60 Lloyd
+    # iterations; recorded before seeding supplied the first assignment
+    POOL_CLUSTERS_SHA256 = {
+        0: "48ab5443aa2e2cad092dd7ddc0e0f8668c708f41f7757c5f448ddf218a42197f",
+        11: "a6c4346118141f42b3de461713a1995140dbdd8ed72f08e3f332fc017d464075",
+    }
+
+    @pytest.mark.parametrize("seed", [0, 11])
+    def test_pseudo_label_pool_clusters_keep_their_bytes(self, tmp_path, seed):
+        cfg = ExperimentConfig(out_dir=tmp_path, master_seed=seed, synth=SynthConfig(unlabeled_size=20000),
+                               kmeans_max_iters=60, kmeans_tol=0.0)
+        for run in (run_generate, run_pretrain, run_cluster):
+            run(cfg)
+        path = clusters_ckpt_path(cfg)
+        assert len(load_cluster_model(path).inertia_history) == 61
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.POOL_CLUSTERS_SHA256[seed]
 
     # the 25 dict.ckpt files of the default seed-0 run, concatenated in
     # ratios x folds order; their columns follow from these clusters

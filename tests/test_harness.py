@@ -99,11 +99,14 @@ class TestConfigValidation:
     @pytest.mark.parametrize("field, value", [
         ("hidden", (8.9, 7)), ("hidden", (np.float64(8.0),)), ("ratios", (10.5,)), ("ratios", (np.float64(10.0),)),
         *[(field, value) for field in INT_FIELDS for value in (5.0, np.float64(5.0))],
+        ("hidden", (True,)), ("ratios", (True,)), *[(field, True) for field in INT_FIELDS],
     ], ids=["hidden-float", "hidden-numpy-float", "ratios-float", "ratios-numpy-float",
-            *[f"{field}-{kind}" for field in INT_FIELDS for kind in ("float", "numpy-float")]])
+            *[f"{field}-{kind}" for field in INT_FIELDS for kind in ("float", "numpy-float")],
+            "hidden-bool", "ratios-bool", *[f"{field}-bool" for field in INT_FIELDS]])
     def test_non_integral_widths_and_ratios_refused(self, tmp_path, field, value):
         # int() would truncate 8.9 to 8 and key the stages as a genuine 8-wide run;
-        # every integer setting, of either dataclass, refuses a float alike
+        # every integer setting, of either dataclass, refuses a float alike, and
+        # a bool, which operator.index takes as 0 or 1
         owner, _, name = field.rpartition(".")
         must = "hold integers" if name in ("hidden", "ratios") else "be an integer"
         with pytest.raises(ValidationError, match=f"^{name} must {must}: "):
@@ -118,14 +121,20 @@ class TestConfigValidation:
         (dict(kmeans_tol=float("nan")), "cluster stage: kmeans_tol must be >= 0 and finite"),
         (dict(kmeans_tol=float("inf")), "cluster stage: kmeans_tol must be >= 0 and finite"),
         (dict(tl_epochs=7.0), "^tl_epochs must be an integer: "),
+        (dict(kmeans_tol=False), "^kmeans_tol must be a real number: "),
+        (dict(ridge=True), "^ridge must be a real number: "),
+        # a synth that is not a SynthConfig is refused as it is, not converted
+        (dict(synth={"dim": 4}), "^synth must be a SynthConfig: "),
+        (dict(synth=None), "^synth must be a SynthConfig: "),
         # SynthConfig's own fields, built in the test, since SynthConfig refuses the float itself
-        (dict(synth=dict(unlabeled_size=1500.5)), "^unlabeled_size must be an integer: "),
-    ], ids=["max_iters-0", "tol-negative", "tol-nan", "tol-inf", "tl_epochs-float", "unlabeled_size-float"])
+        (dict(synth_fields=dict(unlabeled_size=1500.5)), "^unlabeled_size must be an integer: "),
+    ], ids=["max_iters-0", "tol-negative", "tol-nan", "tol-inf", "tl_epochs-float", "tol-bool", "ridge-bool",
+            "synth-dict", "synth-none", "unlabeled_size-float"])
     def test_bad_kmeans_setting_rejected_before_any_write(self, tmp_path, setting, message):
         out = tmp_path / "out"
         with pytest.raises(ValidationError, match=message):
-            if "synth" in setting:
-                setting = {**setting, "synth": SynthConfig(**setting["synth"])}
+            if "synth_fields" in setting:
+                setting = {"synth": SynthConfig(**setting["synth_fields"])}
             run_experiment(mini_config(out, **setting))
         assert not out.exists()
 

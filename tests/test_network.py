@@ -323,9 +323,12 @@ class TestTrainConfig:
         # refused here, not as a TypeError deep inside train
         dict(epochs=2.0), dict(epochs=np.float64(2.0)), dict(batch_size=4.0), dict(batch_size=np.float64(4.0)),
         dict(base_lr="0.01"),
+        # a bool is no count and no rate, though Python calls True 1
+        dict(epochs=True), dict(batch_size=True), dict(base_lr=True), dict(momentum=False),
     ], ids=["epochs", "batch_size", "base_lr", "multiplier", "momentum-1", "momentum-negative",
             "base_lr-nan", "base_lr-inf", "multiplier-nan", "multiplier-inf",
-            "epochs-float", "epochs-numpy-float", "batch_size-float", "batch_size-numpy-float", "base_lr-str"])
+            "epochs-float", "epochs-numpy-float", "batch_size-float", "batch_size-numpy-float", "base_lr-str",
+            "epochs-bool", "batch_size-bool", "base_lr-bool", "momentum-bool"])
     def test_rejects_bad_value(self, bad):
         settings = {"epochs": 1, "head_multiplier": 1.0, **bad}
         head_multiplier = settings.pop("head_multiplier")
@@ -684,10 +687,10 @@ class TestSpecsValidation:
         assert state.widths == (4, 6, 3)
         assert type(state.widths) is tuple and all(type(width) is int for width in state.widths)
 
-    @pytest.mark.parametrize("widths", [(4, 6.5, 3), (4, np.float64(6.0), 3), (4.0, 6, 3)],
-                             ids=["float", "numpy-float", "integral-float"])
+    @pytest.mark.parametrize("widths", [(4, 6.5, 3), (4, np.float64(6.0), 3), (4.0, 6, 3), (True, 4, 2)],
+                             ids=["float", "numpy-float", "integral-float", "bool"])
     def test_non_integral_widths_refused(self, widths):
-        # int() would truncate 6.5 to a 6-wide layer
+        # int() would truncate 6.5 to a 6-wide layer, and operator.index takes True as 1
         with pytest.raises(ValidationError, match="^widths must be integers: "):
             init_network(widths)
 
