@@ -8,7 +8,7 @@ import numpy as np
 
 from .data import feature_matrix
 from .errors import ValidationError
-from .manifest import manifest_value, read_artifact, unpack_blob, write_artifact
+from .manifest import read_artifact, unpack_blob, write_artifact
 from .network import NetworkState, apply_layer, flat_views, relu
 
 # Rows per assignment block. It bounds the per-block temporaries: with all
@@ -335,12 +335,9 @@ def _parse_floats(raw: str) -> list[float]:
 def load_cluster_model(path) -> ClusterModel:
     """The ``inertia`` line is written for readers of the file; the model takes
     its inertia from the last ``inertia_history`` entry."""
-    fields, blob = read_artifact(path, "clusters")
-    k = manifest_value(fields, "k", path, int)
-    p = manifest_value(fields, "p", path, int)
-    m = manifest_value(fields, "m", path, int)
-    seed = manifest_value(fields, "seed", path, int)
-    history = manifest_value(fields, "inertia_history", path, _parse_floats)
+    (k, p, m, seed, history), blob = read_artifact(
+        path, "clusters", {"k": int, "p": int, "m": int, "seed": int, "inertia_history": _parse_floats}
+    )
     (centroids,), (labels,) = unpack_blob(blob, path, [(k, p)], [m])
     if m < k:
         raise ValidationError(f"{path}: m = {m} samples cannot fill k = {k} clusters")

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError, convert_fields
-from .manifest import manifest_value, read_artifact, unpack_blob, write_artifact
+from .manifest import read_artifact, unpack_blob, write_artifact
 
 POSITIVE_CLASS = 1
 ALLOWED_RATIOS = (10, 25, 50, 75, 100)
@@ -190,11 +190,9 @@ def save_dataset(dataset: LabeledSet | UnlabeledSet, path) -> None:
 
 
 def load_dataset(path) -> LabeledSet | UnlabeledSet:
-    fields, blob = read_artifact(path, "dataset")
-    n = manifest_value(fields, "n", path, int)
-    d = manifest_value(fields, "d", path, int)
-    class_count = manifest_value(fields, "class_count", path, int)
-    labeled = manifest_value(fields, "labeled", path, int)
+    (n, d, class_count, labeled), blob = read_artifact(
+        path, "dataset", {"n": int, "d": int, "class_count": int, "labeled": int}
+    )
     (features,), labels = unpack_blob(blob, path, [(n, d)], [n] if labeled else [])
     try:
         return LabeledSet(features, labels[0], class_count) if labeled else UnlabeledSet(features)

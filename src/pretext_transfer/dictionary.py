@@ -19,7 +19,7 @@ import numpy as np
 
 from .data import LabeledSet, feature_matrix
 from .errors import ValidationError
-from .manifest import manifest_value, read_artifact, unpack_blob, write_artifact
+from .manifest import read_artifact, unpack_blob, write_artifact
 
 _ZERO_NORM = 1e-12
 _SOLVE_TOL = 1e-8
@@ -116,8 +116,6 @@ def _parse_counts(raw: str) -> tuple[int, ...]:
 
 
 def load_dictionary(path) -> FeatureDictionary:
-    fields, blob = read_artifact(path, "dictionary")
-    p = manifest_value(fields, "p", path, int)
-    counts = manifest_value(fields, "class_counts", path, _parse_counts)
+    (p, counts), blob = read_artifact(path, "dictionary", {"p": int, "class_counts": _parse_counts})
     (columns,), _ = unpack_blob(blob, path, [(p, sum(counts))])
     return FeatureDictionary(columns, counts)

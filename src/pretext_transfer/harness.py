@@ -143,7 +143,7 @@ def _set_blas_threads(count: int) -> int | None:
 
 # stage -> (help line, the output named while it has not finished, the stages
 # whose outputs it reads, the config fields it reads), in run order. No key
-# holds `out_dir`, `workers` or `ratios` (a cell does not depend on the others).
+# holds `out_dir` or `workers`, which change no output.
 STAGES = {
     "generate": ("generate the synthetic source/unlabeled/target datasets", "source.bin",
                  (), ("master_seed", "synth")),
@@ -153,10 +153,10 @@ STAGES = {
                 ("generate", "pretrain"), ("kmeans_max_iters", "kmeans_tol")),
     "prt": ("representation-only transfer, once per master seed (classifier frozen)", "prt.ckpt",
             ("generate", "pretrain", "cluster"), ("prt_epochs", "base_lr", "batch_size", "momentum")),
-    "tl": ("conventional transfer, every session of a ratio in lockstep", "tl.ckpt",
-           ("generate", "pretrain", "prt"), ("tl_epochs", "base_lr", "batch_size", "momentum", "fold_count")),
+    "tl": ("conventional transfer, every session of a ratio in lockstep", "tl.ckpt", ("generate", "pretrain", "prt"),
+           ("tl_epochs", "base_lr", "batch_size", "momentum", "fold_count", "ratios")),
     "dict": ("build per-cell feature dictionaries for the fused method", "dict.ckpt",
-             ("generate", "prt"), ("fold_count",)),
+             ("generate", "prt"), ("fold_count", "ratios")),
     "evaluate": ("score every configured cell and write the reports", "report.csv",
                  ("generate", "tl", "dict", "prt"), ("ridge",)),
 }

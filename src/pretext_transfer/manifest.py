@@ -3,16 +3,19 @@
 An artifact (checkpoint, cluster model, dictionary, dataset) is UTF-8
 ``key = value`` manifest lines, one per key that a loader reads, ended by a
 blank line, then a blob of little-endian float64 blocks followed by int32
-blocks; ``unpack_blob`` is the blob's only reader, and it refuses a non-finite
-float. Artifacts and text outputs (reports, the run manifest, logs) land
-through a sibling temp file and a rename, so a crash mid-write leaves any
-previous file intact.
+blocks. ``read_artifact`` is the manifest's only reader: a loader names each
+key it reads once, with its parser, and gets back the parsed values, or a
+refusal of a missing, repeated or unparsable key. ``unpack_blob`` is the
+blob's only reader, and it refuses a non-finite float. Artifacts and text
+outputs (reports, the run manifest, logs) land through a sibling temp file and
+a rename, so a crash mid-write leaves any previous file intact.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from collections.abc import Callable
 from pathlib import Path
 
 import numpy as np
@@ -65,12 +68,13 @@ def write_artifact(
     _write_atomic(path, chunks())
 
 
-def read_artifact(path: str | Path, kind: str) -> tuple[dict[str, str | int], memoryview]:
-    """Return the manifest as a {key: value} dict plus the blob, a
-    ``memoryview`` of the bytes read: a ``bytes`` slice would copy the payload
-    while the whole file is still held. A key on more than one line maps to
-    the number of its last line, which ``manifest_value`` refuses; a loader
-    ignores the keys it does not read, such as old checkpoints' ``layer`` lines."""
+def read_artifact(path: str | Path, kind: str, keys: dict[str, Callable]) -> tuple[list, memoryview]:
+    """Return ``parse`` of the value of each of ``keys``' keys, in their order,
+    plus the blob, a ``memoryview`` of the bytes read: a ``bytes`` slice would
+    copy the payload while the whole file is still held. Each key must be on
+    exactly one line, and a ValueError from its ``parse`` becomes a
+    ValidationError that names the file and the key; keys that ``keys`` does
+    not name are ignored, such as old checkpoints' ``layer`` lines."""
     path = Path(path)
     raw = path.read_bytes()
     split = raw.find(_SEPARATOR)
@@ -82,13 +86,26 @@ def read_artifact(path: str | Path, kind: str) -> tuple[dict[str, str | int], me
         raise ValidationError(f"{path}: manifest is not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     if not header or header[0] != f"{kind} v1":
         raise ValidationError(f"{path}: expected a '{kind} v1' manifest")
-    fields: dict[str, str | int] = {}
+    fields: dict[str, str] = {}
+    repeats: dict[str, int] = {}  # a key on more than one line -> the number of its last line
     for lineno, line in enumerate(header[1:], start=2):
         key, sep, value = line.partition(" = ")
         if not sep:
             raise ValidationError(f"{path}:{lineno}: malformed manifest line {line!r}")
-        fields[key] = lineno if key in fields else value
-    return fields, memoryview(raw)[split + len(_SEPARATOR):]
+        if key in fields:
+            repeats[key] = lineno
+        fields[key] = value
+    values = []
+    for key, parse in keys.items():
+        if key not in fields:
+            raise ValidationError(f"{path}: manifest is missing key '{key}'")
+        if key in repeats:
+            raise ValidationError(f"{path}:{repeats[key]}: manifest key '{key}' repeats")
+        try:
+            values.append(parse(fields[key]))
+        except ValueError as exc:
+            raise ValidationError(f"{path}: bad value for '{key}': {exc}") from None
+    return values, memoryview(raw)[split + len(_SEPARATOR):]
 
 
 def unpack_blob(
@@ -111,17 +128,3 @@ def unpack_blob(
     if not all(np.isfinite(a).all() for a in arrays[:len(float_shapes)]):
         raise ValidationError(f"{path}: blob holds non-finite values")
     return arrays[:len(float_shapes)], arrays[len(float_shapes):]
-
-
-def manifest_value(fields: dict[str, str | int], key: str, path: str | Path, parse):
-    """``parse`` of the value of ``key``, which must be on exactly one line; a
-    ValueError from ``parse`` becomes a ValidationError that names the file
-    and the key."""
-    if key not in fields:
-        raise ValidationError(f"{path}: manifest is missing key '{key}'")
-    if isinstance(fields[key], int):
-        raise ValidationError(f"{path}:{fields[key]}: manifest key '{key}' repeats")
-    try:
-        return parse(fields[key])
-    except ValueError as exc:
-        raise ValidationError(f"{path}: bad value for '{key}': {exc}") from None

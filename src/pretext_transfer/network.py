@@ -33,7 +33,7 @@ import numpy as np
 
 from .data import LabeledSet, feature_matrix
 from .errors import TrainingDiverged, ValidationError, convert_fields, integer
-from .manifest import manifest_value, read_artifact, unpack_blob, write_artifact
+from .manifest import read_artifact, unpack_blob, write_artifact
 
 
 @dataclass(frozen=True)
@@ -357,8 +357,7 @@ def save_checkpoint(state: NetworkState, path) -> None:
 
 def load_checkpoint(path) -> NetworkState:
     """Rebuild a state from its widths line and blob; other manifest lines are ignored."""
-    fields, blob = read_artifact(path, "checkpoint")
-    widths = manifest_value(fields, "widths", path, lambda value: tuple(map(int, value.split())))
+    (widths,), blob = read_artifact(path, "checkpoint", {"widths": lambda value: tuple(map(int, value.split()))})
     try:
         validate_widths(widths)
     except ValidationError as exc:

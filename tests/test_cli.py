@@ -429,15 +429,36 @@ class TestProvenance:
         assert "prt.ckpt" in capsys.readouterr().err
 
     def test_evaluate_of_a_ratio_subset_keeps_its_rows(self, base, tmp_path, capsys):
+        """`ratios` is in tl's and dict's keys, so evaluate scores a subset of
+        the ratios after tl and dict have run on that subset."""
         out = tmp_path / "out"
         assert main(["run-all", *base]) == 0
-        rows = [line for line in (out / "report.csv").read_text().splitlines() if line.startswith("10,")]
-        assert main(["evaluate", *base, "--ratios", "10"]) == 0
-        report = (out / "report.csv").read_text().splitlines()
-        assert report[1:] == rows
+        report = (out / "report.csv").read_text()
+        rows = [line for line in report.splitlines() if line.startswith("10,")]
+        capsys.readouterr()
+        assert main(["evaluate", *base, "--ratios", "10"]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {out / 'manifest.txt'}: tl ran with another seed")
+        assert (out / "report.csv").read_text() == report
+        for command in ("tl", "dict", "evaluate"):
+            assert main([command, *base, "--ratios", "10"]) == 0, command
+        assert (out / "report.csv").read_text().splitlines()[1:] == rows
         capsys.readouterr()
         assert main(["evaluate", *base, "--folds", "3"]) == 1
         assert capsys.readouterr().err.startswith(f"error: {out / 'manifest.txt'}: tl ran with another seed")
+
+    def test_a_ratio_subset_does_not_claim_the_other_ratios(self, config_file, base, tmp_path, capsys):
+        """tl run on the 10% cells under another tl_epochs leaves the 100%
+        cells as the first run trained them, so evaluate of both is refused."""
+        out = tmp_path / "out"
+        assert main(["run-all", *base]) == 0
+        report = (out / "report.csv").read_bytes()
+        config_file.write_text(MINI_CFG.replace("tl_epochs = 2", "tl_epochs = 5"))
+        assert main(["tl", *base, "--ratios", "10"]) == 0
+        assert main(["dict", *base]) == 0
+        capsys.readouterr()
+        assert main(["evaluate", *base]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {out / 'manifest.txt'}: tl ran with another seed")
+        assert (out / "report.csv").read_bytes() == report
 
     def test_repeated_stage_line_is_refused(self, base, tmp_path, capsys):
         # a stale key before the current one would otherwise be read as the current one alone

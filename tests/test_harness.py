@@ -156,9 +156,10 @@ KEYED_CHANGES = {
     "fold_count": 3,
     "kmeans_max_iters": 50,
     "kmeans_tol": 1e-5,
+    "ratios": (10,),
 }
-# fields that change no output, or (ratios) only which cells run
-UNKEYED_CHANGES = {"out_dir": Path("elsewhere"), "workers": 2, "ratios": (10,)}
+# fields that change no output
+UNKEYED_CHANGES = {"out_dir": Path("elsewhere"), "workers": 2}
 # another valid value of every SynthConfig field
 SYNTH_CHANGES = {
     "source_class_count": 5,

@@ -19,8 +19,8 @@ class TestWriteArtifact:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "a.bin"
         write_artifact(path, "thing", [("n", 2)], [np.array([1.5, -2.0])], [np.array([3, 4])])
-        header, blob = read_artifact(path, "thing")
-        assert header == {"n": "2"}
+        values, blob = read_artifact(path, "thing", {"n": int})
+        assert values == [2]
         assert isinstance(blob, memoryview)  # a view of the bytes read, not a copy
         assert blob == np.array([1.5, -2.0], dtype="<f8").tobytes() + np.array([3, 4], dtype="<i4").tobytes()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a.bin"]
@@ -129,6 +129,74 @@ class TestBlobLayout:
         path.write_bytes(b"\n".join([kind, first, key + b" = 9", rest]))
         with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}:3: manifest key '{key.decode()}' repeats$"):
             load(path)
+
+    @pytest.mark.parametrize("codec", CODECS)
+    def test_repeat_is_named_at_its_last_line(self, tmp_path, codec):
+        """The manifest's first key on three lines is refused at the third."""
+        artifact, save, load, _ = CODECS[codec]
+        path = tmp_path / "artifact"
+        save(artifact, path)
+        kind, first, rest = path.read_bytes().split(b"\n", 2)
+        key = first.partition(b" = ")[0]
+        path.write_bytes(b"\n".join([kind, first, first, first, rest]))
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}:4: manifest key '{key.decode()}' repeats$"):
+            load(path)
+
+    @pytest.mark.parametrize("codec", CODECS)
+    def test_malformed_line_rejected(self, tmp_path, codec):
+        artifact, save, load, _ = CODECS[codec]
+        path = tmp_path / "artifact"
+        save(artifact, path)
+        kind, newline, rest = path.read_bytes().partition(b"\n")
+        path.write_bytes(kind + newline + b"no separator\n" + rest)
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}:2: malformed manifest line 'no separator'$"):
+            load(path)
+
+    @pytest.mark.parametrize("codec", CODECS)
+    def test_other_kind_rejected(self, tmp_path, codec):
+        artifact, save, load, _ = CODECS[codec]
+        path = tmp_path / "artifact"
+        save(artifact, path)
+        kind, newline, rest = path.read_bytes().partition(b"\n")
+        path.write_bytes(b"other v1" + newline + rest)
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: expected a '{kind.decode()}' manifest$"):
+            load(path)
+
+    @pytest.mark.parametrize("codec", CODECS)
+    def test_missing_separator_rejected(self, tmp_path, codec):
+        """The manifest lines alone, without the blank line and blob after them."""
+        artifact, save, load, _ = CODECS[codec]
+        path = tmp_path / "artifact"
+        save(artifact, path)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:raw.index(b"\n\n") + 1])
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: missing manifest/blob separator$"):
+            load(path)
+
+    @pytest.mark.parametrize("codec", CODECS)
+    def test_missing_key_rejected(self, tmp_path, codec):
+        """The manifest's first key line deleted."""
+        artifact, save, load, _ = CODECS[codec]
+        path = tmp_path / "artifact"
+        save(artifact, path)
+        kind, first, rest = path.read_bytes().split(b"\n", 2)
+        key = first.partition(b" = ")[0]
+        path.write_bytes(kind + b"\n" + rest)
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: manifest is missing key '{key.decode()}'$"):
+            load(path)
+
+    @pytest.mark.parametrize("codec", CODECS)
+    def test_unread_key_may_repeat(self, tmp_path, codec):
+        """A key that the loader does not read, on two lines, changes nothing
+        that it loads: saved again, the artifact has its first bytes."""
+        artifact, save, load, _ = CODECS[codec]
+        path = tmp_path / "artifact"
+        save(artifact, path)
+        raw = path.read_bytes()
+        kind, newline, rest = raw.partition(b"\n")
+        path.write_bytes(kind + newline + b"note = a\nnote = b\n" + rest)
+        save(load(path), tmp_path / "again")
+        assert (tmp_path / "again").read_bytes() == raw
 
     @pytest.mark.parametrize("codec", CODECS)
     def test_non_utf8_header_rejected(self, tmp_path, codec):

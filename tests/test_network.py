@@ -724,7 +724,7 @@ class TestCheckpoint:
         state = NetworkState(widths, np.random.default_rng(5).normal(size=sum(o * (i + 1) for i, o in pairs)))
         path = tmp_path / "model.ckpt"
         save_checkpoint(state, path)
-        blob = bytes(read_artifact(path, "checkpoint")[1])
+        blob = bytes(read_artifact(path, "checkpoint", {})[1])
         assert blob == state.params.tobytes()
         values, offset = np.frombuffer(blob, "<f8"), 0
         x = z = np.random.default_rng(6).normal(size=(5, widths[0]))
